@@ -38,11 +38,11 @@ const WirePath = "/v1/catalog/wire"
 // wireReq is one registry request line (client → service). Op selects
 // the operation; exactly the fields that operation reads are set.
 type wireReq struct {
-	Op     string `json:"op"`
-	ID     string `json:"id,omitempty"`
-	Tenant int    `json:"tenant,omitempty"`
+	Op     string     `json:"op"`
+	ID     catalog.ID `json:"id,omitempty"`
+	Tenant int        `json:"tenant,omitempty"`
 	// Acquire-batch payload.
-	IDs []string `json:"ids,omitempty"`
+	IDs []catalog.ID `json:"ids,omitempty"`
 	// Release flags (held selects confirmed vs provisional; origin
 	// echoes Ticket.OriginPayer) — origin doubles as the replay-acquire
 	// origin-payer flag.
@@ -122,7 +122,13 @@ type Client struct {
 	mu     sync.Mutex
 	conn   *streamclient.Conn
 	closed bool
-	buf    []byte // request-encoding scratch
+	// Per-call scratch, reused under mu: the request encoding, and the
+	// decoded reply with the arrays its ticket and lists decode into.
+	buf       []byte
+	resp      wireResp
+	ticket    catalog.Ticket
+	ticketBuf []catalog.Ticket
+	resultBuf []catalog.SettleResult
 }
 
 var _ catalog.Service = (*Client)(nil)
@@ -140,43 +146,50 @@ func Dial(baseURL string, opts Options) (*Client, error) {
 	return &Client{conn: conn}, nil
 }
 
-// roundTrip sends one request line and decodes its reply. Serialized:
-// the reply to the i-th request is the i-th response line.
-func (c *Client) roundTrip(req wireReq, resp *wireResp) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// roundTrip sends one request line and decodes its reply, which stays
+// valid until c.mu is released. Called with c.mu held; the reply to the
+// i-th request is the i-th response line.
+func (c *Client) roundTrip(req *wireReq) (*wireResp, error) {
 	if c.closed {
-		return fmt.Errorf("%w: remote: client closed", catalog.ErrClosed)
+		return nil, fmt.Errorf("%w: remote: client closed", catalog.ErrClosed)
 	}
-	line, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("catalog/remote: encode %s: %w", req.Op, err)
+	line, ok := req.appendJSON(c.buf[:0])
+	c.buf = line
+	if !ok {
+		var err error
+		if line, err = marshalReq(*req); err != nil {
+			return nil, fmt.Errorf("catalog/remote: encode %s: %w", req.Op, err)
+		}
 	}
-	c.buf = append(c.buf[:0], line...)
-	if err := c.conn.SendRaw(c.buf); err != nil {
-		return fmt.Errorf("%w: remote: %v", catalog.ErrClosed, err)
+	if err := c.conn.SendRaw(line); err != nil {
+		return nil, fmt.Errorf("%w: remote: %v", catalog.ErrClosed, err)
 	}
 	if err := c.conn.Flush(); err != nil {
-		return fmt.Errorf("%w: remote: %v", catalog.ErrClosed, err)
+		return nil, fmt.Errorf("%w: remote: %v", catalog.ErrClosed, err)
 	}
 	raw, err := c.conn.RecvRaw()
 	if err != nil {
-		return fmt.Errorf("%w: remote: %v", catalog.ErrClosed, err)
+		return nil, fmt.Errorf("%w: remote: %v", catalog.ErrClosed, err)
 	}
-	*resp = wireResp{}
-	if err := json.Unmarshal(raw, resp); err != nil {
-		return fmt.Errorf("catalog/remote: bad reply to %s: %w", req.Op, err)
+	if err := c.decodeResp(raw); err != nil {
+		return nil, fmt.Errorf("catalog/remote: bad reply to %s: %w", req.Op, err)
 	}
-	if resp.Error != "" {
-		return decodeErr(resp.Code, resp.Error)
+	if c.resp.Error != "" {
+		return nil, decodeErr(c.resp.Code, c.resp.Error)
 	}
-	return nil
+	return &c.resp, nil
 }
+
+// marshalReq encodes r through encoding/json. Taking r by value keeps
+// the callers' requests off the heap.
+func marshalReq(r wireReq) ([]byte, error) { return json.Marshal(&r) }
 
 // Acquire implements catalog.Service.
 func (c *Client) Acquire(id catalog.ID, tenant int) (catalog.Ticket, error) {
-	var resp wireResp
-	if err := c.roundTrip(wireReq{Op: "acquire", ID: string(id), Tenant: tenant}, &resp); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTrip(&wireReq{Op: opAcquire, ID: id, Tenant: tenant})
+	if err != nil {
 		return catalog.Ticket{}, err
 	}
 	if resp.Ticket == nil {
@@ -193,12 +206,10 @@ func (c *Client) AcquireBatch(tenant int, ids []catalog.ID, out []catalog.Ticket
 	if len(ids) == 0 {
 		return nil
 	}
-	wids := make([]string, len(ids))
-	for i, id := range ids {
-		wids[i] = string(id)
-	}
-	var resp wireResp
-	if err := c.roundTrip(wireReq{Op: "acquire-batch", Tenant: tenant, IDs: wids}, &resp); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTrip(&wireReq{Op: opAcquireBatch, Tenant: tenant, IDs: ids})
+	if err != nil {
 		return err
 	}
 	if len(resp.Tickets) != len(ids) {
@@ -210,8 +221,10 @@ func (c *Client) AcquireBatch(tenant int, ids []catalog.ID, out []catalog.Ticket
 
 // Lookup implements catalog.Service.
 func (c *Client) Lookup(id catalog.ID, tenant int) (int, error) {
-	var resp wireResp
-	if err := c.roundTrip(wireReq{Op: "lookup", ID: string(id), Tenant: tenant}, &resp); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTrip(&wireReq{Op: opLookup, ID: id, Tenant: tenant})
+	if err != nil {
 		return 0, err
 	}
 	return resp.Local, nil
@@ -222,8 +235,10 @@ func (c *Client) Lookup(id catalog.ID, tenant int) (int, error) {
 // have reached the owner; recovery of a torn connection is the node
 // process's lifecycle problem, not the hot path's).
 func (c *Client) Release(id catalog.ID, tenant int, held, origin bool) (refs int, evicted bool) {
-	var resp wireResp
-	if err := c.roundTrip(wireReq{Op: "release", ID: string(id), Tenant: tenant, Held: held, Origin: origin}, &resp); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTrip(&wireReq{Op: opRelease, ID: id, Tenant: tenant, Held: held, Origin: origin})
+	if err != nil {
 		return 0, false
 	}
 	return resp.Refs, resp.Evicted
@@ -239,8 +254,10 @@ func (c *Client) SettleBatch(ops []catalog.Settlement, out []catalog.SettleResul
 	if len(ops) == 0 {
 		return nil
 	}
-	var resp wireResp
-	if err := c.roundTrip(wireReq{Op: "settle-batch", Settles: ops, WantResults: out != nil}, &resp); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTrip(&wireReq{Op: opSettleBatch, Settles: ops, WantResults: out != nil})
+	if err != nil {
 		return err
 	}
 	if out != nil {
@@ -255,8 +272,10 @@ func (c *Client) SettleBatch(ops []catalog.Settlement, out []catalog.SettleResul
 // Snapshot implements catalog.Service. Nil on transport failure,
 // matching the closed-registry behavior.
 func (c *Client) Snapshot() *catalog.Snapshot {
-	var resp wireResp
-	if err := c.roundTrip(wireReq{Op: "snapshot"}, &resp); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTrip(&wireReq{Op: opSnapshot})
+	if err != nil {
 		return nil
 	}
 	return resp.Snapshot
@@ -282,20 +301,26 @@ func (c *Client) SetLogger(catalog.Logger) error {
 // ReplayAcquire implements catalog.Service, forwarding the replayed
 // quote for the remote owner to verify.
 func (c *Client) ReplayAcquire(id catalog.ID, tenant int, scale float64, origin bool) error {
-	var resp wireResp
-	return c.roundTrip(wireReq{Op: "replay-acquire", ID: string(id), Tenant: tenant, Scale: scale, Origin: origin}, &resp)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.roundTrip(&wireReq{Op: opReplayAcquire, ID: id, Tenant: tenant, Scale: scale, Origin: origin})
+	return err
 }
 
 // ReplaySettle implements catalog.Service.
 func (c *Client) ReplaySettle(s catalog.Settlement) error {
-	var resp wireResp
-	return c.roundTrip(wireReq{Op: "replay-settle", Settles: []catalog.Settlement{s}}, &resp)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.roundTrip(&wireReq{Op: opReplaySettle, Settles: []catalog.Settlement{s}})
+	return err
 }
 
 // DanglingPending implements catalog.Service.
 func (c *Client) DanglingPending() ([]catalog.Settlement, error) {
-	var resp wireResp
-	if err := c.roundTrip(wireReq{Op: "dangling"}, &resp); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTrip(&wireReq{Op: opDangling})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Settles, nil

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/ndjson"
 )
 
 // NewHandler serves reg on the catalog wire: POST /v1/catalog/wire is
@@ -51,20 +52,21 @@ func serveWire(reg catalog.Service, w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_ = rc.Flush()
 	br := bufio.NewReaderSize(r.Body, 64<<10)
-	enc := json.NewEncoder(w)
+	c := &wireConn{reg: reg}
+	var scratch []byte
 	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) == 0 || (err != nil && err != io.EOF) {
+		line, err := ndjson.ReadLine(br, &scratch)
+		if err != nil && (err != io.EOF || len(line) == 0) {
 			return
 		}
-		var req wireReq
-		if uerr := json.Unmarshal(line, &req); uerr != nil {
-			_ = enc.Encode(wireResp{Error: fmt.Sprintf("bad request line: %v", uerr)})
+		if derr := c.decodeReq(line); derr != nil {
+			c.resp = wireResp{Error: fmt.Sprintf("bad request line: %v", derr)}
+			c.write(w)
 			_ = rc.Flush()
 			return
 		}
-		resp := dispatch(reg, &req)
-		if eerr := enc.Encode(resp); eerr != nil {
+		c.dispatch()
+		if !c.write(w) {
 			return
 		}
 		_ = rc.Flush()
@@ -74,73 +76,143 @@ func serveWire(reg catalog.Service, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// dispatch applies one wire request to the registry.
-func dispatch(reg catalog.Service, req *wireReq) wireResp {
-	switch req.Op {
-	case "acquire":
-		tk, err := reg.Acquire(catalog.ID(req.ID), req.Tenant)
-		if err != nil {
-			return errResp(err)
-		}
-		return wireResp{Ticket: &tk}
-	case "acquire-batch":
-		ids := make([]catalog.ID, len(req.IDs))
-		for i, s := range req.IDs {
-			ids[i] = catalog.ID(s)
-		}
-		tickets := make([]catalog.Ticket, len(ids))
-		if err := reg.AcquireBatch(req.Tenant, ids, tickets); err != nil {
-			return errResp(err)
-		}
-		return wireResp{Tickets: tickets}
-	case "lookup":
-		local, err := reg.Lookup(catalog.ID(req.ID), req.Tenant)
-		if err != nil {
-			return errResp(err)
-		}
-		return wireResp{Local: local}
-	case "release":
-		refs, evicted := reg.Release(catalog.ID(req.ID), req.Tenant, req.Held, req.Origin)
-		return wireResp{Refs: refs, Evicted: evicted}
-	case "settle-batch":
-		var out []catalog.SettleResult
-		if req.WantResults {
-			out = make([]catalog.SettleResult, len(req.Settles))
-		}
-		if err := reg.SettleBatch(req.Settles, out); err != nil {
-			return errResp(err)
-		}
-		return wireResp{Results: out}
-	case "snapshot":
-		snap := reg.Snapshot()
-		if snap == nil {
-			return errResp(fmt.Errorf("%w: snapshot after close", catalog.ErrClosed))
-		}
-		return wireResp{Snapshot: snap}
-	case "replay-acquire":
-		if err := reg.ReplayAcquire(catalog.ID(req.ID), req.Tenant, req.Scale, req.Origin); err != nil {
-			return errResp(err)
-		}
-		return wireResp{}
-	case "replay-settle":
-		if len(req.Settles) != 1 {
-			return wireResp{Error: fmt.Sprintf("replay-settle wants exactly 1 settlement, got %d", len(req.Settles))}
-		}
-		if err := reg.ReplaySettle(req.Settles[0]); err != nil {
-			return errResp(err)
-		}
-		return wireResp{}
-	case "dangling":
-		settles, err := reg.DanglingPending()
-		if err != nil {
-			return errResp(err)
-		}
-		return wireResp{Settles: settles}
-	}
-	return wireResp{Error: fmt.Sprintf("unknown op %q", strings.TrimSpace(req.Op))}
+// wireConn is one wire connection's state, reused from request to
+// request: the decoded request with the arrays its lists decode into,
+// the reply with the slices the registry fills, and the IDs the
+// registry has accepted, interned so that a request naming a known
+// stream allocates no string.
+type wireConn struct {
+	reg       catalog.Service
+	req       wireReq
+	idBuf     []catalog.ID
+	settleBuf []catalog.Settlement
+	resp      wireResp
+	ticket    catalog.Ticket
+	tickets   []catalog.Ticket
+	results   []catalog.SettleResult
+	ids       map[string]catalog.ID
+	out       []byte
 }
 
-func errResp(err error) wireResp {
-	code, msg := encodeErr(err)
-	return wireResp{Error: msg, Code: code}
+// id returns the interned ID spelled by b, or a new one.
+func (c *wireConn) id(b []byte) catalog.ID {
+	if id, ok := c.ids[string(b)]; ok {
+		return id
+	}
+	return catalog.ID(b)
+}
+
+// accept interns ids the registry has accepted. Only those: the table
+// stays bounded by the registry's bindings whatever clients send.
+func (c *wireConn) accept(ids ...catalog.ID) {
+	if c.ids == nil {
+		c.ids = make(map[string]catalog.ID)
+	}
+	for _, id := range ids {
+		if _, ok := c.ids[string(id)]; !ok {
+			c.ids[string(id)] = id
+		}
+	}
+}
+
+// write sends c.resp as one line; false means the connection is gone
+// or the reply could not be encoded.
+func (c *wireConn) write(w io.Writer) bool {
+	out, ok := c.resp.appendJSON(c.out[:0])
+	if !ok {
+		var err error
+		if out, err = json.Marshal(&c.resp); err != nil {
+			return false
+		}
+	}
+	c.out = append(out, '\n')
+	_, err := w.Write(c.out)
+	return err == nil
+}
+
+// dispatch applies the request to the registry and sets the reply.
+func (c *wireConn) dispatch() {
+	req := &c.req
+	c.resp = wireResp{}
+	switch req.Op {
+	case opAcquire:
+		tk, err := c.reg.Acquire(req.ID, req.Tenant)
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		c.accept(req.ID)
+		c.ticket = tk
+		c.resp.Ticket = &c.ticket
+	case opAcquireBatch:
+		c.tickets = resize(c.tickets, len(req.IDs))
+		if err := c.reg.AcquireBatch(req.Tenant, req.IDs, c.tickets); err != nil {
+			c.fail(err)
+			return
+		}
+		c.accept(req.IDs...)
+		c.resp.Tickets = c.tickets
+	case opLookup:
+		local, err := c.reg.Lookup(req.ID, req.Tenant)
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		c.accept(req.ID)
+		c.resp.Local = local
+	case opRelease:
+		c.resp.Refs, c.resp.Evicted = c.reg.Release(req.ID, req.Tenant, req.Held, req.Origin)
+	case opSettleBatch:
+		var out []catalog.SettleResult
+		if req.WantResults {
+			c.results = resize(c.results, len(req.Settles))
+			out = c.results
+		}
+		if err := c.reg.SettleBatch(req.Settles, out); err != nil {
+			c.fail(err)
+			return
+		}
+		c.resp.Results = out
+	case opSnapshot:
+		snap := c.reg.Snapshot()
+		if snap == nil {
+			c.fail(fmt.Errorf("%w: snapshot after close", catalog.ErrClosed))
+			return
+		}
+		c.resp.Snapshot = snap
+	case opReplayAcquire:
+		if err := c.reg.ReplayAcquire(req.ID, req.Tenant, req.Scale, req.Origin); err != nil {
+			c.fail(err)
+		}
+	case opReplaySettle:
+		if len(req.Settles) != 1 {
+			c.resp.Error = fmt.Sprintf("replay-settle wants exactly 1 settlement, got %d", len(req.Settles))
+			return
+		}
+		if err := c.reg.ReplaySettle(req.Settles[0]); err != nil {
+			c.fail(err)
+		}
+	case opDangling:
+		settles, err := c.reg.DanglingPending()
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		c.resp.Settles = settles
+	default:
+		c.resp.Error = fmt.Sprintf("unknown op %q", strings.TrimSpace(req.Op))
+	}
+}
+
+// fail sets an error reply.
+func (c *wireConn) fail(err error) {
+	c.resp.Code, c.resp.Error = encodeErr(err)
+}
+
+// resize returns s with length n, reusing its array when it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -3,11 +3,14 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	videodist "repro"
@@ -461,5 +464,172 @@ func TestPlanPartition(t *testing.T) {
 				t.Fatal("negative tenant must route to node 0")
 			}
 		}
+	}
+}
+
+// streamLines sends raw request lines over one stream connection (a
+// session connection when sid is set), closes the send side, and
+// returns every response line up to the end of the stream.
+func streamLines(t *testing.T, baseURL, sid string, lines []string) []string {
+	t.Helper()
+	var opts streamclient.DialOptions
+	if sid != "" {
+		opts.Header = map[string]string{"X-Stream-Session": sid}
+	}
+	conn, err := streamclient.DialWith(baseURL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, l := range lines {
+		if err := conn.SendRaw([]byte(l)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conn.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for {
+		line, err := conn.RecvRaw()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(line))
+	}
+}
+
+// TestRouterRefusesLikeNode sends the same request lines straight to a
+// node and through a router: the router must answer line for line what
+// the node answers — results up to the first line the node refuses,
+// then the node's own seq -1 line, then the end of the stream — and
+// must not apply anything after the refused line.
+func TestRouterRefusesLikeNode(t *testing.T) {
+	offer := func(s int) string { return fmt.Sprintf(`{"tenant":0,"type":"offer","stream":%d}`, s) }
+	sessOffer := func(seq, s int) string {
+		return fmt.Sprintf(`{"seq":%d,"tenant":0,"type":"offer","stream":%d}`, seq, s)
+	}
+	for _, tc := range []struct {
+		name, sid string
+		lines     []string
+	}{
+		{"unknown-type", "", []string{offer(1), `{"tenant":0,"type":"bogus"}`, offer(2), offer(3)}},
+		{"missing-type", "", []string{offer(1), `{"tenant":0,"stream":2}`, offer(3)}},
+		{"escaped-unknown-type", "", []string{`{"tenant":0,"type":"offer!"}`, offer(1)}},
+		{"malformed", "", []string{offer(1), `{not json`, offer(2)}},
+		{"float-stream", "", []string{`{"tenant":0,"type":"offer","stream":1.5}`, offer(2)}},
+		{"crlf-and-blank", "", []string{offer(1) + "\r", "\r", offer(2)}},
+		{"session-gap", "bad-gap", []string{sessOffer(1, 1), sessOffer(3, 2), sessOffer(4, 3)}},
+		{"session-missing-seq", "bad-noseq", []string{sessOffer(1, 1), offer(2)}},
+		{"session-unknown-type", "bad-type", []string{sessOffer(1, 1), `{"seq":2,"tenant":0,"type":"bogus"}`, sessOffer(3, 2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			model := catalog.Isolated{}
+			node := buildCluster(t, 2, model, nil)
+			nodeSrv := httptest.NewServer(httpserve.NewHandler(node))
+			defer nodeSrv.Close()
+			want := streamLines(t, nodeSrv.URL, tc.sid, tc.lines)
+			wantFS := fetchSnapshot(t, nodeSrv.URL)
+
+			rig := buildFleetDial(t, 2, 2, model, nil)
+			got := streamLines(t, rig.routerURL, tc.sid, tc.lines)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("router answered\n  %s\nnode answered\n  %s",
+					strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+			}
+			fs := fetchSnapshot(t, rig.routerURL)
+			if fs.Offered != wantFS.Offered || fs.Admitted != wantFS.Admitted {
+				t.Fatalf("router fleet offered %d admitted %d, node %d and %d",
+					fs.Offered, fs.Admitted, wantFS.Offered, wantFS.Admitted)
+			}
+		})
+	}
+}
+
+// TestRouterEndsStreamOnNodeRefusal stands a node in that refuses every
+// stream with a seq -1 line: the router must relay that line as the
+// node wrote it, end the client stream there, and answer the client's
+// next connection through a fresh upstream session rather than replay
+// the refused event under the old one.
+func TestRouterEndsStreamOnNodeRefusal(t *testing.T) {
+	const refusal = `{"seq":-1,"error":"session stream: seq 7 skips past watermark 0"}`
+	var mu sync.Mutex
+	var upstreams []string
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		upstreams = append(upstreams, r.Header.Get("X-Stream-Session"))
+		mu.Unlock()
+		rc := http.NewResponseController(w)
+		_ = rc.EnableFullDuplex()
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_, _ = io.WriteString(w, refusal+"\n")
+		_ = rc.Flush()
+	}))
+	defer node.Close()
+	rt, err := NewRouter(Options{Plan: Plan{Nodes: 1, Shards: 1}, Nodes: []string{node.URL}, ID: "refusal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rtSrv := httptest.NewServer(rt.Handler())
+	defer rtSrv.Close()
+
+	lines := []string{`{"seq":1,"tenant":0,"type":"offer","stream":1}`, `{"seq":2,"tenant":0,"type":"offer","stream":2}`}
+	for conn := 0; conn < 2; conn++ {
+		got := streamLines(t, rtSrv.URL, "client", lines)
+		if len(got) != 1 || got[0] != refusal {
+			t.Fatalf("connection %d: router answered %q, want only the node's refusal", conn, got)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(upstreams) != 2 || upstreams[0] == upstreams[1] {
+		t.Fatalf("upstream sessions %q: want one fresh session per refused connection", upstreams)
+	}
+}
+
+// relayAllocBudget bounds the allocations of one event relayed through
+// a router and a node: none measured, against 19 when the router
+// decoded and re-encoded each result with encoding/json.
+const relayAllocBudget = 2
+
+// TestRouterRelayAllocations pins the router's per-event cost on the
+// heap: one offer or depart through a loopback router and node, client
+// included.
+func TestRouterRelayAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	rig := buildFleetDial(t, 1, 1, catalog.Isolated{}, nil)
+	conn, err := streamclient.Dial(rig.routerURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	i := 0
+	event := func() {
+		ev := streamclient.Event{Tenant: 0, Type: "offer", Stream: 1}
+		if i%2 == 1 {
+			ev.Type = "depart"
+		}
+		i++
+		if err := conn.Send(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.RecvRaw(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 100; j++ {
+		event()
+	}
+	if avg := testing.AllocsPerRun(400, event); avg > relayAllocBudget {
+		t.Fatalf("one relayed event allocates %.1f times, budget %d", avg, relayAllocBudget)
 	}
 }

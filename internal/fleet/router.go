@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/cluster"
+	"repro/internal/ndjson"
 	"repro/streamclient"
 )
 
@@ -70,6 +71,7 @@ type routerSession struct {
 	upstream  string     // upstream session ID prefix
 	nodes     []*streamclient.Session
 	nodeSeq   []uint64 // last upstream seq assigned per node
+	nodeGen   []int    // upstream sessions dropped per node (see drop)
 }
 
 // NewRouter builds a router over the fleet's nodes.
@@ -135,6 +137,7 @@ func (rt *Router) newSession(upstream string) *routerSession {
 		upstream: upstream,
 		nodes:    make([]*streamclient.Session, rt.opts.Plan.Nodes),
 		nodeSeq:  make([]uint64, rt.opts.Plan.Nodes),
+		nodeGen:  make([]int, rt.opts.Plan.Nodes),
 	}
 }
 
@@ -144,8 +147,12 @@ func (rt *Router) node(rs *routerSession, n int) (*streamclient.Session, error) 
 	if rs.nodes[n] != nil {
 		return rs.nodes[n], nil
 	}
+	id := fmt.Sprintf("%s/n%d", rs.upstream, n)
+	if g := rs.nodeGen[n]; g > 0 {
+		id = fmt.Sprintf("%s.%d", id, g)
+	}
 	s, err := streamclient.NewSession(rt.opts.Nodes[n], streamclient.SessionOptions{
-		ID:   fmt.Sprintf("%s/n%d", rs.upstream, n),
+		ID:   id,
 		Dial: rt.opts.Dial,
 	})
 	if err != nil {
@@ -155,30 +162,49 @@ func (rt *Router) node(rs *routerSession, n int) (*streamclient.Session, error) 
 	return s, nil
 }
 
-// forward routes one event to its owning node and waits for its
-// result. Serial per session: the upstream session has exactly one
-// event unacked, so the next result (dup acknowledgements included —
+// drop abandons node n's upstream session after the node ended it with
+// a protocol error. Its replay window holds the refused event, which
+// must never be resent, and the node's watermark for its ID no longer
+// matches a fresh numbering, so the next event to the node opens a new
+// upstream session under a new ID.
+func (rs *routerSession) drop(n int) {
+	_ = rs.nodes[n].Close()
+	rs.nodes[n] = nil
+	rs.nodeSeq[n] = 0
+	rs.nodeGen[n]++
+}
+
+// forward routes one event to its owning node and waits for its result
+// line. Serial per session: the upstream session has exactly one event
+// unacked, so the next result line (dup acknowledgements included —
 // the exactly-once handoff when a node died after applying but before
-// answering) is this event's.
-func (rt *Router) forward(rs *routerSession, ev streamclient.Event) (streamclient.Result, error) {
+// answering) is this event's. A seq -1 line is the node ending the
+// stream on a protocol error; forward returns it with fatal set and
+// drops the upstream session. The line is valid until the session's
+// next receive.
+func (rt *Router) forward(rs *routerSession, ev streamclient.Event) (line []byte, fatal bool, err error) {
 	n := rt.opts.Plan.NodeOfTenant(ev.Tenant)
 	sess, err := rt.node(rs, n)
 	if err != nil {
-		return streamclient.Result{}, err
+		return nil, false, err
 	}
 	ev.Seq = 0 // the upstream session assigns its own seqs
 	if err := sess.Send(ev); err != nil {
-		return streamclient.Result{}, err
+		return nil, false, err
 	}
 	rs.nodeSeq[n]++
 	want := rs.nodeSeq[n]
 	for {
-		res, err := sess.Recv()
+		line, seq, _, err := sess.RecvLine()
 		if err != nil {
-			return streamclient.Result{}, err
+			return nil, false, err
 		}
-		if uint64(res.Seq) >= want {
-			return res, nil
+		if seq < 0 {
+			rs.drop(n)
+			return line, true, nil
+		}
+		if uint64(seq) >= want {
+			return line, false, nil
 		}
 		// A stale dup acknowledgement for an already-answered seq
 		// (replayed window on a redial); the wanted result follows.
@@ -191,7 +217,12 @@ func (rt *Router) forward(rs *routerSession, ev streamclient.Event) (streamclien
 // exactly the node's own /v1/stream — plain connections get 0-based
 // response seqs, X-Stream-Session connections get client-seq echoes,
 // contiguity checks, dup acknowledgements below the watermark, and an
-// Error-only Seq -1 line on a protocol violation.
+// Error-only Seq -1 line on a protocol violation. Lines are checked with
+// the node's own parser (streamclient.ParseEvent), so a line the node
+// would refuse ends the stream here with the node's message, and is
+// never forwarded. Result lines are relayed as the node wrote them,
+// with only the leading seq rewritten; a node's own seq -1 line ends
+// the client stream too.
 func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	sid := r.Header.Get("X-Stream-Session")
 	var rs *routerSession
@@ -215,20 +246,13 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	body := bufio.NewReaderSize(r.Body, 32<<10)
 	outSeq := 0          // plain-mode response seq
 	lastSeq := uint64(0) // last client seq read (session mode)
-	var line []byte
-	var out []byte
+	var scratch, out []byte
 	for {
-		var err error
-		line, err = readStreamLine(body, line[:0])
+		line, err := ndjson.ReadLine(body, &scratch)
 		if len(line) > 0 {
-			var ev streamclient.Event
-			if uerr := json.Unmarshal(line, &ev); uerr != nil {
-				protoErr = fmt.Errorf("bad event line: %w", uerr)
-				break
-			}
+			ev, perr := streamclient.ParseEvent(line)
 			dup := false
-			if !ephemeral {
-				var perr error
+			if perr == nil && !ephemeral {
 				switch {
 				case ev.Seq == 0:
 					perr = fmt.Errorf("session stream: line missing seq")
@@ -237,32 +261,38 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 				case lastSeq != 0 && ev.Seq != lastSeq+1:
 					perr = fmt.Errorf("session stream: seq %d after %d breaks contiguity", ev.Seq, lastSeq)
 				}
-				if perr != nil {
-					protoErr = perr
-					break
-				}
 				lastSeq = ev.Seq
 				dup = ev.Seq < base
+			}
+			if perr != nil {
+				protoErr = perr
+				break
 			}
 			if dup {
 				out = append(out[:0], `{"seq":`...)
 				out = strconv.AppendUint(out, ev.Seq, 10)
 				out = append(out, `,"dup":true}`+"\n"...)
 			} else {
-				res, ferr := rt.forward(rs, ev)
+				res, fatal, ferr := rt.forward(rs, ev)
 				if ferr != nil {
 					protoErr = fmt.Errorf("node %d unreachable: %v", rt.opts.Plan.NodeOfTenant(ev.Tenant), ferr)
 					break
 				}
+				if fatal {
+					// The node's own seq -1 line, relayed as written.
+					out = append(append(out[:0], res...), '\n')
+					_, _ = w.Write(out)
+					_ = rc.Flush()
+					break
+				}
+				seq := outSeq
 				if ephemeral {
-					res.Seq = outSeq
 					outSeq++
 				} else {
-					res.Seq = int(ev.Seq)
+					seq = int(ev.Seq)
 					rs.watermark = ev.Seq
 				}
-				out, _ = json.Marshal(res)
-				out = append(out, '\n')
+				out = relayLine(out[:0], res, seq)
 			}
 			if _, werr := w.Write(out); werr != nil {
 				break
@@ -291,20 +321,17 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readStreamLine reads one NDJSON line into buf, tolerating a final
-// unterminated line.
-func readStreamLine(br *bufio.Reader, buf []byte) ([]byte, error) {
-	for {
-		chunk, err := br.ReadSlice('\n')
-		buf = append(buf, chunk...)
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if n := len(buf); n > 0 && buf[n-1] == '\n' {
-			buf = buf[:n-1]
-		}
-		return buf, err
+// relayLine appends a node's result line to out with its leading seq
+// replaced by seq (Session.RecvLine guarantees the {"seq":N head).
+func relayLine(out, line []byte, seq int) []byte {
+	i := len(`{"seq":`)
+	for i < len(line) && (line[i] == '-' || line[i] >= '0' && line[i] <= '9') {
+		i++
 	}
+	out = append(out, `{"seq":`...)
+	out = strconv.AppendInt(out, int64(seq), 10)
+	out = append(out, line[i:]...)
+	return append(out, '\n')
 }
 
 // handleSnapshot merges the nodes' barrier snapshots into the fleet

@@ -10,65 +10,6 @@ import (
 	"repro/streamclient"
 )
 
-// TestFastParseMatchesStdlib pins the hand-rolled line scanner against
-// the stdlib decoder: on every line it accepts, the parsed event must
-// equal json.Unmarshal's; lines it rejects must still round-trip
-// through the fallback, so parseStreamEvent is stdlib-equivalent on
-// all valid input.
-func TestFastParseMatchesStdlib(t *testing.T) {
-	lines := []string{
-		`{"tenant":0,"type":"offer","stream":3}`,
-		`{"tenant":7,"type":"depart","stream":12}`,
-		`{"tenant":1,"type":"leave","user":4}`,
-		`{"tenant":1,"type":"join","user":0}`,
-		`{"tenant":2,"type":"resolve","install":true}`,
-		`{"tenant":2,"type":"resolve","install":false}`,
-		`{"tenant":0,"type":"catalog-offer","catalog_id":"ch-003"}`,
-		`{"tenant":3,"type":"catalog-depart","catalog_id":"espn-hd"}`,
-		` { "tenant" : 5 , "type" : "offer" , "stream" : 9 } `,
-		`{"type":"offer","tenant":4,"stream":1}`, // key order free
-		`{"tenant":-1,"type":"offer"}`,           // negative int
-		`{"tenant":0,"type":"offer","stream":123456789}`,
-		"{}",
-	}
-	for _, line := range lines {
-		var want streamclient.Event
-		if err := json.Unmarshal([]byte(line), &want); err != nil {
-			t.Fatalf("bad test line %q: %v", line, err)
-		}
-		if got, ok := fastParseEvent([]byte(line)); ok && !reflect.DeepEqual(got, want) {
-			t.Errorf("fast parse of %q = %+v, stdlib %+v", line, got, want)
-		}
-	}
-
-	// Lines the fast path must hand to the stdlib — exotic but valid
-	// JSON keeps working through the fallback.
-	fallback := []string{
-		`{"tenant":0,"type":"of\u0066er","stream":3}`,       // escape in string
-		`{"tenant":0,"type":"offer","stream":3,"extra":1}`,  // unknown key
-		`{"tenant":0,"type":"offer","stream":3.0}`,          // float
-		`{"tenant":12345678901,"type":"offer"}`,             // would overflow the fast int
-		`{"tenant":0,"type":"offer","catalog_id":"żółć"}`,   // non-ASCII string
-		`{"tenant":0,"type":"offer","stream":null}`,         // null value
-		`{"tenant": 0, "type": "offer", "stream": 2} trail`, // trailing garbage
-		`{"tenant":0,"type":"offer","stream":007}`,          // leading zero: invalid JSON
-		`{"tenant":-01,"type":"offer"}`,                     // leading zero after sign
-	}
-	for _, line := range fallback {
-		if _, ok := fastParseEvent([]byte(line)); ok {
-			t.Errorf("fast path accepted non-canonical line %q", line)
-		}
-	}
-	// And through parseStreamEvent the valid ones still decode.
-	ev, _, err := parseStreamEvent([]byte(`{"tenant":0,"type":"of\u0066er","stream":3}`))
-	if err != nil || ev.Type != videodist.ClusterStreamArrival || ev.Stream != 3 {
-		t.Fatalf("fallback parse = %+v, %v", ev, err)
-	}
-	if _, _, err := parseStreamEvent([]byte(`{not json`)); err == nil {
-		t.Fatal("malformed line accepted")
-	}
-}
-
 // TestAppendResultLineMatchesStdlibDecode pins the hand-rolled result
 // encoder: every line it emits must decode (stdlib) into exactly the
 // streamclient.Result the equivalent stdlib encoding decodes into —
@@ -133,29 +74,6 @@ func TestAppendResultLineMatchesStdlibDecode(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("seq %d:\nhand-rolled %s\n-> %+v\nstdlib      %s\n-> %+v",
 				res.Seq, line, got, refJSON, want)
-		}
-	}
-}
-
-// TestEventAppendJSONMatchesStdlib pins the client-side event encoder
-// against the stdlib for every wire shape the client emits.
-func TestEventAppendJSONMatchesStdlib(t *testing.T) {
-	cases := []streamclient.Event{
-		{Tenant: 0, Type: "offer", Stream: 3},
-		{Tenant: 7, Type: "depart", Stream: 0},
-		{Tenant: 1, Type: "leave", User: 4},
-		{Tenant: 2, Type: "resolve", Install: true},
-		{Tenant: 3, Type: "catalog-offer", CatalogID: "espn-hd"},
-		{Tenant: 3, Type: "catalog-depart", CatalogID: `we"ird\id`},
-	}
-	for i, ev := range cases {
-		line := ev.AppendJSON(nil)
-		var got streamclient.Event
-		if err := json.Unmarshal(line, &got); err != nil {
-			t.Fatalf("case %d: invalid JSON %q: %v", i, line, err)
-		}
-		if !reflect.DeepEqual(got, ev) {
-			t.Errorf("case %d: %q decodes to %+v, want %+v", i, line, got, ev)
 		}
 	}
 }

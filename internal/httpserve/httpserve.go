@@ -43,6 +43,7 @@ import (
 	"time"
 
 	videodist "repro"
+	"repro/internal/ndjson"
 	"repro/streamclient"
 )
 
@@ -296,7 +297,7 @@ func fastParseBatch(body []byte, s *batchScratch) (ok bool, err error) {
 		return false, nil
 	closed:
 		i++
-		req, elemOK := fastParseEvent(body[start:i])
+		req, elemOK := streamclient.ParseCanonicalEvent(body[start:i])
 		if !elemOK {
 			return false, nil
 		}
@@ -361,7 +362,7 @@ func decodeBatchFallback(bs *batchScratch) (badJSON, semantic error) {
 // batch parity test pins this against the single-event endpoint.
 func appendBatchResponse(buf []byte, typ string, res videodist.EventResult) []byte {
 	buf = append(buf, `{"type":`...)
-	buf = appendJSONString(buf, typ)
+	buf = ndjson.AppendString(buf, typ)
 	switch {
 	case res.CatalogID != "":
 		buf = append(buf, `,"catalog":`...)
@@ -370,34 +371,34 @@ func appendBatchResponse(buf []byte, typ string, res videodist.EventResult) []by
 		buf = append(buf, `,"offer":{"Accepted":`...)
 		buf = strconv.AppendBool(buf, res.Offer.Accepted)
 		buf = append(buf, `,"Subscribers":`...)
-		buf = appendIntSlice(buf, res.Offer.Subscribers)
+		buf = ndjson.AppendInts(buf, res.Offer.Subscribers)
 		buf = append(buf, `,"Utility":`...)
-		buf = appendFloat(buf, res.Offer.Utility)
+		buf = ndjson.AppendFloat(buf, res.Offer.Utility)
 		buf = append(buf, '}')
 	case res.Type == videodist.ClusterStreamDeparture:
 		buf = append(buf, `,"depart":{"Removed":`...)
 		buf = strconv.AppendBool(buf, res.Depart.Removed)
 		buf = append(buf, `,"Subscribers":`...)
-		buf = appendIntSlice(buf, res.Depart.Subscribers)
+		buf = ndjson.AppendInts(buf, res.Depart.Subscribers)
 		buf = append(buf, '}')
 	case res.Type == videodist.ClusterUserLeave, res.Type == videodist.ClusterUserJoin:
 		buf = append(buf, `,"churn":{"Changed":`...)
 		buf = strconv.AppendBool(buf, res.Churn.Changed)
 		buf = append(buf, `,"Streams":`...)
-		buf = appendIntSlice(buf, res.Churn.Streams)
+		buf = ndjson.AppendInts(buf, res.Churn.Streams)
 		buf = append(buf, '}')
 	case res.Type == videodist.ClusterResolve:
 		buf = append(buf, `,"resolve":{"Installed":`...)
 		buf = strconv.AppendBool(buf, res.Resolve.Installed)
 		buf = append(buf, `,"OnlineValue":`...)
-		buf = appendFloat(buf, res.Resolve.OnlineValue)
+		buf = ndjson.AppendFloat(buf, res.Resolve.OnlineValue)
 		buf = append(buf, `,"OfflineValue":`...)
-		buf = appendFloat(buf, res.Resolve.OfflineValue)
+		buf = ndjson.AppendFloat(buf, res.Resolve.OfflineValue)
 		buf = append(buf, '}')
 	}
 	if res.Err != nil {
 		buf = append(buf, `,"error":`...)
-		buf = appendJSONString(buf, res.Err.Error())
+		buf = ndjson.AppendString(buf, res.Err.Error())
 	}
 	return append(buf, '}')
 }
@@ -469,214 +470,17 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(out)
 }
 
-// readLine returns the next newline-terminated line (newline and any
-// trailing \r stripped; blank lines come back empty for the caller to
-// skip). Long lines are stitched together in *scratch. On io.EOF the
-// final unterminated line, if any, is returned alongside the error.
-func readLine(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		*scratch = append((*scratch)[:0], line...)
-		for err == bufio.ErrBufferFull {
-			line, err = br.ReadSlice('\n')
-			*scratch = append(*scratch, line...)
-		}
-		line = *scratch
-	}
-	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-		line = line[:len(line)-1]
-	}
-	return line, err
-}
-
-// parseStreamEvent decodes one wire line: the hand-rolled scanner
-// handles the canonical single-line shape every known client emits
-// (flat object, plain-ASCII strings) without allocation, and anything
-// it cannot prove canonical falls back to the stdlib decoder — exotic
-// but valid JSON still works, invalid JSON still fails with the
-// stdlib's message.
+// parseStreamEvent decodes one wire line with the protocol's shared
+// parser (streamclient.ParseEvent: allocation-free on the canonical
+// shape every known client emits, encoding/json for anything else) and
+// routes it.
 func parseStreamEvent(line []byte) (videodist.ClusterEvent, uint64, error) {
-	if req, ok := fastParseEvent(line); ok {
-		ev, err := streamEvent(req)
-		return ev, req.Seq, err
-	}
-	var req streamclient.Event
-	if err := json.Unmarshal(line, &req); err != nil {
-		return videodist.ClusterEvent{}, 0, fmt.Errorf("bad stream line: %w", err)
+	req, err := streamclient.ParseEvent(line)
+	if err != nil {
+		return videodist.ClusterEvent{}, 0, err
 	}
 	ev, err := streamEvent(req)
 	return ev, req.Seq, err
-}
-
-// fastParseEvent scans a canonical wire line (a flat JSON object of
-// known keys with integer, boolean, or escape-free string values). ok
-// false means "not provably canonical — use the stdlib", never an
-// error of its own.
-func fastParseEvent(line []byte) (streamclient.Event, bool) {
-	var ev streamclient.Event
-	i, n := 0, len(line)
-	skip := func() {
-		for i < n && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-	}
-	skip()
-	if i >= n || line[i] != '{' {
-		return ev, false
-	}
-	i++
-	skip()
-	if i < n && line[i] == '}' {
-		return ev, i+1 == n || allWS(line[i+1:])
-	}
-	for {
-		// Key.
-		skip()
-		if i >= n || line[i] != '"' {
-			return ev, false
-		}
-		i++
-		ks := i
-		for i < n && line[i] != '"' {
-			if line[i] == '\\' {
-				return ev, false
-			}
-			i++
-		}
-		if i >= n {
-			return ev, false
-		}
-		key := line[ks:i]
-		i++
-		skip()
-		if i >= n || line[i] != ':' {
-			return ev, false
-		}
-		i++
-		skip()
-		// Value, typed by key.
-		switch string(key) {
-		case "seq":
-			v, ds := uint64(0), i
-			for i < n && line[i] >= '0' && line[i] <= '9' {
-				v = v*10 + uint64(line[i]-'0')
-				i++
-			}
-			if i == ds || i-ds > 18 {
-				return ev, false // empty, or large enough to overflow
-			}
-			if line[ds] == '0' && i-ds > 1 {
-				return ev, false // leading zero: invalid JSON, let the stdlib reject it
-			}
-			ev.Seq = v
-		case "tenant", "stream", "user":
-			neg := false
-			if i < n && line[i] == '-' {
-				neg = true
-				i++
-			}
-			v, ds := 0, i
-			for i < n && line[i] >= '0' && line[i] <= '9' {
-				v = v*10 + int(line[i]-'0')
-				i++
-			}
-			if i == ds || i-ds > 9 {
-				return ev, false // empty, or large enough to overflow
-			}
-			if line[ds] == '0' && i-ds > 1 {
-				return ev, false // leading zero: invalid JSON, let the stdlib reject it
-			}
-			if neg {
-				v = -v
-			}
-			switch key[0] {
-			case 't':
-				ev.Tenant = v
-			case 's':
-				ev.Stream = v
-			default:
-				ev.User = v
-			}
-		case "type", "catalog_id":
-			if i >= n || line[i] != '"' {
-				return ev, false
-			}
-			i++
-			vs := i
-			for i < n && line[i] != '"' {
-				if line[i] == '\\' || line[i] >= 0x7f {
-					return ev, false
-				}
-				i++
-			}
-			if i >= n {
-				return ev, false
-			}
-			if key[0] == 't' {
-				ev.Type = wireToken(line[vs:i])
-				if ev.Type == "" {
-					return ev, false // unknown token: let the stdlib path shape the error
-				}
-			} else {
-				ev.CatalogID = string(line[vs:i])
-			}
-			i++
-		case "install":
-			switch {
-			case bytes.HasPrefix(line[i:], []byte("true")):
-				ev.Install = true
-				i += 4
-			case bytes.HasPrefix(line[i:], []byte("false")):
-				i += 5
-			default:
-				return ev, false
-			}
-		default:
-			return ev, false
-		}
-		skip()
-		if i < n && line[i] == ',' {
-			i++
-			continue
-		}
-		if i < n && line[i] == '}' {
-			i++
-			return ev, i == n || allWS(line[i:])
-		}
-		return ev, false
-	}
-}
-
-// wireToken interns a wire type token so the hot path stores no new
-// string; unknown tokens return "".
-func wireToken(b []byte) string {
-	switch string(b) {
-	case "offer":
-		return "offer"
-	case "depart":
-		return "depart"
-	case "leave":
-		return "leave"
-	case "join":
-		return "join"
-	case "resolve":
-		return "resolve"
-	case "catalog-offer":
-		return "catalog-offer"
-	case "catalog-depart":
-		return "catalog-depart"
-	}
-	return ""
-}
-
-// allWS reports whether b is only JSON whitespace.
-func allWS(b []byte) bool {
-	for _, ch := range b {
-		if ch != ' ' && ch != '\t' && ch != '\r' && ch != '\n' {
-			return false
-		}
-	}
-	return true
 }
 
 // streamEvent maps one wire line onto a routed cluster event. Catalog
@@ -739,7 +543,7 @@ func appendResultLine(buf []byte, res videodist.StreamResult) []byte {
 	switch {
 	case res.Err != nil:
 		buf = append(buf, `,"error":`...)
-		buf = appendJSONString(buf, res.Err.Error())
+		buf = ndjson.AppendString(buf, res.Err.Error())
 	case res.CatalogID != "":
 		buf = append(buf, `,"catalog":`...)
 		buf = appendCatalogResult(buf, res.Catalog)
@@ -747,29 +551,29 @@ func appendResultLine(buf []byte, res videodist.StreamResult) []byte {
 		buf = append(buf, `,"offer":{"Accepted":`...)
 		buf = strconv.AppendBool(buf, res.Offer.Accepted)
 		buf = append(buf, `,"Subscribers":`...)
-		buf = appendIntSlice(buf, res.Offer.Subscribers)
+		buf = ndjson.AppendInts(buf, res.Offer.Subscribers)
 		buf = append(buf, `,"Utility":`...)
-		buf = appendFloat(buf, res.Offer.Utility)
+		buf = ndjson.AppendFloat(buf, res.Offer.Utility)
 		buf = append(buf, '}')
 	case res.Type == videodist.ClusterStreamDeparture:
 		buf = append(buf, `,"depart":{"Removed":`...)
 		buf = strconv.AppendBool(buf, res.Depart.Removed)
 		buf = append(buf, `,"Subscribers":`...)
-		buf = appendIntSlice(buf, res.Depart.Subscribers)
+		buf = ndjson.AppendInts(buf, res.Depart.Subscribers)
 		buf = append(buf, '}')
 	case res.Type == videodist.ClusterUserLeave, res.Type == videodist.ClusterUserJoin:
 		buf = append(buf, `,"churn":{"Changed":`...)
 		buf = strconv.AppendBool(buf, res.Churn.Changed)
 		buf = append(buf, `,"Streams":`...)
-		buf = appendIntSlice(buf, res.Churn.Streams)
+		buf = ndjson.AppendInts(buf, res.Churn.Streams)
 		buf = append(buf, '}')
 	case res.Type == videodist.ClusterResolve:
 		buf = append(buf, `,"resolve":{"Installed":`...)
 		buf = strconv.AppendBool(buf, res.Resolve.Installed)
 		buf = append(buf, `,"OnlineValue":`...)
-		buf = appendFloat(buf, res.Resolve.OnlineValue)
+		buf = ndjson.AppendFloat(buf, res.Resolve.OnlineValue)
 		buf = append(buf, `,"OfflineValue":`...)
-		buf = appendFloat(buf, res.Resolve.OfflineValue)
+		buf = ndjson.AppendFloat(buf, res.Resolve.OfflineValue)
 		buf = append(buf, '}')
 	}
 	return append(buf, "}\n"...)
@@ -788,67 +592,32 @@ func appendCatalogResult(buf []byte, v videodist.CatalogResult) []byte {
 	}
 	if len(v.Subscribers) > 0 {
 		buf = append(buf, `,"subscribers":`...)
-		buf = appendIntSlice(buf, v.Subscribers)
+		buf = ndjson.AppendInts(buf, v.Subscribers)
 	}
 	if v.Utility != 0 {
 		buf = append(buf, `,"utility":`...)
-		buf = appendFloat(buf, v.Utility)
+		buf = ndjson.AppendFloat(buf, v.Utility)
 	}
 	if len(v.SharedWith) > 0 {
 		buf = append(buf, `,"shared_with":`...)
-		buf = appendIntSlice(buf, v.SharedWith)
+		buf = ndjson.AppendInts(buf, v.SharedWith)
 	}
 	if v.CostScale != 0 {
 		buf = append(buf, `,"cost_scale":`...)
-		buf = appendFloat(buf, v.CostScale)
+		buf = ndjson.AppendFloat(buf, v.CostScale)
 	}
 	if v.FullCost != 0 {
 		buf = append(buf, `,"full_cost":`...)
-		buf = appendFloat(buf, v.FullCost)
+		buf = ndjson.AppendFloat(buf, v.FullCost)
 	}
 	if v.CostCharged != 0 {
 		buf = append(buf, `,"cost_charged":`...)
-		buf = appendFloat(buf, v.CostCharged)
+		buf = ndjson.AppendFloat(buf, v.CostCharged)
 	}
 	if v.Evicted {
 		buf = append(buf, `,"evicted":true`...)
 	}
 	return append(buf, '}')
-}
-
-// appendIntSlice appends s with stdlib semantics: nil encodes as null,
-// anything else as an array.
-func appendIntSlice(buf []byte, s []int) []byte {
-	if s == nil {
-		return append(buf, `null`...)
-	}
-	buf = append(buf, '[')
-	for i, v := range s {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, int64(v), 10)
-	}
-	return append(buf, ']')
-}
-
-// appendFloat appends a finite float as a JSON number.
-func appendFloat(buf []byte, v float64) []byte {
-	return strconv.AppendFloat(buf, v, 'g', -1, 64)
-}
-
-// appendJSONString appends s as a JSON string, escaping through the
-// stdlib only when needed (error messages are plain ASCII in practice).
-func appendJSONString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if ch := s[i]; ch < 0x20 || ch == '"' || ch == '\\' || ch >= 0x7f {
-			quoted, _ := json.Marshal(s)
-			return append(buf, quoted...)
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"')
 }
 
 // streamWindow is the /v1/stream in-flight window. It is deliberately
@@ -947,7 +716,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		defer close(done)
 		defer func() {
 			// Writing is over (clean EOF, dead client, or write timeout):
-			// unblock a reader parked in readLine or Submit so the
+			// unblock a reader parked in ReadLine or Submit so the
 			// handler can finish.
 			cancel()
 			_ = rc.SetReadDeadline(time.Now())
@@ -1005,7 +774,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var dupBuf []byte
 	lastSeq := uint64(0) // last wire seq read on this conn (session mode)
 	for {
-		line, err := readLine(body, &scratch)
+		line, err := ndjson.ReadLine(body, &scratch)
 		if len(line) > 0 {
 			ev, seq, perr := parseStreamEvent(line)
 			if perr != nil {

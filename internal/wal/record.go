@@ -41,6 +41,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"repro/internal/ndjson"
 )
 
 // Record types. The vocabulary is the union of the cluster's routed
@@ -117,7 +119,7 @@ func AppendRecord(b []byte, r *Record) []byte {
 		b = append(b, ',')
 	}
 	b = append(b, `"type":`...)
-	b = appendJSONString(b, r.Type)
+	b = ndjson.AppendString(b, r.Type)
 	if r.Tenant != 0 {
 		b = append(b, `,"tenant":`...)
 		b = strconv.AppendInt(b, int64(r.Tenant), 10)
@@ -135,7 +137,7 @@ func AppendRecord(b []byte, r *Record) []byte {
 	}
 	if r.Catalog != "" {
 		b = append(b, `,"catalog":`...)
-		b = appendJSONString(b, r.Catalog)
+		b = ndjson.AppendString(b, r.Catalog)
 	}
 	if r.Scale != 0 {
 		b = append(b, `,"scale":`...)
@@ -146,7 +148,7 @@ func AppendRecord(b []byte, r *Record) []byte {
 	}
 	if r.Sess != "" {
 		b = append(b, `,"sess":`...)
-		b = appendJSONString(b, r.Sess)
+		b = ndjson.AppendString(b, r.Sess)
 	}
 	if r.CSeq != 0 {
 		b = append(b, `,"cseq":`...)
@@ -154,7 +156,7 @@ func AppendRecord(b []byte, r *Record) []byte {
 	}
 	if r.Op != "" {
 		b = append(b, `,"op":`...)
-		b = appendJSONString(b, r.Op)
+		b = ndjson.AppendString(b, r.Op)
 	}
 	if r.Full != 0 {
 		b = append(b, `,"full":`...)
@@ -184,29 +186,9 @@ func AppendRecord(b []byte, r *Record) []byte {
 	}
 	if r.Note != "" {
 		b = append(b, `,"note":`...)
-		b = appendJSONString(b, r.Note)
+		b = ndjson.AppendString(b, r.Note)
 	}
 	return append(b, '}', '\n')
-}
-
-// appendJSONString appends s as a JSON string literal. The common case
-// (no character needing escape) is a straight copy; anything else
-// falls back to encoding/json for exact escaping.
-func appendJSONString(b []byte, s string) []byte {
-	clean := true
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		b = append(b, '"')
-		b = append(b, s...)
-		return append(b, '"')
-	}
-	esc, _ := json.Marshal(s)
-	return append(b, esc...)
 }
 
 // DecodeRecord parses one JSON line into a Record. It is strict: an

@@ -1,0 +1,274 @@
+package streamclient
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+)
+
+// ParseEvent decodes one request line of the stream protocol. It is
+// the parser every server of the protocol shares — nodes and the fleet
+// router alike — so both refuse the same lines with the same message.
+// Canonical lines (see ParseCanonicalEvent) decode without allocating,
+// catalog IDs aside; anything else goes through encoding/json, so
+// exotic but valid JSON still works and invalid JSON fails with the
+// stdlib's message. A line naming no known event type is refused too.
+func ParseEvent(line []byte) (Event, error) {
+	ev, ok := ParseCanonicalEvent(line)
+	if !ok {
+		var err error
+		if ev, err = decodeEvent(line); err != nil {
+			return Event{}, err
+		}
+	}
+	if wireToken(ev.Type) == "" {
+		return Event{}, fmt.Errorf("unknown event type %q", ev.Type)
+	}
+	return ev, nil
+}
+
+// decodeEvent is ParseEvent's stdlib half, kept apart so that only this
+// path pays for the decode target escaping to the heap.
+func decodeEvent(line []byte) (Event, error) {
+	var ev Event
+	if err := json.Unmarshal(line, &ev); err != nil {
+		return Event{}, fmt.Errorf("bad stream line: %w", err)
+	}
+	return ev, nil
+}
+
+// ParseCanonicalEvent is ParseEvent's allocation-free half: it scans
+// a canonical wire line (a flat JSON object of known keys with
+// integer, boolean, or escape-free ASCII string values, the shape
+// AppendJSON writes). Every line it accepts decodes exactly as
+// encoding/json decodes it; ok false means "not provably canonical —
+// use the stdlib", never an error of its own. The type is not checked
+// beyond being a known token when present.
+func ParseCanonicalEvent(line []byte) (Event, bool) {
+	var ev Event
+	i, n := 0, len(line)
+	skip := func() {
+		for i < n && (line[i] == ' ' || line[i] == '\t') {
+			i++
+		}
+	}
+	skip()
+	if i >= n || line[i] != '{' {
+		return ev, false
+	}
+	i++
+	skip()
+	if i < n && line[i] == '}' {
+		return ev, i+1 == n || allWS(line[i+1:])
+	}
+	for {
+		// Key.
+		skip()
+		if i >= n || line[i] != '"' {
+			return ev, false
+		}
+		i++
+		ks := i
+		for i < n && line[i] != '"' {
+			if line[i] == '\\' {
+				return ev, false
+			}
+			i++
+		}
+		if i >= n {
+			return ev, false
+		}
+		key := line[ks:i]
+		i++
+		skip()
+		if i >= n || line[i] != ':' {
+			return ev, false
+		}
+		i++
+		skip()
+		// Value, typed by key.
+		switch string(key) {
+		case "seq":
+			v, ds := uint64(0), i
+			for i < n && line[i] >= '0' && line[i] <= '9' {
+				v = v*10 + uint64(line[i]-'0')
+				i++
+			}
+			if i == ds || i-ds > 18 {
+				return ev, false // empty, or large enough to overflow
+			}
+			if line[ds] == '0' && i-ds > 1 {
+				return ev, false // leading zero: invalid JSON, let the stdlib reject it
+			}
+			ev.Seq = v
+		case "tenant", "stream", "user":
+			neg := false
+			if i < n && line[i] == '-' {
+				neg = true
+				i++
+			}
+			v, ds := 0, i
+			for i < n && line[i] >= '0' && line[i] <= '9' {
+				v = v*10 + int(line[i]-'0')
+				i++
+			}
+			if i == ds || i-ds > 9 {
+				return ev, false // empty, or large enough to overflow
+			}
+			if line[ds] == '0' && i-ds > 1 {
+				return ev, false // leading zero: invalid JSON, let the stdlib reject it
+			}
+			if neg {
+				v = -v
+			}
+			switch key[0] {
+			case 't':
+				ev.Tenant = v
+			case 's':
+				ev.Stream = v
+			default:
+				ev.User = v
+			}
+		case "type", "catalog_id":
+			if i >= n || line[i] != '"' {
+				return ev, false
+			}
+			i++
+			vs := i
+			for i < n && line[i] != '"' {
+				// Escapes and non-ASCII need the stdlib's decoding; raw
+				// control characters are invalid JSON it must refuse.
+				if c := line[i]; c == '\\' || c >= 0x7f || c < 0x20 {
+					return ev, false
+				}
+				i++
+			}
+			if i >= n {
+				return ev, false
+			}
+			if key[0] == 't' {
+				ev.Type = wireToken(string(line[vs:i]))
+				if ev.Type == "" {
+					return ev, false // unknown token: let the stdlib path shape the error
+				}
+			} else {
+				ev.CatalogID = string(line[vs:i])
+			}
+			i++
+		case "install":
+			switch {
+			case bytes.HasPrefix(line[i:], []byte("true")):
+				ev.Install = true
+				i += 4
+			case bytes.HasPrefix(line[i:], []byte("false")):
+				ev.Install = false
+				i += 5
+			default:
+				return ev, false
+			}
+		default:
+			return ev, false
+		}
+		skip()
+		if i < n && line[i] == ',' {
+			i++
+			continue
+		}
+		if i < n && line[i] == '}' {
+			i++
+			return ev, i == n || allWS(line[i:])
+		}
+		return ev, false
+	}
+}
+
+// wireToken interns a wire type token so the hot path stores no new
+// string; unknown tokens return "".
+func wireToken(t string) string {
+	switch t {
+	case "offer":
+		return "offer"
+	case "depart":
+		return "depart"
+	case "leave":
+		return "leave"
+	case "join":
+		return "join"
+	case "resolve":
+		return "resolve"
+	case "catalog-offer":
+		return "catalog-offer"
+	case "catalog-depart":
+		return "catalog-depart"
+	}
+	return ""
+}
+
+// allWS reports whether b is only JSON whitespace.
+func allWS(b []byte) bool {
+	for _, ch := range b {
+		if ch != ' ' && ch != '\t' && ch != '\r' && ch != '\n' {
+			return false
+		}
+	}
+	return true
+}
+
+// resultHead reads the seq and dup mark of a result line in the shape
+// every server of the protocol writes — {"seq":N first, then either
+// exactly ,"dup":true} or no other seq or dup key — without decoding
+// the rest. ok false means only a decode can tell.
+func resultHead(line []byte) (seq int, dup, ok bool) {
+	const head = `{"seq":`
+	if !bytes.HasPrefix(line, []byte(head)) {
+		return 0, false, false
+	}
+	i, n := len(head), len(line)
+	neg := i < n && line[i] == '-'
+	if neg {
+		i++
+	}
+	ds := i
+	for i < n && line[i] >= '0' && line[i] <= '9' {
+		seq = seq*10 + int(line[i]-'0')
+		i++
+	}
+	if i == ds || i-ds > 18 || line[ds] == '0' && i-ds > 1 {
+		return 0, false, false
+	}
+	if neg {
+		seq = -seq
+	}
+	rest := line[i:]
+	if string(rest) == `,"dup":true}` {
+		return seq, true, true
+	}
+	if len(rest) == 0 || rest[0] != ',' && rest[0] != '}' {
+		return 0, false, false
+	}
+	// encoding/json matches keys in any letter case, so any other
+	// three-letter string folding to seq or dup — or an escape or
+	// non-ASCII byte that could spell one — leaves it to the decoder.
+	for j, c := range rest {
+		if c == '\\' || c >= 0x80 {
+			return 0, false, false
+		}
+		if c == '"' && j+4 < len(rest) && rest[j+4] == '"' {
+			if k := rest[j+1 : j+4]; foldsTo(k, "seq") || foldsTo(k, "dup") {
+				return 0, false, false
+			}
+		}
+	}
+	return seq, false, true
+}
+
+// foldsTo reports whether b equals the lower-case ASCII word w in any
+// letter case.
+func foldsTo(b []byte, w string) bool {
+	for i := range b {
+		if b[i]|0x20 != w[i] {
+			return false
+		}
+	}
+	return true
+}

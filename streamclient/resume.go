@@ -136,42 +136,71 @@ func (s *Session) Send(ev Event) error {
 // event the server had already applied before a reconnect. After
 // CloseSend and the final result, Recv reports io.EOF.
 func (s *Session) Recv() (Result, error) {
+	var res Result
+	err := s.recv(func(c *Conn) (int, bool, error) {
+		var err error
+		res, err = c.Recv()
+		return res.Seq, res.Dup, err
+	})
+	return res, err
+}
+
+// RecvLine is Recv without the decode, for relays that pass result
+// lines on: it returns the next result line (without its newline), its
+// seq and its dup mark, with Recv's reconnect, replay and ack handling.
+// Seq and dup mark come from the line's head when it has the shape
+// servers write; any other line is decoded and re-encoded through
+// encoding/json. Either way the line opens with {"seq":N. It is valid
+// until the next Recv or RecvLine call.
+func (s *Session) RecvLine() (line []byte, seq int, dup bool, err error) {
+	err = s.recv(func(c *Conn) (int, bool, error) {
+		var err error
+		line, seq, dup, err = c.recvLine()
+		return seq, dup, err
+	})
+	return line, seq, dup, err
+}
+
+// recv runs one read on the current connection, acking what it reports
+// and reconnecting on failure until a read succeeds, the stream ends,
+// or the session fails.
+func (s *Session) recv(read func(*Conn) (seq int, dup bool, err error)) error {
 	for {
 		s.mu.Lock()
 		if s.err != nil {
 			err := s.err
 			s.mu.Unlock()
-			return Result{}, err
+			return err
 		}
 		if s.eof {
 			s.mu.Unlock()
-			return Result{}, io.EOF
+			return io.EOF
 		}
 		if s.conn == nil {
 			if s.sendClosed && len(s.unacked) == 0 {
 				s.eof = true
 				s.mu.Unlock()
-				return Result{}, io.EOF
+				return io.EOF
 			}
 			if err := s.redialLocked(0); err != nil {
 				s.mu.Unlock()
-				return Result{}, err
+				return err
 			}
 		}
 		c := s.conn
 		s.mu.Unlock()
 
-		res, err := c.Recv()
+		seq, dup, err := read(c)
 		if err == nil {
 			s.mu.Lock()
-			if res.Seq > 0 {
-				s.ackLocked(uint64(res.Seq))
-				if res.Dup {
+			if seq > 0 {
+				s.ackLocked(uint64(seq))
+				if dup {
 					s.dups++
 				}
 			}
 			s.mu.Unlock()
-			return res, nil
+			return nil
 		}
 		if err == io.EOF {
 			s.mu.Lock()
@@ -183,7 +212,7 @@ func (s *Session) Recv() (Result, error) {
 			}
 			s.mu.Unlock()
 			if done {
-				return Result{}, io.EOF
+				return io.EOF
 			}
 			continue
 		}
@@ -194,7 +223,7 @@ func (s *Session) Recv() (Result, error) {
 				s.mu.Lock()
 				s.err = se
 				s.mu.Unlock()
-				return Result{}, se
+				return se
 			}
 			hint = se.RetryAfter
 		}
@@ -207,7 +236,7 @@ func (s *Session) Recv() (Result, error) {
 			s.conn = nil
 			if rerr := s.redialLocked(hint); rerr != nil {
 				s.mu.Unlock()
-				return Result{}, rerr
+				return rerr
 			}
 		}
 		s.mu.Unlock()

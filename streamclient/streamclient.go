@@ -40,6 +40,7 @@ import (
 	"time"
 
 	videodist "repro"
+	"repro/internal/ndjson"
 )
 
 // ErrOverloaded matches (via errors.Is) a StatusError for a 503 the
@@ -285,7 +286,7 @@ func (ev *Event) AppendJSON(buf []byte) []byte {
 	}
 	buf = strconv.AppendInt(buf, int64(ev.Tenant), 10)
 	buf = append(buf, `,"type":`...)
-	buf = appendJSONString(buf, ev.Type)
+	buf = ndjson.AppendString(buf, ev.Type)
 	if ev.Stream != 0 {
 		buf = append(buf, `,"stream":`...)
 		buf = strconv.AppendInt(buf, int64(ev.Stream), 10)
@@ -299,24 +300,9 @@ func (ev *Event) AppendJSON(buf []byte) []byte {
 	}
 	if ev.CatalogID != "" {
 		buf = append(buf, `,"catalog_id":`...)
-		buf = appendJSONString(buf, ev.CatalogID)
+		buf = ndjson.AppendString(buf, ev.CatalogID)
 	}
 	return append(buf, '}')
-}
-
-// appendJSONString appends s as a JSON string, taking the quick path
-// for the plain ASCII tokens the protocol actually uses and falling
-// back to the stdlib encoder for anything needing escapes.
-func appendJSONString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if ch := s[i]; ch < 0x20 || ch == '"' || ch == '\\' || ch >= 0x7f {
-			quoted, _ := json.Marshal(s)
-			return append(buf, quoted...)
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"')
 }
 
 // Flush puts any buffered lines on the wire now.
@@ -373,6 +359,26 @@ func (c *Conn) Recv() (Result, error) {
 		return Result{}, fmt.Errorf("streamclient: bad result line: %w", err)
 	}
 	return res, nil
+}
+
+// recvLine is RecvRaw plus the line's seq and dup mark, read from its
+// head without a decode when the line has the canonical shape (see
+// resultHead). Any other line is decoded and re-encoded through
+// encoding/json, so the returned line always opens with {"seq":N.
+func (c *Conn) recvLine() ([]byte, int, bool, error) {
+	line, err := c.RecvRaw()
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if seq, dup, ok := resultHead(line); ok {
+		return line, seq, dup, nil
+	}
+	var res Result
+	if err := json.Unmarshal(line, &res); err != nil {
+		return nil, 0, false, fmt.Errorf("streamclient: bad result line: %w", err)
+	}
+	line, err = json.Marshal(res)
+	return line, res.Seq, res.Dup, err
 }
 
 // RecvRaw returns the next result line as raw bytes (without the

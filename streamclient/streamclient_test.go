@@ -1,0 +1,284 @@
+package streamclient
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestFastParseMatchesStdlib pins the hand-rolled line scanner against
+// the stdlib decoder: on every line it accepts, the parsed event must
+// equal json.Unmarshal's; lines it rejects must still round-trip
+// through the fallback, so ParseEvent is stdlib-equivalent on all
+// valid input.
+func TestFastParseMatchesStdlib(t *testing.T) {
+	lines := []string{
+		`{"tenant":0,"type":"offer","stream":3}`,
+		`{"tenant":7,"type":"depart","stream":12}`,
+		`{"tenant":1,"type":"leave","user":4}`,
+		`{"tenant":1,"type":"join","user":0}`,
+		`{"tenant":2,"type":"resolve","install":true}`,
+		`{"tenant":2,"type":"resolve","install":false}`,
+		`{"tenant":0,"type":"catalog-offer","catalog_id":"ch-003"}`,
+		`{"tenant":3,"type":"catalog-depart","catalog_id":"espn-hd"}`,
+		` { "tenant" : 5 , "type" : "offer" , "stream" : 9 } `,
+		`{"type":"offer","tenant":4,"stream":1}`, // key order free
+		`{"tenant":-1,"type":"offer"}`,           // negative int
+		`{"tenant":0,"type":"offer","stream":123456789}`,
+		`{"type":"resolve","install":true,"install":false}`, // last duplicate wins
+		"{}",
+	}
+	for _, line := range lines {
+		var want Event
+		if err := json.Unmarshal([]byte(line), &want); err != nil {
+			t.Fatalf("bad test line %q: %v", line, err)
+		}
+		if got, ok := ParseCanonicalEvent([]byte(line)); ok && !reflect.DeepEqual(got, want) {
+			t.Errorf("fast parse of %q = %+v, stdlib %+v", line, got, want)
+		}
+	}
+
+	// Lines the fast path must hand to the stdlib — exotic but valid
+	// JSON keeps working through the fallback, invalid JSON fails there.
+	fallback := []string{
+		`{"tenant":0,"type":"of\u0066er","stream":3}`,          // escape in string
+		`{"tenant":0,"type":"offer","stream":3,"extra":1}`,     // unknown key
+		`{"tenant":0,"type":"offer","stream":3.0}`,             // float
+		`{"tenant":12345678901,"type":"offer"}`,                // would overflow the fast int
+		`{"tenant":0,"type":"offer","catalog_id":"żółć"}`,      // non-ASCII string
+		`{"tenant":0,"type":"offer","stream":null}`,            // null value
+		`{"tenant": 0, "type": "offer", "stream": 2} trail`,    // trailing garbage
+		`{"tenant":0,"type":"offer","stream":007}`,             // leading zero: invalid JSON
+		`{"tenant":-01,"type":"offer"}`,                        // leading zero after sign
+		"{\"type\":\"catalog-offer\",\"catalog_id\":\"a\tb\"}", // raw control character: invalid JSON
+	}
+	for _, line := range fallback {
+		if _, ok := ParseCanonicalEvent([]byte(line)); ok {
+			t.Errorf("fast path accepted non-canonical line %q", line)
+		}
+	}
+	// And through ParseEvent the valid ones still decode.
+	ev, err := ParseEvent([]byte(`{"tenant":0,"type":"of\u0066er","stream":3}`))
+	if err != nil || ev.Type != "offer" || ev.Stream != 3 {
+		t.Fatalf("fallback parse = %+v, %v", ev, err)
+	}
+	if _, err := ParseEvent([]byte(`{not json`)); err == nil {
+		t.Fatal("malformed line accepted")
+	}
+}
+
+// TestParseEventRefusals pins the messages a server ends a stream
+// with: nodes and routers both take them from ParseEvent.
+func TestParseEventRefusals(t *testing.T) {
+	for line, want := range map[string]string{
+		`{"tenant":0,"type":"bogus"}`:              `unknown event type "bogus"`,
+		`{"tenant":0}`:                             `unknown event type ""`,
+		`{"tenant":0,"type":"offer!"}`:             `unknown event type "offer!"`,
+		`{not json`:                                `bad stream line: invalid character 'n' looking for beginning of object key string`,
+		`{"tenant":0,"type":"offer","stream":1.5}`: `bad stream line: json: cannot unmarshal number 1.5 into Go struct field Event.stream of type int`,
+	} {
+		if _, err := ParseEvent([]byte(line)); err == nil || err.Error() != want {
+			t.Errorf("ParseEvent(%s) = %v, want %q", line, err, want)
+		}
+	}
+}
+
+// wireEvents covers every event shape a client sends.
+var wireEvents = []Event{
+	{Tenant: 0, Type: "offer", Stream: 3},
+	{Seq: 12, Tenant: 7, Type: "depart", Stream: 0},
+	{Tenant: 1, Type: "leave", User: 4},
+	{Seq: 1, Tenant: 1, Type: "join", User: 2},
+	{Tenant: 2, Type: "resolve", Install: true},
+	{Tenant: -3, Type: "resolve"},
+	{Tenant: 3, Type: "catalog-offer", CatalogID: "espn-hd"},
+	{Seq: 99, Tenant: 3, Type: "catalog-depart", CatalogID: `we"ird\id`},
+	{Tenant: 4, Type: "catalog-offer", CatalogID: "żółć"},
+}
+
+// TestEventAppendJSONMatchesStdlib pins the client-side event encoder
+// against the stdlib for every wire shape the client emits.
+func TestEventAppendJSONMatchesStdlib(t *testing.T) {
+	for i, ev := range wireEvents {
+		line := ev.AppendJSON(nil)
+		var got Event
+		if err := json.Unmarshal(line, &got); err != nil {
+			t.Fatalf("case %d: invalid JSON %q: %v", i, line, err)
+		}
+		if !reflect.DeepEqual(got, ev) {
+			t.Errorf("case %d: %q decodes to %+v, want %+v", i, line, got, ev)
+		}
+	}
+}
+
+// TestParseEventRoundTrip requires ParseEvent to invert AppendJSON, and
+// the fast path to take every line whose strings need no escaping.
+func TestParseEventRoundTrip(t *testing.T) {
+	for i, ev := range wireEvents {
+		line := ev.AppendJSON(nil)
+		got, err := ParseEvent(line)
+		if err != nil || !reflect.DeepEqual(got, ev) {
+			t.Errorf("case %d: ParseEvent(%s) = %+v, %v; want %+v", i, line, got, err, ev)
+		}
+		plain := true
+		for _, c := range []byte(ev.CatalogID) {
+			plain = plain && c != '"' && c != '\\' && c < 0x7f
+		}
+		if _, ok := ParseCanonicalEvent(line); ok != plain {
+			t.Errorf("case %d: fast path took %s: %v, want %v", i, line, ok, plain)
+		}
+	}
+	line := []byte(`{"seq":4,"tenant":1,"type":"offer","stream":3}`)
+	if avg := testing.AllocsPerRun(100, func() { _, _ = ParseEvent(line) }); avg != 0 {
+		t.Fatalf("ParseEvent of a canonical line allocates %.1f times", avg)
+	}
+}
+
+// headLines are result lines as servers write them on the hot path;
+// decodeLines are valid lines only a decode reads (escapes may spell a
+// key, keys in other letter cases, whitespace, keys out of order).
+var (
+	headLines = []string{
+		`{"seq":0,"type":"offer","offer":{"Accepted":true,"Subscribers":[2,5],"Utility":7.25}}`,
+		`{"seq":1,"type":"depart","depart":{"Removed":false,"Subscribers":null}}`,
+		`{"seq":2,"type":"catalog-offer","catalog":{"refs":2,"admitted":true,"shared_with":[1],"cost_scale":0.25}}`,
+		`{"seq":3,"dup":true}`,
+		`{"seq":5}`,
+		`{"seq":-1,"error":"session stream: line missing seq"}`,
+	}
+	decodeLines = []string{
+		`{"seq":4,"type":"offer","error":"cluster: \"quoted\" failure"}`,
+		`{"seq":-1,"error":"unknown event type \"bogus\""}`,
+		`{ "seq": 6, "type": "join", "churn": {"Changed": true, "Streams": [1]} }`,
+		`{"seq":7,"type":"offer","Dup":true}`,
+		`{"seq":8,"type":"offer","SEQ":9}`,
+		`{"seq":10,"dup":false}`,
+		`{"type":"leave","seq":11}`,
+	}
+)
+
+// TestResultHeadMatchesStdlib pins the head reader: it reads every
+// hot-path line, and whenever it reads a line its seq and dup mark are
+// encoding/json's.
+func TestResultHeadMatchesStdlib(t *testing.T) {
+	for i, line := range append(headLines, decodeLines...) {
+		var want Result
+		if err := json.Unmarshal([]byte(line), &want); err != nil {
+			t.Fatalf("bad test line %s: %v", line, err)
+		}
+		seq, dup, ok := resultHead([]byte(line))
+		if !ok {
+			if i < len(headLines) {
+				t.Errorf("head reader refused server line %s", line)
+			}
+			continue
+		}
+		if seq != want.Seq || dup != want.Dup {
+			t.Errorf("head of %s = (%d, %v), stdlib (%d, %v)", line, seq, dup, want.Seq, want.Dup)
+		}
+	}
+}
+
+// scriptedStream serves lines as the response to every stream request
+// once the request body is closed.
+func scriptedStream(lines []string) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		bw := bufio.NewWriter(w)
+		for _, l := range lines {
+			bw.WriteString(l + "\n")
+		}
+		_ = bw.Flush()
+	}))
+}
+
+// TestRecvLineMatchesRecv drives two sessions through the same scripted
+// response, one reading with Recv and one with RecvLine: every line
+// must carry Recv's seq and dup mark and decode to Recv's result, and
+// both sessions must ack and count dups alike.
+func TestRecvLineMatchesRecv(t *testing.T) {
+	srv := scriptedStream([]string{
+		`{"seq":1,"type":"offer","offer":{"Accepted":true,"Subscribers":[2,5],"Utility":7.25}}`,
+		`{"seq":2,"dup":true}`,
+		`{ "seq": 3, "type": "join", "churn": {"Changed": true, "Streams": [1]} }`,
+		`{"seq":4,"type":"offer","Dup":true}`,
+		`{"seq":5,"type":"offer","error":"cluster: \"quoted\" failure"}`,
+	})
+	defer srv.Close()
+	open := func(id string) *Session {
+		s, err := NewSession(srv.URL, SessionOptions{ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if err := s.Send(Event{Tenant: i, Type: "offer"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.CloseSend(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	dec, raw := open("recv"), open("recvline")
+	defer dec.Close()
+	defer raw.Close()
+	for i := 0; ; i++ {
+		want, werr := dec.Recv()
+		line, seq, dup, gerr := raw.RecvLine()
+		if werr != nil || gerr != nil {
+			if werr != io.EOF || gerr != io.EOF {
+				t.Fatalf("line %d: Recv err %v, RecvLine err %v", i, werr, gerr)
+			}
+			break
+		}
+		if seq != want.Seq || dup != want.Dup {
+			t.Errorf("line %d: RecvLine (%d, %v), Recv (%d, %v)", i, seq, dup, want.Seq, want.Dup)
+		}
+		if !strings.HasPrefix(string(line), fmt.Sprintf(`{"seq":%d`, seq)) {
+			t.Errorf("line %d: %s does not open with its seq", i, line)
+		}
+		var got Result
+		if err := json.Unmarshal(line, &got); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("line %d: %s decodes to %+v (%v), Recv %+v", i, line, got, err, want)
+		}
+	}
+	if dec.Dups() != raw.Dups() || raw.Dups() != 2 {
+		t.Fatalf("dups: Recv session %d, RecvLine session %d, want 2", dec.Dups(), raw.Dups())
+	}
+}
+
+// FuzzEventLine is the differential check of the stream protocol's
+// hand-rolled readers: whenever ParseCanonicalEvent or ParseEvent
+// accepts a line, the event equals encoding/json's, and whenever the
+// result head reader reads a line the stdlib also decodes, seq and dup
+// mark agree.
+func FuzzEventLine(f *testing.F) {
+	for _, ev := range wireEvents {
+		f.Add(ev.AppendJSON(nil))
+	}
+	for _, l := range append(headLines, decodeLines...) {
+		f.Add([]byte(l))
+	}
+	f.Add([]byte(`{"tenant":0,"type":"offer","stream":3,"extra":1}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var want Event
+		werr := json.Unmarshal(line, &want)
+		if got, ok := ParseCanonicalEvent(line); ok && (werr != nil || !reflect.DeepEqual(got, want)) {
+			t.Fatalf("fast path read %q as %+v; stdlib %+v, %v", line, got, want, werr)
+		}
+		if got, err := ParseEvent(line); err == nil && (werr != nil || !reflect.DeepEqual(got, want)) {
+			t.Fatalf("ParseEvent read %q as %+v; stdlib %+v, %v", line, got, want, werr)
+		}
+		var res Result
+		if seq, dup, ok := resultHead(line); ok && json.Unmarshal(line, &res) == nil && (seq != res.Seq || dup != res.Dup) {
+			t.Fatalf("head of %q = (%d, %v); stdlib (%d, %v)", line, seq, dup, res.Seq, res.Dup)
+		}
+	})
+}
