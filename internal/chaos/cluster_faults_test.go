@@ -8,12 +8,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/generator"
+	"repro/internal/httpserve"
 	"repro/internal/wal"
 )
 
@@ -124,6 +129,73 @@ func TestLatchedFsyncFailsFast(t *testing.T) {
 	got := renderAll(t, recovered)
 	if got != wantK && got != wantK1 {
 		t.Fatalf("recovered state matches neither the acked prefix nor prefix+1:\n%s", got)
+	}
+}
+
+// TestLatchedFsyncFailsEverySurface pins the latched-error contract on
+// every submission surface, the catalog ones included: once the
+// appender has latched an fsync failure, a catalog offer or departure
+// reports ErrNotDurable whether it arrives as a session call, on a
+// stream, in a batch, or over POST /events (as a 503) — never an ack
+// the disk did not back.
+func TestLatchedFsyncFailsEverySurface(t *testing.T) {
+	doomed, _ := faultFleet(t, 1,
+		chaos.NewFS(nil, chaos.FileFault{Match: "-s0.", FailSyncAt: 8}))
+	ctx := context.Background()
+	for i := 0; ; i++ {
+		if i == 256 {
+			t.Fatal("fsync fault never fired over 256 events")
+		}
+		if _, err := doomed.OfferStream(ctx, i%4, i%8); err != nil {
+			if !errors.Is(err, cluster.ErrNotDurable) {
+				t.Fatalf("first failure = %v, want ErrNotDurable", err)
+			}
+			break
+		}
+	}
+	notDurable := func(surface string, err error) {
+		t.Helper()
+		if !errors.Is(err, cluster.ErrNotDurable) {
+			t.Errorf("%s after the latch: err = %v, want ErrNotDurable", surface, err)
+		}
+	}
+
+	_, err := doomed.OfferCatalogStream(ctx, 1, "ch-001")
+	notDurable("OfferCatalogStream", err)
+	_, err = doomed.DepartCatalogStream(ctx, 1, "ch-001")
+	notDurable("DepartCatalogStream", err)
+
+	sc, err := doomed.OpenStream(cluster.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	if err := sc.Submit(ctx, cluster.Event{Tenant: 2, Type: cluster.EventStreamArrival, CatalogID: "ch-002"}); err != nil {
+		t.Fatal(err)
+	}
+	sres, err := sc.Recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notDurable("stream catalog offer", sres.Err)
+
+	bres, err := doomed.ApplyBatch(ctx, 3, []cluster.Event{{Type: cluster.EventStreamArrival, CatalogID: "ch-003"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	notDurable("ApplyBatch catalog offer", bres[0].Err)
+
+	srv := httptest.NewServer(httpserve.NewHandler(doomed))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/tenants/0/events", "application/json",
+		strings.NewReader(`{"type":"catalog-offer","catalog_id":"ch-004"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "not durable") {
+		t.Errorf("POST /events catalog offer after the latch: %d %s, want 503 not durable", resp.StatusCode, body)
 	}
 }
 

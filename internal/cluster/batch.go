@@ -8,27 +8,10 @@ import (
 )
 
 // EventResult is the typed outcome of one event inside an ApplyBatch
-// call; exactly the field matching Type (and, for catalog-managed
-// events, Catalog) is populated. A failed re-solve sets Err for its own
-// slot without failing the batch.
-type EventResult struct {
-	// Type echoes the event's type.
-	Type EventType
-	// CatalogID echoes the fleet identity of a catalog-managed event.
-	CatalogID catalog.ID
-	// Offer / Depart / Churn / Resolve mirror the per-operation session
-	// results (plain events).
-	Offer   OfferResult
-	Depart  DepartResult
-	Churn   ChurnResult
-	Resolve ResolveResult
-	// Catalog is the typed outcome of a catalog-managed offer or
-	// departure (CatalogID non-empty), mirroring OfferCatalogStream /
-	// DepartCatalogStream.
-	Catalog CatalogResult
-	// Err is the per-event error (only re-solves can fail).
-	Err error
-}
+// call: the same StreamResult a stream or a session call assembles for
+// the event, with Seq 0. A failed re-solve sets Err for its own slot
+// without failing the batch.
+type EventResult = StreamResult
 
 // ApplyBatch applies a sequence of events for one tenant as a single
 // shard message: the whole batch crosses the queue once, the worker
@@ -41,17 +24,21 @@ type EventResult struct {
 //
 // Catalog events are first-class batch citizens: an arrival or
 // departure carrying a CatalogID runs the catalog protocol exactly like
-// OfferCatalogStream / DepartCatalogStream, with two differences of
-// mechanics, not semantics. All of the batch's catalog arrivals are
-// priced in one registry round trip (catalog.Registry.AcquireBatch)
-// before the batch crosses the shard queue — each acquisition sees the
-// ones before it, exactly as if the events had been pipelined on a
-// StreamConn — and the worker flushes the batch's settlements in one
-// ordered SettleBatch round trip before acking, preserving worker-FIFO
-// settlement order exactly. Because pricing happens at submission (as
-// on a pipelined stream), a depart-then-re-offer of the same CatalogID
-// *within one batch* is quoted against the pre-batch sharing state;
-// split phases across batches when serial per-call pricing is wanted.
+// OfferCatalogStream / DepartCatalogStream, and every result is built
+// by the same assembleResult the single-event path uses. ApplyBatch
+// keeps its own caller-side mechanics rather than routing each event
+// (route), for three reasons: the batch is one shard message, applied
+// all or nothing; all of its catalog arrivals are priced in one
+// registry round trip (catalog.Registry.AcquireBatch) before the batch
+// crosses the shard queue, so the pricing is a deterministic function
+// of the pre-batch state — each acquisition sees the ones before it,
+// exactly as if the events had been pipelined on a StreamConn; and the
+// worker flushes the batch's settlements in one ordered SettleBatch
+// round trip before acking, preserving worker-FIFO settlement order
+// exactly. Because pricing happens at submission (as on a pipelined
+// stream), a depart-then-re-offer of the same CatalogID *within one
+// batch* is quoted against the pre-batch sharing state; split phases
+// across batches when serial per-call pricing is wanted.
 //
 // The Tenant and CostScale fields of each event are overridden (tenant
 // from the call; the scale from the catalog ticket, or cleared —
@@ -71,8 +58,7 @@ func (c *Cluster) ApplyBatch(ctx context.Context, tenant int, events []Event) ([
 	// ErrClosed / ErrCanceled / ErrUnknownTenant exactly like every
 	// other session call instead of silently succeeding.
 	batch := make([]Event, len(events))
-	var offers []int // batch indexes of catalog arrivals, in order
-	var ids []catalog.ID
+	var ids []catalog.ID // the catalog arrivals' IDs, in batch order
 	for i, ev := range events {
 		if err := validEventType(ev.Type); err != nil {
 			return nil, fmt.Errorf("cluster: batch event %d: %w", i, err)
@@ -84,7 +70,6 @@ func (c *Cluster) ApplyBatch(ctx context.Context, tenant int, events []Event) ([
 			ev.CatalogID = ""
 		}
 		if ev.CatalogID != "" && ev.Type == EventStreamArrival {
-			offers = append(offers, i)
 			ids = append(ids, ev.CatalogID)
 		}
 		batch[i] = ev
@@ -120,10 +105,14 @@ func (c *Cluster) ApplyBatch(ctx context.Context, tenant int, events []Event) ([
 		if err := c.catalog.AcquireBatch(tenant, ids, tickets); err != nil {
 			return fail(fmt.Errorf("cluster: batch: %w", wrapCatalogErr(err)))
 		}
-		for k, i := range offers {
-			batch[i].Stream = tickets[k].Local
-			batch[i].CostScale = tickets[k].Scale
-			batch[i].originPayer = tickets[k].OriginPayer
+		k := 0
+		for i := range batch {
+			if batch[i].CatalogID != "" && batch[i].Type == EventStreamArrival {
+				batch[i].Stream = tickets[k].Local
+				batch[i].CostScale = tickets[k].Scale
+				batch[i].originPayer = tickets[k].OriginPayer
+				k++
+			}
 		}
 	}
 	if err := c.enqueueLocked(ctx, tenant, message{batch: batch, batchAck: ack}); err != nil {
@@ -142,9 +131,9 @@ func (c *Cluster) ApplyBatch(ctx context.Context, tenant int, events []Event) ([
 	}
 	in := c.tenants[tenant].Instance()
 	c.mu.RUnlock()
-	var out []EventResult
+	var res []result
 	select {
-	case out = <-ack:
+	case res = <-ack:
 		c.putBatchAck(ack)
 	case <-ctx.Done():
 		// Once enqueued, the worker settles every reference itself; an
@@ -152,32 +141,18 @@ func (c *Cluster) ApplyBatch(ctx context.Context, tenant int, events []Event) ([
 		// recycled (the worker may still deliver into it).
 		return nil, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
 	}
-	// Assemble the catalog results the worker could not know (ticket
-	// context lives caller-side, mirroring the stream path): the worker
-	// backfilled Catalog.Refs/Evicted from its settlement flush.
-	for k, i := range offers {
-		tk := tickets[k]
-		res := &out[i]
-		res.CatalogID = ids[k]
-		res.Catalog.Admitted = res.Offer.Accepted
-		res.Catalog.Subscribers = res.Offer.Subscribers
-		res.Catalog.Utility = res.Offer.Utility
-		res.Catalog.SharedWith = tk.SharedWith
-		res.Catalog.CostScale = tk.Scale
-		res.Catalog.FullCost = in.StreamCostSum(tk.Local)
-		if res.Catalog.Admitted {
-			res.Catalog.CostCharged = tk.Scale * res.Catalog.FullCost
+	// Assemble each result exactly as a single call would, from the
+	// ticket context that lives caller-side (the worker backfilled
+	// refs/evicted from its settlement flush).
+	out := make([]EventResult, len(batch))
+	k := 0
+	for i, ev := range batch {
+		p := streamPending{typ: ev.Type, id: ev.CatalogID}
+		if ev.CatalogID != "" && ev.Type == EventStreamArrival {
+			p.tk, p.fullCost = tickets[k], in.StreamCostSum(tickets[k].Local)
+			k++
 		}
-		res.Offer = OfferResult{}
-	}
-	for i := range batch {
-		if batch[i].CatalogID != "" && batch[i].Type == EventStreamDeparture {
-			res := &out[i]
-			res.CatalogID = batch[i].CatalogID
-			res.Catalog.Removed = res.Depart.Removed
-			res.Catalog.Subscribers = res.Depart.Subscribers
-			res.Depart = DepartResult{}
-		}
+		out[i] = assembleResult(&p, res[i])
 	}
 	return out, nil
 }

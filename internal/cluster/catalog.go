@@ -15,17 +15,18 @@ import (
 // catalog.ID rather than a per-tenant local index, the admission is
 // priced by the catalog's cost model from the cross-shard reference
 // count, and the result reports who else carries the stream and what
-// was charged. The orchestration is the catalog package's three-step
-// protocol: the caller Acquires (pricing + a provisional reference),
-// the event is routed to the tenant's shard, and the worker settles the
-// reference (Commit on admit, Release on reject or removal) right
-// after applying the event — so registry transitions happen in shard
-// FIFO order and concurrent same-tenant calls can never desynchronize
-// refcounts from the tenant's carried set. All state stays
-// share-nothing: refcounts live with the registry's owner goroutine,
-// tenant state with the shard worker; the worker's settlement is a
-// message round trip, never a shared lock, and the registry owner
-// never calls back into shards.
+// was charged. Like every session method they are projections of the
+// one request path (call → route, see stream.go), which runs the
+// catalog package's three-step protocol: the caller Acquires (pricing +
+// a provisional reference), the event is routed to the tenant's shard,
+// and the worker settles the reference (Commit on admit, Release on
+// reject or removal) right after applying the event — so registry
+// transitions happen in shard FIFO order and concurrent same-tenant
+// calls can never desynchronize refcounts from the tenant's carried
+// set. All state stays share-nothing: refcounts live with the
+// registry's owner goroutine, tenant state with the shard worker; the
+// worker's settlement is a message round trip, never a shared lock,
+// and the registry owner never calls back into shards.
 //
 // Departing a catalog-managed stream through the local-index
 // DepartStream is equivalent to DepartCatalogStream: the shard worker
@@ -84,74 +85,7 @@ type CatalogResult struct {
 // "no", or the tenant already carries the stream) is a successful call
 // with Admitted false, mirroring OfferStream.
 func (c *Cluster) OfferCatalogStream(ctx context.Context, tenant int, id catalog.ID) (CatalogResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The acquire, the enqueue, and the instance capture share one read-
-	// locked section: Reshard swaps the layout (and the registry) under
-	// the write lock, so the reference must land on the same registry
-	// generation the event will settle against. The lock drops before
-	// the result wait.
-	ack := c.getAck()
-	c.mu.RLock()
-	reg, err := c.catalogFor(tenant)
-	if err != nil {
-		c.mu.RUnlock()
-		c.putAck(ack)
-		return CatalogResult{}, err
-	}
-	// Acquire takes a provisional reference in every case — also when
-	// the tenant already holds the stream — so a concurrent departure
-	// cannot evict the origin while this admission is in flight. The
-	// worker classifies the settlement (commit, recharge for a re-offer
-	// under an existing reference, release on rejection) against its
-	// own held-reference set at apply time; a re-offer of a stream the
-	// tenant still carries is a rejection, exactly like OfferStream.
-	tk, err := reg.Acquire(id, tenant)
-	if err != nil {
-		c.mu.RUnlock()
-		c.putAck(ack)
-		return CatalogResult{}, wrapCatalogErr(err)
-	}
-	ev := Event{Tenant: tenant, Type: EventStreamArrival, Stream: tk.Local,
-		CostScale: tk.Scale, CatalogID: id, originPayer: tk.OriginPayer}
-	in := c.tenants[tenant].Instance()
-	if err := c.enqueueLocked(ctx, tenant, message{ev: ev, ack: ack}); err != nil {
-		// Never enqueued: the provisional reference is dropped (still
-		// under the lock, so it reaches the registry it came from).
-		reg.Release(id, tenant, false, tk.OriginPayer)
-		c.mu.RUnlock()
-		c.putAck(ack)
-		return CatalogResult{}, err
-	}
-	c.mu.RUnlock()
-	// Once enqueued, the worker settles the reference itself (commit or
-	// release, in shard FIFO order) — a canceled caller has nothing to
-	// reconcile. An abandoned ack is leaked, never recycled.
-	var res result
-	select {
-	case res = <-ack:
-		c.putAck(ack)
-	case <-ctx.Done():
-		return CatalogResult{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-	}
-	out := CatalogResult{
-		Admitted:    res.offer.Accepted,
-		Subscribers: res.offer.Subscribers,
-		Utility:     res.offer.Utility,
-		Refs:        res.refs,
-		SharedWith:  tk.SharedWith,
-		CostScale:   tk.Scale,
-		FullCost:    in.StreamCostSum(tk.Local),
-		// A rejected offer's released provisional reference can be the
-		// one that drains an occupied origin (the last confirmed holder
-		// already departed while this admission was in flight).
-		Evicted: res.evicted,
-	}
-	if out.Admitted {
-		out.CostCharged = tk.Scale * out.FullCost
-	}
-	return out, nil
+	return c.catalogCall(ctx, Event{Tenant: tenant, Type: EventStreamArrival, CatalogID: id})
 }
 
 // DepartCatalogStream departs the fleet-identified stream id from
@@ -161,50 +95,24 @@ func (c *Cluster) OfferCatalogStream(ctx context.Context, tenant int, id catalog
 // DepartStream — but a fleet reference the tenant still holds is
 // released even then, so a by-ID departure always cleans up.
 func (c *Cluster) DepartCatalogStream(ctx context.Context, tenant int, id catalog.ID) (CatalogResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Lookup and enqueue share one read-locked section (see
-	// OfferCatalogStream); the lock drops before the result wait.
-	ack := c.getAck()
-	c.mu.RLock()
-	reg, err := c.catalogFor(tenant)
-	if err != nil {
+	return c.catalogCall(ctx, Event{Tenant: tenant, Type: EventStreamDeparture, CatalogID: id})
+}
+
+// catalogCall is call for a by-ID event. An empty ID would route as a
+// plain local-index event, so it is refused here as the unknown ID it
+// is, after the same tenant and catalog checks route makes.
+func (c *Cluster) catalogCall(ctx context.Context, ev Event) (CatalogResult, error) {
+	if ev.CatalogID == "" {
+		c.mu.RLock()
+		_, err := c.catalogFor(ev.Tenant)
 		c.mu.RUnlock()
-		c.putAck(ack)
+		if err == nil {
+			err = wrapCatalogErr(fmt.Errorf("%w: %q", catalog.ErrUnknownID, ev.CatalogID))
+		}
 		return CatalogResult{}, err
 	}
-	local, err := reg.Lookup(id, tenant)
-	if err != nil {
-		c.mu.RUnlock()
-		c.putAck(ack)
-		return CatalogResult{}, wrapCatalogErr(err)
-	}
-	ev := Event{Tenant: tenant, Type: EventStreamDeparture, Stream: local, CatalogID: id}
-	err = c.enqueueLocked(ctx, tenant, message{ev: ev, ack: ack})
-	c.mu.RUnlock()
-	if err != nil {
-		c.putAck(ack)
-		return CatalogResult{}, err
-	}
-	// The worker settles the reference (release on removal) in shard
-	// FIFO order; a canceled caller has nothing to reconcile.
-	var res result
-	select {
-	case res = <-ack:
-		c.putAck(ack)
-	case <-ctx.Done():
-		return CatalogResult{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-	}
-	if res.err != nil {
-		return CatalogResult{}, res.err
-	}
-	return CatalogResult{
-		Removed:     res.depart.Removed,
-		Subscribers: res.depart.Subscribers,
-		Refs:        res.refs,
-		Evicted:     res.evicted,
-	}, nil
+	res := c.call(ctx, ev)
+	return res.Catalog, res.Err
 }
 
 // CatalogSnapshot returns the registry state on demand (the same

@@ -25,16 +25,21 @@
 // # Request/response sessions (serving API v2)
 //
 // The public surface is typed and per operation: OfferStream,
-// DepartStream, UserLeave, UserJoin, and Resolve each route one event
-// to the owning shard with a per-event completion channel attached and
+// DepartStream, UserLeave, UserJoin, and Resolve (and the catalog calls
+// OfferCatalogStream and DepartCatalogStream) each route one event to
+// the owning shard with a per-event completion channel attached and
 // block until the worker replies with a typed result (OfferResult,
-// DepartResult, ChurnResult, ResolveResult). So that a blocked caller
+// DepartResult, ChurnResult, ResolveResult, CatalogResult). Every one
+// of them is a projection of the same request path a streamed event
+// takes — route, then assembleResult (see stream.go and session.go) —
+// and ApplyBatch, which keeps its one-message batch mechanics, builds
+// its results with the same assembleResult. So that a blocked caller
 // never waits on a trailing partial batch, an arrival carrying a
 // completion channel flushes the batch it joins immediately; arrivals
 // submitted by the fire-and-forget replay path (RunWorkload) coalesce
 // exactly as before. Failures use the sentinel taxonomy in session.go
-// (ErrUnknownTenant, ErrQueueFull, ErrClosed, ErrCanceled) and the
-// enqueue side honors Options.Backpressure.
+// (ErrUnknownTenant, ErrQueueFull, ErrClosed, ErrCanceled,
+// ErrNotDurable) and the enqueue side honors Options.Backpressure.
 //
 // Because tenant-to-shard placement is static and every per-tenant
 // mutation happens on its shard's worker in submission order, a fixed
@@ -78,7 +83,7 @@
 // # Streaming ingestion (serving API v4)
 //
 // OpenStream returns a StreamConn, a persistent pipelined session over
-// the same primitives: one goroutine Submits events without waiting,
+// the same request path: one goroutine Submits events without waiting,
 // another Recvs typed results in submission order, and a bounded
 // in-flight window (block or reject) is the backpressure point.
 // Catalog events ride streams with no special casing because the shard
@@ -285,7 +290,7 @@ type message struct {
 	ev       Event
 	ack      chan result
 	batch    []Event
-	batchAck chan []EventResult
+	batchAck chan []result
 	snap     chan shardReport
 }
 
@@ -361,8 +366,8 @@ type pendAck struct {
 }
 
 type pendBatchAck struct {
-	ch  chan []EventResult
-	res []EventResult
+	ch  chan []result
+	res []result
 }
 
 // commitGroup is one deferred-acknowledgement group handed from a
@@ -420,7 +425,7 @@ type Cluster struct {
 	// channel and the per-shard snapshot maps come from pools, and
 	// Snapshot returns them only after the barrier fully drained.
 	ackPool      sync.Pool // chan result, capacity 1
-	batchAckPool sync.Pool // chan []EventResult, capacity 1
+	batchAckPool sync.Pool // chan []result, capacity 1
 	snapChPool   sync.Pool // chan shardReport, capacity len(shards)
 	snapMapPool  sync.Pool // map[int]headend.TenantSnapshot
 
@@ -477,14 +482,14 @@ func (c *Cluster) putAck(ch chan result) {
 var poisonAck func(chan result)
 
 // getBatchAck / putBatchAck mirror getAck for batch completion channels.
-func (c *Cluster) getBatchAck() chan []EventResult {
-	if ch, ok := c.batchAckPool.Get().(chan []EventResult); ok {
+func (c *Cluster) getBatchAck() chan []result {
+	if ch, ok := c.batchAckPool.Get().(chan []result); ok {
 		return ch
 	}
-	return make(chan []EventResult, 1)
+	return make(chan []result, 1)
 }
 
-func (c *Cluster) putBatchAck(ch chan []EventResult) {
+func (c *Cluster) putBatchAck(ch chan []result) {
 	if poisonBatchAck != nil {
 		poisonBatchAck(ch)
 	}
@@ -492,7 +497,7 @@ func (c *Cluster) putBatchAck(ch chan []EventResult) {
 }
 
 // poisonBatchAck mirrors poisonAck for batch completion channels.
-var poisonBatchAck func(chan []EventResult)
+var poisonBatchAck func(chan []result)
 
 // New builds the cluster and starts one worker per shard. Tenant i is
 // pinned to shard i mod Shards. With Options.WAL the durability log is
@@ -1043,7 +1048,7 @@ func (c *Cluster) committer(sh *shard) {
 			for i := range g.batches {
 				if notDurable != nil {
 					for j := range g.batches[i].res {
-						g.batches[i].res[j].Err = notDurable
+						g.batches[i].res[j].err = notDurable
 					}
 				}
 				g.batches[i].ch <- g.batches[i].res
@@ -1101,7 +1106,7 @@ func (c *Cluster) drainCommits(sh *shard) {
 // caller is acked right after) via the shard's one-op scratch, or onto
 // the shard's settlement buffer (deferred true — the batch path, which
 // flushes the whole run in one SettleBatch round trip). slot is the
-// batch result index whose Catalog.Refs/Evicted the flush backfills
+// batch result index whose refs/evicted the flush backfills
 // (-1 for settlements with no per-event result, e.g. install
 // reconciliation). Deferred settlements return a zero result; the
 // flush fills it in.
@@ -1123,7 +1128,7 @@ func (c *Cluster) dispatchSettle(sh *shard, s catalog.Settlement, deferred bool,
 // into the batch results. Ordering is exact: every registry transition
 // a batch produces — arrival settlements, departure releases, install
 // reconciliation — rides this single ordered buffer.
-func (c *Cluster) flushSettles(sh *shard, out []EventResult) {
+func (c *Cluster) flushSettles(sh *shard, out []result) {
 	if len(sh.settles) == 0 {
 		return
 	}
@@ -1134,8 +1139,8 @@ func (c *Cluster) flushSettles(sh *shard, out []EventResult) {
 	if err := c.catalog.SettleBatch(sh.settles, res); err == nil {
 		for k, slot := range sh.settleSlots {
 			if slot >= 0 && out != nil {
-				out[slot].Catalog.Refs = res[k].Refs
-				out[slot].Catalog.Evicted = res[k].Evicted
+				out[slot].refs = res[k].Refs
+				out[slot].evicted = res[k].Evicted
 			}
 		}
 	}
@@ -1320,23 +1325,21 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 // arrivals is one batch window for the shard stats (the coalescing a
 // remote caller gets from the batch endpoint); non-arrival events are
 // applied between windows exactly as in the FIFO path. Per-event
-// results are positional.
+// results are positional worker replies; ApplyBatch assembles them.
 //
 // Catalog settlements are deferred onto the shard's settlement buffer
 // and flushed in one registry round trip before the results are
 // delivered — the worker-FIFO settlement order is preserved exactly
 // (the buffer is ordered, and the flush completes before the batch
 // ack), only the number of registry crossings changes. The flush
-// backfills each catalog event's Catalog.Refs/Evicted.
-func (c *Cluster) applyEventBatch(sh *shard, evs []Event) []EventResult {
-	out := make([]EventResult, len(evs))
+// backfills each catalog event's refs/evicted.
+func (c *Cluster) applyEventBatch(sh *shard, evs []Event) []result {
+	out := make([]result, len(evs))
 	for i := 0; i < len(evs); {
 		sh.stats.Events++
 		ev := evs[i]
 		if ev.Type != EventStreamArrival {
-			res := c.applyEvent(sh, ev, false, true, i)
-			out[i] = EventResult{Type: ev.Type, Depart: res.depart, Churn: res.churn,
-				Resolve: res.resolve, Err: res.err}
+			out[i] = c.applyEvent(sh, ev, false, true, i)
 			i++
 			continue
 		}
@@ -1350,7 +1353,7 @@ func (c *Cluster) applyEventBatch(sh *shard, evs []Event) []EventResult {
 			sh.stats.MaxBatch = j - i
 		}
 		for k := i; k < j; k++ {
-			out[k] = EventResult{Type: EventStreamArrival, Offer: c.applyArrival(sh, evs[k], true, true, k).offer}
+			out[k] = c.applyArrival(sh, evs[k], true, true, k)
 		}
 		i = j
 	}

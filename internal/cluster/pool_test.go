@@ -36,7 +36,6 @@ func installPoison(t *testing.T) *atomic.Int64 {
 		p.seq = -1 << 30
 		p.typ = EventType(0x7f)
 		p.id = "poisoned"
-		p.catalogOffer = true
 		p.tk = catalog.Ticket{Scale: -1, Local: -1}
 		p.fullCost = -1
 	}
@@ -48,7 +47,7 @@ func installPoison(t *testing.T) *atomic.Int64 {
 		default:
 		}
 	}
-	poisonBatchAck = func(ch chan []EventResult) {
+	poisonBatchAck = func(ch chan []result) {
 		recycled.Add(1)
 		select {
 		case <-ch:

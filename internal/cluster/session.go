@@ -8,9 +8,13 @@ import (
 
 // Serving API v2: the typed, context-aware request/response surface.
 //
-// Each per-operation method routes one event to the owning shard with a
-// per-event completion channel attached, blocks until the shard worker
-// has applied the event, and returns a typed result. The sentinel
+// Each per-operation method — the five below and the two catalog calls
+// in catalog.go — is a one-line projection of call: the event takes the
+// stream's own caller-side path (route, see stream.go) with a pooled
+// completion channel attached, the caller blocks until the shard worker
+// has applied it, and the reply is assembled by the stream's
+// assembleResult. A session call is therefore a one-event stream by
+// construction, not by a parity test. The sentinel
 // errors below form the error taxonomy; every failure returned by the
 // session methods matches exactly one of them under errors.Is (solver
 // failures during a resolve are the exception — they are returned
@@ -111,29 +115,29 @@ type ResolveOptions struct {
 // already-carried stream, or a policy "no") is a successful call with
 // Accepted false.
 func (c *Cluster) OfferStream(ctx context.Context, tenant, stream int) (OfferResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventStreamArrival, Stream: stream})
-	return res.offer, err
+	res := c.call(ctx, Event{Tenant: tenant, Type: EventStreamArrival, Stream: stream})
+	return res.Offer, res.Err
 }
 
 // DepartStream removes a carried stream from tenant t, releasing its
 // subscribers and (for departure-aware policies) the policy's
 // resources.
 func (c *Cluster) DepartStream(ctx context.Context, tenant, stream int) (DepartResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventStreamDeparture, Stream: stream})
-	return res.depart, err
+	res := c.call(ctx, Event{Tenant: tenant, Type: EventStreamDeparture, Stream: stream})
+	return res.Depart, res.Err
 }
 
 // UserLeave takes gateway u of tenant t offline, tearing down its
 // subscriptions.
 func (c *Cluster) UserLeave(ctx context.Context, tenant, user int) (ChurnResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventUserLeave, User: user})
-	return res.churn, err
+	res := c.call(ctx, Event{Tenant: tenant, Type: EventUserLeave, User: user})
+	return res.Churn, res.Err
 }
 
 // UserJoin brings gateway u of tenant t back online.
 func (c *Cluster) UserJoin(ctx context.Context, tenant, user int) (ChurnResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventUserJoin, User: user})
-	return res.churn, err
+	res := c.call(ctx, Event{Tenant: tenant, Type: EventUserJoin, User: user})
+	return res.Churn, res.Err
 }
 
 // Resolve re-runs the offline Theorem 1.1 pipeline for tenant t on its
@@ -143,8 +147,8 @@ func (c *Cluster) UserJoin(ctx context.Context, tenant, user int) (ChurnResult, 
 // catalog is configured, the worker releases the fleet references of
 // catalog streams the installed lineup dropped before replying.
 func (c *Cluster) Resolve(ctx context.Context, tenant int, opts ResolveOptions) (ResolveResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventResolve, Install: opts.Install})
-	return res.resolve, err
+	res := c.call(ctx, Event{Tenant: tenant, Type: EventResolve, Install: opts.Install})
+	return res.Resolve, res.Err
 }
 
 // result is the union payload delivered on a per-event completion
@@ -161,47 +165,41 @@ type result struct {
 	err     error
 }
 
-// call routes one event to its shard with a completion channel attached
-// and waits for the worker's typed reply. An arrival carrying a
-// completion channel is its own flush boundary (the worker flushes the
-// batch immediately after appending it), so a blocked caller never
-// waits on a trailing partial batch.
+// call is the request/response helper behind every session method: it
+// routes one event with a stack-held pending entry and a pooled
+// completion channel, waits for the worker's reply, and assembles it
+// with the stream's assembleResult. An arrival carrying a completion
+// channel is its own flush boundary (the worker flushes the batch
+// immediately after appending it), so a blocked caller never waits on
+// a trailing partial batch.
 //
-// The completion channel is pooled: it is recycled after its result was
-// drained (or when the event never enqueued), and deliberately leaked
-// to the garbage collector when the caller abandons the wait on context
+// The completion channel is recycled after its result was drained (or
+// when the event never enqueued), and deliberately leaked to the
+// garbage collector when the caller abandons the wait on context
 // cancellation — the worker may still deliver into it, and a recycled
-// channel must never have a delivery in flight.
-func (c *Cluster) call(ctx context.Context, ev Event) (result, error) {
+// channel must never have a delivery in flight. Once enqueued, the
+// worker settles any fleet reference itself, so a canceled caller has
+// nothing to reconcile.
+func (c *Cluster) call(ctx context.Context, ev Event) StreamResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ack := c.getAck()
-	if err := c.submit(ctx, ev, ack); err != nil {
-		c.putAck(ack)
-		return result{}, err
+	p := streamPending{typ: ev.Type, id: ev.CatalogID, ack: c.getAck()}
+	if err := c.route(ctx, ev, &p); err != nil {
+		c.putAck(p.ack)
+		return StreamResult{Type: p.typ, CatalogID: p.id, Err: err}
 	}
 	select {
-	case res := <-ack:
-		c.putAck(ack)
-		return res, res.err
+	case res := <-p.ack:
+		c.putAck(p.ack)
+		return assembleResult(&p, res)
 	case <-ctx.Done():
-		return result{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
+		return StreamResult{Type: p.typ, CatalogID: p.id, Err: fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())}
 	}
 }
 
-// submit validates and enqueues one event, honoring the cluster's
-// backpressure mode. ack may be nil (fire-and-forget, used by the
-// workload replay path).
-func (c *Cluster) submit(ctx context.Context, ev Event, ack chan result) error {
-	if err := validEventType(ev.Type); err != nil {
-		return err
-	}
-	return c.enqueue(ctx, ev.Tenant, message{ev: ev, ack: ack})
-}
-
-// validEventType is the single serving-event allowlist shared by the
-// single-event and batch submission paths.
+// validEventType is the single serving-event allowlist shared by route
+// and ApplyBatch.
 func validEventType(t EventType) error {
 	switch t {
 	case EventStreamArrival, EventStreamDeparture, EventUserLeave, EventUserJoin, EventResolve:
@@ -211,23 +209,14 @@ func validEventType(t EventType) error {
 	}
 }
 
-// enqueue is the single shard-channel send shared by every submission
-// path: it validates the tenant index and the open state, then delivers
-// msg to the owning shard under the cluster's backpressure mode. The
-// read lock is held only for the send, never across a result wait.
-func (c *Cluster) enqueue(ctx context.Context, tenant int, msg message) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.enqueueLocked(ctx, tenant, msg)
-}
-
-// enqueueLocked is enqueue's body; it requires c.mu held (read or
-// write) and must stay in the same critical section as any read of the
-// cluster's layout fields (tenants, shardOf, shards, catalog) the
-// caller pairs it with — Reshard swaps those under the write lock, and
-// an event must land on the layout it was prepared against. Callers
-// already under the read lock use this directly (Go's RWMutex is not
-// reentrant: a recursive RLock can deadlock behind a waiting writer).
+// enqueueLocked is the single shard-channel send shared by route and
+// ApplyBatch: it validates the tenant index and the open state, then
+// delivers msg to the owning shard under the cluster's backpressure
+// mode. It requires c.mu held (read or write) and must stay in the same
+// critical section as any read of the cluster's layout fields (tenants,
+// shardOf, shards, catalog) the caller pairs it with — Reshard swaps
+// those under the write lock, and an event must land on the layout it
+// was prepared against. The lock is never held across a result wait.
 func (c *Cluster) enqueueLocked(ctx context.Context, tenant int, msg message) error {
 	if tenant < 0 || tenant >= len(c.tenants) {
 		return fmt.Errorf("%w: tenant %d out of range [0,%d)", ErrUnknownTenant, tenant, len(c.tenants))

@@ -22,20 +22,23 @@ import (
 // receiver catches up, so a slow reader can never queue unbounded
 // state.
 //
-// Catalog events need no special casing: Submit runs the same
-// acquire-then-route protocol as OfferCatalogStream (the registry
-// prices the admission and takes a provisional reference before the
-// event crosses the shard queue), and the shard worker settles the
-// fleet reference in FIFO order right after applying the event. A
-// connection that is dropped with results unread therefore leaks
-// nothing — every enqueued event still applies and settles on its
+// Catalog events need no special casing: Submit hands every event to
+// route, the one caller-side path a single event takes — the session
+// methods, catalog calls included, are one-event uses of it (see call
+// in session.go). For a catalog event route runs the acquire-then-route
+// protocol (the registry prices the admission and takes a provisional
+// reference before the event crosses the shard queue), and the shard
+// worker settles the fleet reference in FIFO order right after applying
+// the event. A connection that is dropped with results unread therefore
+// leaks nothing — every enqueued event still applies and settles on its
 // worker; only the results go unobserved.
 //
-// Because every streamed event crosses the shard queue as an
-// acknowledged single event, a streamed schedule produces bit-identical
-// fleet snapshots to the same schedule submitted through the
-// per-operation session methods — and (per-tenant tables) to ApplyBatch
-// — at any shard count. The HTTP front end exposes this surface as
+// Because a streamed event and a session call share route and
+// assembleResult, a streamed schedule produces bit-identical fleet
+// snapshots and results to the same schedule submitted through the
+// per-operation session methods — and (per-tenant tables) to ApplyBatch,
+// which assembles its results with the same assembleResult — at any
+// shard count. The HTTP front end exposes this surface as
 // `POST /v1/stream` (NDJSON in, NDJSON out; see internal/httpserve and
 // repro/streamclient).
 
@@ -51,15 +54,18 @@ type StreamOptions struct {
 	Backpressure Backpressure
 }
 
-// StreamResult is one event's typed outcome on a stream, delivered in
-// submission order. Exactly the field matching Type (and, for
-// catalog-managed events, Catalog) is populated. Err carries a
-// per-event failure — unknown tenant, unknown catalog stream, a failed
-// re-solve, or a transport sentinel from the shard enqueue — without
-// ending the stream; match it with errors.Is against the serving
-// taxonomy.
+// StreamResult is one event's typed outcome, delivered in submission
+// order on a stream and positionally by ApplyBatch (as EventResult).
+// Exactly the field matching Type (and, for catalog-managed events,
+// Catalog) is populated. Err carries a per-event failure — unknown
+// tenant, unknown catalog stream, a failed re-solve, ErrNotDurable, or
+// a transport sentinel from the shard enqueue — without ending the
+// stream; match it with errors.Is against the serving taxonomy. When
+// the worker applied the event, its payload is filled alongside Err; a
+// failure before the shard queue leaves the payload zero.
 type StreamResult struct {
-	// Seq is the event's submission index on this stream (0-based).
+	// Seq is the event's submission index on this stream (0-based; 0 in
+	// a batch).
 	Seq int
 	// Type echoes the event's type.
 	Type EventType
@@ -79,19 +85,21 @@ type StreamResult struct {
 	Err error
 }
 
-// streamPending rides the in-flight window: one entry per submitted
-// event, in submission order. ack is buffered (capacity 1) and always
-// receives exactly one result — from the shard worker, or from Submit
-// itself when the event failed before enqueueing.
+// streamPending is one single event's caller-side context: an entry
+// of a stream's in-flight window (in submission order), or a session
+// call's stack-held request. ack is buffered (capacity 1) and receives
+// at most one result — from the shard worker, or from Submit itself
+// when the event failed before enqueueing. ApplyBatch builds one per
+// result, without an ack, to assemble it.
 type streamPending struct {
 	seq int
 	typ EventType
 	id  catalog.ID
-	// catalog offer context captured at submit time (acquire protocol).
-	catalogOffer bool
-	tk           catalog.Ticket
-	fullCost     float64
-	ack          chan result
+	// catalog offer context captured at submit time (acquire protocol);
+	// zero unless the offer reached its shard queue.
+	tk       catalog.Ticket
+	fullCost float64
+	ack      chan result
 }
 
 // StreamConn is a persistent, pipelined ingestion session (serving API
@@ -181,8 +189,8 @@ func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 		}
 	} else {
 		// An already-done context must not reserve a slot (mirrors
-		// enqueue): otherwise both cases below could be ready and the
-		// event would be submitted ~half the time under ErrCanceled.
+		// enqueueLocked): otherwise both cases below could be ready and
+		// the event would be submitted ~half the time under ErrCanceled.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%w: %w", ErrCanceled, err)
 		}
@@ -197,19 +205,21 @@ func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 		}
 	}
 	sc.seq++
-	sc.route(ctx, ev, p)
+	if err := sc.c.route(ctx, ev, p); err != nil {
+		p.ack <- result{err: err}
+	}
 	return nil
 }
 
-// route validates and enqueues one slotted event, running the catalog
-// acquire protocol for catalog-managed arrivals and departures. Any
-// failure is delivered into the event's ack so the receiver sees it
-// in-band, in order.
-func (sc *StreamConn) route(ctx context.Context, ev Event, p *streamPending) {
-	fail := func(err error) { p.ack <- result{err: err} }
+// route is the one caller-side path of a single event — a streamed
+// one, or a session call: it validates the event, runs the catalog
+// protocol for a catalog-managed arrival (acquire) or departure
+// (lookup), and enqueues it with p.ack attached. It returns the error
+// of an event that never reached its shard queue; once enqueued, the
+// worker owns the event, its fleet reference included.
+func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
 	if err := validEventType(ev.Type); err != nil {
-		fail(err)
-		return
+		return err
 	}
 	// Discounts and fleet references are granted only by the catalog's
 	// own acquire protocol, never by a caller-supplied event (the
@@ -218,56 +228,56 @@ func (sc *StreamConn) route(ctx context.Context, ev Event, p *streamPending) {
 	if ev.CatalogID != "" && ev.Type != EventStreamArrival && ev.Type != EventStreamDeparture {
 		ev.CatalogID, p.id = "", ""
 	}
-	// The acquire protocol and the enqueue share one read-locked section
-	// (Reshard swaps the layout and the registry under the write lock,
-	// and a pinned stream's tenant may change shard between two events);
-	// the lock is never held across a result wait.
-	c := sc.c
+	// The catalog protocol and the enqueue share one read-locked section:
+	// Reshard swaps the layout and the registry under the write lock (and
+	// a stream's tenant may change shard between two events), so a
+	// reference must land on the registry generation the event will
+	// settle against. The lock is never held across a result wait.
 	c.mu.RLock()
-	if ev.CatalogID != "" {
-		reg, err := c.catalogFor(ev.Tenant)
-		if err != nil {
-			c.mu.RUnlock()
-			fail(err)
-			return
-		}
-		switch ev.Type {
-		case EventStreamArrival:
-			// Acquire prices the admission and takes a provisional
-			// reference so a concurrent departure cannot evict the
-			// origin while this event crosses the shard queue (see
-			// OfferCatalogStream).
-			tk, err := reg.Acquire(ev.CatalogID, ev.Tenant)
-			if err != nil {
-				c.mu.RUnlock()
-				fail(wrapCatalogErr(err))
-				return
-			}
-			p.catalogOffer = true
-			p.tk = tk
-			p.fullCost = c.tenants[ev.Tenant].Instance().StreamCostSum(tk.Local)
-			ev.Stream, ev.CostScale, ev.originPayer = tk.Local, tk.Scale, tk.OriginPayer
-		case EventStreamDeparture:
-			local, err := reg.Lookup(ev.CatalogID, ev.Tenant)
-			if err != nil {
-				c.mu.RUnlock()
-				fail(wrapCatalogErr(err))
-				return
-			}
-			ev.Stream = local
-		}
+	defer c.mu.RUnlock()
+	if ev.CatalogID == "" {
+		return c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p.ack})
 	}
-	err := c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p.ack})
-	if err != nil && p.catalogOffer {
+	reg, err := c.catalogFor(ev.Tenant)
+	if err != nil {
+		return err
+	}
+	if ev.Type == EventStreamDeparture {
+		// The worker settles the reference (release on removal) in shard
+		// FIFO order; a canceled caller has nothing to reconcile.
+		if ev.Stream, err = reg.Lookup(ev.CatalogID, ev.Tenant); err != nil {
+			return wrapCatalogErr(err)
+		}
+		return c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p.ack})
+	}
+	// Acquire takes a provisional reference in every case — also when
+	// the tenant already holds the stream — so a concurrent departure
+	// cannot evict the origin while this admission is in flight. The
+	// worker classifies the settlement (commit, recharge for a re-offer
+	// under an existing reference, release on rejection) against its
+	// own held-reference set at apply time; a re-offer of a stream the
+	// tenant still carries is a rejection, exactly like OfferStream. A
+	// rejected offer's released provisional reference can be the one
+	// that drains an occupied origin (the last confirmed holder already
+	// departed while this admission was in flight), so a rejection can
+	// report Evicted.
+	tk, err := reg.Acquire(ev.CatalogID, ev.Tenant)
+	if err != nil {
+		return wrapCatalogErr(err)
+	}
+	// The ticket context is written before the enqueue: the worker's ack
+	// is what orders it before the receiver's assembleResult.
+	p.tk, p.fullCost = tk, c.tenants[ev.Tenant].Instance().StreamCostSum(tk.Local)
+	ev.Stream, ev.CostScale, ev.originPayer = tk.Local, tk.Scale, tk.OriginPayer
+	if err := c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p.ack}); err != nil {
 		// Never enqueued: the provisional reference is dropped (still
 		// under the lock, so it reaches the registry that granted it;
 		// once enqueued, the worker settles it — see applyArrival).
-		c.catalog.Release(ev.CatalogID, ev.Tenant, false, p.tk.OriginPayer)
+		reg.Release(ev.CatalogID, ev.Tenant, false, tk.OriginPayer)
+		p.tk, p.fullCost = catalog.Ticket{}, 0
+		return err
 	}
-	c.mu.RUnlock()
-	if err != nil {
-		fail(err)
-	}
+	return nil
 }
 
 // Recv returns the next event's typed result, in submission order. It
@@ -367,11 +377,15 @@ func (sc *StreamConn) TryRecv() (StreamResult, bool) {
 	}
 }
 
-// assembleResult builds the typed StreamResult for a settled event.
+// assembleResult builds the typed StreamResult of a settled event from
+// its caller-side context and the worker's reply — the one result
+// assembly behind streams, session calls and ApplyBatch. The payload is
+// filled even when res.err is set (a failed re-solve, ErrNotDurable):
+// the worker applied the event, and each wire encoder decides whether
+// to render it next to the error.
 func assembleResult(p *streamPending, res result) StreamResult {
 	out := StreamResult{Seq: p.seq, Type: p.typ, CatalogID: p.id, Err: res.err}
 	switch {
-	case res.err != nil:
 	case p.id != "" && p.typ == EventStreamArrival:
 		out.Catalog = CatalogResult{
 			Admitted:    res.offer.Accepted,

@@ -521,6 +521,8 @@ func TestRouterRefusesLikeNode(t *testing.T) {
 		{"escaped-unknown-type", "", []string{`{"tenant":0,"type":"offer!"}`, offer(1)}},
 		{"malformed", "", []string{offer(1), `{not json`, offer(2)}},
 		{"float-stream", "", []string{`{"tenant":0,"type":"offer","stream":1.5}`, offer(2)}},
+		{"catalog-offer-no-id", "", []string{offer(1), `{"tenant":0,"type":"catalog-offer"}`, offer(2)}},
+		{"catalog-depart-no-id", "", []string{offer(1), `{"tenant":0,"type":"catalog-depart","catalog_id":""}`, offer(2)}},
 		{"crlf-and-blank", "", []string{offer(1) + "\r", "\r", offer(2)}},
 		{"session-gap", "bad-gap", []string{sessOffer(1, 1), sessOffer(3, 2), sessOffer(4, 3)}},
 		{"session-missing-seq", "bad-noseq", []string{sessOffer(1, 1), offer(2)}},

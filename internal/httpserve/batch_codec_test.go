@@ -1,6 +1,7 @@
 package httpserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	videodist "repro"
+	"repro/streamclient"
 )
 
 // canonicalBatchBody is a 16-event wire batch in the canonical shape
@@ -24,81 +26,6 @@ const canonicalBatchBody = `[` +
 	`{"type":"offer","stream":4},{"type":"offer","stream":5},` +
 	`{"type":"depart","stream":4},{"type":"resolve"}` +
 	`]`
-
-// stdlibBatchEvents decodes a batch body the way the pre-pooling
-// handler did: stdlib array decode, then the shared conversion.
-func stdlibBatchEvents(t *testing.T, body string) ([]videodist.ClusterEvent, []string) {
-	t.Helper()
-	var reqs []eventRequest
-	if err := json.Unmarshal([]byte(body), &reqs); err != nil {
-		t.Fatalf("stdlib decode of %q: %v", body, err)
-	}
-	var s batchScratch
-	for _, req := range reqs {
-		if err := appendBatchEvent(&s, req.Type, req.Stream, req.User, req.Install, req.CatalogID); err != nil {
-			t.Fatalf("convert %q: %v", body, err)
-		}
-	}
-	return s.events, s.types
-}
-
-// TestFastParseBatchMatchesStdlib pins the batch array scanner against
-// the stdlib path: every body it accepts must produce exactly the
-// events the stdlib decode produces, and everything it rejects must be
-// either non-canonical (stdlib fallback handles it) or carry the same
-// rejection the stdlib path reports.
-func TestFastParseBatchMatchesStdlib(t *testing.T) {
-	accept := []string{
-		canonicalBatchBody,
-		`[]`,
-		` [ ] `,
-		`[{"type":"offer","stream":7}]`,
-		`[{"type":"catalog-offer","catalog_id":"ch-003"},{"type":"catalog-depart","catalog_id":"ch-003"}]`,
-		"[\n  {\"type\": \"offer\", \"stream\": 2},\n  {\"type\": \"leave\", \"user\": 1}\n]\n",
-	}
-	for _, body := range accept {
-		var s batchScratch
-		ok, err := fastParseBatch([]byte(body), &s)
-		if !ok || err != nil {
-			t.Fatalf("fast path rejected canonical body %q (ok=%v err=%v)", body, ok, err)
-		}
-		wantEvents, wantTypes := stdlibBatchEvents(t, body)
-		if len(wantEvents) == 0 {
-			wantEvents, wantTypes = s.events[:0], s.types[:0] // both empty
-		}
-		if !reflect.DeepEqual(s.events, wantEvents) || !reflect.DeepEqual(s.types, wantTypes) {
-			t.Errorf("fast parse of %q =\n%+v %v\nstdlib path =\n%+v %v",
-				body, s.events, s.types, wantEvents, wantTypes)
-		}
-	}
-
-	// Bodies the fast path must hand to the stdlib decoder.
-	fallback := []string{
-		`{"type":"offer"}`,                            // not an array
-		`[{"type":"offer","stream":3}`,                // unterminated
-		`[{"type":"offer","stream":3}] trail`,         // trailing garbage
-		`[{"type":"of\u0066er","stream":3}]`,          // escape in string
-		`[{"type":"offer","nested":{"a":1}}]`,         // nested object
-		`[{"type":"offer","stream":[1]}]`,             // nested array
-		`[{"type":"offer","stream":3},]`,              // trailing comma
-		`[{"type":"mystery"}]`,                        // unknown token: stdlib shapes the error
-		`[{"type":"offer","stream":123456789012345}]`, // fast-int overflow
-	}
-	for _, body := range fallback {
-		var s batchScratch
-		if ok, _ := fastParseBatch([]byte(body), &s); ok {
-			t.Errorf("fast path accepted non-canonical body %q", body)
-		}
-	}
-
-	// Semantic rejections surface from the fast path with the same
-	// message the stdlib path produces.
-	var s batchScratch
-	ok, err := fastParseBatch([]byte(`[{"type":"offer"},{"type":"catalog-offer"}]`), &s)
-	if !ok || err == nil || !strings.Contains(err.Error(), "batch event 1: catalog-offer needs catalog_id") {
-		t.Fatalf("missing catalog_id: ok=%v err=%v", ok, err)
-	}
-}
 
 // TestAppendBatchResponseMatchesStdlibDecode pins the hand-rolled batch
 // response encoder: every object it emits must decode into exactly the
@@ -129,7 +56,7 @@ func TestAppendBatchResponseMatchesStdlibDecode(t *testing.T) {
 			Catalog:   videodist.CatalogResult{Removed: true, Refs: 0, Evicted: true}}},
 	}
 	for i, tc := range cases {
-		line := appendBatchResponse(nil, tc.typ, tc.res)
+		line := appendBatchResponse(nil, tc.res)
 		var got eventResponse
 		if err := json.Unmarshal(line, &got); err != nil {
 			t.Fatalf("case %d: emitted invalid JSON %q: %v", i, line, err)
@@ -172,39 +99,27 @@ func TestAppendBatchResponseMatchesStdlibDecode(t *testing.T) {
 	}
 }
 
-// TestBatchCodecAllocationFree pins the pooled batch codec: once the
-// scratch is warm, decoding a canonical 16-event batch body and
-// encoding its 16 responses allocate nothing at all — the slices come
-// from the scratch and go back, and the interned wire tokens mean
-// storing a type name stores no new string. This is the regression bar
-// for the batch endpoint's handler-side overhead (the remaining batch16
-// allocations live in ApplyBatch's settlement plumbing, not the codec).
+// TestBatchCodecAllocationFree pins the batch response encoder: once
+// the pooled output buffer is warm, encoding a canonical 16-event
+// batch's responses allocates nothing at all. This is the regression
+// bar for the batch endpoint's encode side (the remaining batch16
+// allocations live in the decoder and ApplyBatch's settlement
+// plumbing, not the encoder).
 func TestBatchCodecAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counters are unreliable under -race")
 	}
-	body := []byte(canonicalBatchBody)
+	events, err := decodeBatch(strings.NewReader(canonicalBatchBody), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(s)
 
-	// Warm: one parse grows the event and type slices to capacity.
-	s.events, s.types = s.events[:0], s.types[:0]
-	if ok, err := fastParseBatch(body, s); !ok || err != nil {
-		t.Fatalf("warmup parse: ok=%v err=%v", ok, err)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		s.events, s.types = s.events[:0], s.types[:0]
-		if ok, err := fastParseBatch(body, s); !ok || err != nil {
-			t.Fatalf("parse: ok=%v err=%v", ok, err)
-		}
-	}); avg != 0 {
-		t.Fatalf("warm batch decode allocates %.2f per batch, want 0", avg)
-	}
-
-	// Encode: one synthetic result per decoded event, with every slice
-	// field populated so the int-slice encoder runs too.
-	results := make([]videodist.EventResult, len(s.events))
-	for i, ev := range s.events {
+	// One synthetic result per decoded event, with every slice field
+	// populated so the int-slice encoder runs too.
+	results := make([]videodist.EventResult, len(events))
+	for i, ev := range events {
 		res := videodist.EventResult{Type: ev.Type}
 		switch ev.Type {
 		case videodist.ClusterStreamArrival:
@@ -224,7 +139,7 @@ func TestBatchCodecAllocationFree(t *testing.T) {
 			if i > 0 {
 				out = append(out, ',')
 			}
-			out = appendBatchResponse(out, s.types[i], res)
+			out = appendBatchResponse(out, res)
 		}
 		s.out = append(out, ']', '\n')
 	}
@@ -234,23 +149,20 @@ func TestBatchCodecAllocationFree(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackDecodeStreams pins the stdlib half of the batch
-// codec: decodeBatchFallback walks the array with a json.Decoder into
-// the scratch's single reused eventRequest, so a non-canonical batch
-// never materializes an []eventRequest. The residual cost is one
-// string per element (the decoded type name — the stdlib always copies
-// strings out of its buffer) plus a small constant for the decoder
-// itself. The byte bound is the teeth: whole-array decoding costs
-// ~130 B/event here (backing array plus growth copies) versus ~15 for
-// the streaming walk, so reintroducing it blows straight past 48·n.
+// TestBatchFallbackDecodeStreams pins the batch decoder's memory shape:
+// decodeBatch walks the array with a json.Decoder into one reused
+// decode target, so a batch never materializes as a
+// []streamclient.Event. The residual cost is one string per element
+// (the decoded type name — the stdlib always copies strings out of its
+// buffer) plus a small constant for the decoder itself. The byte bound
+// is the teeth: whole-array decoding costs ~130 B/event here (backing
+// array plus growth copies) versus ~15 for the streaming walk, so
+// reintroducing it blows straight past 48·n.
 func TestBatchFallbackDecodeStreams(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counters are unreliable under -race")
 	}
 	const n = 256
-	// Stream ids past the fast scanner's integer range keep the body
-	// off the canonical path, so this exercises exactly the route a
-	// non-canonical batch takes in serving.
 	var sb strings.Builder
 	sb.WriteString("[")
 	for i := 0; i < n; i++ {
@@ -260,27 +172,23 @@ func TestBatchFallbackDecodeStreams(t *testing.T) {
 		sb.WriteString(`{"type":"offer","stream":` + strconv.Itoa(1234567890123456+i) + `}`)
 	}
 	sb.WriteString("]")
-	s := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(s)
-	s.body = append(s.body[:0], sb.String()...)
-
-	s.events, s.types = s.events[:0], s.types[:0]
-	if ok, _ := fastParseBatch(s.body, s); ok {
-		t.Fatal("fast path accepted the oversized stream ids; fallback not exercised")
-	}
+	body := []byte(sb.String())
+	var rd bytes.Reader
+	var events []videodist.ClusterEvent
 
 	decode := func() {
-		s.events, s.types = s.events[:0], s.types[:0]
-		if badJSON, semantic := decodeBatchFallback(s); badJSON != nil || semantic != nil {
-			t.Fatalf("fallback decode: %v / %v", badJSON, semantic)
+		rd.Reset(body)
+		var err error
+		if events, err = decodeBatch(&rd, events[:0]); err != nil {
+			t.Fatalf("decode: %v", err)
 		}
 	}
-	decode() // warm the event and type slices
-	if len(s.events) != n || s.events[0].Type != videodist.ClusterStreamArrival {
-		t.Fatalf("fallback decoded %d events (first %+v), want %d offers", len(s.events), s.events[0], n)
+	decode() // warm the event slice
+	if len(events) != n || events[0].Type != videodist.ClusterStreamArrival {
+		t.Fatalf("decoded %d events (first %+v), want %d offers", len(events), events[0], n)
 	}
 	if avg := testing.AllocsPerRun(100, decode); avg > n+24 {
-		t.Fatalf("warm fallback decode allocates %.1f per %d-event batch, want <= %d (one string per element plus decoder overhead)", avg, n, n+24)
+		t.Fatalf("warm batch decode allocates %.1f per %d-event batch, want <= %d (one string per element plus decoder overhead)", avg, n, n+24)
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -288,6 +196,58 @@ func TestBatchFallbackDecodeStreams(t *testing.T) {
 	decode()
 	runtime.ReadMemStats(&after)
 	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(48*n); got > max {
-		t.Fatalf("warm fallback decode allocates %d bytes per %d-event batch, want <= %d (whole-array decode would materialize the batch)", got, n, max)
+		t.Fatalf("warm batch decode allocates %d bytes per %d-event batch, want <= %d (whole-array decode would materialize the batch)", got, n, max)
 	}
+}
+
+// FuzzBatchBody pins decodeBatch, the one batch decoder, against a
+// whole-array reference: json.Unmarshal into []streamclient.Event, then
+// the shared refusal rule and mapping per element. Whenever decodeBatch
+// accepts a body its events equal the reference's, and whenever it
+// refuses one the reference refuses it too.
+func FuzzBatchBody(f *testing.F) {
+	for _, body := range []string{
+		canonicalBatchBody,
+		`[]`,
+		` [ ] `,
+		`[{"type":"offer","stream":7}]`,
+		`[{"type":"catalog-offer","catalog_id":"ch-003"},{"type":"catalog-depart","catalog_id":"ch-003"}]`,
+		"[\n  {\"type\": \"offer\", \"stream\": 2},\n  {\"type\": \"leave\", \"user\": 1}\n]\n",
+		`{"type":"offer"}`,
+		`[{"type":"offer","stream":3}`,
+		`[{"type":"offer","stream":3}] trail`,
+		`[{"type":"of\u0066er","stream":3}]`,
+		`[{"type":"offer","nested":{"a":1}}]`,
+		`[{"type":"offer","stream":[1]}]`,
+		`[{"type":"offer","stream":3},]`,
+		`[{"type":"mystery"}]`,
+		`[{"type":"offer","stream":123456789012345}]`,
+		`[{"type":"offer"},{"type":"catalog-offer"}]`,
+		`null`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := decodeBatch(bytes.NewReader(body), nil)
+		var want []videodist.ClusterEvent
+		var reqs []streamclient.Event
+		werr := json.Unmarshal(body, &reqs)
+		if werr == nil && reqs == nil {
+			// Unmarshal reads null as a nil slice; a batch is an array.
+			werr = errors.New("not an array")
+		}
+		for i := 0; werr == nil && i < len(reqs); i++ {
+			if werr = streamclient.CheckEvent(reqs[i]); werr == nil {
+				want = append(want, streamEvent(reqs[i]))
+			}
+		}
+		switch {
+		case err == nil && werr != nil:
+			t.Fatalf("decodeBatch accepted %q; the reference refuses it: %v", body, werr)
+		case err == nil && !reflect.DeepEqual(got, want):
+			t.Fatalf("decodeBatch read %q as\n%+v\nreference\n%+v", body, got, want)
+		case err != nil && werr == nil:
+			t.Fatalf("decodeBatch refused %q (%v); the reference accepts it", body, err)
+		}
+	})
 }

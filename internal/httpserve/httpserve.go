@@ -9,13 +9,21 @@
 //	GET  /v1/fleet/snapshot             barrier + aggregated fleet state
 //	GET  /v1/catalog                    fleet catalog registry state
 //
-// Events decode into the typed per-operation calls and the typed
-// results marshal straight back; sentinel errors map onto HTTP status
-// codes (writeTransportError). The /v1/stream endpoint upgrades the
-// request to a full-duplex NDJSON session over Cluster.OpenStream: one
-// Event line in, one Result line out, in submission order, with the
-// stream's bounded in-flight window as the flow-control point (see
-// repro/streamclient for the wire structs and the Go client).
+// The three submission endpoints share one event check and one request
+// path. Every event passes the protocol's one refusal rule,
+// streamclient.CheckEvent (a known type; a catalog_id on every catalog
+// event), so a bad event is refused alike everywhere: 400 on the
+// per-tenant endpoints, the seq -1 line on a stream. /events is a
+// one-event stream: its body is one stream line (streamclient.ParseEvent)
+// applied over Cluster.OpenStream, exactly as /v1/stream applies each
+// line — one Event line in, one Result line out, in submission order,
+// with the stream's bounded in-flight window as the flow-control point
+// (see repro/streamclient for the wire structs and the Go client).
+// :batch decodes its array with a json.Decoder and hands it to
+// Cluster.ApplyBatch, whose results the cluster assembles the way it
+// assembles a stream's. Stream result lines and batch elements share
+// one payload encoder; sentinel errors map onto HTTP status codes
+// (writeTransportError).
 //
 // NewHandlerOpts adds the resilience layer (v6): exactly-once resume
 // for streams that claim an X-Stream-Session identity (a WAL-backed
@@ -31,7 +39,6 @@ package httpserve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,26 +54,13 @@ import (
 	"repro/streamclient"
 )
 
-// eventRequest is the wire form of one tenant event on the per-tenant
-// endpoints (the tenant index rides in the URL).
-type eventRequest struct {
-	// Type selects the operation: "offer", "depart", "leave", "join",
-	// "resolve", "catalog-offer", or "catalog-depart".
-	Type string `json:"type"`
-	// Stream is the stream index (offer, depart).
-	Stream int `json:"stream,omitempty"`
-	// User is the gateway index (leave, join).
-	User int `json:"user,omitempty"`
-	// Install asks a resolve to install the offline assignment.
-	Install bool `json:"install,omitempty"`
-	// CatalogID is the fleet-wide stream identity (catalog-offer,
-	// catalog-depart).
-	CatalogID string `json:"catalog_id,omitempty"`
-}
-
-// eventResponse is the wire form of a typed result; exactly the field
-// matching the request type is set. Error carries a per-event failure
-// inside a batch response (the batch itself still succeeds).
+// eventResponse is the /events success body, encoded by encoding/json.
+// It is not the shared payload encoder's output because the two order
+// the catalog object's members differently: here they follow
+// CatalogResult's field order, while stream lines and batch elements
+// put refs first, and each endpoint's bodies stay byte-stable. Error
+// is a batch element's per-event error member; /events answers a
+// failed event with its status code instead and never sets it.
 type eventResponse struct {
 	Type    string                   `json:"type"`
 	Offer   *videodist.OfferResult   `json:"offer,omitempty"`
@@ -89,89 +83,75 @@ func NewHandler(c *videodist.Cluster) http.Handler {
 	return NewHandlerOpts(c, Options{})
 }
 
+// handleEvent applies one event as a one-event stream: the body is one
+// stream line, parsed and refused by the stream's own parser
+// (streamclient.ParseEvent), the tenant rides in the URL, and a failed
+// event answers with its transport error's status.
 func (s *server) handleEvent(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w) {
 		return
 	}
-	c := s.c
 	tenant, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad tenant id %q", r.PathValue("id")))
 		return
 	}
-	var req eventRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad event body: %w", err))
 		return
 	}
-	ctx := r.Context()
+	req, err := streamclient.ParseEvent(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	req.Tenant = tenant
 	start := time.Now()
-	resp := eventResponse{Type: req.Type}
-	switch req.Type {
-	case "offer":
-		res, err := c.OfferStream(ctx, tenant, req.Stream)
-		if err != nil {
-			writeTransportError(w, err)
-			return
-		}
-		resp.Offer = &res
-	case "depart":
-		res, err := c.DepartStream(ctx, tenant, req.Stream)
-		if err != nil {
-			writeTransportError(w, err)
-			return
-		}
-		resp.Depart = &res
-	case "leave":
-		res, err := c.UserLeave(ctx, tenant, req.User)
-		if err != nil {
-			writeTransportError(w, err)
-			return
-		}
-		resp.Churn = &res
-	case "join":
-		res, err := c.UserJoin(ctx, tenant, req.User)
-		if err != nil {
-			writeTransportError(w, err)
-			return
-		}
-		resp.Churn = &res
-	case "resolve":
-		res, err := c.Resolve(ctx, tenant, videodist.ResolveOptions{Install: req.Install})
-		if err != nil {
-			writeTransportError(w, err)
-			return
-		}
-		resp.Resolve = &res
-	case "catalog-offer":
-		res, err := c.OfferCatalogStream(ctx, tenant, videodist.CatalogID(req.CatalogID))
-		if err != nil {
-			writeTransportError(w, err)
-			return
-		}
-		resp.Catalog = &res
-	case "catalog-depart":
-		res, err := c.DepartCatalogStream(ctx, tenant, videodist.CatalogID(req.CatalogID))
-		if err != nil {
-			writeTransportError(w, err)
-			return
-		}
-		resp.Catalog = &res
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown event type %q", req.Type))
+	res, err := s.applyOne(r.Context(), streamEvent(req))
+	if err != nil {
+		writeTransportError(w, err)
 		return
 	}
 	s.observe(start)
+	resp := eventResponse{Type: wireTypeName(res)}
+	switch {
+	case res.CatalogID != "":
+		resp.Catalog = &res.Catalog
+	case res.Type == videodist.ClusterStreamArrival:
+		resp.Offer = &res.Offer
+	case res.Type == videodist.ClusterStreamDeparture:
+		resp.Depart = &res.Depart
+	case res.Type == videodist.ClusterUserLeave, res.Type == videodist.ClusterUserJoin:
+		resp.Churn = &res.Churn
+	case res.Type == videodist.ClusterResolve:
+		resp.Resolve = &res.Resolve
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// batchEventTypes maps the wire names accepted by the batch endpoint to
-// routed event types. Catalog events are first-class batch citizens:
-// ApplyBatch prices all of a batch's catalog arrivals in one registry
-// round trip and the shard worker settles them in one more, so a
-// catalog offer in a batch is cheaper, not forbidden, relative to the
-// per-event endpoint.
-var batchEventTypes = map[string]videodist.ClusterEvent{
+// applyOne submits ev on a stream of its own and returns its result,
+// with the event's own failure as the error.
+func (s *server) applyOne(ctx context.Context, ev videodist.ClusterEvent) (videodist.StreamResult, error) {
+	sc, err := s.c.OpenStream(videodist.StreamOptions{Window: 1})
+	if err != nil {
+		return videodist.StreamResult{}, err
+	}
+	defer sc.Close()
+	if err := sc.Submit(ctx, ev); err != nil {
+		return videodist.StreamResult{}, err
+	}
+	res, err := sc.Recv(ctx)
+	if err == nil {
+		err = res.Err
+	}
+	return res, err
+}
+
+// eventTypes maps the protocol's wire type names to routed event types;
+// the catalog names route as arrivals and departures that carry their
+// catalog_id.
+var eventTypes = map[string]videodist.ClusterEvent{
 	"offer":          {Type: videodist.ClusterStreamArrival},
 	"depart":         {Type: videodist.ClusterStreamDeparture},
 	"leave":          {Type: videodist.ClusterUserLeave},
@@ -181,247 +161,77 @@ var batchEventTypes = map[string]videodist.ClusterEvent{
 	"catalog-depart": {Type: videodist.ClusterStreamDeparture},
 }
 
+// streamEvent maps a wire event that passed streamclient.CheckEvent
+// onto a routed cluster event. Catalog events carry their fleet
+// identity through, and the cluster runs the catalog protocol for them.
+func streamEvent(req streamclient.Event) videodist.ClusterEvent {
+	ev := eventTypes[req.Type]
+	if req.Type == "catalog-offer" || req.Type == "catalog-depart" {
+		ev.CatalogID = videodist.CatalogID(req.CatalogID)
+	}
+	ev.Tenant, ev.Stream, ev.User, ev.Install = req.Tenant, req.Stream, req.User, req.Install
+	return ev
+}
+
 // batchScratch is the per-request working set of the batch endpoint,
-// pooled across requests: the raw body, the decoded events, the wire
-// type name per event (interned tokens on the fast path, so storing
-// them allocates nothing), the stdlib-fallback decode target, and the
-// hand-encoded response bytes. Every field is recycled by the handler
-// that took it from the pool (the receiver-recycles rule) — nothing
-// here escapes the request: ApplyBatch copies the event slice before
-// returning, and w.Write copies the response buffer.
+// pooled across requests: the decoded events and the hand-encoded
+// response. Both are recycled by the handler that took them from the
+// pool — nothing here escapes the request: ApplyBatch copies the event
+// slice before returning, and w.Write copies the response buffer.
 type batchScratch struct {
-	body   []byte
 	events []videodist.ClusterEvent
-	types  []string
-	req    eventRequest // fallback decode target, reused per element
-	rd     bytes.Reader // fallback decoder source, reset onto body
 	out    []byte
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// readFullBody reads r to EOF into buf's backing array, growing it only
-// when the request is larger than any the scratch has seen.
-func readFullBody(r io.Reader, buf []byte) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
-// appendBatchEvent validates and appends one decoded wire event to the
-// scratch, shared by the fast and fallback parse paths so both produce
-// identical routed events and identical rejection messages.
-func appendBatchEvent(s *batchScratch, typ string, stream, user int, install bool, catalogID string) error {
-	i := len(s.events)
-	ev, ok := batchEventTypes[typ]
-	if !ok {
-		return fmt.Errorf("batch event %d: unknown event type %q", i, typ)
-	}
-	if typ == "catalog-offer" || typ == "catalog-depart" {
-		if catalogID == "" {
-			return fmt.Errorf("batch event %d: %s needs catalog_id", i, typ)
-		}
-		ev.CatalogID = videodist.CatalogID(catalogID)
-	}
-	ev.Stream, ev.User, ev.Install = stream, user, install
-	s.events = append(s.events, ev)
-	s.types = append(s.types, typ)
-	return nil
-}
-
-// fastParseBatch scans a canonical batch body — a JSON array of the
-// same canonical flat objects the stream's line scanner accepts — into
-// the scratch without allocating (catalog IDs excepted; those strings
-// outlive the buffer). ok false means "not provably canonical — rerun
-// through the stdlib decoder", never an error of its own; err reports a
-// semantic rejection (unknown type, missing catalog_id) found on a body
-// the scanner did fully accept.
-func fastParseBatch(body []byte, s *batchScratch) (ok bool, err error) {
-	i, n := 0, len(body)
-	ws := func() {
-		for i < n {
-			if ch := body[i]; ch != ' ' && ch != '\t' && ch != '\r' && ch != '\n' {
-				return
-			}
-			i++
-		}
-	}
-	ws()
-	if i >= n || body[i] != '[' {
-		return false, nil
-	}
-	i++
-	ws()
-	if i < n && body[i] == ']' {
-		i++
-		ws()
-		return i == n, nil
-	}
-	for {
-		ws()
-		if i >= n || body[i] != '{' {
-			return false, nil
-		}
-		start := i
-		// Find the element's closing brace: canonical objects are flat
-		// with escape-free strings, so a string flag is enough state —
-		// nesting or escapes mean "not canonical", bail to the stdlib.
-		i++
-		inStr := false
-		for i < n {
-			switch ch := body[i]; {
-			case inStr:
-				if ch == '\\' {
-					return false, nil
-				}
-				inStr = ch != '"'
-			case ch == '"':
-				inStr = true
-			case ch == '{' || ch == '[':
-				return false, nil
-			case ch == '}':
-				goto closed
-			}
-			i++
-		}
-		return false, nil
-	closed:
-		i++
-		req, elemOK := streamclient.ParseCanonicalEvent(body[start:i])
-		if !elemOK {
-			return false, nil
-		}
-		if err := appendBatchEvent(s, req.Type, req.Stream, req.User, req.Install, req.CatalogID); err != nil {
-			return true, err
-		}
-		ws()
-		if i < n && body[i] == ',' {
-			i++
-			continue
-		}
-		if i < n && body[i] == ']' {
-			i++
-			ws()
-			return i == n, nil
-		}
-		return false, nil
-	}
-}
-
-// decodeBatchFallback is the stdlib half of the batch codec, for
-// exotic-but-valid JSON the canonical scanner bailed on: a
-// json.Decoder walks the array token by token, decoding each element
-// into the scratch's single reused eventRequest and appending it
-// immediately — the batch is never materialized as an []eventRequest,
-// so a 10k-event body costs one decode target, not 10k. badJSON
-// reports malformed JSON (the stdlib's message, like the old
-// whole-array Unmarshal); semantic reports a body that parsed but was
-// rejected (unknown type, missing catalog_id).
-func decodeBatchFallback(bs *batchScratch) (badJSON, semantic error) {
-	bs.rd.Reset(bs.body)
-	dec := json.NewDecoder(&bs.rd)
+// decodeBatch decodes a batch body — a JSON array of stream events, the
+// tenant taken from the URL — appending one routed event per element
+// to dst. A json.Decoder walks the array element by element into one
+// reused decode target, and each element passes the stream's refusal
+// rule (streamclient.CheckEvent) as it arrives, so the batch is never
+// materialized as a []streamclient.Event. Malformed JSON reports the
+// stdlib's message; a refused element reports its index.
+func decodeBatch(r io.Reader, dst []videodist.ClusterEvent) ([]videodist.ClusterEvent, error) {
+	dec := json.NewDecoder(r)
 	tok, err := dec.Token()
 	if err != nil {
-		return err, nil
+		return dst, fmt.Errorf("bad batch body: %w", err)
 	}
 	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return fmt.Errorf("json: cannot unmarshal %v into batch array", tok), nil
+		return dst, fmt.Errorf("bad batch body: json: cannot unmarshal %v into batch array", tok)
 	}
-	for dec.More() {
-		bs.req = eventRequest{}
-		if err := dec.Decode(&bs.req); err != nil {
-			return err, nil
+	var req streamclient.Event
+	for i := 0; dec.More(); i++ {
+		req = streamclient.Event{}
+		if err := dec.Decode(&req); err != nil {
+			return dst, fmt.Errorf("bad batch body: %w", err)
 		}
-		if err := appendBatchEvent(bs, bs.req.Type, bs.req.Stream, bs.req.User, bs.req.Install, bs.req.CatalogID); err != nil {
-			return nil, err
+		if err := streamclient.CheckEvent(req); err != nil {
+			return dst, fmt.Errorf("batch event %d: %w", i, err)
 		}
+		dst = append(dst, streamEvent(req))
 	}
 	if _, err := dec.Token(); err != nil { // the closing ']'
-		return err, nil
+		return dst, fmt.Errorf("bad batch body: %w", err)
 	}
-	// Unmarshal rejected trailing data; so does the streaming decoder.
+	// Unmarshal rejects trailing data; so does the walk.
 	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("json: trailing data after batch array"), nil
+		return dst, errors.New("bad batch body: json: trailing data after batch array")
 	}
-	return nil, nil
-}
-
-// appendBatchResponse appends one event's eventResponse object exactly
-// as the stdlib would encode it (field order, omitempty semantics), so
-// decoded responses stay identical to the pre-pooling handler's — the
-// batch parity test pins this against the single-event endpoint.
-func appendBatchResponse(buf []byte, typ string, res videodist.EventResult) []byte {
-	buf = append(buf, `{"type":`...)
-	buf = ndjson.AppendString(buf, typ)
-	switch {
-	case res.CatalogID != "":
-		buf = append(buf, `,"catalog":`...)
-		buf = appendCatalogResult(buf, res.Catalog)
-	case res.Type == videodist.ClusterStreamArrival:
-		buf = append(buf, `,"offer":{"Accepted":`...)
-		buf = strconv.AppendBool(buf, res.Offer.Accepted)
-		buf = append(buf, `,"Subscribers":`...)
-		buf = ndjson.AppendInts(buf, res.Offer.Subscribers)
-		buf = append(buf, `,"Utility":`...)
-		buf = ndjson.AppendFloat(buf, res.Offer.Utility)
-		buf = append(buf, '}')
-	case res.Type == videodist.ClusterStreamDeparture:
-		buf = append(buf, `,"depart":{"Removed":`...)
-		buf = strconv.AppendBool(buf, res.Depart.Removed)
-		buf = append(buf, `,"Subscribers":`...)
-		buf = ndjson.AppendInts(buf, res.Depart.Subscribers)
-		buf = append(buf, '}')
-	case res.Type == videodist.ClusterUserLeave, res.Type == videodist.ClusterUserJoin:
-		buf = append(buf, `,"churn":{"Changed":`...)
-		buf = strconv.AppendBool(buf, res.Churn.Changed)
-		buf = append(buf, `,"Streams":`...)
-		buf = ndjson.AppendInts(buf, res.Churn.Streams)
-		buf = append(buf, '}')
-	case res.Type == videodist.ClusterResolve:
-		buf = append(buf, `,"resolve":{"Installed":`...)
-		buf = strconv.AppendBool(buf, res.Resolve.Installed)
-		buf = append(buf, `,"OnlineValue":`...)
-		buf = ndjson.AppendFloat(buf, res.Resolve.OnlineValue)
-		buf = append(buf, `,"OfflineValue":`...)
-		buf = ndjson.AppendFloat(buf, res.Resolve.OfflineValue)
-		buf = append(buf, '}')
-	}
-	if res.Err != nil {
-		buf = append(buf, `,"error":`...)
-		buf = ndjson.AppendString(buf, res.Err.Error())
-	}
-	return append(buf, '}')
+	return dst, nil
 }
 
 // handleBatch applies a JSON array of events as one Cluster.ApplyBatch
 // call: the whole sequence crosses the tenant's shard queue as a single
 // message, so remote callers get the same arrival coalescing the
-// RunWorkload replay path enjoys. The response is one eventResponse per
-// event, positionally.
-//
-// The codec is the batch twin of the stream endpoint's: a pooled
-// scratch carries the body, the decoded events, and the hand-encoded
-// response across requests, so a warm steady state decodes and encodes
-// a canonical batch without allocating in the handler (the stdlib
-// decoder remains the fallback for exotic-but-valid JSON). Before the
-// pooling, each batch request paid a fresh decoder, three fresh slices,
-// one heap escape per result, and a reflective marshal of the whole
-// response.
+// RunWorkload replay path enjoys. The response is one element per
+// event, positionally: the stream's result line without its seq, with
+// a per-event error after the payload.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w) {
 		return
 	}
-	c := s.c
 	tenant, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad tenant id %q", r.PathValue("id")))
@@ -429,28 +239,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bs := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(bs)
-	bs.body, err = readFullBody(r.Body, bs.body[:0])
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", err))
-		return
-	}
-	bs.events, bs.types = bs.events[:0], bs.types[:0]
-	ok, perr := fastParseBatch(bs.body, bs)
-	if !ok && perr == nil {
-		bs.events, bs.types = bs.events[:0], bs.types[:0]
-		var badJSON error
-		badJSON, perr = decodeBatchFallback(bs)
-		if badJSON != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", badJSON))
-			return
-		}
-	}
-	if perr != nil {
-		writeError(w, http.StatusBadRequest, perr)
+	if bs.events, err = decodeBatch(r.Body, bs.events[:0]); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	start := time.Now()
-	results, err := c.ApplyBatch(r.Context(), tenant, bs.events)
+	results, err := s.c.ApplyBatch(r.Context(), tenant, bs.events)
 	if err != nil {
 		writeTransportError(w, err)
 		return
@@ -461,43 +255,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		out = appendBatchResponse(out, bs.types[i], res)
+		out = appendBatchResponse(out, res)
 	}
-	out = append(out, ']', '\n')
-	bs.out = out
+	bs.out = append(out, ']', '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out)
-}
-
-// parseStreamEvent decodes one wire line with the protocol's shared
-// parser (streamclient.ParseEvent: allocation-free on the canonical
-// shape every known client emits, encoding/json for anything else) and
-// routes it.
-func parseStreamEvent(line []byte) (videodist.ClusterEvent, uint64, error) {
-	req, err := streamclient.ParseEvent(line)
-	if err != nil {
-		return videodist.ClusterEvent{}, 0, err
-	}
-	ev, err := streamEvent(req)
-	return ev, req.Seq, err
-}
-
-// streamEvent maps one wire line onto a routed cluster event. Catalog
-// events carry their fleet identity through: the stream's Submit runs
-// the catalog acquire protocol and the shard worker settles the
-// reference in FIFO order (the batch endpoint prices its catalog
-// events the same way, one registry round trip per batch).
-func streamEvent(req streamclient.Event) (videodist.ClusterEvent, error) {
-	ev, ok := batchEventTypes[req.Type]
-	if !ok {
-		return videodist.ClusterEvent{}, fmt.Errorf("unknown event type %q", req.Type)
-	}
-	if req.Type == "catalog-offer" || req.Type == "catalog-depart" {
-		ev.CatalogID = videodist.CatalogID(req.CatalogID)
-	}
-	ev.Tenant, ev.Stream, ev.User, ev.Install = req.Tenant, req.Stream, req.User, req.Install
-	return ev, nil
+	_, _ = w.Write(bs.out)
 }
 
 // wireTypeName maps a routed type (plus the catalog mark) back onto
@@ -523,14 +286,11 @@ func wireTypeName(res videodist.StreamResult) string {
 }
 
 // appendResultLine appends one result's NDJSON wire line (trailing
-// newline included) to buf. It is the hand-rolled twin of marshaling a
+// newline included) to buf: the seq, the type, and either the error or
+// the payload. It is the hand-rolled twin of marshaling a
 // streamclient.Result — the stream hot path writes tens of thousands
 // of these per second, and reflection-based encoding was a top-three
-// cost in the ingestion profile. Decoded values must stay identical to
-// the stdlib encoding of the same result (the HTTP parity test pins
-// this), so slice fields follow stdlib semantics exactly: nil
-// marshals as null on always-emitted fields and empty slices are
-// dropped on omitempty fields.
+// cost in the ingestion profile.
 func appendResultLine(buf []byte, res videodist.StreamResult) []byte {
 	buf = append(buf, `{"seq":`...)
 	buf = strconv.AppendInt(buf, int64(res.Seq), 10)
@@ -540,10 +300,39 @@ func appendResultLine(buf []byte, res videodist.StreamResult) []byte {
 		buf = append(buf, typ...)
 		buf = append(buf, '"')
 	}
-	switch {
-	case res.Err != nil:
+	if res.Err != nil {
 		buf = append(buf, `,"error":`...)
 		buf = ndjson.AppendString(buf, res.Err.Error())
+	} else {
+		buf = appendPayload(buf, res)
+	}
+	return append(buf, "}\n"...)
+}
+
+// appendBatchResponse appends one batch response element: the type,
+// the payload, and then the per-event error, if any (a batch element
+// keeps its payload next to the error).
+func appendBatchResponse(buf []byte, res videodist.EventResult) []byte {
+	buf = append(buf, `{"type":"`...)
+	buf = append(buf, wireTypeName(res)...)
+	buf = append(buf, '"')
+	buf = appendPayload(buf, res)
+	if res.Err != nil {
+		buf = append(buf, `,"error":`...)
+		buf = ndjson.AppendString(buf, res.Err.Error())
+	}
+	return append(buf, '}')
+}
+
+// appendPayload appends a result's typed payload member (,"offer":{…},
+// ,"catalog":{…} and so on) — the one payload encoder behind stream
+// lines and batch elements. Decoded values must stay identical to the
+// stdlib encoding of the same result (the codec tests pin this), so
+// slice fields follow stdlib semantics exactly: nil marshals as null on
+// always-emitted fields and empty slices are dropped on omitempty
+// fields.
+func appendPayload(buf []byte, res videodist.StreamResult) []byte {
+	switch {
 	case res.CatalogID != "":
 		buf = append(buf, `,"catalog":`...)
 		buf = appendCatalogResult(buf, res.Catalog)
@@ -576,7 +365,7 @@ func appendResultLine(buf []byte, res videodist.StreamResult) []byte {
 		buf = ndjson.AppendFloat(buf, res.Resolve.OfflineValue)
 		buf = append(buf, '}')
 	}
-	return append(buf, "}\n"...)
+	return buf
 }
 
 // appendCatalogResult appends a CatalogResult object following its
@@ -640,8 +429,8 @@ const streamWindow = 16384
 //
 // Data-level failures (unknown tenant, unknown catalog stream) come
 // back in-band as per-line errors; a protocol violation (malformed
-// line, unknown event type) stops reading, drains the in-flight
-// results, and appends a final Error-only line. A dropped client
+// line, or a line streamclient.CheckEvent refuses) stops reading,
+// drains the in-flight results, and appends a final Error-only line. A dropped client
 // cancels the request context; every event already submitted still
 // applies and settles on its shard worker (catalog references
 // included), so disconnects leak nothing.
@@ -776,11 +565,12 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		line, err := ndjson.ReadLine(body, &scratch)
 		if len(line) > 0 {
-			ev, seq, perr := parseStreamEvent(line)
+			req, perr := streamclient.ParseEvent(line)
 			if perr != nil {
 				protoErr = perr
 				break
 			}
+			ev, seq := streamEvent(req), req.Seq
 			dup := false
 			if sess != nil {
 				switch {

@@ -72,7 +72,7 @@ func channelID(s int) videodist.CatalogID {
 
 // postEvent POSTs one event and decodes the response into out (which
 // may be nil when only the status code matters).
-func postEvent(t *testing.T, ts *httptest.Server, tenant int, req eventRequest, out any) int {
+func postEvent(t *testing.T, ts *httptest.Server, tenant int, req streamclient.Event, out any) int {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -109,7 +109,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got eventResponse
-		if code := postEvent(t, ts, 1, eventRequest{Type: "offer", Stream: s}, &got); code != http.StatusOK {
+		if code := postEvent(t, ts, 1, streamclient.Event{Type: "offer", Stream: s}, &got); code != http.StatusOK {
 			t.Fatalf("offer %d: status %d", s, code)
 		}
 		if got.Offer == nil {
@@ -122,14 +122,14 @@ func TestHTTPRoundTrip(t *testing.T) {
 
 	// Churn and resolve round-trip through the same codec.
 	var leave eventResponse
-	if code := postEvent(t, ts, 1, eventRequest{Type: "leave", User: 0}, &leave); code != http.StatusOK {
+	if code := postEvent(t, ts, 1, streamclient.Event{Type: "leave", User: 0}, &leave); code != http.StatusOK {
 		t.Fatalf("leave: status %d", code)
 	}
 	if leave.Churn == nil || !leave.Churn.Changed {
 		t.Fatalf("leave = %+v", leave)
 	}
 	var res eventResponse
-	if code := postEvent(t, ts, 1, eventRequest{Type: "resolve", Install: true}, &res); code != http.StatusOK {
+	if code := postEvent(t, ts, 1, streamclient.Event{Type: "resolve", Install: true}, &res); code != http.StatusOK {
 		t.Fatalf("resolve: status %d", code)
 	}
 	if res.Resolve == nil || res.Resolve.OfflineValue <= 0 {
@@ -177,10 +177,10 @@ func TestHTTPErrorMapping(t *testing.T) {
 	defer ts.Close()
 
 	var e errorResponse
-	if code := postEvent(t, ts, 99, eventRequest{Type: "offer"}, &e); code != http.StatusNotFound {
+	if code := postEvent(t, ts, 99, streamclient.Event{Type: "offer"}, &e); code != http.StatusNotFound {
 		t.Fatalf("unknown tenant: status %d (%+v)", code, e)
 	}
-	if code := postEvent(t, ts, 0, eventRequest{Type: "frobnicate"}, &e); code != http.StatusBadRequest {
+	if code := postEvent(t, ts, 0, streamclient.Event{Type: "frobnicate"}, &e); code != http.StatusBadRequest {
 		t.Fatalf("unknown type: status %d", code)
 	}
 	resp, err := http.Post(ts.URL+"/v1/tenants/zero/events", "application/json",
@@ -206,7 +206,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if code := postEvent(t, ts, 0, eventRequest{Type: "offer"}, &e); code != http.StatusServiceUnavailable {
+	if code := postEvent(t, ts, 0, streamclient.Event{Type: "offer"}, &e); code != http.StatusServiceUnavailable {
 		t.Fatalf("closed cluster: status %d", code)
 	}
 }
@@ -218,17 +218,17 @@ func TestHTTPErrorMapping(t *testing.T) {
 // reference counts legitimately depend on settlement timing. The batch
 // parity test appends its own single-tenant catalog section, and the
 // stream test pins catalog behavior with its single-tenant tail.
-func batchParityEvents(channels int) []eventRequest {
-	var events []eventRequest
+func batchParityEvents(channels int) []streamclient.Event {
+	var events []streamclient.Event
 	for s := 0; s < channels; s++ {
-		events = append(events, eventRequest{Type: "offer", Stream: s})
+		events = append(events, streamclient.Event{Type: "offer", Stream: s})
 	}
 	return append(events,
-		eventRequest{Type: "depart", Stream: 2},
-		eventRequest{Type: "leave", User: 1},
-		eventRequest{Type: "offer", Stream: 2},
-		eventRequest{Type: "join", User: 1},
-		eventRequest{Type: "resolve"},
+		streamclient.Event{Type: "depart", Stream: 2},
+		streamclient.Event{Type: "leave", User: 1},
+		streamclient.Event{Type: "offer", Stream: 2},
+		streamclient.Event{Type: "join", User: 1},
+		streamclient.Event{Type: "resolve"},
 	)
 }
 
@@ -252,9 +252,9 @@ func TestHTTPBatchParity(t *testing.T) {
 	// pipelined acquires price against the pre-batch sharing state and
 	// can shift eviction timing relative to single posts).
 	events := append(batchParityEvents(cfg.channels),
-		eventRequest{Type: "catalog-offer", CatalogID: "ch-003"},
-		eventRequest{Type: "catalog-offer", CatalogID: "ch-005"},
-		eventRequest{Type: "catalog-depart", CatalogID: "ch-003"},
+		streamclient.Event{Type: "catalog-offer", CatalogID: "ch-003"},
+		streamclient.Event{Type: "catalog-offer", CatalogID: "ch-005"},
+		streamclient.Event{Type: "catalog-depart", CatalogID: "ch-003"},
 	)
 
 	// Reference: N single posts.
@@ -357,9 +357,9 @@ func TestHTTPReshard(t *testing.T) {
 	drive := func(phase int) {
 		for tn := 0; tn < cfg.tenants; tn++ {
 			for s := 0; s < cfg.channels/2; s++ {
-				ev := eventRequest{Type: "offer", Stream: (phase*cfg.channels/2 + s) % cfg.channels}
+				ev := streamclient.Event{Type: "offer", Stream: (phase*cfg.channels/2 + s) % cfg.channels}
 				if s%3 == 2 {
-					ev = eventRequest{Type: "catalog-offer", CatalogID: string(channelID(s))}
+					ev = streamclient.Event{Type: "catalog-offer", CatalogID: string(channelID(s))}
 				}
 				for _, srv := range []*httptest.Server{ts, refTS} {
 					if code := postEvent(t, srv, tn, ev, nil); code != http.StatusOK {
@@ -443,14 +443,14 @@ func TestHTTPCatalog(t *testing.T) {
 	defer ts.Close()
 
 	var first eventResponse
-	if code := postEvent(t, ts, 0, eventRequest{Type: "catalog-offer", CatalogID: "ch-003"}, &first); code != http.StatusOK {
+	if code := postEvent(t, ts, 0, streamclient.Event{Type: "catalog-offer", CatalogID: "ch-003"}, &first); code != http.StatusOK {
 		t.Fatalf("catalog-offer: status %d", code)
 	}
 	if first.Catalog == nil || !first.Catalog.Admitted || first.Catalog.CostScale != 1 {
 		t.Fatalf("first catalog offer = %+v", first)
 	}
 	var second eventResponse
-	if code := postEvent(t, ts, 1, eventRequest{Type: "catalog-offer", CatalogID: "ch-003"}, &second); code != http.StatusOK {
+	if code := postEvent(t, ts, 1, streamclient.Event{Type: "catalog-offer", CatalogID: "ch-003"}, &second); code != http.StatusOK {
 		t.Fatalf("second catalog-offer: status %d", code)
 	}
 	if second.Catalog == nil || !second.Catalog.Admitted ||
@@ -475,7 +475,7 @@ func TestHTTPCatalog(t *testing.T) {
 	}
 
 	var dep eventResponse
-	if code := postEvent(t, ts, 1, eventRequest{Type: "catalog-depart", CatalogID: "ch-003"}, &dep); code != http.StatusOK {
+	if code := postEvent(t, ts, 1, streamclient.Event{Type: "catalog-depart", CatalogID: "ch-003"}, &dep); code != http.StatusOK {
 		t.Fatalf("catalog-depart: status %d", code)
 	}
 	if dep.Catalog == nil || !dep.Catalog.Removed || dep.Catalog.Refs != 1 || dep.Catalog.Evicted {
@@ -483,7 +483,7 @@ func TestHTTPCatalog(t *testing.T) {
 	}
 
 	var e errorResponse
-	if code := postEvent(t, ts, 0, eventRequest{Type: "catalog-offer", CatalogID: "nope"}, &e); code != http.StatusNotFound {
+	if code := postEvent(t, ts, 0, streamclient.Event{Type: "catalog-offer", CatalogID: "nope"}, &e); code != http.StatusNotFound {
 		t.Fatalf("unknown catalog id: status %d (%+v)", code, e)
 	}
 
@@ -501,7 +501,7 @@ func TestHTTPCatalog(t *testing.T) {
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("catalog-off snapshot: status %d", resp2.StatusCode)
 	}
-	if code := postEvent(t, bareTS, 0, eventRequest{Type: "catalog-offer", CatalogID: "ch-000"}, &e); code != http.StatusNotFound {
+	if code := postEvent(t, bareTS, 0, streamclient.Event{Type: "catalog-offer", CatalogID: "ch-000"}, &e); code != http.StatusNotFound {
 		t.Fatalf("catalog-off offer: status %d", code)
 	}
 }
@@ -551,7 +551,7 @@ func TestHTTPStreamParity(t *testing.T) {
 	// Reference: single posts (events + catalog tail).
 	var want []eventResponse
 	for _, ev := range append(append([]streamclient.Event{}, schedule...), catalogTail...) {
-		req := eventRequest{Type: ev.Type, Stream: ev.Stream, User: ev.User,
+		req := streamclient.Event{Type: ev.Type, Stream: ev.Stream, User: ev.User,
 			Install: ev.Install, CatalogID: ev.CatalogID}
 		var resp eventResponse
 		if code := postEvent(t, singleTS, ev.Tenant, req, &resp); code != http.StatusOK {
@@ -613,10 +613,10 @@ func TestHTTPStreamParity(t *testing.T) {
 	// acquires to match the reference run (the pipelined-acquire
 	// caveat), which one-event batches preserve.
 	for ti := 0; ti < cfg.tenants; ti++ {
-		var evs []eventRequest
+		var evs []streamclient.Event
 		for _, ev := range schedule {
 			if ev.Tenant == ti {
-				evs = append(evs, eventRequest{Type: ev.Type, Stream: ev.Stream,
+				evs = append(evs, streamclient.Event{Type: ev.Type, Stream: ev.Stream,
 					User: ev.User, Install: ev.Install})
 			}
 		}
@@ -635,7 +635,7 @@ func TestHTTPStreamParity(t *testing.T) {
 		}
 	}
 	for _, ev := range catalogTail {
-		body, err := json.Marshal([]eventRequest{{Type: ev.Type, CatalogID: ev.CatalogID}})
+		body, err := json.Marshal([]streamclient.Event{{Type: ev.Type, CatalogID: ev.CatalogID}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -667,6 +667,54 @@ func TestHTTPStreamParity(t *testing.T) {
 	}
 	if got, want := bfs.RenderTenants(), sfs.RenderTenants(); got != want {
 		t.Fatalf("batched tenant tables diverged:\n--- batch\n%s\n--- single\n%s", got, want)
+	}
+}
+
+// TestHTTPRefusalsMatchAcrossEndpoints drives the same bad event lines
+// through /events, :batch and /v1/stream: every endpoint refuses every
+// line with the one message the shared event check gives — 400 on the
+// per-tenant endpoints, the seq -1 line ending a stream — and applies
+// nothing.
+func TestHTTPRefusalsMatchAcrossEndpoints(t *testing.T) {
+	c := buildFleet(t, defaultFleetConfig())
+	ts := httptest.NewServer(NewHandler(c))
+	defer ts.Close()
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+	for _, tc := range []struct{ line, want string }{
+		{`{"type":"catalog-offer"}`, `catalog-offer needs catalog_id`},
+		{`{"type":"catalog-depart","catalog_id":""}`, `catalog-depart needs catalog_id`},
+		{`{"type":"frobnicate","stream":1}`, `unknown event type \"frobnicate\"`},
+		{`{"stream":2}`, `unknown event type \"\"`},
+	} {
+		if code, body := post("/v1/tenants/0/events", tc.line); code != http.StatusBadRequest || !strings.Contains(body, tc.want) {
+			t.Errorf("/events %s: %d %s, want 400 %s", tc.line, code, body, tc.want)
+		}
+		if code, body := post("/v1/tenants/0/events:batch", "["+tc.line+"]"); code != http.StatusBadRequest || !strings.Contains(body, tc.want) {
+			t.Errorf(":batch [%s]: %d %s, want 400 %s", tc.line, code, body, tc.want)
+		}
+		want := `{"seq":-1,"error":"` + tc.want + `"}` + "\n"
+		if code, body := post("/v1/stream", tc.line+"\n"); code != http.StatusOK || body != want {
+			t.Errorf("/v1/stream %s: %d %q, want %q", tc.line, code, body, want)
+		}
+	}
+	fs, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.Offered != 0 {
+		t.Fatalf("refused lines applied %d offers", fs.Offered)
 	}
 }
 

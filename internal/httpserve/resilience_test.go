@@ -199,7 +199,7 @@ func TestShedOverload(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < govRecompute; i++ {
-		if code := postEvent(t, ts, i%4, eventRequest{Type: "resolve", Stream: i % 12}, nil); code != http.StatusOK {
+		if code := postEvent(t, ts, i%4, streamclient.Event{Type: "resolve", Stream: i % 12}, nil); code != http.StatusOK {
 			t.Fatalf("warmup event %d: status %d", i, code)
 		}
 	}
@@ -236,7 +236,7 @@ func TestShedOverload(t *testing.T) {
 	// After the cool-off the next request is admitted (it is the probe
 	// that decides whether shedding resumes).
 	time.Sleep(1200 * time.Millisecond)
-	if code := postEvent(t, ts, 0, eventRequest{Type: "resolve", Stream: 0}, nil); code != http.StatusOK {
+	if code := postEvent(t, ts, 0, streamclient.Event{Type: "resolve", Stream: 0}, nil); code != http.StatusOK {
 		t.Fatalf("post-cool-off probe: status %d, want 200", code)
 	}
 }
@@ -294,7 +294,7 @@ func TestStreamWriteDeadlineSevers(t *testing.T) {
 
 	// The fleet is untouched by the severed consumer: the in-flight
 	// window settled, and both the event path and a fresh stream work.
-	if code := postEvent(t, ts, 0, eventRequest{Type: "resolve", Stream: 1}, nil); code != http.StatusOK {
+	if code := postEvent(t, ts, 0, streamclient.Event{Type: "resolve", Stream: 1}, nil); code != http.StatusOK {
 		t.Fatalf("event endpoint after severance: status %d", code)
 	}
 	conn, err := streamclient.Dial(ts.URL)

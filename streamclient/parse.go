@@ -8,11 +8,13 @@ import (
 
 // ParseEvent decodes one request line of the stream protocol. It is
 // the parser every server of the protocol shares — nodes and the fleet
-// router alike — so both refuse the same lines with the same message.
-// Canonical lines (see ParseCanonicalEvent) decode without allocating,
-// catalog IDs aside; anything else goes through encoding/json, so
-// exotic but valid JSON still works and invalid JSON fails with the
-// stdlib's message. A line naming no known event type is refused too.
+// router alike, and a node's single-event endpoint, whose body is one
+// such line — so all of them refuse the same lines with the same
+// message. Canonical lines (see ParseCanonicalEvent) decode without
+// allocating, catalog IDs aside; anything else goes through
+// encoding/json, so exotic but valid JSON still works and invalid JSON
+// fails with the stdlib's message. A decoded event CheckEvent refuses
+// is refused too.
 func ParseEvent(line []byte) (Event, error) {
 	ev, ok := ParseCanonicalEvent(line)
 	if !ok {
@@ -21,10 +23,27 @@ func ParseEvent(line []byte) (Event, error) {
 			return Event{}, err
 		}
 	}
-	if wireToken(ev.Type) == "" {
-		return Event{}, fmt.Errorf("unknown event type %q", ev.Type)
+	if err := CheckEvent(ev); err != nil {
+		return Event{}, err
 	}
 	return ev, nil
+}
+
+// CheckEvent is the protocol's one refusal rule for a decoded event,
+// shared by ParseEvent and a server's batch decoder: the type must be
+// a known event type, and a catalog event must name its catalog_id (a
+// catalog event without one would otherwise apply as a plain event of
+// local stream 0).
+func CheckEvent(ev Event) error {
+	switch wireToken(ev.Type) {
+	case "":
+		return fmt.Errorf("unknown event type %q", ev.Type)
+	case "catalog-offer", "catalog-depart":
+		if ev.CatalogID == "" {
+			return fmt.Errorf("%s needs catalog_id", ev.Type)
+		}
+	}
+	return nil
 }
 
 // decodeEvent is ParseEvent's stdlib half, kept apart so that only this

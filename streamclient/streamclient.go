@@ -114,8 +114,8 @@ type Event struct {
 // the response stream). Exactly the field matching Type is set; Error
 // carries a per-event failure without ending the stream. A final line
 // with Error set, Seq -1, and no Type reports a protocol violation
-// (malformed line, unknown event type) that terminated the stream
-// server-side.
+// (a malformed line, or an event CheckEvent refuses) that terminated
+// the stream server-side.
 type Result struct {
 	// Seq is the event's submission index on this stream (0-based).
 	Seq int `json:"seq"`

@@ -77,11 +77,13 @@ func TestFastParseMatchesStdlib(t *testing.T) {
 // with: nodes and routers both take them from ParseEvent.
 func TestParseEventRefusals(t *testing.T) {
 	for line, want := range map[string]string{
-		`{"tenant":0,"type":"bogus"}`:              `unknown event type "bogus"`,
-		`{"tenant":0}`:                             `unknown event type ""`,
-		`{"tenant":0,"type":"offer!"}`:             `unknown event type "offer!"`,
-		`{not json`:                                `bad stream line: invalid character 'n' looking for beginning of object key string`,
-		`{"tenant":0,"type":"offer","stream":1.5}`: `bad stream line: json: cannot unmarshal number 1.5 into Go struct field Event.stream of type int`,
+		`{"tenant":0,"type":"bogus"}`:                          `unknown event type "bogus"`,
+		`{"tenant":0}`:                                         `unknown event type ""`,
+		`{"tenant":0,"type":"offer!"}`:                         `unknown event type "offer!"`,
+		`{not json`:                                            `bad stream line: invalid character 'n' looking for beginning of object key string`,
+		`{"tenant":0,"type":"offer","stream":1.5}`:             `bad stream line: json: cannot unmarshal number 1.5 into Go struct field Event.stream of type int`,
+		`{"tenant":0,"type":"catalog-offer"}`:                  `catalog-offer needs catalog_id`,
+		`{"tenant":0,"type":"catalog-depart","catalog_id":""}`: `catalog-depart needs catalog_id`,
 	} {
 		if _, err := ParseEvent([]byte(line)); err == nil || err.Error() != want {
 			t.Errorf("ParseEvent(%s) = %v, want %q", line, err, want)

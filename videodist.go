@@ -173,7 +173,8 @@ type (
 	// ClusterEvent is one routed tenant event; the element type of
 	// Cluster.ApplyBatch's input and Cluster's streaming Submit.
 	ClusterEvent = cluster.Event
-	// EventResult is one typed per-event outcome of Cluster.ApplyBatch.
+	// EventResult is one typed per-event outcome of Cluster.ApplyBatch:
+	// the StreamResult a single call would assemble, with Seq 0.
 	EventResult = cluster.EventResult
 
 	// StreamConn is a persistent pipelined ingestion session (serving
