@@ -1,8 +1,9 @@
-// Benchmarks: one per experiment in DESIGN.md section 4 (E1-E10) plus
-// the ablations (A1-A3). Each benchmark both times the relevant
+// Benchmarks: one per solver experiment in DESIGN.md section 4 (E1-E9)
+// plus the ablations (A1-A3). Each benchmark both times the relevant
 // operation and reports the experiment's headline quantity via
 // b.ReportMetric, so `go test -bench=. -benchmem` regenerates the shape
-// of every claim. cmd/mmdbench prints the full tables.
+// of every claim; BenchmarkExperimentSuite runs every table, E10-E17
+// included. cmd/mmdbench prints the full tables.
 package videodist_test
 
 import (
@@ -11,7 +12,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	videodist "repro"
 	"repro/internal/baseline"
@@ -20,7 +20,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/experiments"
 	"repro/internal/generator"
-	"repro/internal/headend"
 	"repro/internal/online"
 	"repro/internal/reduction"
 	"repro/internal/skew"
@@ -300,31 +299,6 @@ func BenchmarkE9VsThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkE10EndToEnd times one full head-end simulation (arrivals,
-// admission, delivery accounting) under the oracle policy and reports
-// overload samples (must be 0).
-func BenchmarkE10EndToEnd(b *testing.B) {
-	in, err := generator.CableTV{Channels: 40, Gateways: 10, Seed: 110}.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	overloads := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pol, err := headend.NewOraclePolicy(in, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sc := &headend.Scenario{Instance: in, Seed: 110}
-		res, err := sc.Run(pol, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		overloads = res.OverloadSamples
-	}
-	b.ReportMetric(float64(overloads), "overload-samples")
-}
-
 // BenchmarkA1LiftAblation compares the paper-faithful lift with the
 // greedy-merging lift on a random MMD instance.
 func BenchmarkA1LiftAblation(b *testing.B) {
@@ -390,25 +364,6 @@ func BenchmarkA3MuSensitivity(b *testing.B) {
 			b.Fatal(err)
 		}
 		al.RunSequence(nil)
-	}
-}
-
-// BenchmarkEmulation times the live goroutine emulation end to end.
-func BenchmarkEmulation(b *testing.B) {
-	in, err := generator.CableTV{Channels: 20, Gateways: 6, Seed: 114}.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	assn, _, err := videodist.Solve(in, videodist.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := videodist.EmulationConfig{ChunkInterval: 100 * time.Microsecond, Chunks: 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := videodist.Emulate(in, assn, cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

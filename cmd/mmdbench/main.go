@@ -1,4 +1,4 @@
-// Command mmdbench runs the full experiment suite (E1-E10 plus the
+// Command mmdbench runs the full experiment suite (E1-E17 plus the
 // ablations A1-A3, see DESIGN.md section 4) and prints the results as
 // Markdown — the tables recorded in EXPERIMENTS.md.
 //
@@ -44,7 +44,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (E1..E10, A1..A3)")
+	only := flag.String("only", "", "run a single experiment (E1..E17, A1..A3)")
 	jsonPath := flag.String("json", "", "write the serving benchmark baseline to this file instead of running experiments")
 	satShards := flag.String("sat-shards", "1,2,4,8", "comma-separated shard counts for the saturation sweep")
 	satProcs := flag.String("sat-procs", "1,2,4,8", "comma-separated GOMAXPROCS values for the saturation sweep")

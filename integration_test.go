@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"testing"
 
-	videodist "repro"
 	"repro/internal/baseline"
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/generator"
-	"repro/internal/headend"
 	"repro/internal/mmd"
 	"repro/internal/online"
-	"repro/internal/trace"
 )
 
 // TestIntegrationAllFamiliesAllSolvers runs every workload family
@@ -89,70 +86,6 @@ func TestIntegrationAllFamiliesAllSolvers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestIntegrationTraceReplayFairness records one arrival schedule and
-// replays it under all policies: everyone sees the same offers.
-func TestIntegrationTraceReplayFairness(t *testing.T) {
-	in, err := generator.CableTV{Channels: 30, Gateways: 8, Seed: 65}.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := headend.NewThresholdPolicy(in, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf)
-	sc := &videodist.Scenario{Instance: in, Seed: 66}
-	if _, err := sc.Run(rec, tw); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := trace.ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	oracle, err := headend.NewOraclePolicy(in, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	onl, err := headend.NewOnlinePolicy(in, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	thr, err := headend.NewThresholdPolicy(in, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offered := -1
-	var oracleUtil, thrUtil float64
-	for _, pol := range []headend.Policy{oracle, onl, thr} {
-		res, err := headend.Replay(in, events, pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.FeasibilityErr != nil || res.OverloadSamples != 0 {
-			t.Fatalf("%s: feasibility %v overloads %d", res.Policy, res.FeasibilityErr, res.OverloadSamples)
-		}
-		if offered < 0 {
-			offered = res.StreamsOffered
-		} else if res.StreamsOffered != offered {
-			t.Fatalf("%s saw %d offers, others %d", res.Policy, res.StreamsOffered, offered)
-		}
-		switch pol {
-		case oracle:
-			oracleUtil = res.Utility
-		case thr:
-			thrUtil = res.Utility
-		}
-	}
-	if oracleUtil < thrUtil*0.9 {
-		t.Fatalf("oracle replay %v far below threshold %v", oracleUtil, thrUtil)
 	}
 }
 

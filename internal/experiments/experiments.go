@@ -17,8 +17,8 @@
 //	E7  Section 2.1: O(n^2) greedy running time scaling
 //	E8  Section 2.3: partial enumeration quality/time trade-off
 //	E9  Section 1: utility-aware solver vs threshold admission
-//	E10 end-to-end: simulated head-end, delivery, zero overload
-//	E11 footnote 1: finite-duration streams and gateway churn
+//	E10 end-to-end: one head-end on a one-shard cluster, feasible after every event
+//	E11 footnote 1: finite-duration streams and gateway churn reuse freed capacity
 //	E12 fleet scale: sharded multi-tenant cluster, shard-count invariance
 //	E13 fleet catalog: shared-origin pricing vs isolated tenants
 //	E14 durability: crash recovery from the per-shard WAL, layout-free
@@ -37,7 +37,7 @@ import (
 
 // Table is one experiment's result.
 type Table struct {
-	// ID is the experiment identifier (E1..E10, A1..A3).
+	// ID is the experiment identifier (E1..E17, A1..A3).
 	ID string
 	// Title is a one-line description.
 	Title string

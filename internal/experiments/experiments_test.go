@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -85,6 +86,41 @@ func TestE8AndE9AndE10Run(t *testing.T) {
 	}
 	if tab10.Verdict != "HOLDS" {
 		t.Fatalf("E10 verdict = %s", tab10.Verdict)
+	}
+}
+
+// TestE10DefaultTable pins E10's default utility and admitted columns
+// (oracle, online, threshold), which must not depend on how the
+// head-end is driven: one seeded pass over the catalog.
+func TestE10DefaultTable(t *testing.T) {
+	tab, err := E10EndToEnd(DefaultE10())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"offline-oracle", "156.8", "9", "40", "0"},
+		{"online-allocate-guarded", "82.6", "6", "40", "0"},
+		{"threshold", "75.2", "9", "40", "0"},
+	}
+	if tab.Verdict != "HOLDS" || !reflect.DeepEqual(tab.Rows, want) {
+		t.Fatalf("E10 default table:\n%s", tab.Markdown())
+	}
+}
+
+// TestE11HoldsOnReducedConfig runs the churn experiment end to end:
+// every event stays feasible, and each departing row (two policies,
+// plus online with gateway churn) admits more streams than its
+// policy's no-departure control.
+func TestE11HoldsOnReducedConfig(t *testing.T) {
+	tab, err := E11Churn(E11Config{Channels: 20, Gateways: 6, Seed: 11, Rounds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Verdict != "HOLDS" {
+		t.Fatalf("E11 verdict = %s\n%s", tab.Verdict, tab.Markdown())
+	}
+	if len(tab.Rows) != 5 {
+		t.Fatalf("E11 has %d rows, want 5 (two policies with controls, plus gateway churn)", len(tab.Rows))
 	}
 }
 

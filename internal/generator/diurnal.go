@@ -5,19 +5,16 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-
-	"repro/internal/sim"
 )
 
-// Diurnal generates day/night churn through internal/sim's virtual
-// clock: an hourly tick schedule runs on a sim.Engine, and each tick
-// steers every tenant toward an activity target that follows a
-// sinusoidal daily curve (peak at 20:00, trough at 08:00). By day,
-// tenants offer more streams and offline gateways rejoin; by night,
-// streams depart (oldest first) and gateways go offline. Stream and
-// gateway identities are sampled from the seeded rng, but all timing
-// comes from the engine — events are stamped with engine.Now(), so the
-// schedule inherits sim's deterministic (time, FIFO) ordering.
+// Diurnal generates day/night churn: one tick per virtual hour, in
+// hour order, and each tick steers every tenant toward an activity
+// target that follows a sinusoidal daily curve (peak at 20:00, trough
+// at 08:00). By day, tenants offer more streams and offline gateways
+// rejoin; by night, streams depart (oldest first) and gateways go
+// offline. Stream and gateway identities are sampled from the seeded
+// rng; every event of a tick is stamped with the tick's virtual time,
+// hour × HourStep.
 //
 // Diurnal owns the leave/join vocabulary in a merged schedule: it
 // tracks per-tenant gateway presence so it never leaves an absent user
@@ -28,9 +25,11 @@ type Diurnal struct {
 	Tenants, Channels, Gateways int
 	// Seed drives all randomness.
 	Seed int64
-	// Days is the number of 24-hour cycles (default 2).
+	// Days is the number of 24-hour cycles (default 2); a negative
+	// count is refused.
 	Days int
-	// HourStep is virtual seconds per hour (default 1).
+	// HourStep is virtual seconds per hour (default 1); a negative,
+	// NaN or infinite step is refused.
 	HourStep float64
 	// MaxActive is the peak number of concurrently held streams per
 	// tenant (default Channels/2).
@@ -77,7 +76,7 @@ type diurnalTenant struct {
 	away   []int // offline gateways, ascending
 }
 
-// Generate runs the day/night simulation to completion and returns the
+// Generate runs the day/night ticks to completion and returns the
 // schedule. Same seed ⇒ byte-identical event sequence.
 func (c Diurnal) Generate() ([]Event, error) {
 	c = c.withDefaults()
@@ -87,8 +86,13 @@ func (c Diurnal) Generate() ([]Event, error) {
 	if c.MaxActive > c.Channels || c.MaxAway > c.Gateways {
 		return nil, fmt.Errorf("generator: diurnal targets exceed fleet dimensions")
 	}
+	// Tick times must not run backwards: hour × HourStep is
+	// non-decreasing only for a non-negative step, and the drain tick
+	// at Days × 24 hours must not precede hour 0.
+	if c.HourStep < 0 || math.IsNaN(c.HourStep) || math.IsInf(c.HourStep, 1) || c.Days < 0 {
+		return nil, fmt.Errorf("generator: diurnal needs a finite HourStep >= 0 and Days >= 0; got %v, %d", c.HourStep, c.Days)
+	}
 	rng := rand.New(rand.NewSource(c.Seed))
-	eng := sim.NewEngine()
 	tenants := make([]diurnalTenant, c.Tenants)
 	var out []Event
 
@@ -106,7 +110,7 @@ func (c Diurnal) Generate() ([]Event, error) {
 	}
 
 	tick := func(hour int) {
-		at := eng.Now()
+		at := float64(hour) * c.HourStep
 		a := activity(hour)
 		for t := range tenants {
 			st := &tenants[t]
@@ -163,29 +167,19 @@ func (c Diurnal) Generate() ([]Event, error) {
 	}
 
 	for h := 0; h < c.Days*24; h++ {
-		hour := h
-		if err := eng.ScheduleAt(float64(hour)*c.HourStep, func() { tick(hour) }); err != nil {
-			return nil, fmt.Errorf("generator: diurnal schedule: %w", err)
-		}
+		tick(h)
 	}
 	// The final tick drains: depart every held stream, rejoin every
 	// offline gateway, so the schedule leaves the fleet at rest.
-	if err := eng.ScheduleAt(float64(c.Days*24)*c.HourStep, func() {
-		at := eng.Now()
-		for t := range tenants {
-			st := &tenants[t]
-			for _, ch := range st.active {
-				out = append(out, channelDepart(t, ch, at))
-			}
-			st.active = nil
-			for _, u := range st.away {
-				out = append(out, Event{At: at, Tenant: t, Type: EventJoin, User: u})
-			}
-			st.away = nil
+	at := float64(c.Days*24) * c.HourStep
+	for t := range tenants {
+		st := &tenants[t]
+		for _, ch := range st.active {
+			out = append(out, channelDepart(t, ch, at))
 		}
-	}); err != nil {
-		return nil, fmt.Errorf("generator: diurnal drain: %w", err)
+		for _, u := range st.away {
+			out = append(out, Event{At: at, Tenant: t, Type: EventJoin, User: u})
+		}
 	}
-	eng.Run()
 	return out, nil
 }

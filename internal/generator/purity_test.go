@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// TestGeneratorPackagePurity is the lint-ish audit from the workload
-// subsystem issue: every generator must be a pure function of its seed,
-// so the package's non-test sources must not import "time" (the sim
-// virtual clock is the only clock) and must not call math/rand's
+// TestGeneratorPackagePurity is a lint-style audit: every generator
+// must be a pure function of its seed, so the package's non-test
+// sources must not import "time" (event times are virtual, computed
+// from the config) and must not call math/rand's
 // global, process-seeded functions — rand may only be used to build
 // seeded sources (rand.New, rand.NewSource, rand.NewZipf) and to name
 // its types. A violation here is a hidden-state bug even if every
@@ -44,7 +44,7 @@ func TestGeneratorPackagePurity(t *testing.T) {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
 			if path == "time" {
-				t.Errorf("%s imports %q: generators must take time from the sim clock, not the wall clock", name, path)
+				t.Errorf("%s imports %q: generators must compute virtual time, not read the wall clock", name, path)
 			}
 			if path == "math/rand" || path == "math/rand/v2" {
 				randAlias = "rand"

@@ -27,9 +27,8 @@ const (
 // Event is one timed workload action in wire-neutral form: what happens
 // (Type), to whom (Tenant, and Stream/CatalogID/User depending on the
 // type), and when in virtual time (At, seconds). A schedule is a slice
-// sorted by At with ties broken by construction order — the same
-// (time, insertion order) discipline internal/sim runs on — so applying
-// it serially is deterministic.
+// sorted by At with ties broken by construction order, so applying it
+// serially is deterministic.
 type Event struct {
 	// At is the virtual time of the action in seconds.
 	At float64

@@ -121,8 +121,8 @@ func TestZipfFlashCrowdShape(t *testing.T) {
 
 // TestDiurnalShape checks the churn contract: leave/join pairs are
 // presence-consistent per (tenant, gateway), indices stay in range, the
-// schedule runs through the sim clock (events span the virtual days),
-// and it drains — no stream held and no gateway away at the end.
+// hourly ticks span the virtual days, and the schedule drains — no
+// stream held and no gateway away at the end.
 func TestDiurnalShape(t *testing.T) {
 	cfg := generator.Diurnal{Tenants: 4, Channels: 9, Gateways: 5, Seed: 13, Days: 2}
 	events, err := cfg.Generate()

@@ -1,19 +1,10 @@
 package headend
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/mmd"
-	"repro/internal/netsim"
-	"repro/internal/sim"
-	"repro/internal/trace"
-)
-
 // DeparturePolicy is implemented by policies that track stream
 // departures (the paper's footnote 1 extension: streams of finite
 // duration). Policies that do not implement it simply keep stale state;
-// the scenario still unsubscribes the plant.
+// Tenant.DepartStream still drops the stream from the running
+// assignment.
 type DeparturePolicy interface {
 	Policy
 	// OnStreamDeparture releases the stream's resources.
@@ -64,246 +55,4 @@ func (p *ThresholdPolicy) OnStreamDeparture(s int) {
 			}
 		}
 	}
-}
-
-// ChurnScenario runs a head-end where every admitted stream departs
-// after an exponentially distributed hold time — the dynamic setting of
-// the paper's footnote 1. Admission decisions are never revoked early;
-// departures free resources for later arrivals.
-type ChurnScenario struct {
-	// Instance is the workload (cable-TV conventions, see Scenario).
-	Instance *mmd.Instance
-	// Seed drives arrivals, hold times, and ordering.
-	Seed int64
-	// MeanInterarrival is the mean stream spacing (default 1).
-	MeanInterarrival float64
-	// MeanHoldTime is the mean stream lifetime (default 5x interarrival).
-	MeanHoldTime float64
-	// Rounds replays the whole catalog this many times (default 2), so
-	// freed resources actually get reused.
-	Rounds int
-	// SampleInterval is the delivery sampling period (default
-	// MeanInterarrival/4).
-	SampleInterval float64
-	// MeanSessionTime enables gateway churn when positive: each gateway
-	// stays online for an exponential session, then goes away for an
-	// exponential MeanAwayTime (default MeanSessionTime/4), and rejoins.
-	MeanSessionTime float64
-	// MeanAwayTime is the mean offline period (used only when
-	// MeanSessionTime > 0).
-	MeanAwayTime float64
-}
-
-// ChurnResult summarizes a churn run.
-type ChurnResult struct {
-	// Policy is the policy name.
-	Policy string
-	// UtilitySeconds integrates live utility over virtual time — the
-	// natural objective when streams come and go.
-	UtilitySeconds float64
-	// PeakUtility is the largest instantaneous live utility.
-	PeakUtility float64
-	// Offers, Admissions, Departures count stream events.
-	Offers, Admissions, Departures int
-	// UserLeaves and UserJoins count gateway churn events.
-	UserLeaves, UserJoins int
-	// OverloadSamples counts plant overload ticks (0 for feasible
-	// policies).
-	OverloadSamples int
-	// TotalSamples counts delivery sampling ticks.
-	TotalSamples int
-	// DeliveredMb is total delivered megabits.
-	DeliveredMb float64
-	// EndTime is the virtual end of the run.
-	EndTime float64
-}
-
-func (sc *ChurnScenario) withDefaults() ChurnScenario {
-	out := *sc
-	if out.MeanInterarrival == 0 {
-		out.MeanInterarrival = 1
-	}
-	if out.MeanHoldTime == 0 {
-		out.MeanHoldTime = 5 * out.MeanInterarrival
-	}
-	if out.Rounds == 0 {
-		out.Rounds = 2
-	}
-	if out.SampleInterval == 0 {
-		out.SampleInterval = out.MeanInterarrival / 4
-	}
-	return out
-}
-
-// Run executes the churn scenario. When tw is non-nil, arrival,
-// decision, and departure events are traced.
-func (sc *ChurnScenario) Run(policy Policy, tw *trace.Writer) (*ChurnResult, error) {
-	cfg := sc.withDefaults()
-	in := cfg.Instance
-	if in == nil || in.M() < 1 {
-		return nil, fmt.Errorf("headend: churn scenario needs an instance with at least one budget")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	engine := sim.NewEngine()
-
-	access := make([]float64, in.NumUsers())
-	for u := range in.Users {
-		if len(in.Users[u].Capacities) > 0 {
-			access[u] = in.Users[u].Capacities[0]
-		} else {
-			access[u] = 1e18
-		}
-	}
-	net, err := netsim.NewTree(engine, in.Budgets[0], access)
-	if err != nil {
-		return nil, fmt.Errorf("headend: %w", err)
-	}
-	for s := range in.Streams {
-		if err := net.RegisterStream(s, in.Streams[s].Costs[0]); err != nil {
-			return nil, fmt.Errorf("headend: %w", err)
-		}
-	}
-
-	tenant, err := NewTenant(in, policy)
-	if err != nil {
-		return nil, err
-	}
-	res := &ChurnResult{Policy: policy.Name()}
-
-	liveUtility := 0.0
-	lastChange := 0.0
-	accrue := func() {
-		now := engine.Now()
-		res.UtilitySeconds += liveUtility * (now - lastChange)
-		lastChange = now
-	}
-	emit := func(e trace.Event) {
-		if tw != nil {
-			_ = tw.Append(e) // trace errors are surfaced at Flush time
-		}
-	}
-
-	var lastArrival float64
-	at := 0.0
-	for round := 0; round < cfg.Rounds; round++ {
-		for _, s := range rng.Perm(in.NumStreams()) {
-			s := s
-			at += rng.ExpFloat64() * cfg.MeanInterarrival
-			hold := rng.ExpFloat64() * cfg.MeanHoldTime
-			lastArrival = at
-			err := engine.ScheduleAt(at, func() {
-				emit(trace.Event{Time: engine.Now(), Type: trace.EventStreamArrival, Stream: s})
-				if tenant.Carries(s) {
-					tenant.OfferStream(s) // count the offer; still carried from a previous round
-					return
-				}
-				users := tenant.OfferStream(s)
-				emit(trace.Event{Time: engine.Now(), Type: trace.EventDecision,
-					Stream: s, Users: users, Value: utilityOf(in, s, users)})
-				if len(users) == 0 {
-					return
-				}
-				accrue()
-				for _, u := range users {
-					_ = net.Subscribe(u, s)
-					liveUtility += in.Users[u].Utility[s]
-				}
-				if liveUtility > res.PeakUtility {
-					res.PeakUtility = liveUtility
-				}
-				// Schedule the departure.
-				_ = engine.Schedule(hold, func() {
-					if !tenant.Carries(s) {
-						return
-					}
-					accrue()
-					for _, u := range tenant.DepartStream(s) {
-						net.Unsubscribe(u, s)
-						liveUtility -= in.Users[u].Utility[s]
-					}
-					if liveUtility < 0 {
-						liveUtility = 0
-					}
-					emit(trace.Event{Time: engine.Now(), Type: trace.EventStreamDeparture, Stream: s})
-				})
-			})
-			if err != nil {
-				return nil, fmt.Errorf("headend: %w", err)
-			}
-		}
-	}
-
-	// Tail long enough to drain typical hold times, but capped so
-	// near-infinite hold times (a no-churn control run) stay tractable.
-	tail := 3 * cfg.MeanHoldTime
-	if max := 50 * cfg.MeanInterarrival; tail > max {
-		tail = max
-	}
-	end := lastArrival + tail
-
-	// Gateway churn: precompute each user's leave/join times up to the
-	// horizon.
-	if cfg.MeanSessionTime > 0 {
-		awayTime := cfg.MeanAwayTime
-		if awayTime == 0 {
-			awayTime = cfg.MeanSessionTime / 4
-		}
-		for u := 0; u < in.NumUsers(); u++ {
-			u := u
-			t := rng.ExpFloat64() * cfg.MeanSessionTime
-			for t < end {
-				leaveAt := t
-				if err := engine.ScheduleAt(leaveAt, func() {
-					if tenant.Away(u) {
-						return
-					}
-					accrue()
-					for _, s := range tenant.UserLeave(u) {
-						net.Unsubscribe(u, s)
-						liveUtility -= in.Users[u].Utility[s]
-					}
-					if liveUtility < 0 {
-						liveUtility = 0
-					}
-					emit(trace.Event{Time: engine.Now(), Type: trace.EventUserLeave,
-						Stream: -1, Users: []int{u}})
-				}); err != nil {
-					return nil, fmt.Errorf("headend: %w", err)
-				}
-				t += rng.ExpFloat64() * awayTime
-				joinAt := t
-				if joinAt >= end {
-					break
-				}
-				if err := engine.ScheduleAt(joinAt, func() {
-					if !tenant.Away(u) {
-						return
-					}
-					tenant.UserJoin(u)
-					emit(trace.Event{Time: engine.Now(), Type: trace.EventUserJoin,
-						Stream: -1, Users: []int{u}})
-				}); err != nil {
-					return nil, fmt.Errorf("headend: %w", err)
-				}
-				t += rng.ExpFloat64() * cfg.MeanSessionTime
-			}
-		}
-	}
-	if err := net.StartSampling(cfg.SampleInterval, end); err != nil {
-		return nil, fmt.Errorf("headend: %w", err)
-	}
-	engine.RunUntil(end)
-	accrue()
-
-	snap := tenant.Snapshot()
-	res.Offers = snap.StreamsOffered
-	res.Admissions = snap.StreamsAdmitted
-	res.Departures = snap.StreamsDeparted
-	res.UserLeaves = snap.UserLeaves
-	res.UserJoins = snap.UserJoins
-	res.OverloadSamples = net.OverloadSamples()
-	res.TotalSamples = net.TotalSamples()
-	res.DeliveredMb = net.TotalDeliveredMb()
-	res.EndTime = engine.Now()
-	return res, nil
 }

@@ -14,9 +14,9 @@ import (
 // indistinguishable from the retained pre-ledger implementation (trial
 // Add + full CheckFeasible rescan, NewRescanOnlinePolicy): identical
 // admission decisions, identical assignments, identical snapshots. These
-// tests drive both implementations through the same E10-style arrival
-// scenario and through a churn + make-before-break install sequence and
-// require exact equality — including float64 utilities, which only match
+// tests drive both implementations through E10's arrival order and
+// through a churn + make-before-break install sequence and require
+// exact equality — including float64 utilities, which only match
 // bitwise when the decisions and the summation orders match.
 
 func diffCableInstance(t testing.TB, channels, gateways int, seed int64) *generator.CableTV {
@@ -26,6 +26,9 @@ func diffCableInstance(t testing.TB, channels, gateways int, seed int64) *genera
 	}
 }
 
+// TestLedgerPolicyMatchesRescanE10 offers E10's catalog (40 channels,
+// 10 gateways) once in E10's seeded order to a ledger tenant and a
+// rescan tenant.
 func TestLedgerPolicyMatchesRescanE10(t *testing.T) {
 	for _, seed := range []int64{110, 7, 999} {
 		in, err := diffCableInstance(t, 40, 10, seed).Generate()
@@ -40,30 +43,30 @@ func TestLedgerPolicyMatchesRescanE10(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := &headend.Scenario{Instance: in, Seed: seed}
-		ledgerRes, err := sc.Run(ledgerPol, nil)
+		ledgerTen, err := headend.NewTenant(in, ledgerPol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rescanRes, err := sc.Run(rescanPol, nil)
+		rescanTen, err := headend.NewTenant(in, rescanPol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ledgerRes.Assignment.Equal(rescanRes.Assignment) {
+		offerCatalog(ledgerTen, seed)
+		offerCatalog(rescanTen, seed)
+		if !ledgerTen.Assignment().Equal(rescanTen.Assignment()) {
 			t.Fatalf("seed %d: assignments diverged: %v vs %v",
-				seed, ledgerRes.Assignment, rescanRes.Assignment)
+				seed, ledgerTen.Assignment(), rescanTen.Assignment())
 		}
-		if math.Float64bits(ledgerRes.Utility) != math.Float64bits(rescanRes.Utility) {
-			t.Fatalf("seed %d: utility %v != reference %v", seed, ledgerRes.Utility, rescanRes.Utility)
+		ls, rs := ledgerTen.Snapshot(), rescanTen.Snapshot()
+		if math.Float64bits(ls.Utility) != math.Float64bits(rs.Utility) {
+			t.Fatalf("seed %d: utility %v != reference %v", seed, ls.Utility, rs.Utility)
 		}
-		if ledgerRes.StreamsAdmitted != rescanRes.StreamsAdmitted ||
-			ledgerRes.StreamsOffered != rescanRes.StreamsOffered {
+		if ls.StreamsAdmitted != rs.StreamsAdmitted || ls.StreamsOffered != rs.StreamsOffered {
 			t.Fatalf("seed %d: admission counts diverged: %d/%d vs %d/%d", seed,
-				ledgerRes.StreamsAdmitted, ledgerRes.StreamsOffered,
-				rescanRes.StreamsAdmitted, rescanRes.StreamsOffered)
+				ls.StreamsAdmitted, ls.StreamsOffered, rs.StreamsAdmitted, rs.StreamsOffered)
 		}
-		if ledgerRes.FeasibilityErr != nil {
-			t.Fatalf("seed %d: ledger policy infeasible: %v", seed, ledgerRes.FeasibilityErr)
+		if !ls.Feasible {
+			t.Fatalf("seed %d: ledger policy infeasible", seed)
 		}
 	}
 }

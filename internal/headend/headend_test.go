@@ -1,13 +1,14 @@
 package headend_test
 
 import (
-	"bytes"
+	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/generator"
 	"repro/internal/headend"
-	"repro/internal/trace"
+	"repro/internal/mmd"
 )
 
 func cableInstance(t *testing.T, seed int64) *generator.CableTV {
@@ -15,83 +16,123 @@ func cableInstance(t *testing.T, seed int64) *generator.CableTV {
 	return &generator.CableTV{Channels: 30, Gateways: 8, Seed: seed, EgressFraction: 0.3}
 }
 
-func TestScenarioThresholdFeasibleNoOverload(t *testing.T) {
-	in, err := cableInstance(t, 1).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &headend.Scenario{Instance: in, Seed: 7}
-	pol, err := headend.NewThresholdPolicy(in, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sc.Run(pol, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FeasibilityErr != nil {
-		t.Fatalf("threshold produced infeasible assignment: %v", res.FeasibilityErr)
-	}
-	if res.OverloadSamples != 0 {
-		t.Fatalf("feasible policy overloaded the network %d times", res.OverloadSamples)
-	}
-	if res.StreamsOffered != in.NumStreams() {
-		t.Fatalf("offered %d, want %d", res.StreamsOffered, in.NumStreams())
-	}
-	if res.Utility <= 0 || res.DeliveredMb <= 0 {
-		t.Fatalf("utility %v delivered %v, want positive", res.Utility, res.DeliveredMb)
+// offerCatalog offers every stream of the tenant's instance once, in a
+// seeded random order.
+func offerCatalog(ten *headend.Tenant, seed int64) {
+	for _, s := range rand.New(rand.NewSource(seed)).Perm(ten.Instance().NumStreams()) {
+		ten.OfferStream(s)
 	}
 }
 
-func TestScenarioOraclePolicy(t *testing.T) {
+// applyWorkload applies tenant 0's schedule of w to ten one event at a
+// time and fails the test at the first event after which the running
+// assignment exceeds a budget or capacity.
+func applyWorkload(t *testing.T, ten *headend.Tenant, w cluster.Workload) {
+	t.Helper()
+	in := ten.Instance()
+	for i, ev := range w.EventsForInstance(in, 0) {
+		switch ev.Type {
+		case cluster.EventStreamArrival:
+			ten.OfferStream(ev.Stream)
+		case cluster.EventStreamDeparture:
+			ten.DepartStream(ev.Stream)
+		case cluster.EventUserLeave:
+			ten.UserLeave(ev.User)
+		case cluster.EventUserJoin:
+			ten.UserJoin(ev.User)
+		}
+		if err := ten.Assignment().CheckFeasible(in); err != nil {
+			t.Fatalf("event %d (%+v): %v", i, ev, err)
+		}
+	}
+}
+
+func newTenant(t *testing.T, in *mmd.Instance, policy string) *headend.Tenant {
+	t.Helper()
+	pol, err := headend.NewPolicyByName(in, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ten, err := headend.NewTenant(in, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ten
+}
+
+// TestPoliciesStayFeasible: every policy that respects the budgets
+// keeps the running assignment feasible after every event — on a
+// single pass over the catalog, and for online and threshold also
+// under stream departures and gateway churn. The online rows with
+// departures use schedules on which the unguarded allocator does
+// exceed a budget, so they exercise the guard.
+func TestPoliciesStayFeasible(t *testing.T) {
+	cases := []struct {
+		name   string
+		policy string
+		seed   int64
+		w      cluster.Workload
+	}{
+		{"threshold-single-pass", "threshold", 1, cluster.Workload{Seed: 7}},
+		{"online-single-pass", "online", 3, cluster.Workload{Seed: 9}},
+		{"static-single-pass", "static", 6, cluster.Workload{Seed: 12}},
+		{"online-departures", "online", 33, cluster.Workload{Seed: 34, Rounds: 3, DepartEvery: 2}},
+		{"threshold-departures", "threshold", 23, cluster.Workload{Seed: 24, Rounds: 2, DepartEvery: 2}},
+		{"online-gateway-churn", "online", 44, cluster.Workload{Seed: 45, Rounds: 3, DepartEvery: 2, ChurnEvery: 4}},
+		{"threshold-gateway-churn", "threshold", 53, cluster.Workload{Seed: 54, Rounds: 3, DepartEvery: 2, ChurnEvery: 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in, err := cableInstance(t, tc.seed).Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ten := newTenant(t, in, tc.policy)
+			applyWorkload(t, ten, tc.w)
+			snap := ten.Snapshot()
+			rounds := max(tc.w.Rounds, 1)
+			if snap.StreamsOffered != rounds*in.NumStreams() || snap.StreamsAdmitted == 0 {
+				t.Fatalf("offered %d admitted %d, want %d offers and some admissions",
+					snap.StreamsOffered, snap.StreamsAdmitted, rounds*in.NumStreams())
+			}
+			if tc.w.DepartEvery > 0 && snap.StreamsDeparted == 0 {
+				t.Fatal("no stream departed")
+			}
+			if tc.w.ChurnEvery > 0 && (snap.UserLeaves == 0 || snap.UserJoins == 0) {
+				t.Fatalf("no gateway churn: %d leaves, %d joins", snap.UserLeaves, snap.UserJoins)
+			}
+			if !snap.Feasible {
+				t.Fatal("snapshot reports an infeasible assignment")
+			}
+		})
+	}
+}
+
+// TestOracleRevealsPrecomputedAssignment: offered the whole catalog,
+// the oracle's tenant ends up carrying exactly the offline assignment.
+func TestOracleRevealsPrecomputedAssignment(t *testing.T) {
 	in, err := cableInstance(t, 2).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &headend.Scenario{Instance: in, Seed: 8}
 	pol, err := headend.NewOraclePolicy(in, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run(pol, nil)
+	ten, err := headend.NewTenant(in, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FeasibilityErr != nil {
-		t.Fatalf("oracle infeasible: %v", res.FeasibilityErr)
-	}
-	if res.OverloadSamples != 0 {
-		t.Fatalf("oracle overloaded the network %d times", res.OverloadSamples)
-	}
-	// The oracle must reveal exactly its precomputed assignment.
-	if !res.Assignment.Equal(pol.Assignment()) {
+	offerCatalog(ten, 8)
+	if !ten.Assignment().Equal(pol.Assignment()) {
 		t.Fatal("revealed assignment differs from the precomputed one")
 	}
-}
-
-func TestScenarioGuardedOnlineNeverOverloads(t *testing.T) {
-	in, err := cableInstance(t, 3).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &headend.Scenario{Instance: in, Seed: 9}
-	pol, err := headend.NewOnlinePolicy(in, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sc.Run(pol, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FeasibilityErr != nil {
-		t.Fatalf("guarded online infeasible: %v", res.FeasibilityErr)
-	}
-	if res.OverloadSamples != 0 {
-		t.Fatalf("guarded online overloaded the network %d times", res.OverloadSamples)
+	if err := ten.Assignment().CheckFeasible(in); err != nil {
+		t.Fatalf("oracle infeasible: %v", err)
 	}
 }
 
-func TestScenarioOracleBeatsThresholdAggregate(t *testing.T) {
+func TestOracleBeatsThresholdAggregate(t *testing.T) {
 	oracleTotal, thresholdTotal := 0.0, 0.0
 	for seed := int64(0); seed < 6; seed++ {
 		in, err := (&generator.CableTV{
@@ -100,111 +141,35 @@ func TestScenarioOracleBeatsThresholdAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := &headend.Scenario{Instance: in, Seed: seed}
-		oracle, err := headend.NewOraclePolicy(in, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		thr, err := headend.NewThresholdPolicy(in, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		or, err := sc.Run(oracle, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := sc.Run(thr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracleTotal += or.Utility
-		thresholdTotal += tr.Utility
+		oracle, thr := newTenant(t, in, "oracle"), newTenant(t, in, "threshold")
+		offerCatalog(oracle, seed)
+		offerCatalog(thr, seed)
+		oracleTotal += oracle.Snapshot().Utility
+		thresholdTotal += thr.Snapshot().Utility
 	}
 	if oracleTotal <= thresholdTotal {
 		t.Fatalf("oracle %v did not beat threshold %v in aggregate", oracleTotal, thresholdTotal)
 	}
 }
 
-func TestScenarioTraceOutput(t *testing.T) {
-	in, err := cableInstance(t, 4).Generate()
+// TestChurnReusesFreedCapacity: the same catalog offered twice on a
+// tight instance, with departures in between, must admit in round 2
+// streams that round 1's load would have blocked — measured as more
+// admissions than the same arrival order without departures.
+func TestChurnReusesFreedCapacity(t *testing.T) {
+	in, err := (&generator.CableTV{
+		Channels: 30, Gateways: 8, Seed: 25, EgressFraction: 0.15, // tight
+	}).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &headend.Scenario{Instance: in, Seed: 10}
-	pol, err := headend.NewThresholdPolicy(in, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf)
-	if _, err := sc.Run(pol, tw); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := trace.ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Validate(events); err != nil {
-		t.Fatal(err)
-	}
-	arrivals, decisions := 0, 0
-	for _, e := range events {
-		switch e.Type {
-		case trace.EventStreamArrival:
-			arrivals++
-		case trace.EventDecision:
-			decisions++
-		}
-	}
-	if arrivals != in.NumStreams() || decisions != in.NumStreams() {
-		t.Fatalf("trace has %d arrivals, %d decisions, want %d each",
-			arrivals, decisions, in.NumStreams())
-	}
-}
-
-func TestScenarioDeterministic(t *testing.T) {
-	in, err := cableInstance(t, 5).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &headend.Scenario{Instance: in, Seed: 11}
-	run := func() *headend.Result {
-		pol, err := headend.NewThresholdPolicy(in, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sc.Run(pol, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	r1, r2 := run(), run()
-	if r1.Utility != r2.Utility || r1.DeliveredMb != r2.DeliveredMb ||
-		r1.StreamsAdmitted != r2.StreamsAdmitted {
-		t.Fatal("scenario not deterministic for fixed seeds")
-	}
-}
-
-func TestStaticGreedyPolicy(t *testing.T) {
-	in, err := cableInstance(t, 6).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := headend.NewStaticGreedyPolicy(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &headend.Scenario{Instance: in, Seed: 12}
-	res, err := sc.Run(pol, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FeasibilityErr != nil {
-		t.Fatalf("static greedy infeasible: %v", res.FeasibilityErr)
+	churn, still := newTenant(t, in, "threshold"), newTenant(t, in, "threshold")
+	applyWorkload(t, churn, cluster.Workload{Seed: 26, Rounds: 2, DepartEvery: 2})
+	applyWorkload(t, still, cluster.Workload{Seed: 26, Rounds: 2})
+	admitChurn, admitStill := churn.Snapshot().StreamsAdmitted, still.Snapshot().StreamsAdmitted
+	if admitChurn <= admitStill {
+		t.Fatalf("churn admissions %d <= no-churn %d: freed capacity was not reused",
+			admitChurn, admitStill)
 	}
 }
 
@@ -218,13 +183,5 @@ func TestPolicyConstructorsReject(t *testing.T) {
 	}
 	if _, err := headend.NewThresholdPolicy(in, 2); err == nil {
 		t.Error("NewThresholdPolicy accepted margin 2")
-	}
-}
-
-func TestScenarioRejectsNilInstance(t *testing.T) {
-	sc := &headend.Scenario{}
-	pol := &headend.OraclePolicy{}
-	if _, err := sc.Run(pol, nil); err == nil {
-		t.Fatal("Run accepted a nil instance")
 	}
 }

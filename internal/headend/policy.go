@@ -1,16 +1,15 @@
 // Package headend ties the pieces into the system of Fig. 1: a cable
-// head-end with a stream catalog, neighborhood gateways, an admission
-// policy (the paper's algorithms or the deployed-world threshold
-// baseline), and the simulated multicast plant underneath. Streams
-// arrive over virtual time; the policy decides, subscriptions are
-// installed in the network, and delivery is accounted. Tenant is the
-// event-facing step core the sharded cluster (internal/cluster)
-// drives; see ARCHITECTURE.md at the repo root for the layer map.
+// head-end with a stream catalog, neighborhood gateways, and an
+// admission policy (the paper's algorithms or the deployed-world
+// threshold baseline). Tenant is the event-facing step core: each
+// stream arrival, departure, gateway leave or join, and offline
+// re-solve is one call, and the sharded cluster (internal/cluster)
+// drives one Tenant per head-end. See ARCHITECTURE.md at the repo root
+// for the layer map.
 package headend
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -20,7 +19,7 @@ import (
 
 // Policy decides, at stream-arrival time, which users receive the
 // stream. Implementations may keep state; they are driven from the
-// single simulation thread.
+// single goroutine that owns their Tenant.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -525,7 +524,7 @@ func (p *StaticGreedyPolicy) OnStreamArrival(s int) []int {
 // "online" (guarded Section 5 Allocate, the default for an empty
 // name), "online-unguarded", "threshold" (margin 1), "oracle"
 // (offline Theorem 1.1), or "static" (static-density greedy). It is
-// the single name-to-policy factory shared by cmd/vodsim, the
+// the single name-to-policy factory shared by the experiments, the
 // cluster, and the public API.
 func NewPolicyByName(in *mmd.Instance, name string) (Policy, error) {
 	if in == nil {
@@ -545,16 +544,4 @@ func NewPolicyByName(in *mmd.Instance, name string) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("headend: unknown policy %q", name)
 	}
-}
-
-// utilityOf sums the instance utility of delivering stream s to users.
-func utilityOf(in *mmd.Instance, s int, users []int) float64 {
-	total := 0.0
-	for _, u := range users {
-		total += in.Users[u].Utility[s]
-	}
-	if math.IsNaN(total) {
-		return 0
-	}
-	return total
 }

@@ -10,10 +10,9 @@ import (
 
 // Tenant is one head-end instance driven step by step: an admission
 // policy plus the authoritative running assignment, stream lifetimes,
-// and gateway availability. It is the event-facing core of Scenario.Run
-// extracted so callers that bring their own event loop (the discrete
-// simulators here, the sharded cluster in internal/cluster) can drive
-// admission without the virtual-time engine.
+// and gateway availability. Callers bring their own event loop (the
+// sharded cluster in internal/cluster, or a test replaying a seeded
+// order) and make one call per event.
 //
 // A Tenant is not safe for concurrent use; callers serialize all step
 // calls (the cluster pins each tenant to one shard worker).

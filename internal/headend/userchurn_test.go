@@ -1,106 +1,10 @@
 package headend_test
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/headend"
-	"repro/internal/trace"
 )
-
-func TestUserChurnOnlinePolicy(t *testing.T) {
-	in, err := cableInstance(t, 51).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := headend.NewOnlinePolicy(in, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &headend.ChurnScenario{
-		Instance: in, Seed: 52, Rounds: 3,
-		MeanSessionTime: 8, MeanAwayTime: 3,
-	}
-	res, err := sc.Run(pol, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UserLeaves == 0 || res.UserJoins == 0 {
-		t.Fatalf("no gateway churn happened: leaves %d joins %d", res.UserLeaves, res.UserJoins)
-	}
-	if res.OverloadSamples != 0 {
-		t.Fatalf("plant overloaded %d times under gateway churn", res.OverloadSamples)
-	}
-	if res.UtilitySeconds <= 0 {
-		t.Fatal("no utility accrued")
-	}
-}
-
-func TestUserChurnThresholdPolicy(t *testing.T) {
-	in, err := cableInstance(t, 53).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := headend.NewThresholdPolicy(in, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &headend.ChurnScenario{
-		Instance: in, Seed: 54, Rounds: 3,
-		MeanSessionTime: 6, MeanAwayTime: 2,
-	}
-	res, err := sc.Run(pol, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OverloadSamples != 0 {
-		t.Fatalf("plant overloaded %d times", res.OverloadSamples)
-	}
-	if res.UserLeaves == 0 {
-		t.Fatal("no gateway left")
-	}
-}
-
-func TestUserChurnTraceEvents(t *testing.T) {
-	in, err := cableInstance(t, 55).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := headend.NewOnlinePolicy(in, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf)
-	sc := &headend.ChurnScenario{
-		Instance: in, Seed: 56, MeanSessionTime: 5, MeanAwayTime: 2,
-	}
-	if _, err := sc.Run(pol, tw); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := trace.ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Validate(events); err != nil {
-		t.Fatal(err)
-	}
-	leaves, joins := 0, 0
-	for _, e := range events {
-		switch e.Type {
-		case trace.EventUserLeave:
-			leaves++
-		case trace.EventUserJoin:
-			joins++
-		}
-	}
-	if leaves == 0 || joins == 0 {
-		t.Fatalf("churn events missing from trace: %d leaves, %d joins", leaves, joins)
-	}
-}
 
 // TestUserChurnIdempotentCallbacks: double leave/join notifications must
 // not corrupt policy state.

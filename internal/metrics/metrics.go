@@ -1,8 +1,8 @@
 // Package metrics provides the small, dependency-free instrumentation
-// used by the simulator, the emulation, and the benchmark harness:
-// counters, gauges, fixed-bucket histograms, and a registry that renders
-// text snapshots. All types are safe for concurrent use (the live
-// emulation updates them from many goroutines).
+// used by the HTTP shed governor and the benchmark harness: counters,
+// gauges, fixed-bucket histograms, and a registry that renders text
+// snapshots. All types are safe for concurrent use (the saturation
+// harness updates them from many goroutines).
 package metrics
 
 import (

@@ -15,8 +15,8 @@ import (
 // exponential costs reflect only live load; Release implements that.
 // The competitive analysis of Theorem 5.4 applies verbatim only to the
 // arrival-only setting; with departures the algorithm becomes the
-// heuristic the footnote sketches (exercised by the churn scenario and
-// its tests).
+// heuristic the footnote sketches (exercised by experiment E11 and the
+// headend churn tests).
 
 // Release withdraws stream s entirely: every user holding it drops it
 // and all budget loads are credited back. It reports whether the stream

@@ -2,16 +2,14 @@
 // logs (write-ahead logs), checkpoint manifests, and the reader that
 // recovery and live resharding replay from.
 //
-// # One codec
+// # Record codec
 //
-// A Record is the single JSON-Lines event schema of the repository —
-// the same codec backs the cluster's durability log and the
-// internal/trace simulation traces (trace.Event is a view over the
-// shared field set), so there are not two NDJSON event formats
-// drifting apart. Encoding is a hand-rolled appender in the style of
-// the internal/httpserve streaming codec (zero allocations beyond the
-// caller's buffer); decoding is strict (unknown fields are errors —
-// a corrupt log must fail loudly, never reinterpret).
+// A Record is one JSON line of the log: a routed cluster event or a
+// catalog registry transition. Encoding is a hand-rolled appender in
+// the style of the internal/httpserve streaming codec (zero
+// allocations beyond the caller's buffer); decoding is strict (unknown
+// fields are errors — a corrupt log must fail loudly, never
+// reinterpret).
 //
 // # Log layout and ordering
 //
@@ -46,19 +44,14 @@ import (
 )
 
 // Record types. The vocabulary is the union of the cluster's routed
-// events, the catalog registry's admission protocol, and the
-// simulation trace events internal/trace has always written — one
-// codec for all of them.
+// events and the catalog registry's admission protocol.
 const (
-	// TypeStreamArrival .. TypeResolve are the cluster's routed events
-	// (the first four double as the classic trace vocabulary).
+	// TypeStreamArrival .. TypeResolve are the cluster's routed events.
 	TypeStreamArrival   = "stream_arrival"
 	TypeStreamDeparture = "stream_departure"
 	TypeUserJoin        = "user_join"
 	TypeUserLeave       = "user_leave"
 	TypeResolve         = "resolve"
-	// TypeDecision is the simulation trace's admission-decision record.
-	TypeDecision = "decision"
 	// TypeCatalogAcquire and TypeCatalogSettle are the registry's log
 	// plane: one record per admission quote and per reference
 	// transition, in the registry owner's serialization order.
@@ -78,8 +71,7 @@ const (
 
 // Record is one logged event. Zero-valued fields are omitted on the
 // wire; which fields are meaningful depends on Type. Seq is the global
-// apply-order sequence number (0 on trace records, which are ordered
-// by Time instead).
+// apply-order sequence number.
 type Record struct {
 	Seq     uint64  `json:"seq,omitempty"`
 	Type    string  `json:"type"`
@@ -100,17 +92,12 @@ type Record struct {
 	Op      string  `json:"op,omitempty"`
 	Full    float64 `json:"full,omitempty"`
 	Charged float64 `json:"charged,omitempty"`
-	// Trace-plane fields (see internal/trace).
-	Time  float64 `json:"time,omitempty"`
-	Users []int   `json:"users,omitempty"`
-	Value float64 `json:"value,omitempty"`
-	Note  string  `json:"note,omitempty"`
 }
 
 // AppendRecord appends r as one JSON line (newline-terminated) to b
 // and returns the extended buffer. It is the allocation-free encode
-// path shared by the shard workers' log appenders and trace.Writer;
-// output decodes exactly (floats use the shortest round-trip form).
+// path of the shard workers' and the registry's log appenders; output
+// decodes exactly (floats use the shortest round-trip form).
 func AppendRecord(b []byte, r *Record) []byte {
 	b = append(b, '{')
 	if r.Seq != 0 {
@@ -165,28 +152,6 @@ func AppendRecord(b []byte, r *Record) []byte {
 	if r.Charged != 0 {
 		b = append(b, `,"charged":`...)
 		b = strconv.AppendFloat(b, r.Charged, 'g', -1, 64)
-	}
-	if r.Time != 0 {
-		b = append(b, `,"time":`...)
-		b = strconv.AppendFloat(b, r.Time, 'g', -1, 64)
-	}
-	if r.Users != nil {
-		b = append(b, `,"users":[`...)
-		for i, u := range r.Users {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(u), 10)
-		}
-		b = append(b, ']')
-	}
-	if r.Value != 0 {
-		b = append(b, `,"value":`...)
-		b = strconv.AppendFloat(b, r.Value, 'g', -1, 64)
-	}
-	if r.Note != "" {
-		b = append(b, `,"note":`...)
-		b = ndjson.AppendString(b, r.Note)
 	}
 	return append(b, '}', '\n')
 }

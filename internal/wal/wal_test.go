@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -24,8 +23,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Seq: 8, Type: TypeCatalogSettle, Tenant: 5, Catalog: "sports",
 			Op: OpCommit, Full: 12.75, Charged: 4.25, Origin: true},
 		{Seq: 9, Type: TypeCatalogSettle, Op: OpReleasePending, Catalog: "x"},
-		{Type: TypeDecision, Time: 0.1, Stream: 2, Users: []int{0, 3, 5}, Value: 1.5, Note: "admit"},
-		{Type: TypeDecision, Time: math.Pi, Users: []int{}, Value: -2.25},
 		{Seq: math.MaxUint64, Type: TypeResolve},
 	}
 	var buf []byte
@@ -38,32 +35,10 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: decode: %v (line %q)", i, err, buf)
 		}
-		// Users round-trips nil-vs-empty as written ([] encodes as []).
-		want := recs[i]
-		if want.Users != nil && len(want.Users) == 0 {
-			want.Users, got.Users = nil, got.Users[:0]
-			if len(got.Users) != 0 {
-				t.Fatalf("record %d: users not empty", i)
-			}
-			got.Users = nil
-		}
-		if !recordsEqual(got, want) {
-			t.Fatalf("record %d: round trip mismatch:\n got %+v\nwant %+v\nline %q", i, got, want, buf)
+		if got != recs[i] {
+			t.Fatalf("record %d: round trip mismatch:\n got %+v\nwant %+v\nline %q", i, got, recs[i], buf)
 		}
 	}
-}
-
-func recordsEqual(a, b Record) bool {
-	if len(a.Users) != len(b.Users) {
-		return false
-	}
-	for i := range a.Users {
-		if a.Users[i] != b.Users[i] {
-			return false
-		}
-	}
-	a.Users, b.Users = nil, nil
-	return reflect.DeepEqual(a, b)
 }
 
 func TestDecodeRecordStrict(t *testing.T) {

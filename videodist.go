@@ -52,9 +52,9 @@
 // catalog → serving) fit together and which invariants pin them.
 //
 // Everything — the solvers, the exact branch-and-bound reference, the
-// workload generators, the discrete-event multicast network, and the
-// live goroutine emulation — lives in internal packages; this package
-// re-exports the surface a downstream user needs. Examples under
+// workload generators, the head-end and the serving layers — lives in
+// internal packages; this package re-exports the surface a downstream
+// user needs. Examples under
 // examples/ and the experiment harness in bench_test.go exercise it.
 package videodist
 

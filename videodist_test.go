@@ -163,3 +163,30 @@ func TestFacadeExactAndBaseline(t *testing.T) {
 		t.Fatalf("alpha = %v", alpha)
 	}
 }
+
+func TestFacadeAssignmentAndNormalize(t *testing.T) {
+	a := videodist.NewAssignment(3)
+	a.Add(0, 5)
+	if !a.Has(0, 5) || a.NumUsers() != 3 {
+		t.Fatal("facade NewAssignment broken")
+	}
+	in, err := videodist.NewRandomMMD(videodist.RandomMMD{Streams: 6, Users: 3, M: 2, MC: 1, Seed: 45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := videodist.Normalize(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm.Gamma < 1 || norm.Mu() <= 2 {
+		t.Fatalf("normalization degenerate: gamma %v mu %v", norm.Gamma, norm.Mu())
+	}
+	al, err := videodist.NewAllocator(norm.Instance, norm.Mu())
+	if err != nil {
+		t.Fatal(err)
+	}
+	al.RunSequence(nil)
+	if al.Value() < 0 {
+		t.Fatal("negative value")
+	}
+}
