@@ -32,7 +32,7 @@ func BenchmarkDirectGreedy(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = directGreedy(in)
+		_ = new(Workspace).directGreedy(in, in.InterestedUsers())
 	}
 }
 

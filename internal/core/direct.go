@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/buf"
 	"repro/internal/mmd"
 )
 
@@ -16,20 +17,29 @@ import (
 // the best of all candidates, adding this one can only help; on
 // non-adversarial workloads it is usually the strongest candidate (see
 // experiment E9).
-func directGreedy(in *mmd.Instance) *mmd.Assignment {
+//
+// interested is in.InterestedUsers(): every sum walks a stream's
+// interested users in increasing order, so it adds the same terms in the
+// same order as a scan over all users would.
+func (w *Workspace) directGreedy(in *mmd.Instance, interested [][]int) *mmd.Assignment {
 	nS, nU := in.NumStreams(), in.NumUsers()
-	assn := mmd.NewAssignment(nU)
-
-	budgetLeft := append([]float64(nil), in.Budgets...)
-	capLeft := make([][]float64, nU)
-	for u := range in.Users {
-		capLeft[u] = append([]float64(nil), in.Users[u].Capacities...)
+	if w.direct == nil {
+		w.direct = new(mmd.Assignment)
 	}
-	chosen := make([]bool, nS)
+	assn := w.direct
+	assn.Reset(nU)
+
+	budgetLeft := append(w.budgetLeft[:0], in.Budgets...)
+	capLeft := buf.Grow(w.capLeft, nU)
+	for u := range in.Users {
+		capLeft[u] = append(capLeft[u][:0], in.Users[u].Capacities...)
+	}
+	chosen := buf.Zeroed(w.chosen, nS)
 
 	// normCost is the merged cost used for ranking (feasibility is
 	// checked against the real budgets separately).
-	normCost := make([]float64, nS)
+	normCost := buf.Zeroed(w.normCost, nS)
+	w.budgetLeft, w.capLeft, w.chosen, w.normCost = budgetLeft, capLeft, chosen, normCost
 	for s := 0; s < nS; s++ {
 		for i, c := range in.Streams[s].Costs {
 			if b := in.Budgets[i]; b > 0 && !math.IsInf(b, 1) {
@@ -65,9 +75,9 @@ func directGreedy(in *mmd.Instance) *mmd.Assignment {
 				continue
 			}
 			marginal := 0.0
-			for u := 0; u < nU; u++ {
-				if w := in.Users[u].Utility[s]; w > 0 && fitsUser(u, s) {
-					marginal += w
+			for _, u := range interested[s] {
+				if fitsUser(u, s) {
+					marginal += in.Users[u].Utility[s]
 				}
 			}
 			if marginal <= 0 {
@@ -87,8 +97,8 @@ func directGreedy(in *mmd.Instance) *mmd.Assignment {
 		for i, c := range in.Streams[bestS].Costs {
 			budgetLeft[i] -= c
 		}
-		for u := 0; u < nU; u++ {
-			if in.Users[u].Utility[bestS] > 0 && fitsUser(u, bestS) {
+		for _, u := range interested[bestS] {
+			if fitsUser(u, bestS) {
 				for j := range capLeft[u] {
 					capLeft[u][j] -= in.Users[u].Loads[j][bestS]
 				}

@@ -17,7 +17,7 @@ func TestDirectGreedyFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := directGreedy(in)
+		a := new(Workspace).directGreedy(in, in.InterestedUsers())
 		if err := a.CheckFeasible(in); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -29,7 +29,7 @@ func TestDirectGreedyRespectsUserCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := directGreedy(in)
+	a := new(Workspace).directGreedy(in, in.InterestedUsers())
 	if err := a.CheckFeasible(in); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDirectGreedyEmptyInstance(t *testing.T) {
 			in.Users[u].Utility[s] = 0
 		}
 	}
-	a := directGreedy(in)
+	a := new(Workspace).directGreedy(in, in.InterestedUsers())
 	if a.Pairs() != 0 {
 		t.Fatal("direct greedy assigned zero-utility pairs")
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/generator"
+	"repro/internal/mmd"
 )
 
 // solveCase is one randomized Solve property check, shared by the fuzz
@@ -43,11 +44,8 @@ func clampCase(c solveCase) solveCase {
 	return c
 }
 
-// checkSolve asserts the Solve contract on one generated instance:
-// the assignment is feasible, its value matches the report, and the
-// pipeline never returns less than its own fallback candidates (the
-// best single stream and the direct greedy).
-func checkSolve(t *testing.T, c solveCase) {
+// generate builds the case's instance.
+func (c solveCase) generate(t *testing.T) *mmd.Instance {
 	t.Helper()
 	in, err := generator.RandomMMD{
 		Streams: c.streams, Users: c.users, M: c.m, MC: c.mc,
@@ -56,9 +54,45 @@ func checkSolve(t *testing.T, c solveCase) {
 	if err != nil {
 		t.Fatalf("%+v: generate: %v", c, err)
 	}
+	return in
+}
+
+// checkSolve asserts the Solve contract on one generated instance:
+// the assignment is feasible, its value matches the report, and the
+// pipeline never returns less than its own fallback candidates (the
+// best single stream and the direct greedy). A workspace that has just
+// solved a larger and then a smaller instance of another shape must
+// return exactly what the fresh Solve does, so no stale row, band slot
+// or heap entry can leak from one re-solve into the next.
+func checkSolve(t *testing.T, c solveCase) {
+	t.Helper()
+	in := c.generate(t)
 	a, rep, err := core.Solve(in, core.Options{})
 	if err != nil {
 		t.Fatalf("%+v: solve: %v", c, err)
+	}
+	var ws core.Workspace
+	larger := clampCase(solveCase{
+		seed: c.seed + 1, streams: c.streams + 5, users: c.users + 3,
+		m: c.m + 1, mc: c.mc + 1, skew: c.skew * 64,
+	})
+	larger.streams, larger.users = c.streams+5, c.users+3
+	smaller := clampCase(solveCase{
+		seed: c.seed + 2, streams: c.streams - 1, users: c.users - 1,
+		m: c.m + 2, mc: c.mc + 2, skew: 1,
+	})
+	for _, other := range []solveCase{larger, smaller} {
+		if _, _, err := ws.Solve(other.generate(t), core.Options{}); err != nil {
+			t.Fatalf("%+v: workspace solve of %+v: %v", c, other, err)
+		}
+		got, gotRep, err := ws.Solve(in, core.Options{})
+		if err != nil {
+			t.Fatalf("%+v: workspace solve after %+v: %v", c, other, err)
+		}
+		if solveDigest(got, gotRep) != solveDigest(a, rep) {
+			t.Fatalf("%+v: after solving %+v, the workspace returns %v %+v; a fresh solve %v %+v",
+				c, other, got, *gotRep, a, *rep)
+		}
 	}
 	if err := a.CheckFeasible(in); err != nil {
 		t.Fatalf("%+v: infeasible assignment: %v", c, err)

@@ -11,10 +11,13 @@ import (
 // TestSolveManyBandsConcurrent exercises the concurrent band fan-out
 // in Solve (solver.go) on a high-skew instance that decomposes into
 // many bands, from several goroutines at once. Run under -race (the CI
-// does) it proves the fan-out's outs-slice discipline: each band
-// goroutine writes only its own index. It also asserts that concurrent
-// callers all see the same bit-identical result — the in-order winner
-// scan must make Solve deterministic regardless of goroutine timing.
+// does) it proves the fan-out's slot discipline: each band goroutine
+// writes only its own band slot, including when a workspace reuses the
+// slots from one solve to the next (every caller keeps a workspace and
+// alternates the instance with one of another band count). It also
+// asserts that concurrent callers all see the same bit-identical
+// result — the in-order winner scan must make Solve deterministic
+// regardless of goroutine timing.
 func TestSolveManyBandsConcurrent(t *testing.T) {
 	in, err := generator.RandomMMD{
 		Streams: 24, Users: 6, M: 3, MC: 2, Seed: 77, Skew: 4096,
@@ -30,6 +33,20 @@ func TestSolveManyBandsConcurrent(t *testing.T) {
 		t.Fatalf("instance decomposed into only %d bands; fan-out barely exercised", rep.Bands)
 	}
 
+	other, err := generator.RandomMMD{
+		Streams: 18, Users: 5, M: 2, MC: 1, Seed: 78, Skew: 16,
+	}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, otherRep, err := core.Solve(other, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if otherRep.Bands == rep.Bands {
+		t.Fatalf("both instances decompose into %d bands; slot reuse barely exercised", rep.Bands)
+	}
+
 	const callers = 8
 	values := make([]float64, callers)
 	bandValues := make([][]float64, callers)
@@ -39,17 +56,24 @@ func TestSolveManyBandsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a, r, err := core.Solve(in, core.Options{})
-			if err != nil {
-				t.Error(err)
-				return
+			var ws core.Workspace
+			for round := 0; round < 3; round++ {
+				if _, r, err := ws.Solve(other, core.Options{}); err != nil || r.Value != otherRep.Value {
+					t.Errorf("caller %d round %d: other instance: %v, %v", i, round, r, err)
+					return
+				}
+				a, r, err := ws.Solve(in, core.Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := a.CheckFeasible(in); err != nil {
+					t.Errorf("caller %d: infeasible: %v", i, err)
+					return
+				}
+				values[i] = r.Value
+				bandValues[i] = append([]float64(nil), r.BandValues...)
 			}
-			if err := a.CheckFeasible(in); err != nil {
-				t.Errorf("caller %d: infeasible: %v", i, err)
-				return
-			}
-			values[i] = r.Value
-			bandValues[i] = r.BandValues
 		}()
 	}
 	wg.Wait()

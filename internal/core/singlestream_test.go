@@ -89,7 +89,7 @@ func TestBestSingleStreamEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, val := bestSingleStream(tc.in)
+			a, val := new(Workspace).bestSingleStream(tc.in, tc.in.InterestedUsers())
 			if val != tc.wantValue {
 				t.Fatalf("value = %v, want %v", val, tc.wantValue)
 			}

@@ -12,6 +12,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/buf"
 	"repro/internal/mmd"
 	"repro/internal/reduction"
 	"repro/internal/skew"
@@ -75,102 +76,144 @@ type Report struct {
 // utilities of streams a user cannot hold should already be zero (run
 // ZeroOverloadedUtilities first if unsure).
 func Solve(in *mmd.Instance, opts Options) (*mmd.Assignment, *Report, error) {
-	if err := in.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	bandSolver := skew.DefaultBandSolver
+	return new(Workspace).Solve(in, opts)
+}
+
+// Workspace carries every stage's buffers from one Solve to the next:
+// the reduced instance, the band decomposition, each band's greedy and
+// lift, and the fallback candidates. A caller that re-solves instance
+// after instance (a head-end tenant) keeps one and allocates little
+// beyond the band fan-out's goroutines once it is warm. The zero value
+// is ready to use.
+//
+// A Workspace is not safe for concurrent use. What its Solve returns —
+// the assignment and the report — is the workspace's own, valid until
+// its next Solve; the package Solve runs on a fresh one, so its results
+// belong to the caller.
+type Workspace struct {
+	reduce reduction.Workspace
+	decomp skew.Workspace
+	// bands[i] is band i's scratch; each band goroutine touches only
+	// its own.
+	bands  []*bandSlot
+	report *Report
+
+	// The fallback candidates' scratch.
+	interested           [][]int
+	single, direct       *mmd.Assignment
+	users, bestUsers     []int
+	budgetLeft, normCost []float64
+	capLeft              [][]float64
+	chosen               []bool
+}
+
+// bandSlot is one band's solve and lift.
+type bandSlot struct {
+	greedy smd.Workspace
+	lift   reduction.Workspace
+	lifted *mmd.Assignment
+	value  float64
+	err    error
+}
+
+// solve runs the band's unit-skew solver and lifts its candidate back to
+// the original instance (Theorem 4.3).
+func (b *bandSlot) solve(view *reduction.View, band skew.Band, opts Options) {
+	b.lifted, b.value, b.err = nil, 0, nil
+	var res *smd.FixedResult
+	var err error
 	if opts.Algorithm == AlgoPartialEnum {
 		seedSize := opts.SeedSize
 		if seedSize == 0 {
 			seedSize = 2
 		}
-		bandSolver = func(sub *smd.Instance) (*smd.Assignment, error) {
-			res, err := smd.PartialEnum(sub, seedSize)
-			if err != nil {
-				return nil, err
-			}
-			return res.Best, nil
-		}
+		res, err = smd.PartialEnum(band.Instance, seedSize)
+	} else {
+		res, err = b.greedy.FixedGreedy(band.Instance)
+	}
+	if err != nil {
+		b.err = fmt.Errorf("core: band %d: %w", band.Index, err)
+		return
+	}
+	var lifted *mmd.Assignment
+	if opts.PaperFaithfulLift {
+		lifted, _, err = reduction.Lift(view, &res.Best.Assignment)
+	} else {
+		lifted, _, err = b.lift.LiftGreedy(view, &res.Best.Assignment)
+	}
+	if err != nil {
+		b.err = fmt.Errorf("core: band %d: %w", band.Index, err)
+		return
+	}
+	b.lifted, b.value = lifted, lifted.Utility(view.Orig)
+}
+
+// Solve is the package Solve run on the workspace.
+func (w *Workspace) Solve(in *mmd.Instance, opts Options) (*mmd.Assignment, *Report, error) {
+	if err := in.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 
 	// Step 1 (Section 4.1): multi-budget -> single-budget.
-	view, err := reduction.ToSMD(in)
+	view, err := w.reduce.ToSMD(in)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 
 	// Step 2 (Section 3): decompose the reduced instance by skew band.
-	dec, err := skew.Decompose(view.SMD)
+	dec, err := w.decomp.Decompose(view.SMD)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 
-	report := &Report{
+	if w.report == nil {
+		w.report = new(Report)
+	}
+	report := w.report
+	*report = Report{
 		Alpha:      dec.Alpha,
 		Bands:      len(dec.Bands),
-		BandValues: make([]float64, len(dec.Bands)),
+		BandValues: buf.Zeroed(report.BandValues, len(dec.Bands)),
 	}
 
 	// Step 3+4: solve each band (Section 2) and lift each candidate back
 	// to the original multi-budget instance (Theorem 4.3). Lifting every
 	// candidate and comparing final values dominates the paper's
 	// "pick the best band first, lift once" order. Bands are independent,
-	// so they are solved concurrently; the winner is chosen by an
-	// in-order scan afterwards, keeping results bit-for-bit deterministic.
-	lift := reduction.LiftGreedy
-	if opts.PaperFaithfulLift {
-		lift = reduction.Lift
+	// so they are solved concurrently, each in its own slot; the winner
+	// is chosen by an in-order scan afterwards, keeping results
+	// bit-for-bit deterministic.
+	for len(w.bands) < len(dec.Bands) {
+		w.bands = append(w.bands, new(bandSlot))
 	}
-	type bandOut struct {
-		lifted *mmd.Assignment
-		value  float64
-		err    error
-	}
-	outs := make([]bandOut, len(dec.Bands))
 	var wg sync.WaitGroup
 	for i := range dec.Bands {
-		i := i
 		wg.Add(1)
-		go func() {
+		go func(b *bandSlot, band skew.Band) {
 			defer wg.Done()
-			band := dec.Bands[i]
-			sub, err := bandSolver(band.Instance)
-			if err != nil {
-				outs[i].err = fmt.Errorf("core: band %d: %w", band.Index, err)
-				return
-			}
-			cand := mmd.NewAssignment(in.NumUsers())
-			for u := 0; u < in.NumUsers(); u++ {
-				for _, s := range sub.UserStreams(u) {
-					cand.Add(u, s)
-				}
-			}
-			lifted, _, err := lift(view, cand)
-			if err != nil {
-				outs[i].err = fmt.Errorf("core: band %d: %w", band.Index, err)
-				return
-			}
-			outs[i] = bandOut{lifted: lifted, value: lifted.Utility(in)}
-		}()
+			b.solve(view, band, opts)
+		}(w.bands[i], dec.Bands[i])
 	}
 	wg.Wait()
 
 	var best *mmd.Assignment
 	bestVal := math.Inf(-1)
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, nil, outs[i].err
+	for i := range dec.Bands {
+		b := w.bands[i]
+		if b.err != nil {
+			return nil, nil, b.err
 		}
-		report.BandValues[i] = outs[i].value
-		if outs[i].value > bestVal {
-			best, bestVal = outs[i].lifted, outs[i].value
+		report.BandValues[i] = b.value
+		if b.value > bestVal {
+			best, bestVal = b.lifted, b.value
 		}
 	}
 
 	// Safety net: the best single-stream assignment is always feasible
 	// (c_i(S) <= B_i and zero-overloaded utilities), and covers the
 	// degenerate cases (no bands, empty candidates).
-	single, singleVal := bestSingleStream(in)
+	w.interested = in.InterestedUsersInto(w.interested)
+	single, singleVal := w.bestSingleStream(in, w.interested)
 	report.SingleStreamValue = singleVal
 	if singleVal > bestVal {
 		best, bestVal = single, singleVal
@@ -181,7 +224,7 @@ func Solve(in *mmd.Instance, opts Options) (*mmd.Assignment, *Report, error) {
 	// candidates preserves the pipeline's). Disabled in paper-faithful
 	// mode so ablations can isolate the paper's algorithm.
 	if !opts.PaperFaithfulLift {
-		direct := directGreedy(in)
+		direct := w.directGreedy(in, w.interested)
 		if v := direct.Utility(in); v > bestVal {
 			best, bestVal = direct, v
 		}
@@ -215,17 +258,15 @@ func approxFactor(in *mmd.Instance, alpha float64) float64 {
 
 // bestSingleStream returns the single stream maximizing total utility
 // over the users that can feasibly hold it, assigned to those users.
-func bestSingleStream(in *mmd.Instance) (*mmd.Assignment, float64) {
+// interested is in.InterestedUsers().
+func (w *Workspace) bestSingleStream(in *mmd.Instance, interested [][]int) (*mmd.Assignment, float64) {
 	bestS, bestVal := -1, 0.0
-	var bestUsers []int
+	users, bestUsers := w.users[:0], w.bestUsers[:0]
 	for s := 0; s < in.NumStreams(); s++ {
 		val := 0.0
-		var users []int
-		for u := range in.Users {
+		users = users[:0]
+		for _, u := range interested[s] {
 			usr := &in.Users[u]
-			if usr.Utility[s] <= 0 {
-				continue
-			}
 			fits := true
 			for j := range usr.Capacities {
 				if usr.Loads[j][s] > usr.Capacities[j]+1e-12 {
@@ -239,10 +280,16 @@ func bestSingleStream(in *mmd.Instance) (*mmd.Assignment, float64) {
 			}
 		}
 		if val > bestVal {
-			bestS, bestVal, bestUsers = s, val, users
+			bestS, bestVal = s, val
+			users, bestUsers = bestUsers, users
 		}
 	}
-	a := mmd.NewAssignment(in.NumUsers())
+	w.users, w.bestUsers = users, bestUsers
+	if w.single == nil {
+		w.single = new(mmd.Assignment)
+	}
+	a := w.single
+	a.Reset(in.NumUsers())
 	if bestS >= 0 {
 		for _, u := range bestUsers {
 			a.Add(u, bestS)

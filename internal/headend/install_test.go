@@ -3,6 +3,7 @@ package headend_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -42,10 +43,47 @@ func driftTenant(t *testing.T, policy string, seed int64) *headend.Tenant {
 
 // TestResolveMonitoringDoesNotTouchState pins the install=false
 // contract: the running assignment is untouched and both values are
-// reported.
+// reported — on a drifted tenant, and again after an install with a
+// different set of gateways away, when the re-solve workspace is warm.
+// Neither a monitoring nor a later installing re-solve may change a
+// slice an earlier step returned.
 func TestResolveMonitoringDoesNotTouchState(t *testing.T) {
 	tn := driftTenant(t, "online", 31)
+	checkMonitoring(t, tn)
+
+	if out, err := tn.Resolve(core.Options{}, true); err != nil || !out.Installed {
+		t.Fatalf("install: %+v, %v", out, err)
+	}
+	var returned, want [][]int
+	keep := func(users []int) {
+		returned = append(returned, users)
+		want = append(want, append([]int(nil), users...))
+	}
+	carried := tn.Assignment().Range()
+	for _, s := range carried[:2] {
+		keep(tn.DepartStream(s))
+	}
+	tn.UserJoin(2)
+	keep(tn.UserLeave(4))
+	keep(tn.OfferStream(carried[0]))
+	checkMonitoring(t, tn)
+	if _, err := tn.Resolve(core.Options{}, true); err != nil {
+		t.Fatal(err)
+	}
+	for i := range returned {
+		if !slices.Equal(returned[i], want[i]) {
+			t.Fatalf("returned slice %d changed from %v to %v", i, want[i], returned[i])
+		}
+	}
+}
+
+// checkMonitoring runs one install=false re-solve and checks that it
+// leaves the assignment and the snapshot as they were, apart from the
+// re-solve's own counters.
+func checkMonitoring(t *testing.T, tn *headend.Tenant) {
+	t.Helper()
 	before := tn.Assignment().Clone()
+	snap := tn.Snapshot()
 	out, err := tn.Resolve(core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +100,10 @@ func TestResolveMonitoringDoesNotTouchState(t *testing.T) {
 	if !tn.Assignment().Equal(before) {
 		t.Fatal("monitoring resolve mutated the running assignment")
 	}
-	snap := tn.Snapshot()
-	if snap.Resolves != 1 || snap.Installs != 0 {
-		t.Fatalf("snapshot = %+v", snap)
+	snap.Resolves++
+	snap.LastResolveValue = out.OfflineValue
+	if got := tn.Snapshot(); got != snap {
+		t.Fatalf("snapshot after monitoring resolve = %+v, want %+v", got, snap)
 	}
 }
 

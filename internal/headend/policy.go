@@ -99,6 +99,11 @@ type OnlinePolicy struct {
 	// savedUtility keeps the zeroed utility rows of away users (gateway
 	// churn, see UserChurnPolicy).
 	savedUtility map[int][]float64
+	// spare and spareLedger are the buffers Reinstall builds the next
+	// allocator and ledger in before swapping them with the running
+	// ones; the first Reinstall creates them.
+	spare       *online.Allocator
+	spareLedger *mmd.LoadLedger
 }
 
 var (
@@ -246,20 +251,27 @@ func (p *OnlinePolicy) Assignment() *mmd.Assignment { return p.assn }
 // Normalization exposes mu and the competitive bound for reports.
 func (p *OnlinePolicy) Normalization() *online.Normalization { return p.norm }
 
-// Reinstall implements ReinstallablePolicy: a fresh allocator is built
-// over the same normalized instance (away users keep their zeroed
-// utility rows) and charged with the installed assignment, so the
+// Reinstall implements ReinstallablePolicy: an allocator over the same
+// normalized instance (away users keep their zeroed utility rows) is
+// reset to empty and charged with the installed assignment, so the
 // exponential costs restart from the installed load rather than the
-// accumulated online history. Only after the new allocator is ready is
-// the policy state swapped; the guard ledger is rebuilt from the
-// installed assignment in the same step.
+// accumulated online history. The allocator and the guard ledger are
+// built in spare buffers and swapped with the running ones only when
+// both are ready; the previous ones become the spares. The first spare
+// allocator comes from online.NewAllocator, and since the instance
+// never changes, a reset one is the same as a new one.
 func (p *OnlinePolicy) Reinstall(assn *mmd.Assignment) error {
-	al, err := online.NewAllocator(p.norm.Instance, p.norm.Mu())
-	if err != nil {
-		return fmt.Errorf("headend: online reinstall: %w", err)
+	al := p.spare
+	if al == nil {
+		var err error
+		if al, err = online.NewAllocator(p.norm.Instance, p.norm.Mu()); err != nil {
+			return fmt.Errorf("headend: online reinstall: %w", err)
+		}
+	} else {
+		al.Reset()
 	}
 	al.Install(assn)
-	p.allocator = al
+	p.allocator, p.spare = al, p.allocator
 	// Streams the new lineup retains keep the charge scale they were
 	// admitted at: their shared-catalog origin is still paid for
 	// elsewhere, so re-pricing them at full cost would overstate the
@@ -273,31 +285,16 @@ func (p *OnlinePolicy) Reinstall(assn *mmd.Assignment) error {
 		}
 	}
 	if p.ledger != nil {
-		// The ledger variant records its scales internally: capture the
-		// retained ones before the rebuild wipes them.
-		var retained map[int]float64
-		for _, s := range assn.Range() {
-			if sc := p.ledger.ChargeScale(s); sc != 1 {
-				if retained == nil {
-					retained = make(map[int]float64)
-				}
-				retained[s] = sc
-			}
+		// The ledger variant records its scales internally: the spare
+		// is rebuilt reading the retained streams' scales from the
+		// running ledger (1 for pickups), then swapped in.
+		if p.spareLedger == nil {
+			p.spareLedger = mmd.NewLoadLedger(p.in)
 		}
-		scaleOf := func(s int) float64 {
-			if sc, ok := retained[s]; ok {
-				return sc
-			}
-			return 1
-		}
-		if retained == nil {
-			scaleOf = nil
-		}
-		p.assn = assn.Clone()
-		p.ledger.RebuildScaled(p.assn, scaleOf)
-		return nil
+		p.spareLedger.RebuildScaled(assn, p.ledger.ChargeScale)
+		p.ledger, p.spareLedger = p.spareLedger, p.ledger
 	}
-	p.assn = assn.Clone()
+	p.assn.CopyFrom(assn)
 	return nil
 }
 

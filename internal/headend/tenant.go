@@ -30,6 +30,8 @@ type Tenant struct {
 	scale map[int]float64
 	// away marks gateways currently offline.
 	away []bool
+	// ws is the re-solve workspace, built by the first Resolve.
+	ws *resolveWorkspace
 
 	offered, admitted, departed int
 	leaves, joins, resolves     int
@@ -228,6 +230,57 @@ type ResolveOutcome struct {
 	Installed bool
 }
 
+// resolveWorkspace is what a tenant's re-solves reuse from one to the
+// next: the away-masked instance, the solver's workspace and the
+// install's scratch. The first Resolve builds it; only the goroutine
+// that drives the tenant touches it, and nothing a step returns points
+// into it.
+type resolveWorkspace struct {
+	// masked is the instance a re-solve runs on: the tenant's streams
+	// and budgets, and its users with every away gateway's utility row
+	// replaced by zero — a copy of the user headers, not of the rows.
+	masked mmd.Instance
+	zero   []float64
+	solver core.Workspace
+	// offsets is the install's per-stream cursor into the fresh array
+	// the carried streams' user lists are carved from.
+	offsets []int
+}
+
+func newResolveWorkspace(in *mmd.Instance) *resolveWorkspace {
+	return &resolveWorkspace{
+		masked: mmd.Instance{
+			Streams: in.Streams,
+			Users:   make([]mmd.User, in.NumUsers()),
+			Budgets: in.Budgets,
+		},
+		zero:    make([]float64, in.NumStreams()),
+		offsets: make([]int, in.NumStreams()),
+	}
+}
+
+// workspace returns the tenant's re-solve workspace, building it on
+// first use.
+func (t *Tenant) workspace() *resolveWorkspace {
+	if t.ws == nil {
+		t.ws = newResolveWorkspace(t.in)
+	}
+	return t.ws
+}
+
+// mask refreshes the masked instance for the current away set. The
+// solver only reads its instance, so the shared zero row and the shared
+// headers stay untouched.
+func (w *resolveWorkspace) mask(in *mmd.Instance, away []bool) *mmd.Instance {
+	for u := range in.Users {
+		w.masked.Users[u] = in.Users[u]
+		if away[u] {
+			w.masked.Users[u].Utility = w.zero
+		}
+	}
+	return &w.masked
+}
+
 // Resolve runs the offline Theorem 1.1 pipeline on the tenant's
 // instance (with away gateways' utilities zeroed). With install false it
 // is a monitoring step — the running assignment and policy state are not
@@ -237,25 +290,8 @@ type ResolveOutcome struct {
 // but only when it is at least as good as the running assignment — a
 // re-solve never downgrades the lineup it replaces.
 func (t *Tenant) Resolve(opts core.Options, install bool) (ResolveOutcome, error) {
-	in := t.in
-	anyAway := false
-	for _, a := range t.away {
-		if a {
-			anyAway = true
-			break
-		}
-	}
-	if anyAway {
-		in = t.in.Clone()
-		for u := range in.Users {
-			if t.away[u] {
-				for s := range in.Users[u].Utility {
-					in.Users[u].Utility[s] = 0
-				}
-			}
-		}
-	}
-	assn, rep, err := core.Solve(in, opts)
+	ws := t.workspace()
+	assn, rep, err := ws.solver.Solve(ws.mask(t.in, t.away), opts)
 	if err != nil {
 		return ResolveOutcome{}, fmt.Errorf("headend: tenant resolve: %w", err)
 	}
@@ -284,9 +320,11 @@ func (t *Tenant) Resolve(opts core.Options, install bool) (ResolveOutcome, error
 // table replaced. On any error the old state is untouched. Installing
 // adopts the offline lineup over the full catalog: the head-end retunes
 // to the Theorem 1.1 solution, dropping carried streams outside it and
-// picking up catalog streams inside it.
+// picking up catalog streams inside it. assn is the solver workspace's
+// scratch, so it is edited in place and copied into the running
+// assignment.
 func (t *Tenant) install(assn *mmd.Assignment) error {
-	assn = assn.Restrict(func(u, s int) bool {
+	assn.Restrict(func(u, s int) bool {
 		return u < len(t.away) && !t.away[u]
 	})
 	if err := assn.CheckFeasible(t.in); err != nil {
@@ -299,14 +337,8 @@ func (t *Tenant) install(assn *mmd.Assignment) error {
 	if err := rp.Reinstall(assn); err != nil {
 		return fmt.Errorf("headend: install: %w", err)
 	}
-	live := make(map[int][]int, assn.RangeSize())
-	for u := 0; u < assn.NumUsers(); u++ {
-		for _, s := range assn.UserStreams(u) {
-			live[s] = append(live[s], u)
-		}
-	}
-	t.assn = assn
-	t.live = live
+	t.assn.CopyFrom(assn)
+	t.rebuildLive()
 	// Streams the install retains keep the charge scale they were
 	// admitted at — their shared-catalog origin is still paid for
 	// elsewhere, and the fleet reference survives the install, so the
@@ -315,11 +347,46 @@ func (t *Tenant) install(assn *mmd.Assignment) error {
 	// price (the cluster's reconcile adopts their reference at full
 	// cost).
 	for s := range t.scale {
-		if !assn.InRange(s) {
+		if !t.assn.InRange(s) {
 			delete(t.scale, s)
 		}
 	}
 	return nil
+}
+
+// rebuildLive refills the carried-stream table from the running
+// assignment, each stream's users in increasing order. DepartStream
+// hands these lists to callers, so they are carved from one fresh array
+// per install (capacity-capped, so no append reaches a neighbour) and
+// never from memory a later install reuses.
+func (t *Tenant) rebuildLive() {
+	offsets := t.workspace().offsets
+	clear(offsets)
+	for u := 0; u < t.assn.NumUsers(); u++ {
+		for _, s := range t.assn.UserView(u) {
+			offsets[s]++
+		}
+	}
+	next := 0
+	for _, s := range t.assn.RangeView() {
+		n := offsets[s]
+		offsets[s] = next
+		next += n
+	}
+	users := make([]int, next)
+	for u := 0; u < t.assn.NumUsers(); u++ {
+		for _, s := range t.assn.UserView(u) {
+			users[offsets[s]] = u
+			offsets[s]++
+		}
+	}
+	clear(t.live)
+	start := 0
+	for _, s := range t.assn.RangeView() {
+		end := offsets[s]
+		t.live[s] = users[start:end:end]
+		start = end
+	}
 }
 
 // Snapshot summarizes the tenant deterministically.

@@ -3,6 +3,8 @@ package mmd
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/buf"
 )
 
 // Assignment maps each user to a set of streams. The server transmits the
@@ -10,13 +12,15 @@ import (
 // the stream/user indexing of the instance it was created for.
 //
 // Internally every per-user set and the range are maintained as sorted
-// int slices, so the read paths (UserStreams, Range, the value methods,
-// Equal, Clone) walk memory in increasing stream order without hashing,
+// int slices, so the read paths (UserView, RangeView, the value methods,
+// Equal) walk memory in increasing stream order without hashing,
 // re-sorting, or allocating — the representation the serving hot path
-// leans on (see LoadLedger). Add and Remove are O(log k) to locate plus
-// O(k) to shift within the touched set; per-user sets are small in every
-// workload here, so the shift is cache-friendly and beats the old
-// map-of-sets on both time and allocations.
+// and the solvers lean on (see LoadLedger); smd.Assignment is this type
+// too. Add and Remove are O(log k) to locate plus O(k) to shift within
+// the touched set; per-user sets are small in every workload here, so
+// the shift is cache-friendly and beats a map-of-sets on both time and
+// allocations. Reset and CopyFrom keep every buffer's capacity, so a
+// reused assignment allocates nothing once warm.
 //
 // Stream indices must be nonnegative; Add ignores negative indices.
 // Assignment is not safe for concurrent mutation.
@@ -35,7 +39,31 @@ type Assignment struct {
 // NewAssignment returns an empty assignment for an instance with
 // numUsers users.
 func NewAssignment(numUsers int) *Assignment {
-	return &Assignment{sets: make([][]int, numUsers)}
+	a := new(Assignment)
+	a.Reset(numUsers)
+	return a
+}
+
+// Reset empties the assignment and sizes it for numUsers users. Every
+// buffer keeps its capacity, so an assignment that is reset and refilled
+// allocates nothing once warm.
+func (a *Assignment) Reset(numUsers int) {
+	a.sets = buf.Rows(a.sets, numUsers)
+	clear(a.rangeCount)
+	a.rangeList = a.rangeList[:0]
+}
+
+// CopyFrom makes a an exact copy of b, reusing a's buffers.
+func (a *Assignment) CopyFrom(b *Assignment) {
+	if a == b {
+		return
+	}
+	a.Reset(len(b.sets))
+	for u, set := range b.sets {
+		a.sets[u] = append(a.sets[u], set...)
+	}
+	a.rangeCount = append(a.rangeCount[:0], b.rangeCount...)
+	a.rangeList = append(a.rangeList, b.rangeList...)
 }
 
 // insertSorted inserts v into the ascending slice if absent. It returns
@@ -121,6 +149,14 @@ func (a *Assignment) UserStreams(u int) []int {
 	return append([]int(nil), a.sets[u]...)
 }
 
+// UserView is UserStreams without the copy: the slice is the
+// assignment's own. The caller must not modify it, and it is valid only
+// until the assignment next changes.
+func (a *Assignment) UserView(u int) []int {
+	set := a.sets[u]
+	return set[:len(set):len(set)]
+}
+
 // UserCount returns |A(u)|.
 func (a *Assignment) UserCount(u int) int { return len(a.sets[u]) }
 
@@ -129,6 +165,11 @@ func (a *Assignment) UserCount(u int) int { return len(a.sets[u]) }
 // (one allocation, no sort).
 func (a *Assignment) Range() []int {
 	return append([]int(nil), a.rangeList...)
+}
+
+// RangeView is Range without the copy, under UserView's rules.
+func (a *Assignment) RangeView() []int {
+	return a.rangeList[:len(a.rangeList):len(a.rangeList)]
 }
 
 // InRange reports whether stream s is assigned to at least one user.
@@ -150,16 +191,8 @@ func (a *Assignment) Pairs() int {
 
 // Clone returns a deep copy.
 func (a *Assignment) Clone() *Assignment {
-	out := &Assignment{
-		sets:       make([][]int, len(a.sets)),
-		rangeCount: append([]int(nil), a.rangeCount...),
-		rangeList:  append([]int(nil), a.rangeList...),
-	}
-	for u := range a.sets {
-		if len(a.sets[u]) > 0 {
-			out.sets[u] = append([]int(nil), a.sets[u]...)
-		}
-	}
+	out := new(Assignment)
+	out.CopyFrom(a)
 	return out
 }
 

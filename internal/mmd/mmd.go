@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/buf"
 )
 
 // Stream is a single multicast stream in the server catalog.
@@ -106,29 +108,35 @@ func (in *Instance) TotalUtility() float64 {
 // Clone returns a deep copy of the instance. Mutating the copy never
 // affects the original.
 func (in *Instance) Clone() *Instance {
-	out := &Instance{
-		Streams: make([]Stream, len(in.Streams)),
-		Users:   make([]User, len(in.Users)),
-		Budgets: append([]float64(nil), in.Budgets...),
-	}
+	out := new(Instance)
+	in.CloneInto(out)
+	return out
+}
+
+// CloneInto makes dst a deep copy of the instance, reusing dst's
+// buffers where they are large enough — how a solver workspace
+// refreshes its private copy without allocating once warm. dst must
+// share no memory with the instance; cloning into a zero Instance is
+// exactly Clone.
+func (in *Instance) CloneInto(dst *Instance) {
+	dst.Streams = buf.Grow(dst.Streams, len(in.Streams))
+	dst.Users = buf.Grow(dst.Users, len(in.Users))
+	dst.Budgets = append(dst.Budgets[:0], in.Budgets...)
 	for s := range in.Streams {
-		out.Streams[s] = Stream{
-			Name:  in.Streams[s].Name,
-			Costs: append([]float64(nil), in.Streams[s].Costs...),
-		}
+		src, out := &in.Streams[s], &dst.Streams[s]
+		out.Name = src.Name
+		out.Costs = append(out.Costs[:0], src.Costs...)
 	}
 	for u := range in.Users {
-		src := &in.Users[u]
-		dst := &out.Users[u]
-		dst.Name = src.Name
-		dst.Utility = append([]float64(nil), src.Utility...)
-		dst.Capacities = append([]float64(nil), src.Capacities...)
-		dst.Loads = make([][]float64, len(src.Loads))
+		src, out := &in.Users[u], &dst.Users[u]
+		out.Name = src.Name
+		out.Utility = append(out.Utility[:0], src.Utility...)
+		out.Capacities = append(out.Capacities[:0], src.Capacities...)
+		out.Loads = buf.Grow(out.Loads, len(src.Loads))
 		for j := range src.Loads {
-			dst.Loads[j] = append([]float64(nil), src.Loads[j]...)
+			out.Loads[j] = append(out.Loads[j][:0], src.Loads[j]...)
 		}
 	}
-	return out
 }
 
 // Validation errors returned by Validate. Use errors.Is to classify.
@@ -279,16 +287,20 @@ func (in *Instance) AddUtilityCapMeasure(caps []float64) error {
 // positive utility for stream s in increasing index order — the
 // delivery candidate list an arrival-driven policy walks instead of
 // scanning all users per event.
-func (in *Instance) InterestedUsers() [][]int {
-	out := make([][]int, len(in.Streams))
+func (in *Instance) InterestedUsers() [][]int { return in.InterestedUsersInto(nil) }
+
+// InterestedUsersInto is InterestedUsers written into dst, whose rows
+// are reused (grown as needed) and returned.
+func (in *Instance) InterestedUsersInto(dst [][]int) [][]int {
+	dst = buf.Rows(dst, len(in.Streams))
 	for u := range in.Users {
 		for s, w := range in.Users[u].Utility {
 			if w > 0 {
-				out[s] = append(out[s], u)
+				dst[s] = append(dst[s], u)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // SupportSize returns the number of (user, stream) pairs with positive

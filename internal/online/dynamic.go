@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/buf"
 	"repro/internal/mmd"
 )
 
@@ -102,15 +103,16 @@ func (al *Allocator) Install(a *mmd.Assignment) {
 	// Has scan — then commit in increasing stream order with users in
 	// increasing index order, the exact order the scan produced, so the
 	// allocator's accumulated state is unchanged bit for bit.
-	users := make([][]int, nS)
+	users := buf.Rows(al.byStream, nS)
+	al.byStream = users
 	for u := 0; u < a.NumUsers() && u < numUsers; u++ {
-		for _, s := range a.UserStreams(u) {
+		for _, s := range a.UserView(u) {
 			if s >= 0 && s < nS && !al.assn.Has(u, s) {
 				users[s] = append(users[s], u)
 			}
 		}
 	}
-	for _, s := range a.Range() {
+	for _, s := range a.RangeView() {
 		if s < 0 || s >= nS {
 			continue
 		}

@@ -1,5 +1,10 @@
 package online
 
-// MinMaxSupportUtility exposes minMaxSupportUtility to the external test
-// package.
-var MinMaxSupportUtility = minMaxSupportUtility
+import "repro/internal/mmd"
+
+// MinMaxSupportUtility exposes stream s's support utilities, as
+// Normalize computes them, to the external test package.
+func MinMaxSupportUtility(in *mmd.Instance, s int) (minW, sumW float64, ok bool) {
+	su := supportUtilities(in)[s]
+	return su.minW, su.sumW, su.ok
+}

@@ -49,21 +49,34 @@ func (n *Normalization) Mu() float64 { return 2*n.Gamma*float64(n.D) + 2 }
 // CompetitiveBound returns the Theorem 5.4 guarantee 1 + 2*log2(mu).
 func (n *Normalization) CompetitiveBound() float64 { return 1 + 2*math.Log2(n.Mu()) }
 
-// minMaxSupportUtility returns the smallest positive utility and the
-// total utility over the support of stream s, or ok=false when no user
+// supportUtility holds, per stream, the smallest positive utility and
+// the total utility over the stream's support; ok is false when no user
 // wants the stream.
-func minMaxSupportUtility(in *mmd.Instance, s int) (minW, sumW float64, ok bool) {
-	minW = math.Inf(1)
+type supportUtility struct {
+	minW, sumW float64
+	ok         bool
+}
+
+// supportUtilities computes supportUtility for every stream, summing
+// each stream's support in increasing user order.
+func supportUtilities(in *mmd.Instance) []supportUtility {
+	out := make([]supportUtility, in.NumStreams())
+	for s := range out {
+		out[s].minW = math.Inf(1)
+	}
 	for u := range in.Users {
-		if w := in.Users[u].Utility[s]; w > 0 {
-			sumW += w
-			if w < minW {
-				minW = w
+		for s, w := range in.Users[u].Utility {
+			if w > 0 {
+				su := &out[s]
+				su.sumW += w
+				if w < su.minW {
+					su.minW = w
+				}
+				su.ok = true
 			}
-			ok = true
 		}
 	}
-	return minW, sumW, ok
+	return out
 }
 
 // Normalize rescales every cost measure (server budgets and user
@@ -94,6 +107,9 @@ func Normalize(in *mmd.Instance) (*Normalization, error) {
 		return nil, ErrNotNormalized
 	}
 	df := float64(d)
+	// Normalization scales costs and loads, never utilities, so each
+	// stream's support utilities are computed once for every measure.
+	support := supportUtilities(out)
 
 	gamma := 1.0
 	// scaleMeasure normalizes one cost row (cost(s) for each stream) and
@@ -102,14 +118,10 @@ func Normalize(in *mmd.Instance) (*Normalization, error) {
 		ratio := math.Inf(1) // min over supported streams of minW/(D*c)
 		for s := 0; s < out.NumStreams(); s++ {
 			c := cost(s)
-			if c <= 0 {
+			if c <= 0 || !support[s].ok {
 				continue
 			}
-			minW, _, ok := minMaxSupportUtility(out, s)
-			if !ok {
-				continue
-			}
-			if r := minW / (df * c); r < ratio {
+			if r := support[s].minW / (df * c); r < ratio {
 				ratio = r
 			}
 		}
@@ -125,14 +137,10 @@ func Normalize(in *mmd.Instance) (*Normalization, error) {
 		g := 1.0
 		for s := 0; s < out.NumStreams(); s++ {
 			c := cost(s)
-			if c <= 0 {
+			if c <= 0 || !support[s].ok {
 				continue
 			}
-			_, sumW, ok := minMaxSupportUtility(out, s)
-			if !ok {
-				continue
-			}
-			if r := sumW / (df * c); r > g {
+			if r := support[s].sumW / (df * c); r > g {
 				g = r
 			}
 		}
@@ -236,6 +244,9 @@ type Allocator struct {
 	// ownership note on Offer.
 	cands []offerCand
 	users []int
+	// byStream is Install's scratch: the installed assignment inverted
+	// into per-stream user lists.
+	byStream [][]int
 }
 
 // offerCand is one candidate row of Algorithm 2's maximal-subset
@@ -267,6 +278,19 @@ func NewAllocator(in *mmd.Instance, mu float64) (*Allocator, error) {
 		al.userLoad[u] = make([]float64, len(in.Users[u].Capacities))
 	}
 	return al, nil
+}
+
+// Reset returns the allocator to the state NewAllocator built it in —
+// no load, no assignment, no value — keeping its buffers. The
+// make-before-break reinstall resets a spare allocator this way instead
+// of building a new one.
+func (al *Allocator) Reset() {
+	clear(al.serverLoad)
+	for u := range al.userLoad {
+		clear(al.userLoad[u])
+	}
+	al.assn.Reset(al.in.NumUsers())
+	al.value = 0
 }
 
 // exponentialCost returns C(i) = B * (mu^L - 1) for one budget.

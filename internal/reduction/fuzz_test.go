@@ -28,7 +28,7 @@ func FuzzIntervalSets(f *testing.F) {
 			items[i] = i
 			total += weights[i]
 		}
-		sets := intervalSets(items, func(i int) float64 { return weights[i] })
+		sets := intervalSets(nil, items, func(i int) float64 { return weights[i] })
 
 		seen := make(map[int]int)
 		for _, set := range sets {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/buf"
 	"repro/internal/mmd"
 )
 
@@ -48,58 +49,95 @@ type View struct {
 // contributes zero normalized cost). Users whose finite capacity count is
 // zero receive no capacity measure in the reduced instance.
 func ToSMD(in *mmd.Instance) (*View, error) {
-	finite := make([]int, 0, len(in.Budgets))
+	return new(Workspace).ToSMD(in)
+}
+
+// Workspace carries the buffers of ToSMD and LiftGreedy from one call to
+// the next, so a caller that reduces and lifts instance after instance
+// allocates nothing once warm. The zero value is ready to use. A
+// Workspace is not safe for concurrent use — give every goroutine that
+// lifts its own — and what it returns is its own, valid until its next
+// call of the same method; the package functions run on a fresh one,
+// so their results belong to the caller.
+type Workspace struct {
+	view *View
+
+	// LiftGreedy's scratch.
+	report              *Report
+	chosen              *mmd.Assignment
+	s1, s2              []int
+	candidates, sets    [][]int
+	scored              []scoredSet
+	holders             [][]int
+	budgetLeft, setCost []float64
+	capLeft, setLoad    []float64
+	streams, big, small []int
+	keep                []bool
+}
+
+// ToSMD is the package ToSMD run on the workspace.
+func (w *Workspace) ToSMD(in *mmd.Instance) (*View, error) {
+	if w.view == nil {
+		w.view = &View{SMD: new(mmd.Instance)}
+	}
+	v := w.view
+	finite := v.FiniteBudgets[:0]
 	for i, b := range in.Budgets {
 		if !math.IsInf(b, 1) {
 			finite = append(finite, i)
 		}
 	}
+	v.FiniteBudgets = finite
 	if len(finite) == 0 {
 		return nil, ErrNoFiniteBudget
 	}
 	m := len(finite)
 
-	out := &mmd.Instance{
-		Streams: make([]mmd.Stream, in.NumStreams()),
-		Users:   make([]mmd.User, in.NumUsers()),
-		Budgets: []float64{float64(m)},
-	}
+	out := v.SMD
+	out.Streams = buf.Grow(out.Streams, in.NumStreams())
+	out.Users = buf.Grow(out.Users, in.NumUsers())
+	out.Budgets = append(out.Budgets[:0], float64(m))
 	for s := range in.Streams {
 		c := 0.0
 		for _, i := range finite {
 			c += in.Streams[s].Costs[i] / in.Budgets[i]
 		}
-		out.Streams[s] = mmd.Stream{Name: in.Streams[s].Name, Costs: []float64{c}}
+		st := &out.Streams[s]
+		st.Name = in.Streams[s].Name
+		st.Costs = append(st.Costs[:0], c)
 	}
 
-	fcaps := make([][]int, in.NumUsers())
+	v.FiniteCaps = buf.Grow(v.FiniteCaps, in.NumUsers())
 	for u := range in.Users {
 		usr := &in.Users[u]
-		var fin []int
+		fin := v.FiniteCaps[u][:0]
 		for j, k := range usr.Capacities {
 			if !math.IsInf(k, 1) {
 				fin = append(fin, j)
 			}
 		}
-		fcaps[u] = fin
-		nu := mmd.User{
-			Name:    usr.Name,
-			Utility: append([]float64(nil), usr.Utility...),
+		v.FiniteCaps[u] = fin
+		nu := &out.Users[u]
+		nu.Name = usr.Name
+		nu.Utility = append(nu.Utility[:0], usr.Utility...)
+		if len(fin) == 0 {
+			nu.Loads = nu.Loads[:0]
+			nu.Capacities = nu.Capacities[:0]
+			continue
 		}
-		if len(fin) > 0 {
-			row := make([]float64, in.NumStreams())
-			for _, j := range fin {
-				capJ := usr.Capacities[j]
-				for s, k := range usr.Loads[j] {
-					row[s] += k / capJ
-				}
+		nu.Loads = buf.Grow(nu.Loads, 1)
+		row := buf.Zeroed(nu.Loads[0], in.NumStreams())
+		for _, j := range fin {
+			capJ := usr.Capacities[j]
+			for s, k := range usr.Loads[j] {
+				row[s] += k / capJ
 			}
-			nu.Loads = [][]float64{row}
-			nu.Capacities = []float64{float64(len(fin))}
 		}
-		out.Users[u] = nu
+		nu.Loads[0] = row
+		nu.Capacities = append(nu.Capacities[:0], float64(len(fin)))
 	}
-	return &View{Orig: in, SMD: out, FiniteBudgets: finite, FiniteCaps: fcaps}, nil
+	v.Orig = in
+	return v, nil
 }
 
 // intervalTolerance guards the boundary tests of the interval
@@ -110,38 +148,35 @@ const intervalTolerance = 1e-12
 // < 1, in the given order) are laid on the real line; every item whose
 // interval strictly contains an integer point becomes a singleton set,
 // and maximal runs between integer points form the remaining sets. Every
-// returned set has total weight at most 1, and when sum(weights) <= W
-// there are at most 2W-1 sets.
-func intervalSets(items []int, weight func(int) float64) [][]int {
-	var sets [][]int
-	var white []int
-	flush := func() {
-		if len(white) > 0 {
-			sets = append(sets, white)
-			white = nil
+// set has total weight at most 1, and when sum(weights) <= W there are
+// at most 2W-1 sets. Each set is a run of consecutive items, so the sets
+// are appended to dst as capacity-capped subslices of items.
+func intervalSets(dst [][]int, items []int, weight func(int) float64) [][]int {
+	open := 0 // first item of the open run
+	flush := func(end int) {
+		if end > open {
+			dst = append(dst, items[open:end:end])
 		}
+		open = end
 	}
 	cum := 0.0
-	for _, it := range items {
+	for k, it := range items {
 		w := weight(it)
 		start, end := cum, cum+w
 		boundary := math.Floor(start) + 1
 		if end > boundary+intervalTolerance {
 			// The item strictly spans the integer point: singleton.
-			flush()
-			sets = append(sets, []int{it})
-		} else {
-			white = append(white, it)
-			if end >= boundary-intervalTolerance {
-				// The item ends exactly on the boundary; the unit
-				// interval is complete.
-				flush()
-			}
+			flush(k)
+			flush(k + 1)
+		} else if end >= boundary-intervalTolerance {
+			// The item ends exactly on the boundary; the unit
+			// interval is complete.
+			flush(k + 1)
 		}
 		cum = end
 	}
-	flush()
-	return sets
+	flush(len(items))
+	return dst
 }
 
 // Report describes a Lift run, for experiments that measure where the
@@ -170,7 +205,7 @@ func Lift(v *View, a *mmd.Assignment) (*mmd.Assignment, *Report, error) {
 	// Server side: singletons for streams with c(S) >= 1, interval
 	// decomposition for the rest.
 	var s1, s2 []int
-	for _, s := range a.Range() {
+	for _, s := range a.RangeView() {
 		if smdCost(s) >= 1-intervalTolerance {
 			s1 = append(s1, s)
 		} else {
@@ -178,9 +213,9 @@ func Lift(v *View, a *mmd.Assignment) (*mmd.Assignment, *Report, error) {
 		}
 	}
 	candidates := make([][]int, 0, len(s1)+2*len(s2))
-	candidates = append(candidates, intervalSets(s2, smdCost)...)
-	for _, s := range s1 {
-		candidates = append(candidates, []int{s})
+	candidates = intervalSets(candidates, s2, smdCost)
+	for i := range s1 {
+		candidates = append(candidates, s1[i:i+1:i+1])
 	}
 	report.ServerCandidates = len(candidates)
 
@@ -218,9 +253,9 @@ func Lift(v *View, a *mmd.Assignment) (*mmd.Assignment, *Report, error) {
 				small = append(small, s)
 			}
 		}
-		sets := intervalSets(small, func(s int) float64 { return load[s] })
-		for _, s := range big {
-			sets = append(sets, []int{s})
+		sets := intervalSets(nil, small, func(s int) float64 { return load[s] })
+		for i := range big {
+			sets = append(sets, big[i:i+1:i+1])
 		}
 		if len(sets) == 0 {
 			continue

@@ -163,7 +163,7 @@ func TestIntervalSetsProperties(t *testing.T) {
 			items[i] = i
 			total += weights[i]
 		}
-		sets := intervalSets(items, func(i int) float64 { return weights[i] })
+		sets := intervalSets(nil, items, func(i int) float64 { return weights[i] })
 
 		// Every item appears exactly once.
 		seen := make(map[int]int)
@@ -198,7 +198,7 @@ func TestIntervalSetsProperties(t *testing.T) {
 }
 
 func TestIntervalSetsEmpty(t *testing.T) {
-	if sets := intervalSets(nil, func(int) float64 { return 0 }); len(sets) != 0 {
+	if sets := intervalSets(nil, nil, func(int) float64 { return 0 }); len(sets) != 0 {
 		t.Fatalf("intervalSets(nil) = %v, want empty", sets)
 	}
 }

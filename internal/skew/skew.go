@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/buf"
 	"repro/internal/mmd"
 	"repro/internal/smd"
 )
@@ -64,10 +65,34 @@ type Decomposition struct {
 // band, so the sum of band optima is at least half the original optimum
 // (proof of Theorem 3.1).
 func Decompose(in *mmd.Instance) (*Decomposition, error) {
+	return new(Workspace).Decompose(in)
+}
+
+// Workspace carries Decompose's buffers from one call to the next: the
+// normalized copy, the band map and every band's rows. The zero value is
+// ready to use. A Workspace is not safe for concurrent use, and the
+// decomposition it returns is its own, valid until its next Decompose;
+// the package Decompose runs on a fresh one, so its result belongs to
+// the caller.
+type Workspace struct {
+	dec    *Decomposition
+	bandOf []int // bandOf[u*nS+s]: band of the pair, or -1 when w_u(S) = 0
+	counts []int // pairs per band; index 0 is the free band
+	names  []string
+	costs  []float64
+	subs   []*smd.Instance // band sub-instances, in band order
+}
+
+// Decompose is the package Decompose run on the workspace.
+func (ws *Workspace) Decompose(in *mmd.Instance) (*Decomposition, error) {
 	if !in.IsSMD() {
 		return nil, fmt.Errorf("m=%d, mc=%d: %w", in.M(), in.MC(), ErrNotSMD)
 	}
-	norm := in.Clone()
+	if ws.dec == nil {
+		ws.dec = &Decomposition{Normalized: new(mmd.Instance)}
+	}
+	norm := ws.dec.Normalized
+	in.CloneInto(norm)
 	nS, nU := norm.NumStreams(), norm.NumUsers()
 
 	// Per-user normalization over loaded pairs: scale the load row and
@@ -107,14 +132,13 @@ func Decompose(in *mmd.Instance) (*Decomposition, error) {
 		t = 1
 	}
 
-	// bandOf[u][s] = band index of the pair, or -1 when w_u(S) = 0.
-	counts := make([]int, t+1) // index 0 is the free band
-	bandOf := make([][]int, nU)
+	counts := buf.Zeroed(ws.counts, t+1)
+	bandOf := buf.Grow(ws.bandOf, nU*nS) // every entry is written below
+	ws.counts, ws.bandOf = counts, bandOf
 	for u := 0; u < nU; u++ {
-		bandOf[u] = make([]int, nS)
 		usr := &norm.Users[u]
 		for s, w := range usr.Utility {
-			bandOf[u][s] = -1
+			bandOf[u*nS+s] = -1
 			if w <= 0 {
 				continue
 			}
@@ -130,40 +154,45 @@ func Decompose(in *mmd.Instance) (*Decomposition, error) {
 					b = t
 				}
 			}
-			bandOf[u][s] = b
+			bandOf[u*nS+s] = b
 			counts[b]++
 		}
 	}
 
-	names := make([]string, nS)
-	costs := make([]float64, nS)
+	names := buf.Grow(ws.names, nS)
+	costs := buf.Grow(ws.costs, nS)
+	ws.names, ws.costs = names, costs
 	for s := range norm.Streams {
 		names[s] = norm.Streams[s].Name
 		costs[s] = norm.Streams[s].Costs[0]
 	}
 
-	dec := &Decomposition{Normalized: norm, Alpha: alpha}
+	dec := ws.dec
+	dec.Alpha = alpha
+	dec.Bands = dec.Bands[:0]
 	for b := 0; b <= t; b++ {
 		if counts[b] == 0 {
 			continue
 		}
-		sub := &smd.Instance{
-			StreamNames: names,
-			Costs:       costs,
-			Budget:      norm.Budgets[0],
-			Utility:     make([][]float64, nU),
-			Caps:        make([]float64, nU),
+		if len(dec.Bands) == len(ws.subs) {
+			ws.subs = append(ws.subs, new(smd.Instance))
 		}
+		sub := ws.subs[len(dec.Bands)]
+		sub.StreamNames = names
+		sub.Costs = costs
+		sub.Budget = norm.Budgets[0]
+		sub.Utility = buf.Grow(sub.Utility, nU)
+		sub.Caps = buf.Grow(sub.Caps, nU)
 		pairs := 0
 		for u := 0; u < nU; u++ {
 			usr := &norm.Users[u]
-			row := make([]float64, nS)
+			row := buf.Zeroed(sub.Utility[u], nS)
 			cap := math.Inf(1)
 			if b != FreeBand && len(usr.Loads) == 1 {
 				cap = usr.Capacities[0]
 			}
 			for s := range row {
-				if bandOf[u][s] != b {
+				if bandOf[u*nS+s] != b {
 					continue
 				}
 				pairs++
@@ -236,7 +265,7 @@ func Solve(in *mmd.Instance, solver BandSolver) (*mmd.Assignment, *Report, error
 		if err != nil {
 			return nil, nil, fmt.Errorf("skew: band %d: %w", band.Index, err)
 		}
-		cand := toMMD(sub, in.NumUsers())
+		cand := &sub.Assignment
 		if err := cand.CheckFeasible(dec.Normalized); err != nil {
 			return nil, nil, fmt.Errorf("skew: band %d produced infeasible assignment: %w", band.Index, err)
 		}
@@ -253,16 +282,4 @@ func Solve(in *mmd.Instance, solver BandSolver) (*mmd.Assignment, *Report, error
 	}
 	report.Value = bestVal
 	return best, report, nil
-}
-
-// toMMD converts an SMD assignment into an MMD assignment with the same
-// (user, stream) pairs.
-func toMMD(a *smd.Assignment, numUsers int) *mmd.Assignment {
-	out := mmd.NewAssignment(numUsers)
-	for u := 0; u < numUsers; u++ {
-		for _, s := range a.UserStreams(u) {
-			out.Add(u, s)
-		}
-	}
-	return out
 }

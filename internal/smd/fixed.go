@@ -28,20 +28,20 @@ type FixedResult struct {
 	SemiBestValue float64
 }
 
-// bestSingleStream builds Amax: the single stream S maximizing
+// bestSingleStream builds Amax into a: the single stream S maximizing
 // w(S) = sum_u min(W_u, w_u(S)), assigned to every interested user.
-// Returns a nil assignment if the instance has no streams.
-func bestSingleStream(in *Instance) (*Assignment, float64) {
+// a is empty if the instance has no streams.
+func bestSingleStream(in *Instance, a *Assignment) (*Assignment, float64) {
 	best, bestVal := -1, -1.0
 	for s := 0; s < in.NumStreams(); s++ {
 		if v := in.StreamValue(s); v > bestVal {
 			best, bestVal = s, v
 		}
 	}
+	a.Reset(in.NumUsers())
 	if best < 0 {
-		return NewAssignment(in.NumUsers()), 0
+		return a, 0
 	}
-	a := NewAssignment(in.NumUsers())
 	for u := 0; u < in.NumUsers(); u++ {
 		if in.Utility[u][best] > 0 {
 			a.Add(u, best)
@@ -51,14 +51,14 @@ func bestSingleStream(in *Instance) (*Assignment, float64) {
 }
 
 // splitCandidates derives the feasible candidates A1 and A2 from a
-// greedy result (Theorem 2.8): for every oversaturated user,
-// A1(u) = A(u) \ {last stream of u} and A2(u) = {last stream of u}.
+// greedy result into a1 and a2 (Theorem 2.8): for every oversaturated
+// user, A1(u) = A(u) \ {last stream of u} and A2(u) = {last stream of u}.
 // Users within their cap keep their full set in A1 (a strict improvement
 // over splitting unconditionally that preserves the theorem: both
 // candidates are feasible and their values still sum to at least w(A)).
-func splitCandidates(in *Instance, res *Result) (a1, a2 *Assignment) {
-	a1 = res.Semi.Clone()
-	a2 = NewAssignment(res.Semi.NumUsers())
+func splitCandidates(in *Instance, res *Result, a1, a2 *Assignment) (*Assignment, *Assignment) {
+	a1.CopyFrom(&res.Semi.Assignment)
+	a2.Reset(res.Semi.NumUsers())
 	for u, last := range res.LastAssigned {
 		if last < 0 {
 			continue
@@ -102,14 +102,39 @@ func pickBest(in *Instance, candidates ...*Assignment) (*Assignment, float64) {
 // TestFixedGreedyLazySelectionEquivalence enforces the equivalence on
 // randomized instances.
 func FixedGreedy(in *Instance) (*FixedResult, error) {
-	res, err := LazyGreedy(in)
+	return new(Workspace).FixedGreedy(in)
+}
+
+// Workspace carries FixedGreedy's buffers from one run to the next: the
+// greedy engine, the lazy heap, the three candidates and the results.
+// A caller that solves instance after instance (a band of every
+// re-solve) reuses one and allocates nothing once it is warm. The zero
+// value is ready to use. A Workspace is not safe for concurrent use,
+// and what a run returns is the workspace's own, valid until its next
+// run; FixedGreedy and LazyGreedy run on a fresh one, so their results
+// belong to the caller.
+type Workspace struct {
+	engine       greedyEngine
+	heap         lazyHeap
+	res          *Result
+	fixed        *FixedResult
+	a1, a2, amax *Assignment
+}
+
+// FixedGreedy is the package FixedGreedy run on the workspace.
+func (w *Workspace) FixedGreedy(in *Instance) (*FixedResult, error) {
+	res, err := w.lazyGreedy(in)
 	if err != nil {
 		return nil, err
 	}
-	a1, a2 := splitCandidates(in, res)
-	amax, amaxVal := bestSingleStream(in)
+	if w.fixed == nil {
+		w.fixed = new(FixedResult)
+		w.a1, w.a2, w.amax = new(Assignment), new(Assignment), new(Assignment)
+	}
+	a1, a2 := splitCandidates(in, res, w.a1, w.a2)
+	amax, amaxVal := bestSingleStream(in, w.amax)
 	best, bestVal := pickBest(in, a1, a2, amax)
-	return &FixedResult{
+	*w.fixed = FixedResult{
 		Best:          best,
 		BestValue:     bestVal,
 		A1:            a1,
@@ -117,7 +142,8 @@ func FixedGreedy(in *Instance) (*FixedResult, error) {
 		AMax:          amax,
 		Greedy:        res,
 		SemiBestValue: math.Max(res.SemiValue, amaxVal),
-	}, nil
+	}
+	return w.fixed, nil
 }
 
 // PartialEnum implements the Section 2.3 algorithm (after Sviridenko):
@@ -163,8 +189,8 @@ func PartialEnum(in *Instance, seedSize int) (*FixedResult, error) {
 	}
 	enumerate(0, 0)
 
-	a1, a2 := splitCandidates(in, bestRes)
-	amax, amaxVal := bestSingleStream(in)
+	a1, a2 := splitCandidates(in, bestRes, new(Assignment), new(Assignment))
+	amax, amaxVal := bestSingleStream(in, new(Assignment))
 	best, bestVal := pickBest(in, a1, a2, amax)
 	return &FixedResult{
 		Best:          best,

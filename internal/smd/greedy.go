@@ -3,6 +3,8 @@ package smd
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/buf"
 )
 
 // Result is the output of Greedy: the raw, possibly semi-feasible
@@ -53,18 +55,28 @@ type greedyEngine struct {
 }
 
 func newGreedyEngine(in *Instance) *greedyEngine {
+	e := new(greedyEngine)
+	e.reset(in)
+	return e
+}
+
+// reset readies the engine for a run on in, reusing its buffers.
+func (e *greedyEngine) reset(in *Instance) {
 	nS, nU := in.NumStreams(), in.NumUsers()
-	e := &greedyEngine{
-		in:      in,
-		support: make([][]int, nU),
-		usersOf: make([][]int, nS),
-		userSum: make([]float64, nU),
-		rem:     make([]float64, nU),
-		resid:   make([]float64, nS),
-		done:    make([]bool, nS),
-		last:    make([]int, nU),
-		assn:    NewAssignment(nU),
+	e.in = in
+	e.support = buf.Rows(e.support, nU)
+	e.usersOf = buf.Rows(e.usersOf, nS)
+	e.userSum = buf.Zeroed(e.userSum, nU)
+	e.rem = buf.Zeroed(e.rem, nU)
+	e.resid = buf.Zeroed(e.resid, nS)
+	e.done = buf.Zeroed(e.done, nS)
+	e.last = buf.Zeroed(e.last, nU)
+	if e.assn == nil {
+		e.assn = new(Assignment)
 	}
+	e.assn.Reset(nU)
+	e.order = e.order[:0]
+	e.cost, e.value, e.augmented, e.blocked, e.iters = 0, 0, 0, false, 0
 	for u := 0; u < nU; u++ {
 		e.rem[u] = in.Caps[u]
 		e.last[u] = -1
@@ -80,7 +92,6 @@ func newGreedyEngine(in *Instance) *greedyEngine {
 			e.resid[s] += math.Min(in.Utility[u][s], e.rem[u])
 		}
 	}
-	return e
 }
 
 // betterEffectiveness reports whether stream a has strictly larger cost
@@ -163,10 +174,16 @@ func (e *greedyEngine) run(seed []int) *Result {
 			e.done[best] = true // dropped: C <- C \ {S}
 		}
 	}
+	return e.finish(new(Result))
+}
+
+// finish closes a run and fills r with its outcome. r's assignment and
+// slices are the engine's own.
+func (e *greedyEngine) finish(r *Result) *Result {
 	if !e.blocked {
 		e.augmented = e.value
 	}
-	return &Result{
+	*r = Result{
 		Semi:           e.assn,
 		SemiValue:      e.value,
 		LastAssigned:   e.last,
@@ -174,6 +191,7 @@ func (e *greedyEngine) run(seed []int) *Result {
 		Iterations:     e.iters,
 		Order:          e.order,
 	}
+	return r
 }
 
 // Greedy runs Algorithm 1 on the instance. The returned assignment is

@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+
+	"repro/internal/mmd"
 )
 
 // Instance is a unit-skew SMD instance: one server budget, and per-user
@@ -126,89 +127,26 @@ func (in *Instance) SetValue(streams []int) float64 {
 	return total
 }
 
-// Assignment maps users to streams for an SMD instance.
+// Assignment maps users to streams for an SMD instance. It is an
+// mmd.Assignment — sorted per-user stream sets and a sorted range, read
+// without copying — with the SMD valuations on top, so a band's solution
+// feeds the Section 4 lift as it is.
 type Assignment struct {
-	sets       []map[int]struct{}
-	rangeCount map[int]int
+	mmd.Assignment
 }
 
 // NewAssignment returns an empty assignment for numUsers users.
 func NewAssignment(numUsers int) *Assignment {
-	sets := make([]map[int]struct{}, numUsers)
-	for u := range sets {
-		sets[u] = make(map[int]struct{})
-	}
-	return &Assignment{sets: sets, rangeCount: make(map[int]int)}
-}
-
-// Add assigns stream s to user u (idempotent).
-func (a *Assignment) Add(u, s int) {
-	if _, ok := a.sets[u][s]; ok {
-		return
-	}
-	a.sets[u][s] = struct{}{}
-	a.rangeCount[s]++
-}
-
-// Remove unassigns stream s from user u (idempotent).
-func (a *Assignment) Remove(u, s int) {
-	if _, ok := a.sets[u][s]; !ok {
-		return
-	}
-	delete(a.sets[u], s)
-	if a.rangeCount[s]--; a.rangeCount[s] == 0 {
-		delete(a.rangeCount, s)
-	}
-}
-
-// Has reports whether stream s is assigned to user u.
-func (a *Assignment) Has(u, s int) bool {
-	_, ok := a.sets[u][s]
-	return ok
-}
-
-// NumUsers returns the number of users.
-func (a *Assignment) NumUsers() int { return len(a.sets) }
-
-// UserStreams returns A(u) in increasing order; the slice is the caller's.
-func (a *Assignment) UserStreams(u int) []int {
-	out := make([]int, 0, len(a.sets[u]))
-	for s := range a.sets[u] {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Range returns S(A) in increasing order; the slice is the caller's.
-func (a *Assignment) Range() []int {
-	out := make([]int, 0, len(a.rangeCount))
-	for s := range a.rangeCount {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// InRange reports whether stream s is in S(A).
-func (a *Assignment) InRange(s int) bool { return a.rangeCount[s] > 0 }
-
-// Clone returns a deep copy.
-func (a *Assignment) Clone() *Assignment {
-	out := NewAssignment(len(a.sets))
-	for u := range a.sets {
-		for s := range a.sets[u] {
-			out.Add(u, s)
-		}
-	}
-	return out
+	a := new(Assignment)
+	a.Reset(numUsers)
+	return a
 }
 
 // Cost returns c(A) = c(S(A)). Summation follows increasing stream
 // index so results are bit-for-bit deterministic.
 func (a *Assignment) Cost(in *Instance) float64 {
 	total := 0.0
-	for _, s := range a.Range() {
+	for _, s := range a.RangeView() {
 		total += in.Costs[s]
 	}
 	return total
@@ -219,7 +157,7 @@ func (a *Assignment) Cost(in *Instance) float64 {
 // deterministic.
 func (a *Assignment) UserSum(in *Instance, u int) float64 {
 	sum := 0.0
-	for _, s := range a.UserStreams(u) {
+	for _, s := range a.UserView(u) {
 		sum += in.Utility[u][s]
 	}
 	return sum
@@ -230,7 +168,7 @@ func (a *Assignment) UserSum(in *Instance, u int) float64 {
 // semi-feasible assignments it is the paper's extended valuation.
 func (a *Assignment) Value(in *Instance) float64 {
 	total := 0.0
-	for u := range a.sets {
+	for u := 0; u < a.NumUsers(); u++ {
 		total += math.Min(in.Caps[u], a.UserSum(in, u))
 	}
 	return total
@@ -247,7 +185,7 @@ func (a *Assignment) CheckFeasible(in *Instance) error {
 	if cost := a.Cost(in); cost > in.Budget*(1+capTolerance)+capTolerance {
 		return fmt.Errorf("smd: cost %v exceeds budget %v", cost, in.Budget)
 	}
-	for u := range a.sets {
+	for u := 0; u < a.NumUsers(); u++ {
 		if sum := a.UserSum(in, u); sum > in.Caps[u]*(1+capTolerance)+capTolerance {
 			return fmt.Errorf("smd: user %d sum %v exceeds cap %v", u, sum, in.Caps[u])
 		}
@@ -262,13 +200,13 @@ func (a *Assignment) CheckSemiFeasible(in *Instance) error {
 	if cost := a.Cost(in); cost > in.Budget*(1+capTolerance)+capTolerance {
 		return fmt.Errorf("smd: cost %v exceeds budget %v", cost, in.Budget)
 	}
-	for u := range a.sets {
+	for u := 0; u < a.NumUsers(); u++ {
 		sum := a.UserSum(in, u)
 		if sum <= in.Caps[u]*(1+capTolerance)+capTolerance {
 			continue
 		}
 		largest := 0.0
-		for s := range a.sets[u] {
+		for _, s := range a.UserView(u) {
 			if w := in.Utility[u][s]; w > largest {
 				largest = w
 			}

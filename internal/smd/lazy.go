@@ -1,9 +1,6 @@
 package smd
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // LazyGreedy is Algorithm 1 with lazy evaluation (the classic CELF
 // optimization): because the utility of semi-feasible assignments is
@@ -16,25 +13,32 @@ import (
 // sequence matches Greedy's under the same tie-breaking, and all
 // Section 2 guarantees carry over unchanged.
 func LazyGreedy(in *Instance) (*Result, error) {
+	return new(Workspace).lazyGreedy(in)
+}
+
+// lazyGreedy is LazyGreedy run on the workspace's buffers. The result is
+// the workspace's: valid until its next run.
+func (w *Workspace) lazyGreedy(in *Instance) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("smd: lazy greedy: %w", err)
 	}
-	e := newGreedyEngine(in)
+	e := &w.engine
+	e.reset(in)
 	nS := in.NumStreams()
 
-	pq := make(lazyHeap, 0, nS)
+	pq := w.heap[:0]
 	for s := 0; s < nS; s++ {
 		if e.resid[s] > 0 {
 			pq = append(pq, lazyItem{stream: s, resid: e.resid[s], cost: in.Costs[s], round: 0})
 		}
 	}
-	heap.Init(&pq)
+	pq.init()
 
 	round := 0
-	for pq.Len() > 0 {
+	for len(pq) > 0 {
 		top := &pq[0]
 		if e.done[top.stream] {
-			heap.Pop(&pq)
+			pq = pq.pop()
 			continue
 		}
 		if top.round != round {
@@ -44,16 +48,16 @@ func LazyGreedy(in *Instance) (*Result, error) {
 			top.resid = e.resid[stream]
 			top.round = round
 			if top.resid <= 0 {
-				heap.Pop(&pq)
+				pq = pq.pop()
 				continue
 			}
-			heap.Fix(&pq, 0)
+			pq.fix(0)
 			if pq[0].stream != stream {
 				continue
 			}
 		}
-		it := heap.Pop(&pq).(lazyItem)
-		s := it.stream
+		s := pq[0].stream
+		pq = pq.pop()
 		if e.resid[s] <= 0 {
 			continue
 		}
@@ -69,17 +73,11 @@ func LazyGreedy(in *Instance) (*Result, error) {
 			e.done[s] = true
 		}
 	}
-	if !e.blocked {
-		e.augmented = e.value
+	w.heap = pq
+	if w.res == nil {
+		w.res = new(Result)
 	}
-	return &Result{
-		Semi:           e.assn,
-		SemiValue:      e.value,
-		LastAssigned:   e.last,
-		AugmentedValue: e.augmented,
-		Iterations:     e.iters,
-		Order:          e.order,
-	}, nil
+	return e.finish(w.res), nil
 }
 
 // lazyItem carries a possibly stale residual for one stream. cost is
@@ -93,13 +91,13 @@ type lazyItem struct {
 
 // lazyHeap orders by effectiveness resid/cost descending using
 // cross-multiplication (zero-cost streams sort first), with Greedy's
-// tie-breaks: larger residual, then smaller stream index.
+// tie-breaks: larger residual, then smaller stream index. Its methods
+// are container/heap's algorithms on the concrete item type, so a pop
+// boxes nothing.
 type lazyHeap []lazyItem
 
-func (h lazyHeap) Len() int { return len(h) }
-
-func (h lazyHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+func (h lazyHeap) less(i, j int) bool {
+	a, b := &h[i], &h[j]
 	left := a.resid * b.cost
 	right := b.resid * a.cost
 	if left != right {
@@ -111,14 +109,56 @@ func (h lazyHeap) Less(i, j int) bool {
 	return a.stream < b.stream
 }
 
-func (h lazyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// init establishes the heap order (heap.Init).
+func (h lazyHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
 
-func (h *lazyHeap) Push(x any) { *h = append(*h, x.(lazyItem)) }
+// pop removes the top item and returns the shortened heap (heap.Pop).
+func (h lazyHeap) pop() lazyHeap {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	h.down(0, n)
+	return h[:n]
+}
 
-func (h *lazyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// fix restores the order after item i's key changed (heap.Fix).
+func (h lazyHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
+}
+
+func (h lazyHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h lazyHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return i > i0
 }

@@ -142,8 +142,8 @@ func TestFixedGreedyLazySelectionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a1, a2 := splitCandidates(in, eager)
-		amax, _ := bestSingleStream(in)
+		a1, a2 := splitCandidates(in, eager, new(Assignment), new(Assignment))
+		amax, _ := bestSingleStream(in, new(Assignment))
 		best, bestVal := pickBest(in, a1, a2, amax)
 		if fixed.BestValue != bestVal {
 			t.Fatalf("trial %d: FixedGreedy value diverged from eager-built fix-up: %v vs %v",

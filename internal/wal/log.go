@@ -398,13 +398,20 @@ func (l *Log) writeManifestLocked(m Manifest) error {
 // Close seals the active generation (flush + fsync + close) and writes
 // a closing manifest when one is supplied. Idempotent.
 func (l *Log) Close(m *Manifest) error {
+	// Stop the interval syncer without holding l.mu: a tick that is
+	// already waiting for the lock must get it before the syncer can
+	// see stop and exit. Begin cannot start another syncer meanwhile,
+	// since the appenders are still active.
+	l.mu.Lock()
+	stop, done := l.syncStop, l.syncDone
+	l.syncStop, l.syncDone = nil, nil
+	l.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.syncStop != nil {
-		close(l.syncStop)
-		<-l.syncDone
-		l.syncStop, l.syncDone = nil, nil
-	}
 	if l.flusher != nil {
 		// Committers are drained before the log closes, so no Flush is
 		// in flight; stop the round loop before sealing.

@@ -328,6 +328,39 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
+// TestCloseWhileSyncerTicks closes interval-synced logs whose syncer
+// ticks all the time: Close must stop the syncer even when a tick is
+// already waiting for the log's lock, instead of holding that lock while
+// it waits for the syncer to exit.
+func TestCloseWhileSyncerTicks(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		l, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval, SyncInterval: time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Begin(ShardWriters(1, false)); err != nil {
+			t.Fatal(err)
+		}
+		app := l.Appender(ShardWriter(0))
+		if err := app.Append(&Record{Seq: 1, Type: TypeResolve}); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- l.Close(nil) }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("close %d: Close and the interval syncer deadlocked", i)
+		}
+	}
+}
+
 // TestAppenderLargeBuffer drives an appender past the flush threshold
 // so the mid-stream drain path runs.
 func TestAppenderLargeBuffer(t *testing.T) {
