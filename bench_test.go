@@ -1,29 +1,36 @@
-// Benchmarks: one per solver experiment in DESIGN.md section 4 (E1-E9)
-// plus the ablations (A1-A3). Each benchmark both times the relevant
-// operation and reports the experiment's headline quantity via
-// b.ReportMetric, so `go test -bench=. -benchmem` regenerates the shape
-// of every claim; BenchmarkExperimentSuite runs every table, E10-E17
-// included. cmd/mmdbench prints the full tables.
+// Benchmarks: one per solver experiment of the internal/experiments
+// index (E1-E9) plus the ablations (A1-A3). Each benchmark both times
+// the relevant operation and reports the experiment's headline
+// quantity via b.ReportMetric, so `go test -bench=. -benchmem`
+// regenerates the shape of every claim; BenchmarkExperimentSuite runs
+// every table, E10-E17 included. cmd/mmdbench prints the full tables.
+// The serving-stack benchmarks (cluster replay, session acks, catalog
+// sessions, HTTP ingestion with and without the WAL) follow them.
 package videodist_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http/httptest"
+	"os"
 	"runtime"
 	"testing"
 
 	videodist "repro"
 	"repro/internal/baseline"
-	"repro/internal/benchkit"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/experiments"
 	"repro/internal/generator"
+	"repro/internal/httpserve"
+	"repro/internal/loaddrive"
 	"repro/internal/online"
 	"repro/internal/reduction"
 	"repro/internal/skew"
 	"repro/internal/smd"
+	"repro/streamclient"
 )
 
 // BenchmarkE1GreedyRatio times FixedGreedy on unit-skew SMD instances
@@ -367,105 +374,354 @@ func BenchmarkA3MuSensitivity(b *testing.B) {
 	}
 }
 
-// The cluster benchmark bodies live in internal/benchkit so that
-// `mmdbench -json` can snapshot the identical measurements into
-// BENCH_serving.json (the machine-readable serving-path baseline).
-//
+// clusterTenants builds the 8-tenant fleet the cluster and ingestion
+// benchmarks serve: CableTV instances of 40 channels × 10 gateways.
+func clusterTenants(b *testing.B) []*videodist.Instance {
+	b.Helper()
+	instances := make([]*videodist.Instance, 8)
+	for i := range instances {
+		in, err := generator.CableTV{
+			Channels: 40, Gateways: 10, Seed: 200 + int64(i), EgressFraction: 0.25,
+		}.Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		instances[i] = in
+	}
+	return instances
+}
+
+// newBenchCluster builds a fresh fleet over instances with the given
+// options.
+func newBenchCluster(b *testing.B, instances []*videodist.Instance, opts videodist.ClusterOptions) *videodist.Cluster {
+	b.Helper()
+	tenants := make([]videodist.ClusterTenant, len(instances))
+	for j, in := range instances {
+		tenants[j] = videodist.ClusterTenant{Instance: in}
+	}
+	c, err := videodist.NewCluster(tenants, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// closeFeasible closes c and fails unless its final snapshot was
+// feasible.
+func closeFeasible(b *testing.B, c *videodist.Cluster, fs *videodist.FleetSnapshot) {
+	b.Helper()
+	if err := c.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if !fs.AllFeasible {
+		b.Fatal("fleet infeasible")
+	}
+}
+
 // BenchmarkClusterSerial processes all 8 tenants on a single shard
 // worker — the serial-loop baseline. BenchmarkClusterSharded processes
 // the same fleet with one shard per tenant, so admission across tenants
-// runs in parallel: tenants are independent, so with GOMAXPROCS >= 4
-// the sharded fleet should process the same event stream at >= 2x the
-// serial-loop throughput, with bit-identical per-tenant results (the
+// runs in parallel, with bit-identical per-tenant results (the
 // cluster's determinism contract, asserted by E12 and the cluster
-// package tests).
-func BenchmarkClusterSerial(b *testing.B)  { benchkit.ClusterWorkload(b, 1) }
-func BenchmarkClusterSharded(b *testing.B) { benchkit.ClusterWorkload(b, 8) }
+// package tests). Each op builds the fleet and replays one full
+// workload (arrivals, departures, gateway churn) and reports events/op.
+func BenchmarkClusterSerial(b *testing.B)  { clusterWorkload(b, 1) }
+func BenchmarkClusterSharded(b *testing.B) { clusterWorkload(b, 8) }
+
+func clusterWorkload(b *testing.B, shards int) {
+	instances := clusterTenants(b)
+	events := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := newBenchCluster(b, instances, videodist.ClusterOptions{Shards: shards, BatchSize: 16})
+		fs, total, err := c.RunWorkload(videodist.ClusterWorkload{
+			Seed: 200, Rounds: 2, DepartEvery: 3, ChurnEvery: 8,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		closeFeasible(b, c, fs)
+		events = total
+	}
+	b.ReportMetric(float64(events), "events/op")
+}
 
 // BenchmarkClusterAck drives the same 8-tenant workload through the
-// serving API v2 session methods — every event carries a completion
-// channel and the caller blocks for its typed result — to measure the
-// per-event ack overhead against the fire-and-forget replay path
+// session methods — every event carries a completion channel and the
+// caller blocks for its typed result — to measure the per-event ack
+// overhead against the fire-and-forget replay path
 // (BenchmarkClusterSerial/Sharded process the identical schedule via
 // RunWorkload). Request/response arrivals flush the batch they join,
-// so this is also the no-coalescing bound of the batching design.
-func BenchmarkClusterAck(b *testing.B) { benchkit.ClusterAck(b) }
+// so this is also the no-coalescing bound of the batching design. The
+// fleet is built (and torn down) outside the timer: a production
+// cluster is constructed once and serves events for its lifetime, so
+// ns/op and allocs/op measure the serving hot path alone — the path
+// the AllocsPerRun tests pin.
+func BenchmarkClusterAck(b *testing.B) {
+	instances := clusterTenants(b)
+	ctx := context.Background()
+	events := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := newBenchCluster(b, instances, videodist.ClusterOptions{Shards: 8, BatchSize: 16})
+		w := videodist.ClusterWorkload{Seed: 200, Rounds: 2, DepartEvery: 3, ChurnEvery: 8}
+		schedules := make([][]videodist.ClusterEvent, c.NumTenants())
+		for ti := range schedules {
+			schedules[ti] = w.Events(c, ti)
+		}
+		// Collect the construction garbage now so marking debt from the
+		// (untimed) fleet build does not spill into the timed section.
+		runtime.GC()
+		b.StartTimer()
 
-// BenchmarkCatalogAdmission sweeps the serving API v3 admission fast
-// path — the scaled feasibility guard (FitsDeltaScaled/AddScaled) the
-// fleet catalog prices discounted admissions with. isolated is scale 1
-// (bit-identical decisions to the PR 3 ledger guard), shared the
-// SharedOrigin replication fraction. Both sub-benchmarks must report 0
-// allocs/op: the discount adds one float multiply to the delta query,
-// never an allocation.
-func BenchmarkCatalogAdmission(b *testing.B) {
-	b.Run("isolated", func(b *testing.B) { benchkit.CatalogAdmissionLedger(b, 1) })
-	b.Run("shared", func(b *testing.B) { benchkit.CatalogAdmissionLedger(b, 0.25) })
+		total := 0
+		var err error
+		for ti := 0; ti < c.NumTenants(); ti++ {
+			for _, ev := range schedules[ti] {
+				switch ev.Type {
+				case videodist.ClusterStreamArrival:
+					_, err = c.OfferStream(ctx, ev.Tenant, ev.Stream)
+				case videodist.ClusterStreamDeparture:
+					_, err = c.DepartStream(ctx, ev.Tenant, ev.Stream)
+				case videodist.ClusterUserLeave:
+					_, err = c.UserLeave(ctx, ev.Tenant, ev.User)
+				case videodist.ClusterUserJoin:
+					_, err = c.UserJoin(ctx, ev.Tenant, ev.User)
+				case videodist.ClusterResolve:
+					_, err = c.Resolve(ctx, ev.Tenant, videodist.ResolveOptions{})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				total++
+			}
+		}
+
+		b.StopTimer()
+		fs, err := c.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		closeFeasible(b, c, fs)
+		events = total
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(events), "events/op")
 }
 
 // BenchmarkClusterCatalog drives the 8-tenant fleet entirely through
-// fleet-identified admission (OfferCatalogStream/DepartCatalogStream):
-// every admission runs the catalog's acquire/admit/commit protocol
-// across the registry owner and the shard worker. Compare against
+// fleet-identified admission: every stream is fleet-bound at every
+// tenant, and each event is an OfferCatalogStream/DepartCatalogStream
+// session call, so every admission runs the catalog's
+// acquire/admit/commit protocol across the registry owner and the
+// shard worker. isolated prices with CatalogIsolated, shared with
+// SharedOrigin. events/op counts session calls; compare against
 // BenchmarkClusterAck for the per-event cost of fleet identity.
 func BenchmarkClusterCatalog(b *testing.B) {
-	b.Run("isolated", func(b *testing.B) { benchkit.ClusterCatalog(b, false) })
-	b.Run("shared", func(b *testing.B) { benchkit.ClusterCatalog(b, true) })
-}
-
-// BenchmarkStreamIngest measures remote ingestion throughput through
-// the real HTTP front end (serving API v4): the same ~10k-event
-// workload submitted over one persistent /v1/stream NDJSON connection,
-// as :batch posts of 16 events, and as one POST per event. The
-// stream's pipelining amortizes the per-request round trip away, so
-// events/sec for stream must be >= 2x the per-request paths — the v4
-// acceptance bar recorded in BENCH_serving.json.
-func BenchmarkStreamIngest(b *testing.B) {
-	b.Run("stream", func(b *testing.B) { benchkit.StreamIngest(b, "stream") })
-	b.Run("batch16", func(b *testing.B) { benchkit.StreamIngest(b, "batch") })
-	b.Run("single", func(b *testing.B) { benchkit.StreamIngest(b, "single") })
-}
-
-// BenchmarkStreamIngestWAL reruns the persistent-stream ingestion
-// workload with the durability subsystem on, one sub-benchmark per
-// WAL sync policy. The gap to BenchmarkStreamIngest/stream is the
-// WAL's whole price on the hot ingest path; the acceptance bar is
-// sync=batch (group commit) sustaining >= 70% of the WAL-off
-// events/sec, recorded in BENCH_serving.json's durability section.
-func BenchmarkStreamIngestWAL(b *testing.B) {
-	b.Run("none", func(b *testing.B) { benchkit.StreamIngestWAL(b, videodist.WALSyncNone) })
-	b.Run("interval", func(b *testing.B) { benchkit.StreamIngestWAL(b, videodist.WALSyncInterval) })
-	b.Run("batch", func(b *testing.B) { benchkit.StreamIngestWAL(b, videodist.WALSyncBatch) })
-}
-
-// BenchmarkSaturation runs one cell of the saturation harness — the
-// concurrent-submitter session workload behind BENCH_serving.json's
-// scaling curve — with GOMAXPROCS pinned above 1, so `go test -bench`
-// (and CI's -benchtime=1x smoke) exercises concurrent submitters and
-// the ack-latency histogram on every run. The full shards x GOMAXPROCS
-// grid is swept by `mmdbench -json`.
-func BenchmarkSaturation(b *testing.B) {
-	procs := runtime.NumCPU()
-	if procs > 4 {
-		procs = 4
-	}
-	if procs < 2 {
-		procs = 2
-	}
-	b.Run(fmt.Sprintf("shards_8_procs_%d", procs), func(b *testing.B) {
-		benchkit.SaturationBench(b, 8, procs)
+	b.Run("isolated", func(b *testing.B) { clusterCatalog(b, videodist.CatalogIsolated{}) })
+	b.Run("shared", func(b *testing.B) {
+		clusterCatalog(b, videodist.CatalogSharedOrigin{ReplicationFraction: 0.25})
 	})
 }
 
-// BenchmarkWorkloadIngest measures ingestion of the generator
-// subsystem's skewed traffic — Zipf popularity with a flash crowd, and
-// diurnal churn — over one persistent /v1/stream connection against a
-// catalog-enabled fleet. The gap to BenchmarkStreamIngest/stream is
-// what skew, catalog admission, and gateway churn together cost on the
-// same wire path; recorded in BENCH_serving.json's workloads section.
-func BenchmarkWorkloadIngest(b *testing.B) {
-	for _, kind := range benchkit.WorkloadKinds() {
-		b.Run(kind, func(b *testing.B) { benchkit.WorkloadIngest(b, kind) })
+func clusterCatalog(b *testing.B, model videodist.CatalogCostModel) {
+	instances := clusterTenants(b)
+	channels := instances[0].NumStreams()
+	bindings := videodist.IdentityCatalogBindings(len(instances), channels, func(s int) videodist.CatalogID {
+		return videodist.CatalogID(fmt.Sprintf("s-%03d", s))
+	})
+	// Real callers hold stable CatalogIDs; formatting them inside the
+	// timed loop would charge ID construction to the catalog path.
+	ids := make([]videodist.CatalogID, channels)
+	for s := range ids {
+		ids[s] = bindings[s].ID
+	}
+	ctx := context.Background()
+	events := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := newBenchCluster(b, instances, videodist.ClusterOptions{
+			Shards: 8, BatchSize: 16,
+			Catalog: &videodist.CatalogOptions{Streams: bindings, CostModel: model},
+		})
+		total := 0
+		for ti := 0; ti < c.NumTenants(); ti++ {
+			for s := 0; s < channels; s++ {
+				if _, err := c.OfferCatalogStream(ctx, ti, ids[s]); err != nil {
+					b.Fatal(err)
+				}
+				total++
+				if s%3 == 2 {
+					if _, err := c.DepartCatalogStream(ctx, ti, ids[s]); err != nil {
+						b.Fatal(err)
+					}
+					total++
+				}
+			}
+		}
+		fs, err := c.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		closeFeasible(b, c, fs)
+		events = total
+	}
+	b.ReportMetric(float64(events), "events/op")
+}
+
+// streamIngestEvents derives the ~10k-event ingestion workload (8
+// tenants x 40 channels x 24 rounds of arrivals with departures every
+// third) as per-tenant wire-form schedules.
+func streamIngestEvents(instances []*videodist.Instance) [][]streamclient.Event {
+	w := videodist.ClusterWorkload{Seed: 200, Rounds: 24, DepartEvery: 3}
+	out := make([][]streamclient.Event, len(instances))
+	for ti, in := range instances {
+		for _, ev := range w.EventsForInstance(in, ti) {
+			typ := "offer"
+			if ev.Type == videodist.ClusterStreamDeparture {
+				typ = "depart"
+			}
+			out[ti] = append(out[ti], streamclient.Event{Tenant: ti, Type: typ, Stream: ev.Stream})
+		}
+	}
+	return out
+}
+
+// BenchmarkStreamIngest measures remote ingestion throughput through
+// the real HTTP front end (internal/httpserve behind an httptest
+// listener): the same ~10k-event workload submitted over one
+// persistent /v1/stream NDJSON connection ("stream"), as :batch posts
+// of 16 events round-robin across tenants ("batch16"), and as one POST
+// per event ("single") — all through internal/loaddrive, the driver
+// code mmdserve -stream runs, so the benchmark measures exactly the
+// CLI's protocol. The fleet and listener are built outside the timer,
+// so ns/op — and the derived events/sec — is pure ingestion cost; all
+// three paths preserve per-tenant order and land the fleet in the
+// identical final state (pinned by TestDriveParityAcrossVias and the
+// CI smoke).
+func BenchmarkStreamIngest(b *testing.B) {
+	b.Run("stream", func(b *testing.B) { streamIngest(b, "stream") })
+	b.Run("batch16", func(b *testing.B) { streamIngest(b, "batch") })
+	b.Run("single", func(b *testing.B) { streamIngest(b, "single") })
+}
+
+func streamIngest(b *testing.B, via string) {
+	instances := clusterTenants(b)
+	seqs := streamIngestEvents(instances)
+	events := loaddrive.Interleave(seqs)
+	total := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := newBenchCluster(b, instances, videodist.ClusterOptions{Shards: 8, BatchSize: 16})
+		ts := httptest.NewServer(httpserve.NewHandler(c))
+		// Collect the construction garbage now: without this, marking
+		// debt from the (untimed) fleet build spills into whichever
+		// timed ingestion section the GC happens to interrupt.
+		runtime.GC()
+		b.StartTimer()
+
+		var n int
+		var err error
+		switch via {
+		case "stream":
+			n, err = loaddrive.Stream(ts.URL, events)
+		case "batch":
+			n, err = loaddrive.Batch(ts.URL, seqs, 16)
+		case "single":
+			n, err = loaddrive.Single(ts.URL, events)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != len(events) {
+			b.Fatalf("submitted %d of %d events", n, len(events))
+		}
+		total = n
+
+		b.StopTimer()
+		ts.Close()
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	reportIngest(b, total)
+}
+
+// BenchmarkStreamIngestWAL reruns BenchmarkStreamIngest/stream with
+// the durability subsystem on, one sub-benchmark per WAL sync policy:
+// every shard journals each event to its per-shard WAL segment before
+// acking, so the gap to BenchmarkStreamIngest/stream is the WAL's
+// whole price on the hot ingest path. Each iteration logs into a fresh
+// directory, created and deleted outside the timer, so segment growth
+// from prior iterations never pollutes the measurement. How many
+// events share one fsync under sync=batch is pinned by
+// internal/cluster's TestGroupCommitAmortizesDatasync.
+func BenchmarkStreamIngestWAL(b *testing.B) {
+	b.Run("none", func(b *testing.B) { streamIngestWAL(b, videodist.WALSyncNone) })
+	b.Run("interval", func(b *testing.B) { streamIngestWAL(b, videodist.WALSyncInterval) })
+	b.Run("batch", func(b *testing.B) { streamIngestWAL(b, videodist.WALSyncBatch) })
+}
+
+func streamIngestWAL(b *testing.B, sync videodist.WALSyncPolicy) {
+	instances := clusterTenants(b)
+	events := loaddrive.Interleave(streamIngestEvents(instances))
+	total := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir, err := os.MkdirTemp("", "benchwal-*")
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := newBenchCluster(b, instances, videodist.ClusterOptions{
+			Shards: 8, BatchSize: 16,
+			WAL: &videodist.WALOptions{Dir: dir, Sync: sync},
+		})
+		ts := httptest.NewServer(httpserve.NewHandler(c))
+		// Collect construction garbage and drain the filesystem's
+		// pending journal work (segment creates, the previous
+		// iteration's unlinks) before the timer starts — otherwise
+		// that debt is paid inside whichever timed fsync the kernel
+		// happens to fold it into, and run-to-run variance swamps the
+		// steady-state ingest cost this benchmark exists to measure.
+		runtime.GC()
+		drainDisk()
+		b.StartTimer()
+
+		n, err := loaddrive.Stream(ts.URL, events)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != len(events) {
+			b.Fatalf("submitted %d of %d events", n, len(events))
+		}
+		total = n
+
+		b.StopTimer()
+		ts.Close()
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	reportIngest(b, total)
+}
+
+// reportIngest reports an ingestion benchmark's events/op and
+// events/sec.
+func reportIngest(b *testing.B, events int) {
+	b.ReportMetric(float64(events), "events/op")
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(events*b.N)/secs, "events/sec")
 	}
 }
 

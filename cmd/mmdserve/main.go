@@ -310,6 +310,28 @@ func walDirHasLog(dir string) bool {
 	return false
 }
 
+// idleTimeout closes a keep-alive connection that has sat idle this
+// long between requests.
+const idleTimeout = 2 * time.Minute
+
+// headerTimeout bounds how long a client may take to send a request's
+// headers, so one that never finishes them cannot hold a connection
+// and a goroutine forever. A variable only so tests can shorten it.
+var headerTimeout = 10 * time.Second
+
+// newServer returns the HTTP server every role listens with. It sets
+// no ReadTimeout or WriteTimeout: /v1/stream and the catalog wire are
+// long-lived requests, and -stream-write-timeout already bounds
+// stream writes.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serve builds the fleet and serves the HTTP front end until the
 // listener fails (or forever).
 func serve(cfg config, addr string, log io.Writer) error {
@@ -331,7 +353,7 @@ func serve(cfg config, addr string, log io.Writer) error {
 	}
 	fmt.Fprintf(log, "mmdserve: %d tenants on %d shards, policy=%s, listening on %s\n",
 		c.NumTenants(), c.NumShards(), cfg.policy, addr)
-	return http.ListenAndServe(addr, httpserve.NewHandlerOpts(c, opts))
+	return newServer(addr, httpserve.NewHandlerOpts(c, opts)).ListenAndServe()
 }
 
 // serveNode is -role node: the same cluster as serve, but its catalog
@@ -373,7 +395,7 @@ func serveCatalog(cfg config, addr string, log io.Writer) error {
 	defer reg.Close()
 	fmt.Fprintf(log, "mmdserve: catalog service (%s, %d streams), listening on %s\n",
 		cat.CostModel.Name(), cfg.channels, addr)
-	return http.ListenAndServe(addr, remote.NewHandler(reg))
+	return newServer(addr, remote.NewHandler(reg)).ListenAndServe()
 }
 
 // serveRouter is -role router: the stream fan-out tier. -shards is the
@@ -406,7 +428,7 @@ func serveRouter(cfg config, addr, nodesCSV, catalogURL string, log io.Writer) e
 	defer rt.Close()
 	fmt.Fprintf(log, "mmdserve: router over %d nodes (%d logical shards), listening on %s\n",
 		len(urls), shards, addr)
-	return http.ListenAndServe(addr, rt.Handler())
+	return newServer(addr, rt.Handler()).ListenAndServe()
 }
 
 // reportRecovery summarizes a WAL recovery on the timing stream (rep

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/httpserve"
 )
@@ -98,5 +102,43 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	cfg.policy = "nope"
 	if err := run(cfg, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// TestServerDropsStalledHeaders pins the listener's header timeout: a
+// client that sends a request line and then stalls before the blank
+// line ending its headers gets its connection closed, instead of
+// holding it open forever.
+func TestServerDropsStalledHeaders(t *testing.T) {
+	defer func(d time.Duration) { headerTimeout = d }(headerTimeout)
+	headerTimeout = 100 * time.Millisecond
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(ln.Addr().String(), http.NotFoundHandler())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: mmdserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(3 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server still holds a connection whose headers never finished")
 	}
 }

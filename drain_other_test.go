@@ -1,6 +1,6 @@
 //go:build !unix
 
-package benchkit
+package videodist_test
 
 // drainDisk is a no-op where the whole-filesystem sync syscall is
 // unavailable; the WAL benchmarks just run with more variance there.

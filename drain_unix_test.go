@@ -1,11 +1,10 @@
 //go:build unix
 
-package benchkit
+package videodist_test
 
 import "syscall"
 
 // drainDisk flushes all pending filesystem writeback and journal
 // activity so a WAL benchmark's timed window starts from a quiet disk.
-// Called between StopTimer and StartTimer only — never on a serving
-// path.
+// Called between StopTimer and StartTimer only.
 func drainDisk() { syscall.Sync() }

@@ -5,7 +5,7 @@ package cluster
 // entries, scratch buffers in the allocator and guard) made the steady
 // states below allocation-free; these tests pin that with
 // testing.AllocsPerRun so a stray per-event allocation fails CI rather
-// than silently eroding the BENCH_serving.json numbers.
+// than silently eroding perfbench's allocs_per_event.
 
 import (
 	"context"

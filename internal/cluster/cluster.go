@@ -58,9 +58,7 @@
 // snapshots taken at barriers ride mmd.Assignment's sorted-slice
 // representation (allocation-free Utility/range reads). The ledger path
 // is pinned bit-identical to the retained rescan reference by the
-// differential tests in this package and internal/headend; the
-// serving-path benchmarks are snapshotted by `mmdbench -json` into
-// BENCH_serving.json.
+// differential tests in this package and internal/headend.
 //
 // # Fleet catalog (serving API v3)
 //

@@ -39,9 +39,8 @@ func streamTestClusters(t *testing.T, n, tenants, shards int) []*Cluster {
 	return out
 }
 
-// streamSchedule interleaves every tenant's mixed schedule round-robin
-// (the same interleaving RunWorkload uses), so shard queues see events
-// from different tenants back to back.
+// streamSchedule interleaves every tenant's mixed schedule round-robin,
+// so shard queues see events from different tenants back to back.
 func streamSchedule(tenants int) []Event {
 	perTenant := make([][]Event, tenants)
 	for ti := 0; ti < tenants; ti++ {
@@ -51,6 +50,12 @@ func streamSchedule(tenants int) []Event {
 		}
 		perTenant[ti] = evs
 	}
+	return interleaveTenants(perTenant)
+}
+
+// interleaveTenants merges per-tenant schedules round-robin across
+// tenants — the interleaving RunWorkload submits.
+func interleaveTenants(perTenant [][]Event) []Event {
 	var all []Event
 	for i := 0; ; i++ {
 		any := false

@@ -29,7 +29,7 @@ type E13Config struct {
 	Overlaps []float64
 }
 
-// DefaultE13 returns the parameters used by EXPERIMENTS.md.
+// DefaultE13 returns the parameters behind mmdbench's E13 table.
 func DefaultE13() E13Config {
 	return E13Config{
 		Tenants: 6, Channels: 30, Gateways: 8, Seed: 132,

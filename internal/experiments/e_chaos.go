@@ -40,7 +40,7 @@ type E15Config struct {
 	FailSyncAt int
 }
 
-// DefaultE15 returns the parameters used by EXPERIMENTS.md.
+// DefaultE15 returns the parameters behind mmdbench's E15 table.
 func DefaultE15() E15Config {
 	return E15Config{
 		Tenants: 8, Channels: 8, Gateways: 3, Seed: 151,

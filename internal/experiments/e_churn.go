@@ -17,7 +17,7 @@ type E11Config struct {
 	Rounds int
 }
 
-// DefaultE11 returns the parameters used by EXPERIMENTS.md.
+// DefaultE11 returns the parameters behind mmdbench's E11 table.
 func DefaultE11() E11Config { return E11Config{Channels: 35, Gateways: 9, Seed: 115, Rounds: 3} }
 
 // E11 schedule shape (see cluster.Workload): after every e11DepartEvery

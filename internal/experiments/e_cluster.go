@@ -21,7 +21,7 @@ type E12Config struct {
 	ShardCounts []int
 }
 
-// DefaultE12 returns the parameters used by EXPERIMENTS.md.
+// DefaultE12 returns the parameters behind mmdbench's E12 table.
 func DefaultE12() E12Config {
 	return E12Config{
 		Tenants: 8, Channels: 20, Gateways: 6, Seed: 120,

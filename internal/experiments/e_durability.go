@@ -24,7 +24,7 @@ type E14Config struct {
 	ShardCounts []int
 }
 
-// DefaultE14 returns the parameters used by EXPERIMENTS.md.
+// DefaultE14 returns the parameters behind mmdbench's E14 table.
 func DefaultE14() E14Config {
 	return E14Config{
 		Tenants: 4, Channels: 12, Gateways: 4, Seed: 147,

@@ -26,7 +26,7 @@ type E1Config struct {
 	Seed int64
 }
 
-// DefaultE1 returns the parameters used by EXPERIMENTS.md.
+// DefaultE1 returns the parameters behind mmdbench's E1 table.
 func DefaultE1() E1Config {
 	return E1Config{Trials: 20, Sizes: []int{8, 10, 12}, Users: 4, Seed: 101}
 }
@@ -98,7 +98,7 @@ type E2Config struct {
 	Seed int64
 }
 
-// DefaultE2 returns the parameters used by EXPERIMENTS.md.
+// DefaultE2 returns the parameters behind mmdbench's E2 table.
 func DefaultE2() E2Config { return E2Config{Trials: 25, Streams: 10, Users: 4, Seed: 102} }
 
 // E2ReducedBudget measures Theorem 2.5: greedy's semi-feasible value is
@@ -194,7 +194,7 @@ type E3Config struct {
 	Seed int64
 }
 
-// DefaultE3 returns the parameters used by EXPERIMENTS.md.
+// DefaultE3 returns the parameters behind mmdbench's E3 table.
 func DefaultE3() E3Config {
 	return E3Config{Alphas: []float64{1, 4, 16, 64, 256}, Trials: 10, Streams: 10, Users: 4, Seed: 103}
 }
@@ -264,7 +264,7 @@ type E4Config struct {
 	Seed int64
 }
 
-// DefaultE4 returns the parameters used by EXPERIMENTS.md.
+// DefaultE4 returns the parameters behind mmdbench's E4 table.
 func DefaultE4() E4Config {
 	return E4Config{Ms: []int{1, 2, 3}, MCs: []int{1, 2}, Trials: 8, Streams: 9, Users: 4, Seed: 104}
 }
@@ -335,7 +335,7 @@ type E5Config struct {
 	Grid [][2]int
 }
 
-// DefaultE5 returns the parameters used by EXPERIMENTS.md.
+// DefaultE5 returns the parameters behind mmdbench's E5 table.
 func DefaultE5() E5Config {
 	return E5Config{Grid: [][2]int{{2, 2}, {3, 2}, {3, 3}, {4, 3}, {5, 4}}}
 }
@@ -390,7 +390,7 @@ type E7Config struct {
 	Repeats int
 }
 
-// DefaultE7 returns the parameters used by EXPERIMENTS.md.
+// DefaultE7 returns the parameters behind mmdbench's E7 table.
 func DefaultE7() E7Config {
 	return E7Config{
 		Sizes:   [][2]int{{50, 10}, {100, 20}, {200, 40}, {400, 80}},
@@ -473,7 +473,7 @@ type E8Config struct {
 	Seed int64
 }
 
-// DefaultE8 returns the parameters used by EXPERIMENTS.md.
+// DefaultE8 returns the parameters behind mmdbench's E8 table.
 func DefaultE8() E8Config {
 	return E8Config{Trials: 8, Streams: 10, Users: 4, Seeds: []int{0, 1, 2, 3}, Seed: 108}
 }

@@ -20,7 +20,7 @@ type E6Config struct {
 	Seed int64
 }
 
-// DefaultE6 returns the parameters used by EXPERIMENTS.md.
+// DefaultE6 returns the parameters behind mmdbench's E6 table.
 func DefaultE6() E6Config {
 	return E6Config{Trials: 8, Streams: 10, Users: 3, M: 2, MC: 1, Orders: 5, Seed: 106}
 }
@@ -99,7 +99,7 @@ type A3Config struct {
 	Factors []float64
 }
 
-// DefaultA3 returns the parameters used by EXPERIMENTS.md.
+// DefaultA3 returns the parameters behind mmdbench's A3 table.
 func DefaultA3() A3Config {
 	return A3Config{Streams: 30, Users: 6, M: 2, MC: 1, Seed: 113,
 		Factors: []float64{0.25, 0.5, 1, 2, 4}}

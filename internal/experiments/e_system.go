@@ -24,7 +24,7 @@ type E9Config struct {
 	EgressFraction float64
 }
 
-// DefaultE9 returns the parameters used by EXPERIMENTS.md.
+// DefaultE9 returns the parameters behind mmdbench's E9 table.
 func DefaultE9() E9Config {
 	return E9Config{Seeds: 10, Channels: 50, Gateways: 12, EgressFraction: 0.2}
 }
@@ -107,7 +107,7 @@ type E10Config struct {
 	Seed               int64
 }
 
-// DefaultE10 returns the parameters used by EXPERIMENTS.md.
+// DefaultE10 returns the parameters behind mmdbench's E10 table.
 func DefaultE10() E10Config { return E10Config{Channels: 40, Gateways: 10, Seed: 110} }
 
 // E10EndToEnd serves one cable-TV head-end on a one-shard cluster under
@@ -219,7 +219,7 @@ type A1Config struct {
 	Seed int64
 }
 
-// DefaultA1 returns the parameters used by EXPERIMENTS.md.
+// DefaultA1 returns the parameters behind mmdbench's A1 table.
 func DefaultA1() A1Config {
 	return A1Config{Trials: 12, Streams: 10, Users: 4, M: 3, MC: 2, Seed: 111}
 }
@@ -287,7 +287,7 @@ type A2Config struct {
 	Gaps []float64
 }
 
-// DefaultA2 returns the parameters used by EXPERIMENTS.md.
+// DefaultA2 returns the parameters behind mmdbench's A2 table.
 func DefaultA2() A2Config { return A2Config{Gaps: []float64{10, 100, 1000, 10000}} }
 
 // A2BlockingFamily reproduces the Section 2.2 "hole": raw greedy's

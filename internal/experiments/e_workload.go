@@ -25,7 +25,7 @@ type E16Config struct {
 	ShardCounts []int
 }
 
-// DefaultE16 returns the parameters used by EXPERIMENTS.md.
+// DefaultE16 returns the parameters behind mmdbench's E16 table.
 func DefaultE16() E16Config {
 	return E16Config{
 		Tenants: 6, Channels: 12, Gateways: 4, Seed: 161,
@@ -255,7 +255,7 @@ type E17Config struct {
 	Seed int64
 }
 
-// DefaultE17 returns the parameters used by EXPERIMENTS.md.
+// DefaultE17 returns the parameters behind mmdbench's E17 table.
 func DefaultE17() E17Config {
 	return E17Config{
 		Streams: 10, Users: 3, Orders: 4,

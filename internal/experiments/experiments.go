@@ -2,11 +2,11 @@
 // Patt-Shamir & Rawitz (the paper is theoretical — Figs. 1-3 are
 // schematic and there is no empirical section, so the reproduction
 // targets are the theorems themselves plus the motivating comparison
-// against threshold admission). cmd/mmdbench renders the tables as
-// Markdown for EXPERIMENTS.md; bench_test.go wraps the same runs as
-// testing.B benchmarks.
+// against threshold admission). cmd/mmdbench prints the tables as
+// Markdown; bench_test.go wraps the same runs as testing.B
+// benchmarks.
 //
-// Experiment index (see DESIGN.md section 4):
+// Experiment index:
 //
 //	E1  Theorem 2.8 / Lemma 2.6: greedy approximation ratios vs exact OPT
 //	E2  Theorem 2.5: greedy vs optimum with reduced budget

@@ -20,10 +20,11 @@ func diurnalDigest(events []generator.Event) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestDiurnalGolden pins the byte-exact schedules of the three shapes
-// other layers replay: E16's default churn, benchkit's "diurnal"
-// workload, and perfbench's flash-durable churn at run seed 1 (E16 and
-// flash-durable exclude the flash crowd's channel, channel 0). A change
+// TestDiurnalGolden pins the byte-exact schedules of three shapes:
+// E16's default churn, a two-day schedule over the 8-tenant benchmark
+// fleet (named after the benchmark harness that once replayed it), and
+// perfbench's flash-durable churn at run seed 1 (E16 and flash-durable
+// exclude the flash crowd's channel, channel 0). A change
 // to the tick order, the rng draw order or the event stamping shows up
 // here as a digest mismatch.
 func TestDiurnalGolden(t *testing.T) {

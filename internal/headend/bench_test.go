@@ -3,26 +3,171 @@ package headend_test
 import (
 	"testing"
 
-	"repro/internal/benchkit"
+	"repro/internal/generator"
+	"repro/internal/headend"
+	"repro/internal/mmd"
 )
 
-// BenchmarkGuardedAdmission compares the two guard implementations on a
-// CableTV-sized instance (120 channels × 40 gateways, 3 budgets, 2
-// capacities per gateway): "rescan" is the retained pre-ledger
-// reference — trial Add + full CheckFeasible per candidate — and
-// "ledger" is the O(measures) LoadLedger delta query. Both sweeps admit
+// admissionInstance is the CableTV-sized workload the admission
+// benchmarks sweep: 120 channels × 40 gateways, 3 server budgets, 2
+// capacities per gateway, Zipf popularity, contended egress.
+func admissionInstance(b *testing.B) *mmd.Instance {
+	b.Helper()
+	in, err := generator.CableTV{
+		Channels: 120, Gateways: 40, Seed: 300, EgressFraction: 0.25,
+	}.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return in
+}
+
+// BenchmarkGuardedAdmission compares the two guard implementations on
+// admissionInstance: "rescan" is the retained pre-ledger reference —
+// trial Add + full CheckFeasible per candidate — and "ledger" is the
+// O(measures) LoadLedger delta query. Each op offers every (stream,
+// candidate) pair with positive utility, then departs everything it
+// admitted, so it is one admit/depart cycle on warm state and the
+// reported allocs are the guard's own. Both sweeps admit
 // bit-identically (differential tests); the ratio is the serving-path
-// win. Bodies live in internal/benchkit so `mmdbench -json` snapshots
-// the same numbers into BENCH_serving.json.
+// win.
 func BenchmarkGuardedAdmission(b *testing.B) {
-	b.Run("rescan", benchkit.GuardedAdmissionRescan)
-	b.Run("ledger", benchkit.GuardedAdmissionLedger)
+	b.Run("rescan", guardedAdmissionRescan)
+	b.Run("ledger", guardedAdmissionLedger)
+}
+
+func guardedAdmissionRescan(b *testing.B) {
+	in := admissionInstance(b)
+	cand := in.InterestedUsers()
+	assn := mmd.NewAssignment(in.NumUsers())
+	var admitted [][2]int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admitted = admitted[:0]
+		for s := range cand {
+			for _, u := range cand[s] {
+				assn.Add(u, s)
+				if assn.CheckFeasible(in) != nil {
+					assn.Remove(u, s)
+					continue
+				}
+				admitted = append(admitted, [2]int{u, s})
+			}
+		}
+		if len(admitted) == 0 {
+			b.Fatal("nothing admitted")
+		}
+		for _, p := range admitted {
+			assn.Remove(p[0], p[1])
+		}
+	}
+}
+
+func guardedAdmissionLedger(b *testing.B) {
+	in := admissionInstance(b)
+	cand := in.InterestedUsers()
+	assn := mmd.NewAssignment(in.NumUsers())
+	ledger := mmd.NewLoadLedger(in)
+	var admitted [][2]int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admitted = admitted[:0]
+		for s := range cand {
+			for _, u := range cand[s] {
+				if !ledger.FitsDelta(u, s) {
+					continue
+				}
+				ledger.Add(u, s)
+				assn.Add(u, s)
+				admitted = append(admitted, [2]int{u, s})
+			}
+		}
+		if len(admitted) == 0 {
+			b.Fatal("nothing admitted")
+		}
+		for _, p := range admitted {
+			ledger.Remove(p[0], p[1])
+			assn.Remove(p[0], p[1])
+		}
+	}
+}
+
+// BenchmarkCatalogAdmission sweeps the admission fast path the fleet
+// catalog prices discounted admissions with: the scaled guard
+// (FitsDeltaScaled/AddScaled) over GuardedAdmission's admit/depart
+// cycle. isolated is scale 1 (bit-identical decisions to the unscaled
+// ledger guard), shared the SharedOrigin replication fraction, which
+// admits more pairs per sweep on the contended instance. Both
+// sub-benchmarks must report 0 allocs/op: the discount adds one float
+// multiply to the delta query, never an allocation, and the catalog's
+// registry round trip happens once per fleet admission, outside this
+// path.
+func BenchmarkCatalogAdmission(b *testing.B) {
+	b.Run("isolated", func(b *testing.B) { catalogAdmission(b, 1) })
+	b.Run("shared", func(b *testing.B) { catalogAdmission(b, 0.25) })
+}
+
+func catalogAdmission(b *testing.B, scale float64) {
+	in := admissionInstance(b)
+	cand := in.InterestedUsers()
+	assn := mmd.NewAssignment(in.NumUsers())
+	ledger := mmd.NewLoadLedger(in)
+	var admitted [][2]int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admitted = admitted[:0]
+		for s := range cand {
+			for _, u := range cand[s] {
+				if !ledger.FitsDeltaScaled(u, s, scale) {
+					continue
+				}
+				ledger.AddScaled(u, s, scale)
+				assn.Add(u, s)
+				admitted = append(admitted, [2]int{u, s})
+			}
+		}
+		if len(admitted) == 0 {
+			b.Fatal("nothing admitted")
+		}
+		for _, p := range admitted {
+			ledger.Remove(p[0], p[1])
+			assn.Remove(p[0], p[1])
+		}
+	}
 }
 
 // BenchmarkOnlinePolicySweep is the end-to-end variant: the full
 // guarded online policy (Section 5 allocator + guard) offered the whole
-// catalog, with only the guard implementation differing.
+// catalog, with only the guard implementation differing. The two runs
+// admit bit-identically (differential tests), so the delta is pure
+// guard cost.
 func BenchmarkOnlinePolicySweep(b *testing.B) {
-	b.Run("rescan", func(b *testing.B) { benchkit.OnlinePolicySweep(b, false) })
-	b.Run("ledger", func(b *testing.B) { benchkit.OnlinePolicySweep(b, true) })
+	b.Run("rescan", func(b *testing.B) { onlinePolicySweep(b, false) })
+	b.Run("ledger", func(b *testing.B) { onlinePolicySweep(b, true) })
+}
+
+func onlinePolicySweep(b *testing.B, ledger bool) {
+	in := admissionInstance(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var pol *headend.OnlinePolicy
+		var err error
+		if ledger {
+			pol, err = headend.NewOnlinePolicy(in, true)
+		} else {
+			pol, err = headend.NewRescanOnlinePolicy(in)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for s := 0; s < in.NumStreams(); s++ {
+			pol.OnStreamArrival(s)
+		}
+	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // canonicalBatchBody is a 16-event wire batch in the canonical shape
-// every known client emits (the benchkit driver marshals exactly this).
+// every known client emits (loaddrive.Batch marshals exactly this).
 const canonicalBatchBody = `[` +
 	`{"type":"offer","stream":0},{"type":"offer","stream":1},` +
 	`{"type":"offer","stream":2},{"type":"offer","stream":3},` +

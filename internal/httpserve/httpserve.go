@@ -32,9 +32,9 @@
 // governor that converts block-backpressure into fast 503 +
 // Retry-After when the rolling ack p99 crosses a threshold.
 //
-// It lives in internal/ so cmd/mmdserve, the benchmarks
-// (internal/benchkit), and the tests share one handler; cmd/mmdserve
-// is the thin main around it.
+// It lives in internal/ so cmd/mmdserve, the root package's ingestion
+// benchmarks, and the tests share one handler; cmd/mmdserve is the
+// thin main around it.
 package httpserve
 
 import (
@@ -83,10 +83,16 @@ func NewHandler(c *videodist.Cluster) http.Handler {
 	return NewHandlerOpts(c, Options{})
 }
 
+// maxEventBody caps an /events body. One event line is under 200
+// bytes, so the cap only stops a request from making the server buffer
+// an unbounded body.
+const maxEventBody = 64 << 10
+
 // handleEvent applies one event as a one-event stream: the body is one
 // stream line, parsed and refused by the stream's own parser
 // (streamclient.ParseEvent), the tenant rides in the URL, and a failed
-// event answers with its transport error's status.
+// event answers with its transport error's status. A body over
+// maxEventBody answers 413.
 func (s *server) handleEvent(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w) {
 		return
@@ -96,9 +102,14 @@ func (s *server) handleEvent(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad tenant id %q", r.PathValue("id")))
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEventBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad event body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad event body: %w", err))
 		return
 	}
 	req, err := streamclient.ParseEvent(body)

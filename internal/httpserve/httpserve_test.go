@@ -211,6 +211,30 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
+// TestHTTPEventBodyCap pins the /events body cap: a valid offer padded
+// past maxEventBody is refused with 413 and the shared error body
+// instead of being buffered whole, and the server keeps serving.
+func TestHTTPEventBodyCap(t *testing.T) {
+	c := buildFleet(t, defaultFleetConfig())
+	ts := httptest.NewServer(NewHandler(c))
+	defer ts.Close()
+
+	body := append([]byte(`{"type":"offer","stream":3}`), bytes.Repeat([]byte(" "), 1<<20)...)
+	resp, err := http.Post(ts.URL+"/v1/tenants/0/events", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorResponse
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+		t.Fatalf("oversized body: status %d, error body %+v (decode err %v)", resp.StatusCode, e, err)
+	}
+	if code := postEvent(t, ts, 0, streamclient.Event{Type: "offer", Stream: 3}, nil); code != http.StatusOK {
+		t.Fatalf("event after the oversized body: status %d", code)
+	}
+}
+
 // batchParityEvents is the mixed single-tenant schedule shared by the
 // batch and stream parity tests. Catalog events are kept out of this
 // shared mix on purpose: the stream parity test replays it for every

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	videodist "repro"
-	"repro/internal/metrics"
 )
 
 // Options configures the resilience behaviors of the handler. The zero
@@ -111,6 +111,10 @@ func (s *server) observe(start time.Time) {
 // the quantile sorts its window, so it runs at a sampled cadence.
 const govRecompute = 32
 
+// govWindow is how many of the latest ack latencies the p99 is read
+// from.
+const govWindow = 256
+
 // governor trips load shedding from a rolling ack-latency quantile.
 // While tripped, requests are rejected before reaching the cluster, so
 // no new observations arrive; once RetryAfter passes, traffic is
@@ -120,10 +124,13 @@ const govRecompute = 32
 type governor struct {
 	threshold  time.Duration
 	retryAfter time.Duration
-	window     *metrics.Rolling
 	now        func() time.Time // test hook
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// buf is a ring of the latest govWindow ack latencies in seconds;
+	// observation i lands in slot i%govWindow, so obs (the number of
+	// observations so far) locates the ring's head and its fill.
+	buf       [govWindow]float64
 	obs       int
 	shedUntil time.Time
 }
@@ -132,19 +139,29 @@ func newGovernor(threshold, retryAfter time.Duration) *governor {
 	return &governor{
 		threshold:  threshold,
 		retryAfter: retryAfter,
-		window:     metrics.NewRolling(256),
 		now:        time.Now,
 	}
 }
 
 func (g *governor) observe(d time.Duration) {
-	g.window.Observe(d.Seconds())
 	g.mu.Lock()
+	g.buf[g.obs%govWindow] = d.Seconds()
 	g.obs++
-	if g.obs%govRecompute == 0 && g.window.Quantile(0.99) >= g.threshold.Seconds() {
+	if g.obs%govRecompute == 0 && g.p99Locked() >= g.threshold.Seconds() {
 		g.shedUntil = g.now().Add(g.retryAfter)
 	}
 	g.mu.Unlock()
+}
+
+// p99Locked returns the nearest-rank p99 of the window. Callers hold mu
+// and have observed at least once.
+func (g *governor) p99Locked() float64 {
+	n := min(g.obs, govWindow)
+	var sorted [govWindow]float64
+	w := sorted[:n]
+	copy(w, g.buf[:n])
+	slices.Sort(w)
+	return w[int(0.99*float64(n-1)+0.5)]
 }
 
 func (g *governor) shedding() bool {
