@@ -32,7 +32,7 @@
 //	POST /v1/tenants/{id}/events        {"type":"catalog-offer","catalog_id":"ch-003"}
 //	POST /v1/tenants/{id}/events:batch  [{"type":"offer","stream":3}, ...]
 //	POST /v1/stream                     NDJSON in, NDJSON out (persistent)
-//	POST /v1/admin/reshard              {"shards":4} (live cutover; needs -wal-dir)
+//	POST /v1/admin/reshard              {"shards":4} (live handoff to new shard workers)
 //	GET  /v1/fleet/snapshot
 //	GET  /v1/catalog
 //
@@ -241,10 +241,7 @@ func instances(cfg config) ([]*videodist.Instance, error) {
 // the recovery switch: a directory already holding a log reopens it
 // with RecoverCluster (replay, verify, repair, go live — the non-nil
 // report says what happened); a fresh directory starts logging from
-// genesis. The default "online" policy stays nil in the tenant configs
-// so WAL-backed fleets keep live resharding available (Reshard rebuilds
-// tenants by replay, which a caller-supplied policy object would
-// break).
+// genesis.
 func buildCluster(cfg config) (*videodist.Cluster, *videodist.RecoveryReport, error) {
 	ins, err := instances(cfg)
 	if err != nil {
@@ -252,14 +249,11 @@ func buildCluster(cfg config) (*videodist.Cluster, *videodist.RecoveryReport, er
 	}
 	tenants := make([]videodist.ClusterTenant, len(ins))
 	for i, in := range ins {
-		tenants[i] = videodist.ClusterTenant{Instance: in}
-		if cfg.policy != "" && cfg.policy != "online" {
-			pol, err := videodist.NewAdmissionPolicy(in, cfg.policy)
-			if err != nil {
-				return nil, nil, err
-			}
-			tenants[i].Policy = pol
+		pol, err := videodist.NewAdmissionPolicy(in, cfg.policy)
+		if err != nil {
+			return nil, nil, err
 		}
+		tenants[i] = videodist.ClusterTenant{Instance: in, Policy: pol}
 	}
 	cat, err := catalogOptions(cfg)
 	if err != nil {

@@ -222,7 +222,7 @@ func TestFSTornTailRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := l2.ReadAll(true)
+	rep, err := l2.ReadAll()
 	if err != nil {
 		t.Fatalf("recovery after torn tail: %v", err)
 	}

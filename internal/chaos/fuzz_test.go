@@ -9,7 +9,7 @@ import (
 // FuzzFaultSchedule drives a WAL appender through a fuzz-derived fault
 // schedule — latched fsync errors, torn tails, short writes, arbitrary
 // flush/commit cadence — abandons the log as a crash, and asserts the
-// recovery contract: ReadAll(true) never panics, never errors on a
+// recovery contract: ReadAll() never panics, never errors on a
 // single-writer log (every injected fault leaves at worst a legal torn
 // tail), and the surviving records are always a contiguous seq prefix
 // of what was appended. A second read after truncation must be clean.
@@ -56,7 +56,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		rep, err := l2.ReadAll(true)
+		rep, err := l2.ReadAll()
 		if err != nil {
 			t.Fatalf("recovery read failed under fault %+v: %v", fault, err)
 		}
@@ -76,7 +76,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second reopen: %v", err)
 		}
-		rep2, err := l3.ReadAll(true)
+		rep2, err := l3.ReadAll()
 		if err != nil {
 			t.Fatalf("second recovery read: %v", err)
 		}

@@ -75,8 +75,8 @@ func (c *Cluster) ApplyBatch(ctx context.Context, tenant int, events []Event) ([
 		batch[i] = ev
 	}
 	// The catalog lookups, the pricing round trip, and the enqueue share
-	// one read-locked section (Reshard swaps the layout and the registry
-	// under the write lock); the lock drops before the result wait.
+	// one read-locked section (Reshard replaces the shard workers under
+	// the write lock); the lock drops before the result wait.
 	ack := c.getBatchAck()
 	fail := func(err error) ([]EventResult, error) {
 		c.mu.RUnlock()

@@ -41,14 +41,14 @@
 // (ErrUnknownTenant, ErrQueueFull, ErrClosed, ErrCanceled,
 // ErrNotDurable) and the enqueue side honors Options.Backpressure.
 //
-// Because tenant-to-shard placement is static and every per-tenant
-// mutation happens on its shard's worker in submission order, a fixed
-// submission sequence produces bit-identical per-tenant snapshots
-// regardless of the shard count, and the fleet report is byte-identical
-// across invocations (the reduction in Snapshot walks tenants and
-// shards in index order — the same pattern as the band fan-out in
-// internal/core). Wall-clock throughput is the only thing sharding
-// changes.
+// Because tenant-to-shard placement changes only at a Reshard barrier
+// and every per-tenant mutation happens on its shard's worker in
+// submission order, a fixed submission sequence produces bit-identical
+// per-tenant snapshots regardless of the shard count, and the fleet
+// report is byte-identical across invocations (the reduction in
+// Snapshot walks tenants and shards in index order — the same pattern
+// as the band fan-out in internal/core). Wall-clock throughput is the
+// only thing sharding changes.
 //
 // # Serving hot path
 //
@@ -221,9 +221,9 @@ type Options struct {
 	// applied event is appended to the owning shard's write-ahead log
 	// segment before its result is delivered, checkpoints fence the log
 	// with verified state renders, Recover rebuilds a crashed fleet from
-	// the directory, and Reshard replays the log into a new shard layout
-	// while the old one serves. nil disables durability entirely (the
-	// hot path is unchanged). See wal.go in this package.
+	// the directory, and Reshard rotates the log to the new writer set.
+	// nil disables durability entirely (the hot path is unchanged). See
+	// wal.go in this package.
 	WAL *WALOptions
 }
 
@@ -266,7 +266,10 @@ func (o Options) withDefaults(tenants int) Options {
 	return o
 }
 
-// ShardStats summarizes one shard worker's activity.
+// ShardStats summarizes one shard worker's activity: what the current
+// worker has applied since it started. Reshard starts new workers, so
+// the shard table restarts at zero after a reshard (the per-tenant
+// tables, which carry each tenant's own counts, do not).
 type ShardStats struct {
 	// Shard is the shard index; Tenants is how many tenants it owns.
 	Shard, Tenants int
@@ -307,7 +310,6 @@ type shard struct {
 	// Worker-owned state below; read by others only via barrier replies
 	// or after done is closed.
 	stats ShardStats
-	churn map[int]int // tenant -> churn events seen (ResolveEvery)
 	err   error
 
 	// Settlement scratch, worker-owned and reused across batch windows:
@@ -322,8 +324,8 @@ type shard struct {
 	settleOneRes [1]catalog.SettleResult
 
 	// Durability plane, worker-owned. wal is the shard's segment
-	// appender (nil with no WAL, and during recovery/reshard replay —
-	// replayed events are already in the log). replay suppresses
+	// appender (nil with no WAL, and during recovery replay — replayed
+	// events are already in the log). replay suppresses
 	// catalog settlements while the registry is rebuilt from its own
 	// log plane; it is flipped off at go-live, while the worker is
 	// provably idle. Under SyncBatch the worker defers result delivery
@@ -413,6 +415,11 @@ type Cluster struct {
 	// only references actually held (no registry round trips for the
 	// rest of the catalog).
 	heldCatalog []map[catalog.ID]bool
+	// churn[tenant] counts the churn events (departures, leaves, joins)
+	// the tenant has applied, for Options.ResolveEvery. Only the
+	// tenant's owning worker writes it, and a reshard hands it to the
+	// tenant's next worker with the rest of the tenant's state.
+	churn []int
 
 	// Hot-path pools. Ownership rule for every pooled completion
 	// channel: the side that *receives* the reply recycles the channel,
@@ -431,29 +438,22 @@ type Cluster struct {
 	closed bool
 
 	// Durability plane (wlog nil when Options.WAL is nil); see wal.go.
-	// walSeq is the shared global sequence counter — a pointer so a
-	// resharding shadow cluster stamps from the same sequence. walCatApp
-	// is the catalog plane's active appender, a shared atomic pointer
-	// for the same reason: after a reshard the live workers belong to
-	// the shadow's struct, and a later checkpoint rotation on the
-	// primary must repoint them too — a per-struct field would leave
-	// the workers committing a sealed appender (a silent no-op).
-	// walLive marks a cluster whose WAL is actively logging (false
-	// during recovery/reshard replay); it is written only while workers
-	// are quiesced. cfgs retains the tenant configs for Reshard's shadow
-	// rebuild. ckptKick/ckptQuit/ckptDone drive the automatic
-	// checkpoint goroutine; ckptEvery is Options.WAL.CheckpointEvery as
-	// the worker-side modulus. reshardMu serializes Reshard calls.
+	// walSeq is the global sequence counter every worker and the
+	// registry owner stamp from; walCatApp is the catalog plane's active
+	// appender, loaded by the registry owner and by every worker's
+	// commit hand-off, stored at rotation. walLive marks a cluster whose
+	// WAL is actively logging (false during recovery replay); it is
+	// written only while workers are quiesced. ckptKick/ckptQuit/ckptDone
+	// drive the automatic checkpoint goroutine; ckptEvery is
+	// Options.WAL.CheckpointEvery as the worker-side modulus.
 	wlog      *wal.Log
-	walSeq    *atomic.Uint64
-	walCatApp *atomic.Pointer[wal.Appender]
+	walSeq    atomic.Uint64
+	walCatApp atomic.Pointer[wal.Appender]
 	walLive   bool
-	cfgs      []TenantConfig
 	ckptKick  chan struct{}
 	ckptQuit  chan struct{}
 	ckptDone  chan struct{}
 	ckptEvery uint64
-	reshardMu sync.Mutex
 }
 
 // getAck returns a pooled one-shot result channel.
@@ -516,23 +516,20 @@ func New(tenants []TenantConfig, opts Options) (*Cluster, error) {
 }
 
 // newCluster builds the cluster object and starts the workers. replay
-// marks a cluster being rebuilt from a durability log (recovery, or a
-// resharding shadow): its workers suppress catalog settlements — the
-// registry is rebuilt from its own log plane — and append nothing (no
-// appenders are attached until go-live).
+// marks a cluster being rebuilt from a durability log (recovery): its
+// workers suppress catalog settlements — the registry is rebuilt from
+// its own log plane — and append nothing (no appenders are attached
+// until go-live).
 func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("cluster: need at least one tenant")
 	}
 	opts = opts.withDefaults(len(tenants))
 	c := &Cluster{
-		opts:      opts,
-		tenants:   make([]*headend.Tenant, len(tenants)),
-		shardOf:   make([]int, len(tenants)),
-		shards:    make([]*shard, opts.Shards),
-		cfgs:      append([]TenantConfig(nil), tenants...),
-		walSeq:    new(atomic.Uint64),
-		walCatApp: new(atomic.Pointer[wal.Appender]),
+		opts:    opts,
+		tenants: make([]*headend.Tenant, len(tenants)),
+		shardOf: make([]int, len(tenants)),
+		churn:   make([]int, len(tenants)),
 	}
 	if opts.WAL != nil {
 		c.ckptEvery = uint64(max(opts.WAL.CheckpointEvery, 0))
@@ -554,7 +551,6 @@ func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, er
 			return nil, fmt.Errorf("cluster: tenant %d: %w", i, err)
 		}
 		c.tenants[i] = t
-		c.shardOf[i] = i % opts.Shards
 	}
 	if opts.Catalog != nil {
 		// Each (tenant, local stream) pair may back at most one catalog
@@ -609,19 +605,28 @@ func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, er
 			c.heldCatalog[i] = make(map[catalog.ID]bool)
 		}
 	}
+	c.startShards(opts.Shards, replay)
+	return c, nil
+}
+
+// startShards pins tenant i to shard i mod n and starts one worker per
+// shard (plus its committer under group commit). newCluster calls it
+// once; Reshard calls it again after the previous workers have
+// stopped, so the new workers take over the same tenants, registry,
+// binding tables, held-reference sets and churn counters.
+func (c *Cluster) startShards(n int, replay bool) {
+	c.shards = make([]*shard, n)
 	for s := range c.shards {
 		sh := &shard{
 			id:        s,
-			ch:        make(chan message, opts.QueueDepth),
+			ch:        make(chan message, c.opts.QueueDepth),
 			done:      make(chan struct{}),
-			churn:     make(map[int]int),
 			replay:    replay,
-			deferAcks: opts.WAL != nil && opts.WAL.Sync == wal.SyncBatch,
+			deferAcks: c.opts.WAL != nil && c.opts.WAL.Sync == wal.SyncBatch,
 		}
-		for i := range c.tenants {
-			if c.shardOf[i] == s {
-				sh.tenants = append(sh.tenants, i)
-			}
+		for i := s; i < len(c.tenants); i += n {
+			c.shardOf[i] = s
+			sh.tenants = append(sh.tenants, i)
 		}
 		sh.stats.Shard = s
 		sh.stats.Tenants = len(sh.tenants)
@@ -635,7 +640,61 @@ func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, er
 		}
 		go c.worker(sh)
 	}
-	return c, nil
+}
+
+// Reshard hands the fleet's tenants to newShards new shard workers
+// (clamped to the tenant count) without stopping service: under the
+// write lock it runs the barrier Checkpoint and Close use — every
+// queued event applies and every deferred ack is delivered — stops the
+// old workers, and starts the new ones over the same tenants, registry,
+// binding tables and held-reference sets; tenant i moves to shard
+// i mod newShards. With a live WAL the log rotates to the new writer
+// set behind a "reshard" manifest carrying the barrier's renders.
+//
+// Results are unchanged by construction — the same shard-count
+// invariance the differential tests pin — and the global sequence
+// keeps every per-tenant order intact across any layout change.
+// Concurrent Reshard calls serialize on the write lock; sessions keep
+// working throughout (StreamConns included — their tenant moves shard
+// transparently). ShardStats restart at zero with the new workers.
+func (c *Cluster) Reshard(newShards int) error {
+	if newShards <= 0 {
+		return fmt.Errorf("cluster: reshard: need at least one shard, got %d", newShards)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrClosed
+	}
+	newShards = min(newShards, len(c.tenants))
+	if newShards == len(c.shards) {
+		return nil
+	}
+	fs, err := c.barrierSnapshot()
+	if err != nil {
+		return err
+	}
+	if c.walLive {
+		m := c.manifestFor(fs, "reshard")
+		m.Shards = newShards
+		if err := c.wlog.Rotate(&m, wal.ShardWriters(newShards, c.catalog != nil)); err != nil {
+			return err
+		}
+	}
+	// The barrier left every queue empty and the write lock keeps it so:
+	// the old workers exit at once, and their exit orders every tenant
+	// mutation before the new workers start.
+	for _, sh := range c.shards {
+		close(sh.ch)
+	}
+	for _, sh := range c.shards {
+		<-sh.done
+	}
+	c.startShards(newShards, false)
+	if c.walLive {
+		return c.attachAppenders()
+	}
+	return nil
 }
 
 // NumTenants returns the number of tenants.
@@ -674,7 +733,7 @@ func (c *Cluster) Snapshot() (*FleetSnapshot, error) {
 // barrierSnapshot runs the shard barrier and aggregates the fleet
 // state. Requires c.mu held: read-held for Snapshot (concurrent
 // submissions just land behind the barrier messages), write-held for
-// the durability quiesce points (checkpoint, reshard cutover, close) —
+// the durability quiesce points (checkpoint, reshard, close) —
 // enqueue holds the read lock through its channel send, so the write
 // lock additionally guarantees no send is in flight and the queues
 // stay empty until release.
@@ -1310,8 +1369,8 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 		}
 	}
 	if churned && c.opts.ResolveEvery > 0 {
-		sh.churn[ev.Tenant]++
-		if sh.churn[ev.Tenant]%c.opts.ResolveEvery == 0 {
+		c.churn[ev.Tenant]++
+		if c.churn[ev.Tenant]%c.opts.ResolveEvery == 0 {
 			_, _ = c.resolve(sh, ev.Tenant, false, true)
 		}
 	}

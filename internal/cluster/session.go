@@ -212,11 +212,9 @@ func validEventType(t EventType) error {
 // enqueueLocked is the single shard-channel send shared by route and
 // ApplyBatch: it validates the tenant index and the open state, then
 // delivers msg to the owning shard under the cluster's backpressure
-// mode. It requires c.mu held (read or write) and must stay in the same
-// critical section as any read of the cluster's layout fields (tenants,
-// shardOf, shards, catalog) the caller pairs it with — Reshard swaps
-// those under the write lock, and an event must land on the layout it
-// was prepared against. The lock is never held across a result wait.
+// mode. It requires c.mu held (read or write): Reshard replaces shardOf
+// and shards under the write lock, and Close closes the shard queues.
+// The lock is never held across a result wait.
 func (c *Cluster) enqueueLocked(ctx context.Context, tenant int, msg message) error {
 	if tenant < 0 || tenant >= len(c.tenants) {
 		return fmt.Errorf("%w: tenant %d out of range [0,%d)", ErrUnknownTenant, tenant, len(c.tenants))

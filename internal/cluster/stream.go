@@ -229,10 +229,10 @@ func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
 		ev.CatalogID, p.id = "", ""
 	}
 	// The catalog protocol and the enqueue share one read-locked section:
-	// Reshard swaps the layout and the registry under the write lock (and
-	// a stream's tenant may change shard between two events), so a
-	// reference must land on the registry generation the event will
-	// settle against. The lock is never held across a result wait.
+	// Reshard replaces the shard workers and Close stops them under the
+	// write lock (a stream's tenant may change shard between two events),
+	// so an acquired reference is either enqueued on a live worker or
+	// released. The lock is never held across a result wait.
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if ev.CatalogID == "" {

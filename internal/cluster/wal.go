@@ -51,12 +51,17 @@ package cluster
 //
 // # Resharding
 //
-// Reshard(n) builds a shadow cluster with the new layout and replays
-// the log into it while the old layout keeps serving; the cutover
-// quiesces the old fleet once, replays the tail, verifies the shadow
-// renders byte-identical, rotates the log to the new writer set, and
-// swaps the layouts — make-before-break, with the write lock held only
-// for the tail.
+// Reshard(n) (cluster.go) is a handoff, not a rebuild. A tenant's state
+// does not depend on which worker applies its events (shard-count
+// invariance), so moving it to another worker is bookkeeping: under
+// the write lock the barrier applies every queued event and delivers
+// every deferred ack, the old workers stop, and n new ones start over
+// the same tenants, registry, binding tables and held-reference sets.
+// The log's half is one rotation: with a live WAL the writers move to
+// the new writer set behind a "reshard" manifest carrying the
+// barrier's renders, which recovery verifies like any other fence.
+// Nothing is read back or replayed, so the cost is one barrier plus
+// one rotation, whatever the log's length.
 
 import (
 	"fmt"
@@ -90,8 +95,8 @@ type WALOptions struct {
 	FS wal.FS
 }
 
-// ErrNoWAL reports a durability operation (Checkpoint, Reshard,
-// Recover) on a cluster built without Options.WAL.
+// ErrNoWAL reports a durability operation (Checkpoint, Recover) on a
+// cluster built without Options.WAL.
 var ErrNoWAL = fmt.Errorf("cluster: no WAL configured")
 
 // RecoveryReport summarizes what Recover rebuilt.
@@ -164,10 +169,7 @@ func (c *Cluster) walLogOptions() wal.Options {
 // at the active generation's appenders. Called only while the workers
 // are provably idle: at construction before any traffic, and at
 // checkpoint/reshard rotation under the write lock after the barrier
-// drained — the next channel receive publishes the new pointers. The
-// catalog appender goes through the shared atomic pointer, so the
-// rotation repoints the live workers even when they belong to the
-// other struct of a primary/shadow pair (see Cluster.walCatApp).
+// drained — the next channel receive publishes the new pointers.
 func (c *Cluster) attachAppenders() error {
 	for _, sh := range c.shards {
 		sh.wal = c.wlog.Appender(wal.ShardWriter(sh.id))
@@ -335,9 +337,7 @@ func settleOpFromToken(s string) (catalog.SettleOp, error) {
 
 // catalogWALLogger is the registry-plane appender: installed on the
 // registry owner goroutine, it stamps each registry operation with the
-// shared sequence counter and appends it to the "catalog" segment. It
-// loads the appender from the shared pointer per append, so a rotation
-// by either struct of a primary/shadow pair takes effect immediately.
+// global sequence counter and appends it to the "catalog" segment.
 type catalogWALLogger struct {
 	c *Cluster
 }
@@ -441,7 +441,7 @@ func Recover(tenants []TenantConfig, opts Options) (*Cluster, *RecoveryReport, e
 		return nil, nil, err
 	}
 	c.wlog = l
-	replay, err := l.ReadAll(true)
+	replay, err := l.ReadAll()
 	if err != nil {
 		c.Close()
 		return nil, nil, err
@@ -616,29 +616,6 @@ func (c *Cluster) feedReplay(recs []wal.Record, from, to uint64) (events, catOps
 	return events, catOps, nil
 }
 
-// contiguousSeqPrefix returns the highest seq S such that every
-// sequence number from the first record's up to S is present in recs
-// (which are sorted by Seq) or permanently absent. Records past the
-// first live gap are left for a later quiesced read — writers flush
-// independently, so a missing seq above the fence may still be
-// buffered in a writer. A gap entirely at or below fence (the newest
-// checkpoint's quiesced barrier) can never be filled — every seq the
-// fence covers was already durable when it was written — so the scan
-// continues past it instead of stranding the prefix behind history.
-func contiguousSeqPrefix(recs []wal.Record, fence uint64) uint64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	s := recs[0].Seq
-	for _, r := range recs[1:] {
-		if r.Seq != s+1 && r.Seq-1 > fence {
-			break
-		}
-		s = r.Seq
-	}
-	return s
-}
-
 // reconcileCatalog repairs the torn window between the two log planes
 // after a crash: for every (tenant, catalog stream) pair it compares
 // the worker-held reference set (event-plane truth — the tenant's
@@ -680,185 +657,4 @@ func (c *Cluster) reconcileCatalog() (int, error) {
 		return 0, err
 	}
 	return len(fixes), nil
-}
-
-// Reshard rebuilds the fleet onto newShards shard workers without
-// stopping service: a shadow cluster with the new layout replays the
-// durability log while the old layout keeps serving, then a single
-// write-locked cutover drains the old fleet, replays the tail,
-// verifies the shadow's per-tenant and catalog renders byte-identical
-// to the live fleet's, rotates the log to the new writer set, and
-// swaps the layouts (make-before-break; the old workers retire after
-// the swap). Requires a WAL, and tenants built with the default
-// policy (TenantConfig.Policy nil) — a caller-supplied policy object
-// cannot be rebuilt by replay.
-//
-// Results are unchanged by construction — the same shard-count
-// invariance the differential tests pin — and the shared global
-// sequence keeps every per-tenant order intact across any layout
-// change. Concurrent Reshard calls serialize; sessions keep working
-// throughout (pinned StreamConns included — their tenant moves shard
-// transparently).
-func (c *Cluster) Reshard(newShards int) error {
-	if newShards <= 0 {
-		return fmt.Errorf("cluster: reshard: need at least one shard, got %d", newShards)
-	}
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return ErrClosed
-	}
-	if c.wlog == nil || !c.walLive {
-		c.mu.RUnlock()
-		return fmt.Errorf("%w (resharding replays the log)", ErrNoWAL)
-	}
-	for i := range c.cfgs {
-		if c.cfgs[i].Policy != nil {
-			c.mu.RUnlock()
-			return fmt.Errorf("cluster: reshard: tenant %d has a caller-supplied policy, which replay cannot rebuild", i)
-		}
-	}
-	cur := len(c.shards)
-	c.mu.RUnlock()
-	if newShards > len(c.cfgs) {
-		newShards = len(c.cfgs)
-	}
-	if newShards == cur {
-		return nil
-	}
-
-	// Phase 1 — bulk: replay everything logged so far into a shadow
-	// cluster with the new layout, while the old one keeps serving.
-	// The shadow shares the log, the sequence counter, the catalog
-	// appender pointer (so post-cutover rotations by either struct
-	// repoint the live workers), and the checkpoint kick channel; it
-	// gets appenders only at cutover.
-	opts := c.opts
-	opts.Shards = newShards
-	shadow, err := newCluster(c.cfgs, opts, true)
-	if err != nil {
-		return err
-	}
-	shadow.wlog = c.wlog
-	shadow.walSeq = c.walSeq
-	shadow.walCatApp = c.walCatApp
-	shadow.ckptKick = c.ckptKick
-	discard := func(err error) error {
-		for _, sh := range shadow.shards {
-			close(sh.ch)
-		}
-		for _, sh := range shadow.shards {
-			<-sh.done
-		}
-		if shadow.catalog != nil {
-			shadow.catalog.Close()
-		}
-		return err
-	}
-	if err := c.wlog.FlushAll(); err != nil {
-		return discard(err)
-	}
-	bulk, err := c.wlog.ReadAll(false)
-	if err != nil {
-		return discard(err)
-	}
-	// Feed only the contiguous sequence prefix: writers flush
-	// independently, so a live read can hold seq N while N-1 is still
-	// buffered in another writer — feeding past the first gap and then
-	// cutting the tail at MaxSeq would lose the gap forever. Everything
-	// after the prefix is replayed by the quiesced tail read below.
-	// Gaps at or below the newest checkpoint fence are permanent (every
-	// seq the fence covers was durable at its quiesced barrier, so a
-	// missing one can never be filled in — e.g. a torn record a prior
-	// recovery truncated whose seq was never re-issued) and must not end
-	// the prefix: stalling on one would push the whole replay into the
-	// write-locked tail phase.
-	fence := uint64(0)
-	if lm := bulk.LastManifest(); lm != nil {
-		fence = lm.Seq
-	}
-	fed := contiguousSeqPrefix(bulk.Records, fence)
-	if _, _, err := shadow.feedReplay(bulk.Records, 0, fed); err != nil {
-		return discard(err)
-	}
-
-	// Phase 2 — cutover, under the write lock: quiesce the old fleet,
-	// replay the tail the bulk pass missed, verify, rotate, swap.
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return discard(ErrClosed)
-	}
-	fsOld, err := c.barrierSnapshot()
-	if err != nil {
-		c.mu.Unlock()
-		return discard(err)
-	}
-	if err := c.wlog.FlushAll(); err != nil {
-		c.mu.Unlock()
-		return discard(err)
-	}
-	tail, err := c.wlog.ReadAll(false)
-	if err != nil {
-		c.mu.Unlock()
-		return discard(err)
-	}
-	if _, _, err := shadow.feedReplay(tail.Records, fed, ^uint64(0)); err != nil {
-		c.mu.Unlock()
-		return discard(err)
-	}
-	fsNew, err := shadow.Snapshot()
-	if err != nil {
-		c.mu.Unlock()
-		return discard(err)
-	}
-	if got, want := fsNew.RenderTenants(), fsOld.RenderTenants(); got != want {
-		c.mu.Unlock()
-		return discard(fmt.Errorf("cluster: reshard: shadow tenant state diverges from live fleet — cutover aborted"))
-	}
-	var oldCat, newCat string
-	if fsOld.Catalog != nil {
-		oldCat = fsOld.Catalog.Render()
-	}
-	if fsNew.Catalog != nil {
-		newCat = fsNew.Catalog.Render()
-	}
-	if oldCat != newCat {
-		c.mu.Unlock()
-		return discard(fmt.Errorf("cluster: reshard: shadow catalog state diverges from live fleet — cutover aborted"))
-	}
-	m := c.manifestFor(fsOld, "reshard")
-	m.Shards = newShards
-	if err := c.wlog.Rotate(&m, wal.ShardWriters(newShards, shadow.catalog != nil)); err != nil {
-		c.mu.Unlock()
-		return discard(err)
-	}
-	if err := shadow.attachAppenders(); err != nil {
-		c.mu.Unlock()
-		return discard(err)
-	}
-	shadow.goLive()
-	oldShards, oldCatReg := c.shards, c.catalog
-	c.opts.Shards = newShards
-	c.tenants = shadow.tenants
-	c.shardOf = shadow.shardOf
-	c.shards = shadow.shards
-	c.catalog = shadow.catalog
-	c.catalogLocals = shadow.catalogLocals
-	c.catalogByLocal = shadow.catalogByLocal
-	c.heldCatalog = shadow.heldCatalog
-	for _, sh := range oldShards {
-		close(sh.ch)
-	}
-	c.mu.Unlock()
-	for _, sh := range oldShards {
-		<-sh.done
-	}
-	if oldCatReg != nil {
-		oldCatReg.Close()
-	}
-	return nil
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/headend"
 	"repro/internal/wal"
 )
 
@@ -453,8 +455,14 @@ func TestWALErrors(t *testing.T) {
 		if _, err := c.Checkpoint("x"); !errors.Is(err, ErrNoWAL) {
 			t.Fatalf("Checkpoint without WAL: %v", err)
 		}
-		if err := c.Reshard(2); !errors.Is(err, ErrNoWAL) {
+		// Resharding needs no log: the tenants are handed over, not
+		// rebuilt.
+		want, _ := fleetRenders(t, c)
+		if err := c.Reshard(2); err != nil {
 			t.Fatalf("Reshard without WAL: %v", err)
+		}
+		if got, _ := fleetRenders(t, c); got != want {
+			t.Fatalf("Reshard without WAL changed state:\n--- want\n%s\n--- got\n%s", want, got)
 		}
 	})
 	t.Run("new on an existing log", func(t *testing.T) {
@@ -674,11 +682,9 @@ func TestReshardPreservesState(t *testing.T) {
 }
 
 // TestReshardThenCheckpointCatalogDurability pins the commit-group
-// plumbing across a reshard: after the cutover the live workers belong
-// to the shadow cluster's struct, but checkpoint rotation runs on the
-// primary — the catalog-plane appender the committers fsync must be
-// the one the rotation opened (the shared pointer), not a stale
-// per-struct capture of the sealed generation's. A stale capture makes
+// plumbing across a reshard: the new workers' committers must fsync
+// the catalog-plane appender a later checkpoint rotation opened, not a
+// stale capture of a sealed generation's. A stale capture makes
 // Commit a silent no-op, so every catalog settlement acknowledged
 // after a post-reshard checkpoint would evaporate in a crash. So:
 // reshard, checkpoint, drive acknowledged catalog traffic, crash, and
@@ -721,40 +727,6 @@ func TestReshardThenCheckpointCatalogDurability(t *testing.T) {
 	if gotTen != wantTen || gotCat != wantCat {
 		t.Fatalf("state acknowledged after a post-reshard checkpoint was lost:\n--- want\n%s%s\n--- got\n%s%s",
 			wantTen, wantCat, gotTen, gotCat)
-	}
-}
-
-// TestContiguousSeqPrefix pins the resharding bulk-phase scan: a live
-// gap (possibly still buffered in a writer) ends the prefix, while a
-// gap at or below the checkpoint fence is permanent and is skipped —
-// otherwise a single historical hole would push the whole replay into
-// the write-locked cutover phase.
-func TestContiguousSeqPrefix(t *testing.T) {
-	recs := func(seqs ...uint64) []wal.Record {
-		out := make([]wal.Record, len(seqs))
-		for i, s := range seqs {
-			out[i] = wal.Record{Seq: s}
-		}
-		return out
-	}
-	cases := []struct {
-		name  string
-		recs  []wal.Record
-		fence uint64
-		want  uint64
-	}{
-		{"empty", nil, 0, 0},
-		{"contiguous", recs(1, 2, 3, 4), 0, 4},
-		{"live gap ends prefix", recs(1, 2, 4, 5), 0, 2},
-		{"gap below fence skipped", recs(1, 2, 4, 5), 3, 5},
-		{"gap ending at fence skipped", recs(1, 2, 5, 6), 4, 6},
-		{"gap past fence ends prefix", recs(1, 2, 5, 6), 3, 2},
-		{"second gap above fence ends prefix", recs(1, 3, 4, 7, 8), 2, 4},
-	}
-	for _, tc := range cases {
-		if got := contiguousSeqPrefix(tc.recs, tc.fence); got != tc.want {
-			t.Errorf("%s: contiguousSeqPrefix(fence=%d) = %d, want %d", tc.name, tc.fence, got, tc.want)
-		}
 	}
 }
 
@@ -834,23 +806,156 @@ func TestReshardConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// TestReshardRejectsCallerPolicies pins the replay constraint: a
-// caller-supplied policy object cannot be rebuilt by log replay, so
-// Reshard refuses.
-func TestReshardRejectsCallerPolicies(t *testing.T) {
-	cfgs := tenantInstances(t, 2, 8, 4, 10100)
-	cfgs[1].Policy = plainPolicy{}
-	dir := t.TempDir()
-	c, err := New(cfgs, Options{Shards: 1, WAL: &WALOptions{Dir: dir}})
+// TestReshardKeepsCallerPolicies pins that a reshard hands the tenant
+// objects themselves to the new workers: a tenant built with a
+// caller-supplied policy reshards 1→2→1 mid-schedule and ends on the
+// table of a fleet that never changed layout.
+func TestReshardKeepsCallerPolicies(t *testing.T) {
+	const tenants, channels, gateways, seed = 2, 8, 4, 10100
+	build := func(wopts *WALOptions) *Cluster {
+		cfgs := tenantInstances(t, tenants, channels, gateways, seed)
+		pol, err := headend.NewPolicyByName(cfgs[1].Instance, "threshold")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs[1].Policy = pol
+		c, err := New(cfgs, Options{Shards: 1, BatchSize: 4, WAL: wopts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	control := build(nil)
+	c := build(&WALOptions{Dir: t.TempDir()})
+	ctx := context.Background()
+	drive := func(c *Cluster, phase int) {
+		t.Helper()
+		for ti := 0; ti < tenants; ti++ {
+			for s := 0; s < channels; s++ {
+				if _, err := c.OfferStream(ctx, ti, (s+phase*3)%channels); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.DepartStream(ctx, ti, phase%channels); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.UserLeave(ctx, ti, phase%gateways); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for phase, shards := range []int{2, 1} {
+		drive(control, phase)
+		drive(c, phase)
+		if err := c.Reshard(shards); err != nil {
+			t.Fatalf("Reshard(%d) with a caller policy: %v", shards, err)
+		}
+	}
+	drive(control, 2)
+	drive(c, 2)
+	want, _ := fleetRenders(t, control)
+	got, _ := fleetRenders(t, c)
+	if got != want {
+		t.Fatalf("resharded caller-policy fleet diverges:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+	if !strings.Contains(got, "threshold") {
+		t.Fatalf("tenant 1 lost its caller policy:\n%s", got)
+	}
+}
+
+// TestReshardKeepsResolveCadence is TestReshardPreservesState with
+// Options.ResolveEvery set: a tenant's churn count travels with it to
+// its new worker, so churn-triggered re-solves land on the same events
+// as in a fleet that never changed layout.
+func TestReshardKeepsResolveCadence(t *testing.T) {
+	const tenants, channels, gateways, seed = 5, 12, 5, 9900
+	model := catalog.SharedOrigin{ReplicationFraction: 0.25}
+	steps := catalogScheduleFor(tenants, channels, 41)
+	build := func(shards int, wopts *WALOptions) *Cluster {
+		opts := walFleetOptions(tenants, channels, shards, model, wopts)
+		opts.ResolveEvery = 3
+		c, err := New(walTenantConfigs(t, tenants, channels, gateways, seed), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	control := build(2, nil)
+	c := build(2, &WALOptions{Dir: t.TempDir(), Sync: wal.SyncBatch})
+	for phase, to := range []int{4, 1, 3} {
+		part := steps[phase*len(steps)/3 : (phase+1)*len(steps)/3]
+		driveCatalogSchedule(t, control, part, phase)
+		driveCatalogSchedule(t, c, part, phase)
+		if err := c.Reshard(to); err != nil {
+			t.Fatalf("Reshard(%d): %v", to, err)
+		}
+	}
+	want, err := control.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Reshard(2); err == nil || !strings.Contains(err.Error(), "policy") {
-		t.Fatalf("Reshard with caller policy: %v", err)
+	got, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Same shard count is a no-op even then.
-	if err := c.Reshard(1); err == nil || !strings.Contains(err.Error(), "policy") {
-		t.Fatalf("Reshard validates before the no-op check: %v", err)
+	if want.Resolves == 0 {
+		t.Fatal("schedule triggered no churn re-solves")
+	}
+	if got.Resolves != want.Resolves {
+		t.Fatalf("fleet resolves = %d across reshards, want %d", got.Resolves, want.Resolves)
+	}
+	for i := range want.Tenants {
+		if g, w := got.Tenants[i].Resolves, want.Tenants[i].Resolves; g != w {
+			t.Errorf("tenant %d resolves = %d across reshards, want %d", i, g, w)
+		}
+	}
+	if got.RenderTenants() != want.RenderTenants() {
+		t.Fatalf("reshard changed state:\n--- want\n%s\n--- got\n%s", want.RenderTenants(), got.RenderTenants())
+	}
+}
+
+// TestReshardCostIndependentOfHistory pins the cost of a reshard at one
+// barrier plus one log rotation: the bytes one Reshard allocates after
+// n logged events and after 4n stay under a fixed bound and within 1 MB
+// of each other. A reshard that read the log back would grow with it
+// (tens of MB at these lengths).
+func TestReshardCostIndependentOfHistory(t *testing.T) {
+	const tenants, channels, gateways, seed, n = 4, 12, 5, 10300, 10000
+	const bound = 4 << 20
+	measure := func(events int) uint64 {
+		t.Helper()
+		c := walCatalogFleet(t, tenants, channels, gateways, seed, 2, nil,
+			&WALOptions{Dir: t.TempDir(), Sync: wal.SyncNone})
+		defer c.Close()
+		for i := 0; i < events; i++ {
+			ev := Event{Tenant: i % tenants, Type: EventStreamArrival, Stream: (i / tenants) % channels}
+			if (i/(tenants*channels))%2 == 1 {
+				ev.Type = EventStreamDeparture
+			}
+			if err := c.post(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := c.Reshard(4); err != nil {
+			t.Fatalf("Reshard(4): %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := measure(n), measure(4*n)
+	t.Logf("Reshard allocated %d B after %d events, %d B after %d", short, n, long, 4*n)
+	if short > bound || long > bound {
+		t.Fatalf("Reshard allocated %d B after %d events and %d B after %d, want at most %d",
+			short, n, long, 4*n, bound)
+	}
+	if diff := max(short, long) - min(short, long); diff > 1<<20 {
+		t.Fatalf("Reshard cost grows with history: %d B after %d events, %d B after %d", short, n, long, 4*n)
 	}
 }

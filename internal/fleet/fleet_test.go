@@ -341,6 +341,64 @@ func TestRouterSessionResume(t *testing.T) {
 	_ = sess2.Close()
 }
 
+// TestRouterReshard reshards a 2-node fleet through the router
+// mid-schedule: every node hands its tenants to new shard workers, the
+// router reports the summed shard count, and the fleet keeps landing
+// on the 1-process reference — results, per-tenant tables and catalog
+// render alike.
+func TestRouterReshard(t *testing.T) {
+	evs := fleetSchedule(160, 43)
+	half := len(evs) / 2
+	for _, model := range []catalog.CostModel{catalog.Isolated{}, catalog.SharedOrigin{ReplicationFraction: 0.25}} {
+		t.Run(model.Name(), func(t *testing.T) {
+			ref := buildCluster(t, 2, model, nil)
+			refSrv := httptest.NewServer(httpserve.NewHandler(ref))
+			defer refSrv.Close()
+			rig := buildFleetDial(t, 2, 2, model, nil)
+
+			wantFirst := driveConn(t, refSrv.URL, evs[:half])
+			gotFirst := driveConn(t, rig.routerURL, evs[:half])
+			resp, err := http.Post(rig.routerURL+"/v1/admin/reshard", "application/json",
+				strings.NewReader(`{"shards":3}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("router reshard: status %d: %s", resp.StatusCode, body)
+			}
+			var out struct {
+				Shards int `json:"shards"`
+			}
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.Shards != 6 {
+				t.Fatalf("router reshard reports %d shards, want 6 (3 on each of 2 nodes)", out.Shards)
+			}
+			wantRest := driveConn(t, refSrv.URL, evs[half:])
+			gotRest := driveConn(t, rig.routerURL, evs[half:])
+
+			want, got := append(wantFirst, wantRest...), append(gotFirst, gotRest...)
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("event %d (%+v): fleet result %+v, 1-process %+v", i, evs[i], got[i], want[i])
+				}
+			}
+			refFS := fetchSnapshot(t, refSrv.URL)
+			fs := fetchSnapshot(t, rig.routerURL)
+			if fs.RenderTenants() != refFS.RenderTenants() {
+				t.Fatalf("per-tenant tables diverge after reshard:\n--- fleet\n%s\n--- 1-process\n%s",
+					fs.RenderTenants(), refFS.RenderTenants())
+			}
+			if fs.Catalog == nil || refFS.Catalog == nil || fs.Catalog.Render() != refFS.Catalog.Render() {
+				t.Fatal("catalog render diverges after reshard")
+			}
+		})
+	}
+}
+
 // TestRouterNodeFailure cuts router→node connections mid-stream with
 // scripted chaos faults (ErrInjected-wrapped, injected at the router's
 // upstream dial): the router's node sessions redial and replay, the

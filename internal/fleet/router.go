@@ -389,9 +389,10 @@ func (rt *Router) handleCatalog(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReshard fans the shard-count change out to every node and
-// reports the summed post-cutover shard count. Any node refusing
-// (409: no WAL to replay) fails the whole call — the fan-out is not
-// atomic, so operators reshard one fleet configuration at a time.
+// reports the summed shard count after the handoffs. The first node
+// that fails ends the call with its status — the fan-out is not
+// atomic, so nodes before it have already resharded and operators
+// reshard one fleet configuration at a time.
 func (rt *Router) handleReshard(w http.ResponseWriter, r *http.Request) {
 	payload, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {

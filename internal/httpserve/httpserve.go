@@ -5,7 +5,7 @@
 //	POST /v1/tenants/{id}/events        one event, one response (v2/v3)
 //	POST /v1/tenants/{id}/events:batch  a JSON array as one shard message (v3)
 //	POST /v1/stream                     persistent NDJSON session (v4)
-//	POST /v1/admin/reshard              live shard-count change (v5, needs a WAL)
+//	POST /v1/admin/reshard              live shard-count change (v5)
 //	GET  /v1/fleet/snapshot             barrier + aggregated fleet state
 //	GET  /v1/catalog                    fleet catalog registry state
 //
@@ -511,16 +511,27 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if sess != nil {
 		recvCtx = context.Background()
 	}
+	// stopReader unblocks a reader parked in ReadLine or Submit so the
+	// handler can finish — unless the reader is already done. Once the
+	// body hit EOF, net/http reads the connection in the background; a
+	// past read deadline fails that read, which cancels the
+	// connection's base context and every later request on a keep-alive
+	// connection with it.
+	var readMu sync.Mutex
+	readDone := false
+	stopReader := func() {
+		cancel()
+		readMu.Lock()
+		if !readDone {
+			_ = rc.SetReadDeadline(time.Now())
+		}
+		readMu.Unlock()
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		defer func() {
-			// Writing is over (clean EOF, dead client, or write timeout):
-			// unblock a reader parked in ReadLine or Submit so the
-			// handler can finish.
-			cancel()
-			_ = rc.SetReadDeadline(time.Now())
-		}()
+		// Writing is over: clean EOF, dead client, or write timeout.
+		defer stopReader()
 		var buf []byte
 		writeOK := true
 		for {
@@ -562,8 +573,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				// result still advances the watermark above — but stop
 				// the reader now: no new events ride a dead response.
 				writeOK = false
-				cancel()
-				_ = rc.SetReadDeadline(time.Now())
+				stopReader()
 			}
 		}
 	}()
@@ -623,6 +633,9 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
+	readMu.Lock()
+	readDone = true
+	readMu.Unlock()
 	sc.CloseSend()
 	<-done
 	if protoErr != nil {
@@ -652,16 +665,15 @@ type reshardRequest struct {
 }
 
 // reshardResponse reports the shard count the fleet actually runs
-// after the cutover (Reshard clamps to the tenant count).
+// after the handoff (Reshard clamps to the tenant count).
 type reshardResponse struct {
 	Shards int `json:"shards"`
 }
 
-// handleReshard drives a live Cluster.Reshard: the fleet keeps serving
-// while a shadow layout replays the durability log, and the response
-// arrives only after the make-before-break cutover verified the new
-// layout's renders byte-identical to the old. 409 when the fleet has
-// no WAL (resharding replays the log, so there must be one).
+// handleReshard drives a live Cluster.Reshard: the fleet's tenants move
+// to the new shard workers at a barrier, and the response reports the
+// shard count the fleet runs once the handoff is done. It works on any
+// fleet, with or without a WAL.
 func handleReshard(c *videodist.Cluster, w http.ResponseWriter, r *http.Request) {
 	var req reshardRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -673,10 +685,6 @@ func handleReshard(c *videodist.Cluster, w http.ResponseWriter, r *http.Request)
 		return
 	}
 	if err := c.Reshard(req.Shards); err != nil {
-		if errors.Is(err, videodist.ErrNoWAL) {
-			writeError(w, http.StatusConflict, err)
-			return
-		}
 		writeTransportError(w, err)
 		return
 	}

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -364,7 +366,7 @@ func TestHTTPBatchParity(t *testing.T) {
 }
 
 // TestHTTPReshard drives a live shard-count change over the admin
-// endpoint: traffic before and after the cutover, with the final state
+// endpoint: traffic before and after the handoff, with the final state
 // pinned against a fixed-layout reference fleet (the shard-count
 // invariance the cluster differential tests guarantee, observed
 // through the wire).
@@ -437,22 +439,30 @@ func TestHTTPReshard(t *testing.T) {
 		t.Fatal("post-reshard catalog diverges from fixed-layout reference")
 	}
 
-	// Error taxonomy: zero and malformed bodies are 400s; a fleet with
-	// no log to replay is a 409.
+	// Error taxonomy: zero and malformed bodies are 400s.
 	if code, _ := reshard(`{"shards":0}`); code != http.StatusBadRequest {
 		t.Fatalf("reshard to 0: status %d, want 400", code)
 	}
 	if code, _ := reshard(`{nope`); code != http.StatusBadRequest {
 		t.Fatalf("malformed reshard: status %d, want 400", code)
 	}
+	// A fleet without a WAL reshards too, and keeps its tables.
 	resp, err := http.Post(refTS.URL+"/v1/admin/reshard", "application/json",
 		strings.NewReader(`{"shards":3}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("reshard without WAL: status %d, want 409", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reshard without WAL: status %d, want 200", resp.StatusCode)
+	}
+	rfs, err = ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.RenderTenants() != rfs.RenderTenants() {
+		t.Fatalf("reshard without WAL changed the tables:\n--- before\n%s\n--- after\n%s",
+			fs.RenderTenants(), rfs.RenderTenants())
 	}
 }
 
@@ -866,5 +876,61 @@ func TestHTTPStreamDisconnect(t *testing.T) {
 		if e.Refs != 0 {
 			t.Fatalf("%s: %d refs leaked after disconnect + drain", e.ID, e.Refs)
 		}
+	}
+}
+
+// TestHTTPStreamKeepAlive posts sequential streams over one keep-alive
+// connection: every stream must answer one result line per event. Once
+// a stream's body hits EOF, net/http reads the connection in the
+// background; a handler that then sets a past read deadline fails that
+// read, which cancels the connection's context, and every later stream
+// on the connection comes back 200 with an empty body.
+func TestHTTPStreamKeepAlive(t *testing.T) {
+	c := buildFleet(t, defaultFleetConfig())
+	ts := httptest.NewUnstartedServer(NewHandler(c))
+	var conns atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+
+	const streams = 40
+	body := `{"tenant":0,"type":"offer","stream":1}` + "\n" +
+		`{"tenant":1,"type":"depart","stream":1}` + "\n"
+	for i := 0; i < streams; i++ {
+		resp, err := client.Post(ts.URL+"/v1/stream", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("stream %d: read: %v", i, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stream %d: status %d", i, resp.StatusCode)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+		if len(out) == 0 || len(lines) != 2 {
+			t.Fatalf("stream %d: %d result bytes %q, want one line per event", i, len(out), out)
+		}
+		for k, line := range lines {
+			var res streamclient.Result
+			if err := json.Unmarshal([]byte(line), &res); err != nil {
+				t.Fatalf("stream %d line %d: %v", i, k, err)
+			}
+			if res.Seq != k || res.Error != "" {
+				t.Fatalf("stream %d line %d: %+v", i, k, res)
+			}
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d streams took %d connections, want one kept alive", streams, n)
 	}
 }

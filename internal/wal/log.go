@@ -67,7 +67,7 @@ type Replay struct {
 	// MaxSeq is the highest sequence number seen.
 	MaxSeq uint64
 	// Truncated maps segment files to the byte offset their torn tail
-	// was truncated at (recovery mode only).
+	// was truncated at.
 	Truncated map[string]int64
 }
 
@@ -212,13 +212,11 @@ func parseGen(s string) (int, error) {
 }
 
 // ReadAll parses every segment and manifest into one seq-ordered
-// Replay. With truncate true (recovery from a crash), a torn final
-// line in a writer's newest segment is physically truncated away; with
-// truncate false (a live bulk read during resharding), an unterminated
-// tail is simply not returned yet — the writer is still appending.
-// A torn tail anywhere but a writer's newest segment, or a malformed
-// line mid-file, is a hard error either way.
-func (l *Log) ReadAll(truncate bool) (*Replay, error) {
+// Replay for crash recovery, before any appender is active. A torn
+// final line in a writer's newest segment is physically truncated
+// away; a torn tail anywhere else, or a malformed line mid-file, is a
+// hard error.
+func (l *Log) ReadAll() (*Replay, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	segs, mans, err := l.scan()
@@ -246,12 +244,10 @@ func (l *Log) ReadAll(truncate bool) (*Replay, error) {
 			if s.gen != newest[s.name] {
 				return nil, fmt.Errorf("wal: %s: torn tail in a sealed (non-final) segment", filepath.Base(s.path))
 			}
-			if truncate {
-				if err := os.Truncate(s.path, sd.tornAt); err != nil {
-					return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-				}
-				out.Truncated[filepath.Base(s.path)] = sd.tornAt
+			if err := os.Truncate(s.path, sd.tornAt); err != nil {
+				return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 			}
+			out.Truncated[filepath.Base(s.path)] = sd.tornAt
 		}
 		out.Records = append(out.Records, sd.records...)
 	}
@@ -326,9 +322,9 @@ func (l *Log) Appender(name string) *Appender {
 	return l.appenders[name]
 }
 
-// FlushAll drains every active appender's buffer to the kernel, so a
-// concurrent ReadAll(false) observes everything appended so far (the
-// resharding bulk read).
+// FlushAll drains every active appender's buffer to the kernel
+// without an fsync, so the segment files hold everything appended so
+// far (a crash image that keeps buffered records).
 func (l *Log) FlushAll() error {
 	l.mu.Lock()
 	apps := l.active()

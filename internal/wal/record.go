@@ -1,6 +1,6 @@
 // Package wal is the durability layer: per-shard append-only event
 // logs (write-ahead logs), checkpoint manifests, and the reader that
-// recovery and live resharding replay from.
+// recovery replays from.
 //
 // # Record codec
 //
@@ -23,7 +23,8 @@
 // segment back into one total order that preserves each tenant's (and
 // the registry's) apply order regardless of how many shards wrote the
 // log — which is exactly what lets recovery replay into a *different*
-// shard count (live resharding).
+// shard count, and lets one log span generations written by different
+// shard counts (a reshard rotates to a new writer set).
 //
 // # Torn tails
 //

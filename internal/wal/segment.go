@@ -65,8 +65,8 @@ const appenderFlushAt = 32 << 10
 // workers' write calls while it runs. The cost — writing the chunk
 // twice — is paid once per chunk at segment open or growth, off the
 // ack path. Sealing truncates the unused tail away; a crash leaves a
-// zero tail that the segment parser already classifies as torn
-// (recovery truncates it, the live bulk reader skips it).
+// zero tail that the segment parser already classifies as torn, and
+// recovery truncates it.
 const preallocChunk = 256 << 10
 
 // zeroChunk is the shared write buffer for preallocation fills.
@@ -78,8 +78,7 @@ var zeroChunk = make([]byte, 64<<10)
 // goroutine owns one more. Append never blocks on the disk beyond the
 // occasional buffer drain; Commit is the group-commit barrier.
 //
-// The internal mutex exists for the log's background syncer, the
-// resharding bulk reader (which must observe flushed bytes), and the
+// The internal mutex exists for the log's background syncer and the
 // commit goroutines, not for concurrent appends — appends stay
 // single-writer. Durability progress is a pair of byte watermarks:
 // flushed (handed to the kernel) and synced (covered by an fsync).
@@ -165,9 +164,8 @@ func (a *Appender) Commit() error {
 	return a.err
 }
 
-// Flush writes buffered records to the kernel (no fsync). Used by the
-// background interval syncer and by the resharding bulk reader, which
-// needs the file to contain everything appended so far.
+// Flush writes buffered records to the kernel (no fsync), so the file
+// contains everything appended so far (Log.FlushAll).
 func (a *Appender) Flush() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -125,7 +125,7 @@ func TestLogAppendReadAll(t *testing.T) {
 	if l2.Empty() {
 		t.Fatal("reopened log reports Empty")
 	}
-	rep, err := l2.ReadAll(true)
+	rep, err := l2.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,8 @@ func TestLogAppendReadAll(t *testing.T) {
 }
 
 // TestTornTail pins the crash-signature rules: an unterminated final
-// line of a writer's newest segment is tolerated (and truncated in
-// recovery mode); everything else malformed is a hard error.
+// line of a writer's newest segment is tolerated (and truncated);
+// everything else malformed is a hard error.
 func TestTornTail(t *testing.T) {
 	write := func(t *testing.T, dir, name, body string) {
 		t.Helper()
@@ -181,7 +181,7 @@ func TestTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := l.ReadAll(true)
+		rep, err := l.ReadAll()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,26 +199,6 @@ func TestTornTail(t *testing.T) {
 			t.Fatalf("file not truncated: %q", data)
 		}
 	})
-	t.Run("live read leaves torn tail in place", func(t *testing.T) {
-		dir := t.TempDir()
-		body := line1 + `{"seq":2,"ty`
-		write(t, dir, "seg-000001-s0.ndjson", body)
-		l, err := Open(Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := l.ReadAll(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Records) != 1 || len(rep.Truncated) != 0 {
-			t.Fatalf("live read: %d records, truncated %v", len(rep.Records), rep.Truncated)
-		}
-		data, _ := os.ReadFile(filepath.Join(dir, "seg-000001-s0.ndjson"))
-		if string(data) != body {
-			t.Fatalf("live read modified the file: %q", data)
-		}
-	})
 	t.Run("torn decodable tail is still torn", func(t *testing.T) {
 		// The newline itself was lost mid-write: the line decodes but the
 		// write was not complete, so it is truncated like any torn tail.
@@ -228,7 +208,7 @@ func TestTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := l.ReadAll(true)
+		rep, err := l.ReadAll()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +223,7 @@ func TestTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.ReadAll(true); err == nil || !strings.Contains(err.Error(), "mid-log") {
+		if _, err := l.ReadAll(); err == nil || !strings.Contains(err.Error(), "mid-log") {
 			t.Fatalf("mid-log corruption not rejected: %v", err)
 		}
 	})
@@ -254,7 +234,7 @@ func TestTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.ReadAll(true); err == nil || !strings.Contains(err.Error(), "torn") {
+		if _, err := l.ReadAll(); err == nil || !strings.Contains(err.Error(), "torn") {
 			t.Fatalf("terminated malformed final line not rejected: %v", err)
 		}
 	})
@@ -266,7 +246,7 @@ func TestTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.ReadAll(true); err == nil || !strings.Contains(err.Error(), "sealed") {
+		if _, err := l.ReadAll(); err == nil || !strings.Contains(err.Error(), "sealed") {
 			t.Fatalf("torn tail in sealed segment not rejected: %v", err)
 		}
 	})
@@ -314,12 +294,12 @@ func TestSyncPolicies(t *testing.T) {
 			if err := l.FlushAll(); err != nil {
 				t.Fatal(err)
 			}
-			rep, err := l.ReadAll(false)
+			data, err := os.ReadFile(filepath.Join(dir, "seg-000001-s0.ndjson"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.Records) != 1 {
-				t.Fatalf("got %d records after FlushAll, want 1", len(rep.Records))
+			if !bytes.Contains(data, []byte(`"seq":1`)) {
+				t.Fatalf("FlushAll did not write the record: %q", data)
 			}
 			if err := l.Close(nil); err != nil {
 				t.Fatal(err)
@@ -382,7 +362,7 @@ func TestAppenderLargeBuffer(t *testing.T) {
 	if err := l.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := l.ReadAll(true)
+	rep, err := l.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,12 +222,13 @@ type (
 	CatalogService = catalog.Service
 )
 
-// Durability (serving API v5): per-shard write-ahead logging,
-// checkpointed recovery, and live resharding (see internal/wal for the
-// record format and internal/cluster's wal.go for the recovery
-// contract). Enable by setting ClusterOptions.WAL; reopen a crashed
-// fleet's log with RecoverCluster; change the shard count of a live
-// WAL-backed fleet with Cluster.Reshard.
+// Durability (serving API v5): per-shard write-ahead logging and
+// checkpointed recovery (see internal/wal for the record format and
+// internal/cluster's wal.go for the recovery contract). Enable by
+// setting ClusterOptions.WAL; reopen a crashed fleet's log with
+// RecoverCluster. Cluster.Reshard changes the shard count of any live
+// fleet, with or without a WAL; with one, the log rotates to the new
+// writer set.
 type (
 	// WALOptions configures the durability log on ClusterOptions
 	// (directory, sync policy, checkpoint cadence).
@@ -258,8 +259,8 @@ const (
 	WALSyncBatch = wal.SyncBatch
 )
 
-// ErrNoWAL reports a durability operation (Checkpoint, Reshard,
-// RecoverCluster) on a cluster built without WALOptions.
+// ErrNoWAL reports a durability operation (Checkpoint, RecoverCluster)
+// on a cluster built without WALOptions.
 var ErrNoWAL = cluster.ErrNoWAL
 
 // ParseWALSyncPolicy maps the mmdserve flag spelling ("none",
