@@ -515,8 +515,8 @@ func BenchmarkClusterAck(b *testing.B) {
 // fleet-identified admission: every stream is fleet-bound at every
 // tenant, and each event is an OfferCatalogStream/DepartCatalogStream
 // session call, so every admission runs the catalog's
-// acquire/admit/commit protocol across the registry owner and the
-// shard worker. isolated prices with CatalogIsolated, shared with
+// acquire/admit/commit protocol across the registry and the shard
+// worker. isolated prices with CatalogIsolated, shared with
 // SharedOrigin. events/op counts session calls; compare against
 // BenchmarkClusterAck for the per-event cost of fleet identity.
 func BenchmarkClusterCatalog(b *testing.B) {

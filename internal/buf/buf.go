@@ -1,7 +1,8 @@
 // Package buf holds the slice helpers the solver workspaces reuse their
 // buffers with: a workspace that sizes its scratch through them
 // allocates only while an instance is larger than any it has seen, and
-// nothing once warm.
+// nothing once warm. Lists is the serving path's counterpart for lists
+// that outlive the call that makes them.
 package buf
 
 // Zeroed returns s with length n and every element zero, reusing s's
@@ -37,4 +38,37 @@ func Rows[T any](rows [][]T, n int) [][]T {
 		rows[i] = rows[i][:0]
 	}
 	return rows
+}
+
+// Lists hands out lists that outlive the call making them — a ticket's
+// sharers, a stream's subscribers — carved from shared arrays instead
+// of one allocation each. Every list is a capacity-capped slice of an
+// array no later call hands out again, so whoever holds a list may keep
+// it for as long as it likes, and an append to it copies. A full array
+// is left to the lists still pointing into it, and the next list starts
+// a fresh one. The zero value is ready and allocates nothing until its
+// first list; a Lists is not safe for concurrent use.
+type Lists[T any] struct{ rest []T }
+
+// listArray is the length of the arrays Lists carves from: small next
+// to a server's heap even when every array is pinned by one long-lived
+// list, and long enough to hold many short ones. A longer list gets an
+// array of its own.
+const listArray = 256
+
+// Make returns a new list of length n, nil when n is 0, for the caller
+// to fill before handing it out.
+func (l *Lists[T]) Make(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > len(l.rest) {
+		if n > listArray {
+			return make([]T, n)
+		}
+		l.rest = make([]T, listArray)
+	}
+	s := l.rest[:n:n]
+	l.rest = l.rest[n:]
+	return s
 }

@@ -36,3 +36,31 @@ func TestRowsKeepCapacity(t *testing.T) {
 		t.Fatalf("Rows = %v (cap %d)", got, cap(got[0]))
 	}
 }
+
+func TestListsCarveDisjointCappedLists(t *testing.T) {
+	var l Lists[int]
+	if got := l.Make(0); got != nil {
+		t.Fatalf("Make(0) = %v, want nil", got)
+	}
+	a := l.Make(3)
+	copy(a, []int{1, 2, 3})
+	b := l.Make(2)
+	copy(b, []int{4, 5})
+	if len(a) != 3 || cap(a) != 3 || len(b) != 2 || cap(b) != 2 {
+		t.Fatalf("lens/caps %d/%d and %d/%d", len(a), cap(a), len(b), cap(b))
+	}
+	grown := append(a, 9)
+	if b[0] != 4 || &grown[0] == &a[0] {
+		t.Fatalf("append to a list reached its neighbour: a %v b %v", grown, b)
+	}
+	// Filling the array starts a fresh one; earlier lists keep their values.
+	for i := 0; i < listArray; i++ {
+		l.Make(1)[0] = -1
+	}
+	if a[0] != 1 || a[2] != 3 || b[1] != 5 {
+		t.Fatalf("earlier lists changed: a %v b %v", a, b)
+	}
+	if big := l.Make(listArray + 1); len(big) != listArray+1 {
+		t.Fatalf("long list has length %d", len(big))
+	}
+}

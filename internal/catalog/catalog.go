@@ -9,23 +9,23 @@
 // carries it, and a pluggable CostModel that prices each admission from
 // the current reference count.
 //
-// # Ownership and concurrency
+// # Concurrency
 //
-// The registry mirrors the cluster's share-nothing worker design: all
-// mutable state (reference counts, pending acquisitions, accounting) is
-// owned by a single goroutine, and every mutation travels to it as a
-// message over a channel — never a lock on the hot path. Any goroutine
-// may call Acquire/Commit/Release/Snapshot concurrently; the owner
-// serializes them, so reference counts can neither tear nor double-fire
-// an eviction. The immutable binding table (ID → local index) is read
-// without messages.
+// All mutable state (reference counts, pending acquisitions,
+// accounting) sits behind one mutex, and every method runs in its
+// caller's goroutine: a call is one short critical section, never a
+// handoff to another goroutine. Any goroutine may call
+// Acquire/Commit/Release/Snapshot concurrently; the mutex serializes
+// them, so reference counts can neither tear nor double-fire an
+// eviction. The immutable binding table (ID → local index) is read
+// without the lock.
 //
 // # Admission protocol
 //
 // An admission is a three-step conversation (the cluster's
 // OfferCatalogStream orchestrates it):
 //
-//  1. Acquire(id, tenant) — the owner prices the admission from the
+//  1. Acquire(id, tenant) — the registry prices the admission from the
 //     confirmed reference count (CostModel.ScaleFor) and records a
 //     provisional reference, so a concurrent last-departure cannot
 //     evict the origin out from under an admission in flight.
@@ -59,13 +59,14 @@
 //
 // # Batched operation
 //
-// AcquireBatch prices a whole single-tenant event batch in one owner
-// round trip (each acquisition sees the ones before it in the batch,
+// AcquireBatch prices a whole single-tenant event batch under one hold
+// of the lock (each acquisition sees the ones before it in the batch,
 // exactly as if they had been submitted back to back), and SettleBatch
 // applies a shard worker's ordered settlement run — commits, recharges,
-// releases, install adoptions — in one round trip. Both write results
-// into caller-owned buffers, so a worker can reuse its settlement
-// scratch across batch windows without allocation.
+// releases, install adoptions — likewise. Both write results into
+// caller-owned buffers, so a worker can reuse its settlement scratch
+// across batch windows without allocation; over the remote wire each
+// is one round trip.
 //
 // ARCHITECTURE.md (repo root) places this layer in the system map and
 // lists the refcount-equals-carriage invariants the tests pin.
@@ -77,6 +78,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/buf"
 )
 
 // ID is a stable fleet-wide stream identity. Two tenants bound to the
@@ -86,8 +89,8 @@ type ID string
 
 // CostModel prices a catalog admission from the number of tenants
 // already confirmed to carry the stream. Implementations must be pure
-// functions (the registry owner calls them; determinism of snapshots
-// depends on it).
+// functions (the registry calls them under its lock; determinism of
+// snapshots depends on it).
 type CostModel interface {
 	// Name identifies the model in snapshots and reports.
 	Name() string
@@ -188,7 +191,7 @@ var (
 	ErrClosed = errors.New("catalog: closed")
 )
 
-// Ticket is the owner's answer to Acquire: the admission's price and
+// Ticket is the registry's answer to Acquire: the admission's price and
 // the sharing state it was priced against.
 type Ticket struct {
 	// Local is the tenant's local stream index for the ID.
@@ -197,8 +200,10 @@ type Ticket struct {
 	Scale float64
 	// Refs is the confirmed reference count before this admission.
 	Refs int
-	// SharedWith lists the confirmed holders (ascending tenant index)
-	// at decision time.
+	// SharedWith lists the other confirmed holders (ascending tenant
+	// index) at decision time, nil when there are none. Lists are
+	// carved from shared arrays no one writes again (buf.Lists), so a
+	// ticket's holder may keep the list but must not modify it.
 	SharedWith []int
 	// Already reports that the tenant itself is a confirmed holder at
 	// decision time (Scale is then 1 — a holder re-offer is a no-op or
@@ -211,11 +216,12 @@ type Ticket struct {
 	// full-priced acquisition in flight at decision time). The flag must
 	// be echoed back on whichever settlement balances the acquisition
 	// (Settlement.Origin, or the origin argument of Commit / Recharge /
-	// Release) so the owner can retire the prospective-payer slot.
+	// Release) so the registry can retire the prospective-payer slot.
 	OriginPayer bool
 }
 
-// entry is the owner-goroutine state of one catalog stream.
+// entry is the state of one catalog stream, guarded by the registry's
+// lock (local is the immutable binding, read without it).
 type entry struct {
 	id    ID
 	local map[int]int
@@ -239,40 +245,23 @@ type entry struct {
 }
 
 // Registry is the shard-safe fleet catalog: an immutable binding table
-// plus reference-counting state owned by a single goroutine. All
-// methods are safe for concurrent use.
+// plus reference-counting state behind one mutex. All methods are safe
+// for concurrent use, and each runs in its caller's goroutine.
 type Registry struct {
-	model   CostModel
-	entries map[ID]*entry
-	order   []ID // sorted, the deterministic snapshot walk order
+	model    CostModel
+	bindings Bindings
+	entries  map[ID]*entry // fixed key set; entry state is guarded by mu
+	order    []ID          // sorted, the deterministic snapshot walk order
+
+	mu sync.Mutex
 	// logger, when set, receives every state-mutating operation in the
-	// owner's serialization order — the registry's durability log plane
-	// (see SetLogger). Owner-goroutine state: installed and read only
-	// there.
-	logger   Logger
-	reqs     chan request
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-	// replies recycles the one-shot reply channels of do(); a channel
-	// is only returned to the pool after its reply was received, so a
-	// pooled channel is always empty.
-	replies sync.Pool
+	// registry's serialization order, called with mu held — the
+	// registry's durability log plane (see SetLogger).
+	logger Logger
+	closed bool
+	// shared carves the tickets' SharedWith lists.
+	shared buf.Lists[int]
 }
-
-type opKind int
-
-const (
-	opAcquire opKind = iota + 1
-	opSettle
-	opRefs
-	opSnapshot
-	opAcquireBatch
-	opSettleBatch
-	opSetLogger
-	opReplayAcquire
-	opDangling
-)
 
 // SettleOp names one registry transition a settlement applies.
 type SettleOp uint8
@@ -316,54 +305,22 @@ type SettleResult struct {
 	Evicted bool
 }
 
-type request struct {
-	op            opKind
-	id            ID
-	tenant        int
-	settleOp      SettleOp
-	full, charged float64
-	origin        bool
-	// Batch payloads; results are written into the caller-owned output
-	// slices before the reply is sent (the reply is the memory barrier).
-	ids       []ID
-	tickets   []Ticket
-	settles   []Settlement
-	settleOut []SettleResult
-	// Durability-plane payloads: the logger to install (opSetLogger) and
-	// the replay flag suppressing logging on replayed settlements.
-	logger Logger
-	replay bool
-	reply  chan response
-}
+// Bindings is an immutable binding table: each catalog ID's map from
+// tenant to that tenant's local stream index. A Registry answers
+// Lookup from one, and an in-process cluster reads the same one; a
+// cluster whose registry lives in another process keeps its own, so a
+// lookup costs no round trip.
+type Bindings map[ID]map[int]int
 
-type response struct {
-	ticket  Ticket
-	refs    int
-	evicted bool
-	snap    *Snapshot
-	settles []Settlement
-	err     error
-}
-
-// NewRegistry builds the registry and starts its owner goroutine.
-// Bindings must have unique IDs and nonnegative local indexes; model
-// nil means Isolated.
-func NewRegistry(bindings []Binding, model CostModel) (*Registry, error) {
-	if model == nil {
-		model = Isolated{}
-	}
-	r := &Registry{
-		model:   model,
-		entries: make(map[ID]*entry, len(bindings)),
-		reqs:    make(chan request),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
+// NewBindings validates bindings and copies them into a table. IDs must
+// be non-empty and unique, tenants and local indexes nonnegative.
+func NewBindings(bindings []Binding) (Bindings, error) {
+	t := make(Bindings, len(bindings))
 	for _, b := range bindings {
 		if b.ID == "" {
 			return nil, fmt.Errorf("catalog: empty catalog id")
 		}
-		if _, dup := r.entries[b.ID]; dup {
+		if _, dup := t[b.ID]; dup {
 			return nil, fmt.Errorf("catalog: duplicate catalog id %q", b.ID)
 		}
 		local := make(map[int]int, len(b.Local))
@@ -373,11 +330,47 @@ func NewRegistry(bindings []Binding, model CostModel) (*Registry, error) {
 			}
 			local[tenant] = s
 		}
-		r.entries[b.ID] = &entry{id: b.ID, local: local, pending: make(map[int]int)}
-		r.order = append(r.order, b.ID)
+		t[b.ID] = local
+	}
+	return t, nil
+}
+
+// Lookup returns the tenant's local stream index for id: ErrUnknownID
+// for an ID the table does not hold, ErrNotBound for a tenant with no
+// binding for it.
+func (t Bindings) Lookup(id ID, tenant int) (int, error) {
+	local, ok := t[id]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownID, id)
+	}
+	s, ok := local[tenant]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q for tenant %d", ErrNotBound, id, tenant)
+	}
+	return s, nil
+}
+
+// NewRegistry builds the registry. Bindings must have unique IDs and
+// nonnegative local indexes; model nil means Isolated.
+func NewRegistry(bindings []Binding, model CostModel) (*Registry, error) {
+	if model == nil {
+		model = Isolated{}
+	}
+	table, err := NewBindings(bindings)
+	if err != nil {
+		return nil, err
+	}
+	r := &Registry{
+		model:    model,
+		bindings: table,
+		entries:  make(map[ID]*entry, len(table)),
+		order:    make([]ID, 0, len(table)),
+	}
+	for id, local := range table {
+		r.entries[id] = &entry{id: id, local: local, pending: make(map[int]int)}
+		r.order = append(r.order, id)
 	}
 	sort.Slice(r.order, func(i, j int) bool { return r.order[i] < r.order[j] })
-	go r.owner()
 	return r, nil
 }
 
@@ -388,18 +381,15 @@ func (r *Registry) NumStreams() int { return len(r.entries) }
 func (r *Registry) Model() CostModel { return r.model }
 
 // Lookup returns the tenant's local stream index for id. The binding
-// table is immutable, so no owner round trip is needed.
+// table is immutable, so no lock is taken.
 func (r *Registry) Lookup(id ID, tenant int) (int, error) {
-	e, ok := r.entries[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownID, id)
-	}
-	s, ok := e.local[tenant]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q for tenant %d", ErrNotBound, id, tenant)
-	}
-	return s, nil
+	return r.bindings.Lookup(id, tenant)
 }
+
+// Bindings returns the registry's binding table, for a caller that
+// answers lookups itself. The table is immutable: read it, never write
+// it.
+func (r *Registry) Bindings() Bindings { return r.bindings }
 
 // IDs returns every catalog ID in sorted order (a copy).
 func (r *Registry) IDs() []ID {
@@ -419,15 +409,20 @@ func (r *Registry) Acquire(id ID, tenant int) (Ticket, error) {
 	if _, err := r.Lookup(id, tenant); err != nil {
 		return Ticket{}, err
 	}
-	resp, ok := r.do(request{op: opAcquire, id: id, tenant: tenant})
-	if !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return Ticket{}, ErrClosed
 	}
-	return resp.ticket, resp.err
+	tk := r.acquire(r.entries[id], tenant)
+	if r.logger != nil {
+		r.logger.LogAcquire(tenant, id, tk.Scale, tk.OriginPayer)
+	}
+	return tk, nil
 }
 
-// AcquireBatch prices admissions of ids by one tenant in a single owner
-// round trip, writing one ticket per id into out (whose length must
+// AcquireBatch prices admissions of ids by one tenant under one hold of
+// the lock, writing one ticket per id into out (whose length must
 // equal len(ids)). Each acquisition is priced as if submitted right
 // after the one before it — the first fresh acquisition of an
 // unoccupied origin in the batch is the origin payer, later ones get
@@ -446,8 +441,16 @@ func (r *Registry) AcquireBatch(tenant int, ids []ID, out []Ticket) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	if _, ok := r.do(request{op: opAcquireBatch, tenant: tenant, ids: ids, tickets: out}); !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return ErrClosed
+	}
+	for i, id := range ids {
+		out[i] = r.acquire(r.entries[id], tenant)
+		if r.logger != nil {
+			r.logger.LogAcquire(tenant, id, out[i].Scale, out[i].OriginPayer)
+		}
 	}
 	return nil
 }
@@ -458,11 +461,7 @@ func (r *Registry) AcquireBatch(tenant int, ids []ID, out []Ticket) error {
 // origin echoes the ticket's OriginPayer flag. It returns the confirmed
 // reference count after the commit.
 func (r *Registry) Commit(id ID, tenant int, fullCost, chargedCost float64, origin bool) int {
-	resp, ok := r.do(request{op: opSettle, settleOp: SettleCommit, id: id, tenant: tenant, full: fullCost, charged: chargedCost, origin: origin})
-	if !ok {
-		return 0
-	}
-	return resp.refs
+	return r.settle(Settlement{Op: SettleCommit, ID: id, Tenant: tenant, Full: fullCost, Charged: chargedCost, Origin: origin}).Refs
 }
 
 // Recharge settles an acquisition whose admission happened under an
@@ -473,11 +472,7 @@ func (r *Registry) Commit(id ID, tenant int, fullCost, chargedCost float64, orig
 // untouched, so Snapshot's origin-cost accounting stays truthful.
 // origin echoes the ticket's OriginPayer flag.
 func (r *Registry) Recharge(id ID, tenant int, fullCost, chargedCost float64, origin bool) int {
-	resp, ok := r.do(request{op: opSettle, settleOp: SettleRecharge, id: id, tenant: tenant, full: fullCost, charged: chargedCost, origin: origin})
-	if !ok {
-		return 0
-	}
-	return resp.refs
+	return r.settle(Settlement{Op: SettleRecharge, ID: id, Tenant: tenant, Full: fullCost, Charged: chargedCost, Origin: origin}).Refs
 }
 
 // Release drops a reference: held true releases a confirmed reference
@@ -491,19 +486,28 @@ func (r *Registry) Release(id ID, tenant int, held, origin bool) (refs int, evic
 	if held {
 		op = SettleRelease
 	}
-	resp, ok := r.do(request{op: opSettle, settleOp: op, id: id, tenant: tenant, origin: origin})
-	if !ok {
-		return 0, false
-	}
-	return resp.refs, resp.evicted
+	res := r.settle(Settlement{Op: op, ID: id, Tenant: tenant, Origin: origin})
+	return res.Refs, res.Evicted
 }
 
-// SettleBatch applies a shard worker's ordered settlement run in one
-// owner round trip. When out is non-nil its length must equal len(ops)
+// settle applies the one settlement of Commit, Recharge or Release: a
+// zero result on a closed registry or an unknown ID.
+func (r *Registry) settle(s Settlement) SettleResult {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return SettleResult{}
+	}
+	res, _ := r.apply(s, false)
+	return res
+}
+
+// SettleBatch applies a shard worker's ordered settlement run under one
+// hold of the lock. When out is non-nil its length must equal len(ops)
 // and each settlement's outcome is written into the matching slot;
 // unknown IDs are no-ops with a zero result (matching the single-op
-// methods after Close). Both slices stay caller-owned — the reply is
-// the memory barrier — so workers can reuse them across batches.
+// methods). Both slices stay caller-owned, so workers can reuse them
+// across batches.
 func (r *Registry) SettleBatch(ops []Settlement, out []SettleResult) error {
 	if out != nil && len(out) != len(ops) {
 		return fmt.Errorf("catalog: SettleBatch: %d ops but %d result slots", len(ops), len(out))
@@ -511,195 +515,75 @@ func (r *Registry) SettleBatch(ops []Settlement, out []SettleResult) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if _, ok := r.do(request{op: opSettleBatch, settles: ops, settleOut: out}); !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return ErrClosed
 	}
+	for i, s := range ops {
+		res, _ := r.apply(s, false)
+		if out != nil {
+			out[i] = res
+		}
+	}
 	return nil
+}
+
+// apply applies one settlement, logging it unless it is replayed; ok
+// false means an unknown ID, which changes nothing. Called with mu held
+// on an open registry.
+func (r *Registry) apply(s Settlement, replay bool) (res SettleResult, ok bool) {
+	e := r.entries[s.ID]
+	if e == nil {
+		return SettleResult{}, false
+	}
+	res = r.settleOne(e, s)
+	if r.logger != nil && !replay {
+		r.logger.LogSettle(s)
+	}
+	return res, true
 }
 
 // Refs returns the confirmed reference count of id (0 for unknown IDs
 // or after Close) without touching any state.
 func (r *Registry) Refs(id ID) int {
-	resp, ok := r.do(request{op: opRefs, id: id})
-	if !ok {
-		return 0
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.entries[id]; e != nil && !r.closed {
+		return len(e.holders)
 	}
-	return resp.refs
+	return 0
 }
 
 // Snapshot returns the deterministic registry state: entries in sorted
 // ID order, holders ascending. Nil after Close.
 func (r *Registry) Snapshot() *Snapshot {
-	resp, ok := r.do(request{op: opSnapshot})
-	if !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return nil
 	}
-	return resp.snap
+	return r.snapshotLocked()
 }
 
-// Close stops the owner goroutine. Idempotent; concurrent calls return
-// zero values / ErrClosed afterwards.
+// Close closes the registry: every later call returns ErrClosed or zero
+// values. A call already holding the lock completes first. Idempotent.
 func (r *Registry) Close() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	<-r.done
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
 }
 
-// do sends one request to the owner and waits for its reply. Reply
-// channels are pooled: a channel goes back to the pool only after its
-// reply was drained, so pooled channels are always empty; on the Close
-// race where the reply may still arrive, the channel is abandoned to
-// the garbage collector instead.
-func (r *Registry) do(req request) (response, bool) {
-	reply, _ := r.replies.Get().(chan response)
-	if reply == nil {
-		reply = make(chan response, 1)
-	}
-	req.reply = reply
-	select {
-	case r.reqs <- req:
-	case <-r.stop:
-		r.replies.Put(reply)
-		return response{}, false
-	}
-	select {
-	case resp := <-reply:
-		r.replies.Put(reply)
-		return resp, true
-	case <-r.done:
-		// The owner replies (into the buffered channel) to every
-		// request it accepts before looping, so when Close races the
-		// reply both cases can be ready — prefer the reply: the
-		// operation was applied and its result must not be dropped.
-		select {
-		case resp := <-reply:
-			r.replies.Put(reply)
-			return resp, true
-		default:
-			return response{}, false
-		}
-	}
-}
-
-// owner is the single goroutine that owns all reference-count state.
-func (r *Registry) owner() {
-	defer close(r.done)
-	for {
-		select {
-		case req := <-r.reqs:
-			req.reply <- r.handle(req)
-		case <-r.stop:
-			return
-		}
-	}
-}
-
-// handle applies one request on the owner goroutine.
-func (r *Registry) handle(req request) response {
-	switch req.op {
-	case opSnapshot:
-		return response{snap: r.snapshotLocked()}
-	case opSetLogger:
-		r.logger = req.logger
-		return response{}
-	case opAcquireBatch:
-		for i, id := range req.ids {
-			// Bindings were validated by AcquireBatch before the send.
-			req.tickets[i] = r.acquire(r.entries[id], req.tenant)
-			if r.logger != nil {
-				r.logger.LogAcquire(req.tenant, id, req.tickets[i].Scale, req.tickets[i].OriginPayer)
-			}
-		}
-		return response{}
-	case opSettleBatch:
-		for i, s := range req.settles {
-			var res SettleResult
-			if e := r.entries[s.ID]; e != nil {
-				res = r.settleOne(e, s)
-				if r.logger != nil && !req.replay {
-					r.logger.LogSettle(s)
-				}
-			}
-			if req.settleOut != nil {
-				req.settleOut[i] = res
-			}
-		}
-		return response{}
-	case opDangling:
-		var out []Settlement
-		for _, id := range r.order {
-			e := r.entries[id]
-			if e.pendingCount == 0 {
-				continue
-			}
-			fullLeft := e.fullPending
-			tenants := make([]int, 0, len(e.pending))
-			for t, n := range e.pending {
-				if n > 0 {
-					tenants = append(tenants, t)
-				}
-			}
-			sort.Ints(tenants)
-			for _, t := range tenants {
-				for k := 0; k < e.pending[t]; k++ {
-					s := Settlement{Op: SettleReleasePending, ID: id, Tenant: t}
-					if fullLeft > 0 {
-						s.Origin = true
-						fullLeft--
-					}
-					out = append(out, s)
-				}
-			}
-		}
-		return response{settles: out}
-	}
-	e := r.entries[req.id]
-	if e == nil {
-		return response{err: fmt.Errorf("%w: %q", ErrUnknownID, req.id)}
-	}
-	switch req.op {
-	case opRefs:
-		return response{refs: len(e.holders)}
-	case opAcquire:
-		tk := r.acquire(e, req.tenant)
-		if r.logger != nil {
-			r.logger.LogAcquire(req.tenant, req.id, tk.Scale, tk.OriginPayer)
-		}
-		return response{ticket: tk}
-	case opReplayAcquire:
-		// Re-derive the quote from the rebuilt state and verify it against
-		// the logged one: the registry's op sequence is deterministic, so
-		// a mismatch means the log (or the replay order) is corrupt.
-		tk := r.acquire(e, req.tenant)
-		if tk.Scale != req.full || tk.OriginPayer != req.origin {
-			return response{err: fmt.Errorf(
-				"catalog: replay acquire %q tenant %d: logged scale %v origin %v, re-derived %v %v",
-				req.id, req.tenant, req.full, req.origin, tk.Scale, tk.OriginPayer)}
-		}
-		return response{ticket: tk}
-	case opSettle:
-		s := Settlement{
-			Op: req.settleOp, ID: req.id, Tenant: req.tenant,
-			Full: req.full, Charged: req.charged, Origin: req.origin,
-		}
-		res := r.settleOne(e, s)
-		if r.logger != nil && !req.replay {
-			r.logger.LogSettle(s)
-		}
-		return response{refs: res.Refs, evicted: res.Evicted}
-	}
-	return response{err: fmt.Errorf("catalog: unknown op %d", req.op)}
-}
-
-// acquire prices one admission on the owner goroutine and records the
-// provisional reference.
+// acquire prices one admission and records the provisional reference.
+// Called with mu held.
 func (r *Registry) acquire(e *entry, tenant int) Ticket {
 	tk := Ticket{
-		Local:      e.local[tenant],
-		Scale:      1,
-		Refs:       len(e.holders),
-		SharedWith: e.sharedWith(tenant),
-		Already:    e.holds(tenant),
+		Local:   e.local[tenant],
+		Scale:   1,
+		Refs:    len(e.holders),
+		Already: e.holds(tenant),
 	}
+	tk.SharedWith = r.sharedWith(e, tenant, tk.Already)
 	if !tk.Already {
 		// Price from confirmed holders plus in-flight full-priced
 		// acquisitions: concurrent first admissions see each other, so
@@ -716,7 +600,7 @@ func (r *Registry) acquire(e *entry, tenant int) Ticket {
 	return tk
 }
 
-// settleOne applies one settlement on the owner goroutine.
+// settleOne applies one settlement. Called with mu held.
 func (r *Registry) settleOne(e *entry, s Settlement) SettleResult {
 	switch s.Op {
 	case SettleCommit:
@@ -807,13 +691,20 @@ func (e *entry) remove(tenant int) {
 	}
 }
 
-// sharedWith returns the confirmed holders other than tenant (a copy,
-// ascending).
-func (e *entry) sharedWith(tenant int) []int {
-	var out []int
+// sharedWith returns the confirmed holders of e other than tenant
+// (held reports whether tenant is one), ascending, in a list carved
+// from r.shared; nil when there are none. Called with mu held.
+func (r *Registry) sharedWith(e *entry, tenant int, held bool) []int {
+	n := len(e.holders)
+	if held {
+		n--
+	}
+	out := r.shared.Make(n)
+	i := 0
 	for _, t := range e.holders {
 		if t != tenant {
-			out = append(out, t)
+			out[i] = t
+			i++
 		}
 	}
 	return out
@@ -861,7 +752,7 @@ type Snapshot struct {
 	Entries []EntrySnapshot `json:"entries"`
 }
 
-// snapshotLocked builds the snapshot on the owner goroutine.
+// snapshotLocked builds the snapshot. Called with mu held.
 func (r *Registry) snapshotLocked() *Snapshot {
 	snap := &Snapshot{Model: r.model.Name(), Streams: len(r.order)}
 	for _, id := range r.order {

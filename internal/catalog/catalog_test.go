@@ -3,9 +3,11 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func twoTenantRegistry(t *testing.T, model CostModel) *Registry {
@@ -185,7 +187,7 @@ func TestRegistryCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrentCycles hammers the owner with full
+// TestRegistryConcurrentCycles hammers the registry with full
 // acquire/commit/release cycles from many goroutines (run under -race):
 // refcounts must end at zero, every occupancy cycle must fire exactly
 // one eviction, and the accounting must balance.
@@ -268,6 +270,106 @@ func TestRegistryConcurrentCycles(t *testing.T) {
 		t.Fatalf("post-storm ticket = %+v, %v", tk, err)
 	}
 	r.Release("hot", 0, false, tk.OriginPayer)
+}
+
+// TestRegistryConcurrentClose closes the registry while goroutines
+// run Acquire, SettleBatch and Snapshot (run under -race): every call
+// either completes against a consistent state or answers ErrClosed or
+// a zero value, a goroutine that has seen the registry closed never
+// sees it open again, and nothing deadlocks.
+func TestRegistryConcurrentClose(t *testing.T) {
+	const tenants = 8
+	local := make(map[int]int, tenants)
+	for ti := 0; ti < tenants; ti++ {
+		local[ti] = 0
+	}
+	r, err := NewRegistry([]Binding{{ID: "hot", Local: local}}, SharedOrigin{ReplicationFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	started := make(chan struct{}, tenants)
+	for ti := 0; ti < tenants; ti++ {
+		wg.Add(1)
+		go func(tenant int) {
+			defer wg.Done()
+			closed := false
+			// seen checks one call's answer: a closed answer latches, and
+			// an open one after it is a resurrection.
+			seen := func(what string, isClosed bool) bool {
+				if closed && !isClosed {
+					t.Errorf("tenant %d: %s answered after the registry was seen closed", tenant, what)
+				}
+				closed = closed || isClosed
+				return !isClosed
+			}
+			var once sync.Once
+			warm := func() { started <- struct{}{} }
+			defer once.Do(warm)
+			settle := make([]Settlement, 1)
+			res := make([]SettleResult, 1)
+			for round := 0; ; round++ {
+				if round == 20 {
+					once.Do(warm)
+				}
+				tk, err := r.Acquire("hot", tenant)
+				if err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("tenant %d: acquire: %v", tenant, err)
+					return
+				}
+				if seen("Acquire", err != nil) {
+					settle[0] = Settlement{Op: SettleCommit, ID: "hot", Tenant: tenant, Full: 2, Charged: 2 * tk.Scale, Origin: tk.OriginPayer}
+					err := r.SettleBatch(settle, res)
+					if err != nil && !errors.Is(err, ErrClosed) {
+						t.Errorf("tenant %d: commit: %v", tenant, err)
+						return
+					}
+					if seen("SettleBatch", err != nil) && (res[0].Refs < 1 || res[0].Refs > tenants) {
+						t.Errorf("tenant %d: committed refs %d outside [1,%d]", tenant, res[0].Refs, tenants)
+					}
+				}
+				snap := r.Snapshot()
+				if seen("Snapshot", snap == nil) {
+					e := snap.Entries[0]
+					if e.Refs != len(e.Holders) || !sort.IntsAreSorted(e.Holders) || e.Evictions > e.Admissions {
+						t.Errorf("tenant %d: inconsistent snapshot %+v", tenant, e)
+					}
+				}
+				settle[0] = Settlement{Op: SettleRelease, ID: "hot", Tenant: tenant}
+				err = r.SettleBatch(settle, res)
+				if err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("tenant %d: release: %v", tenant, err)
+					return
+				}
+				if !seen("SettleBatch", err != nil) && round >= 20 {
+					return
+				}
+			}
+		}(ti)
+	}
+	for ti := 0; ti < tenants; ti++ {
+		<-started
+	}
+	r.Close()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("callers still running 30s after Close: deadlock")
+	}
+	if _, err := r.Acquire("hot", 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("acquire after close: %v", err)
+	}
+	if refs := r.Commit("hot", 0, 1, 1, false); refs != 0 {
+		t.Fatalf("commit after close returned refs %d", refs)
+	}
+	if r.Snapshot() != nil || r.Refs("hot") != 0 {
+		t.Fatal("state readable after close")
+	}
+	if _, err := r.DanglingPending(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("dangling after close: %v", err)
+	}
 }
 
 func TestSnapshotRenderDeterministic(t *testing.T) {
@@ -457,7 +559,8 @@ func TestOriginPayerBailRequotesFull(t *testing.T) {
 
 // TestAcquireBatch pins the pipelined batch-pricing semantics: each
 // acquisition in the batch is priced as if the ones before it were
-// already in flight, and the whole batch is one owner round trip.
+// already in flight, and the whole batch is priced under one hold of
+// the lock.
 func TestAcquireBatch(t *testing.T) {
 	r, err := NewRegistry([]Binding{
 		{ID: "a", Local: map[int]int{0: 1}},

@@ -544,8 +544,8 @@ func (c *Client) decodeResp(line []byte) error {
 
 // scanResp reads a canonical reply line into c.resp, its ticket and
 // lists into values kept from line to line; SharedWith lists are the
-// caller's to keep, so each is freshly allocated. False means the line
-// is not canonical, and c.resp is garbage.
+// caller's to keep, so each is carved from c.shared. False means the
+// line is not canonical, and c.resp is garbage.
 func (c *Client) scanResp(line []byte) bool {
 	resp := &c.resp
 	*resp = wireResp{}
@@ -555,7 +555,7 @@ func (c *Client) scanResp(line []byte) bool {
 		switch k := s.key(); string(k) {
 		case "ticket":
 			s.once(&seen, 1<<0)
-			c.ticket = decodeTicket(&s)
+			c.ticket = c.decodeTicket(&s)
 			resp.Ticket = &c.ticket
 		case "tickets":
 			s.once(&seen, 1<<1)
@@ -564,7 +564,7 @@ func (c *Client) scanResp(line []byte) bool {
 				tickets = []catalog.Ticket{}
 			}
 			for s.open('['); s.more(']'); {
-				tickets = append(tickets, decodeTicket(&s))
+				tickets = append(tickets, c.decodeTicket(&s))
 			}
 			c.ticketBuf, resp.Tickets = tickets, tickets
 		case "local":
@@ -609,7 +609,7 @@ func (c *Client) scanResp(line []byte) bool {
 }
 
 // decodeTicket reads one catalog.Ticket object.
-func decodeTicket(s *scanner) catalog.Ticket {
+func (c *Client) decodeTicket(s *scanner) catalog.Ticket {
 	var tk catalog.Ticket
 	for s.open('{'); s.more('}'); {
 		switch k := s.key(); string(k) {
@@ -629,7 +629,10 @@ func decodeTicket(s *scanner) catalog.Ticket {
 			for s.open('['); s.more(']'); {
 				held = append(held, s.int())
 			}
-			tk.SharedWith = append([]int{}, held...)
+			if tk.SharedWith = c.shared.Make(len(held)); tk.SharedWith == nil {
+				tk.SharedWith = []int{} // an empty array, which decodes non-nil
+			}
+			copy(tk.SharedWith, held)
 		case "Already":
 			tk.Already = s.bool()
 		case "OriginPayer":

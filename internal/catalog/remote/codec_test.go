@@ -215,36 +215,92 @@ func TestWireRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
 	}
-	reg, err := catalog.NewRegistry(catalog.IdentityBindings(4, 6, func(s int) catalog.ID {
+	if avg := wireRoundTripAllocs(t, 6, false); avg > roundTripAllocBudget {
+		t.Fatalf("Acquire+SettleBatch allocates %.1f times, budget %d", avg, roundTripAllocBudget)
+	}
+}
+
+// TestWireSharedRoundTripAllocations pins the same round trip for an
+// ID another tenant holds at zero allocations: the ticket's SharedWith
+// list is carved from shared arrays on both ends, not allocated per
+// acquisition by the registry and again by the client's decoder.
+func TestWireSharedRoundTripAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	if avg := wireRoundTripAllocs(t, 6, true); avg != 0 {
+		t.Fatalf("Acquire+SettleBatch of a shared ID allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestWireLargeCatalogRoundTripAllocations pins the round trip at zero
+// allocations on a catalog of more IDs than a stream parser interns
+// (ndjson's bound of 1,024): the wire server interns every ID the
+// registry accepts, so the table is bounded by the bindings, and the
+// last ID a warm connection has named costs no string either.
+func TestWireLargeCatalogRoundTripAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	if avg := wireRoundTripAllocs(t, 1100, false); avg != 0 {
+		t.Fatalf("Acquire+SettleBatch of ID 1,099 of 1,100 allocates %.1f times, want 0", avg)
+	}
+}
+
+// wireRoundTripAllocs measures one Acquire of the last of streams IDs
+// by tenant 1 plus the single-op SettleBatch that releases it, over a
+// loopback wire, once the connection has acquired and released every
+// ID in order. With shared set, tenant 3 holds the ID, so every ticket
+// carries a SharedWith list.
+func wireRoundTripAllocs(t *testing.T, streams int, shared bool) float64 {
+	t.Helper()
+	ids := catalog.IdentityBindings(4, streams, func(s int) catalog.ID {
 		return catalog.ID(fmt.Sprintf("ch-%03d", s))
-	}), catalog.SharedOrigin{ReplicationFraction: 0.25})
+	})
+	reg, err := catalog.NewRegistry(ids, catalog.SharedOrigin{ReplicationFraction: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
+	t.Cleanup(reg.Close)
+	id := ids[streams-1].ID
+	if shared {
+		holder, err := reg.Acquire(id, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.Commit(id, 3, 4, 4, holder.OriginPayer)
+	}
 	srv := httptest.NewServer(NewHandler(reg))
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	client, err := Dial(srv.URL, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
+	t.Cleanup(client.Close)
 	ops := make([]catalog.Settlement, 1)
 	out := make([]catalog.SettleResult, 1)
-	roundTrip := func() {
-		tk, err := client.Acquire("ch-002", 1)
+	roundTrip := func(id catalog.ID) catalog.Ticket {
+		tk, err := client.Acquire(id, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops[0] = catalog.Settlement{Op: catalog.SettleReleasePending, ID: "ch-002", Tenant: 1, Origin: tk.OriginPayer}
+		ops[0] = catalog.Settlement{Op: catalog.SettleReleasePending, ID: id, Tenant: 1, Origin: tk.OriginPayer}
 		if err := client.SettleBatch(ops, out); err != nil {
 			t.Fatal(err)
 		}
+		return tk
+	}
+	for _, b := range ids {
+		roundTrip(b.ID)
+	}
+	measured := func() {
+		tk := roundTrip(id)
+		if shared && (len(tk.SharedWith) != 1 || tk.SharedWith[0] != 3) {
+			t.Fatalf("ticket = %+v, want shared with tenant 3", tk)
+		}
 	}
 	for i := 0; i < 50; i++ {
-		roundTrip()
+		measured()
 	}
-	if avg := testing.AllocsPerRun(200, roundTrip); avg > roundTripAllocBudget {
-		t.Fatalf("Acquire+SettleBatch allocates %.1f times, budget %d", avg, roundTripAllocBudget)
-	}
+	return testing.AllocsPerRun(200, measured)
 }

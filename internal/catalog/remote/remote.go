@@ -1,18 +1,18 @@
-// Package remote lifts the catalog registry's single-owner mutation
-// channel onto the serving API v4 NDJSON wire (serving API v7): a
-// Client implements catalog.Service against a registry owned by
-// another process, and NewHandler serves a registry to such clients.
+// Package remote lifts the catalog registry's call surface onto the
+// serving API v4 NDJSON wire (serving API v7): a Client implements
+// catalog.Service against a registry owned by another process, and
+// NewHandler serves a registry to such clients.
 //
 // The lift is a transport change, not a protocol change. In-process,
-// every registry mutation is already a message to the owner goroutine
-// (catalog.Registry.do); here the same messages travel as one JSON
-// line per request over a persistent chunked connection (the transport
-// streamclient speaks), answered by one JSON line per reply, in
-// request order. A node keeps one connection; its shard workers'
-// settlement batches serialize through it in submission order, so the
-// worker-FIFO settlement contract survives the wire unchanged, and the
-// registry owner serializes across nodes exactly as it serializes
-// across shards in-process.
+// every registry call is one self-contained operation under the
+// registry's lock; here each call travels as one JSON line per request
+// over a persistent chunked connection (the transport streamclient
+// speaks), answered by one JSON line per reply, in request order. A
+// node keeps one connection; its shard workers' settlement batches
+// serialize through it in submission order, so the worker-FIFO
+// settlement contract survives the wire unchanged, and the registry's
+// lock serializes across nodes exactly as it serializes across shards
+// in-process.
 //
 // Errors cross the wire as a sentinel code plus the original message;
 // the client rebuilds an error chain that errors.Is-matches the
@@ -28,6 +28,7 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/buf"
 	"repro/internal/catalog"
 	"repro/streamclient"
 )
@@ -113,11 +114,9 @@ type Options struct {
 
 // Client is a catalog.Service against a remote registry: one
 // persistent NDJSON connection, one request line per registry
-// operation, strictly serialized (request, then its reply — exactly
-// the owner-channel round trip the in-process registry already makes,
-// with the wire in the middle). Safe for concurrent use; concurrent
-// callers serialize on the connection the way in-process callers
-// serialize on the owner channel.
+// operation, strictly serialized (request, then its reply). Safe for
+// concurrent use; concurrent callers serialize on the connection the
+// way in-process callers serialize on the registry's lock.
 type Client struct {
 	mu     sync.Mutex
 	conn   *streamclient.Conn
@@ -129,6 +128,9 @@ type Client struct {
 	ticket    catalog.Ticket
 	ticketBuf []catalog.Ticket
 	resultBuf []catalog.SettleResult
+	// shared carves the decoded tickets' SharedWith lists, which the
+	// caller keeps.
+	shared buf.Lists[int]
 }
 
 var _ catalog.Service = (*Client)(nil)
@@ -232,7 +234,7 @@ func (c *Client) Lookup(id catalog.ID, tenant int) (int, error) {
 
 // Release implements catalog.Service. Matching Registry.Release, a
 // transport failure reports zero values (the settlement may or may not
-// have reached the owner; recovery of a torn connection is the node
+// have reached the registry; recovery of a torn connection is the node
 // process's lifecycle problem, not the hot path's).
 func (c *Client) Release(id catalog.ID, tenant int, held, origin bool) (refs int, evicted bool) {
 	c.mu.Lock()

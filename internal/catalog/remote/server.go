@@ -19,10 +19,11 @@ import (
 // shape a single-process mmdserve serves, so fleet tooling reads the
 // catalog service and a node interchangeably.
 //
-// Each wire connection serializes its own requests (a node's single
-// Client guarantees that already); requests from different connections
-// interleave at the registry's owner goroutine, exactly as different
-// shard workers interleave in-process.
+// Each wire connection applies its requests to the registry in its own
+// handler goroutine, one after another (a node's single Client
+// serializes them already); requests from different connections
+// interleave at the registry's lock, exactly as different shard
+// workers interleave in-process.
 func NewHandler(reg catalog.Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+WirePath, func(w http.ResponseWriter, r *http.Request) {
@@ -55,7 +56,9 @@ func serveWire(reg catalog.Service, w http.ResponseWriter, r *http.Request) {
 	c := &wireConn{reg: reg}
 	var scratch []byte
 	for {
-		line, err := ndjson.ReadLine(br, &scratch)
+		// Uncapped: the peer is a fleet node, and a settle-batch line
+		// grows with the batch it settles.
+		line, err := ndjson.ReadLine(br, &scratch, 0)
 		if err != nil && (err != io.EOF || len(line) == 0) {
 			return
 		}
@@ -90,28 +93,18 @@ type wireConn struct {
 	ticket    catalog.Ticket
 	tickets   []catalog.Ticket
 	results   []catalog.SettleResult
-	ids       map[string]catalog.ID
+	ids       ndjson.Interner
 	out       []byte
 }
 
 // id returns the interned ID spelled by b, or a new one.
-func (c *wireConn) id(b []byte) catalog.ID {
-	if id, ok := c.ids[string(b)]; ok {
-		return id
-	}
-	return catalog.ID(b)
-}
+func (c *wireConn) id(b []byte) catalog.ID { return catalog.ID(c.ids.Lookup(b)) }
 
 // accept interns ids the registry has accepted. Only those: the table
 // stays bounded by the registry's bindings whatever clients send.
 func (c *wireConn) accept(ids ...catalog.ID) {
-	if c.ids == nil {
-		c.ids = make(map[string]catalog.ID)
-	}
 	for _, id := range ids {
-		if _, ok := c.ids[string(id)]; !ok {
-			c.ids[string(id)] = id
-		}
+		c.ids.Keep(string(id))
 	}
 }
 

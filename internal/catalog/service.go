@@ -5,9 +5,9 @@ package catalog
 // the binding lookup, the deterministic snapshot, and the
 // durability-log plane. *Registry implements it in-process; a fleet
 // node implements it against a remote registry process over the v4
-// NDJSON wire (see internal/catalog/remote) — the mutations are
-// already messages to a single owner, so the wire lift changes the
-// transport, never the protocol.
+// NDJSON wire (see internal/catalog/remote) — each call is already one
+// self-contained operation the registry serializes, so the wire lift
+// changes the transport, never the protocol.
 //
 // Implementations must preserve the registry's semantics exactly:
 // every Acquire balanced by exactly one settlement echoing the
@@ -18,24 +18,24 @@ type Service interface {
 	// Acquire prices an admission and records a provisional reference
 	// (see Registry.Acquire).
 	Acquire(id ID, tenant int) (Ticket, error)
-	// AcquireBatch prices admissions of ids by one tenant in a single
-	// owner round trip, writing one ticket per id into out (whose
-	// length must equal len(ids)).
+	// AcquireBatch prices admissions of ids by one tenant in one call
+	// (one round trip over the wire), writing one ticket per id into
+	// out (whose length must equal len(ids)).
 	AcquireBatch(tenant int, ids []ID, out []Ticket) error
 	// Lookup returns the tenant's local stream index for id.
 	Lookup(id ID, tenant int) (int, error)
 	// Release drops a confirmed (held) or provisional reference.
 	Release(id ID, tenant int, held, origin bool) (refs int, evicted bool)
-	// SettleBatch applies an ordered settlement run in one owner round
-	// trip; out, when non-nil, receives one result per op.
+	// SettleBatch applies an ordered settlement run in one call (one
+	// round trip over the wire); out, when non-nil, receives one result
+	// per op.
 	SettleBatch(ops []Settlement, out []SettleResult) error
 	// Snapshot returns the deterministic registry state (nil after
 	// Close).
 	Snapshot() *Snapshot
-	// Close releases the caller's handle on the registry. For the
-	// in-process Registry it stops the owner goroutine; a remote client
-	// closes its connection and leaves the registry serving its other
-	// nodes.
+	// Close releases the caller's handle on the registry. The
+	// in-process Registry marks itself closed; a remote client closes
+	// its connection and leaves the registry serving its other nodes.
 	Close()
 
 	// The durability-log plane (see walog.go). A remote registry owns

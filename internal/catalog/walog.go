@@ -1,20 +1,26 @@
 package catalog
 
+import (
+	"fmt"
+	"sort"
+)
+
 // The registry's durability-log plane. The cluster's eviction gate
 // counts in-flight acquisitions (entry.pendingCount, entry.fullPending)
 // and quotes are honored under concurrency, so no per-shard event log
 // can reproduce registry state: the only order that rebuilds it exactly
-// is the owner goroutine's own serialization order. The registry
-// therefore writes its own log — one record per acquisition and per
-// settlement, emitted by the owner right after applying the operation —
-// and recovery replays that plane directly back into the owner,
-// re-deriving each acquisition's quote from the rebuilt state and
-// verifying it against the logged one (a mismatch is corruption, not a
-// judgment call). See internal/wal and internal/cluster's recovery.
+// is the registry's own serialization order, the order its lock admits
+// operations in. The registry therefore writes its own log — one record
+// per acquisition and per settlement, emitted under the lock right
+// after applying the operation — and recovery replays that plane
+// directly back into the registry, re-deriving each acquisition's quote
+// from the rebuilt state and verifying it against the logged one (a
+// mismatch is corruption, not a judgment call). See internal/wal and
+// internal/cluster's recovery.
 
 // Logger receives every state-mutating registry operation in the
-// owner's serialization order. Implementations are called on the owner
-// goroutine and must not call back into the registry.
+// registry's serialization order. Implementations are called with the
+// registry's lock held and must not call back into the registry.
 type Logger interface {
 	// LogAcquire records one priced acquisition: the quoted scale and
 	// whether this acquisition was elected the origin payer.
@@ -24,27 +30,41 @@ type Logger interface {
 }
 
 // SetLogger installs (or, with nil, removes) the registry's operation
-// logger via an owner round trip, so the change is serialized against
-// all in-flight operations. Replayed operations are never logged.
+// logger under the registry's lock, so the change is serialized against
+// every other operation. Replayed operations are never logged.
 func (r *Registry) SetLogger(l Logger) error {
-	if _, ok := r.do(request{op: opSetLogger, logger: l}); !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return ErrClosed
 	}
+	r.logger = l
 	return nil
 }
 
 // ReplayAcquire re-applies one logged acquisition during recovery: the
-// owner re-runs the pricing against the rebuilt state and verifies the
-// re-derived quote (scale, origin-payer election) against the logged
-// one. The registry's operation sequence is deterministic, so a
+// registry re-runs the pricing against the rebuilt state and verifies
+// the re-derived quote (scale, origin-payer election) against the
+// logged one. The registry's operation sequence is deterministic, so a
 // mismatch means the log is corrupt or misordered and recovery must
 // fail loudly.
 func (r *Registry) ReplayAcquire(id ID, tenant int, scale float64, origin bool) error {
-	resp, ok := r.do(request{op: opReplayAcquire, id: id, tenant: tenant, full: scale, origin: origin})
-	if !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return ErrClosed
 	}
-	return resp.err
+	e := r.entries[id]
+	if e == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownID, id)
+	}
+	tk := r.acquire(e, tenant)
+	if tk.Scale != scale || tk.OriginPayer != origin {
+		return fmt.Errorf(
+			"catalog: replay acquire %q tenant %d: logged scale %v origin %v, re-derived %v %v",
+			id, tenant, scale, origin, tk.Scale, tk.OriginPayer)
+	}
+	return nil
 }
 
 // DanglingPending returns the settlements that would balance every
@@ -56,22 +76,49 @@ func (r *Registry) ReplayAcquire(id ID, tenant int, scale float64, origin bool) 
 // records how the danglings were drained and every future replay
 // reproduces the same state — including the evictions the drain fires.
 func (r *Registry) DanglingPending() ([]Settlement, error) {
-	resp, ok := r.do(request{op: opDangling})
-	if !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return nil, ErrClosed
 	}
-	return resp.settles, nil
+	var out []Settlement
+	for _, id := range r.order {
+		e := r.entries[id]
+		if e.pendingCount == 0 {
+			continue
+		}
+		fullLeft := e.fullPending
+		tenants := make([]int, 0, len(e.pending))
+		for t, n := range e.pending {
+			if n > 0 {
+				tenants = append(tenants, t)
+			}
+		}
+		sort.Ints(tenants)
+		for _, t := range tenants {
+			for k := 0; k < e.pending[t]; k++ {
+				s := Settlement{Op: SettleReleasePending, ID: id, Tenant: t}
+				if fullLeft > 0 {
+					s.Origin = true
+					fullLeft--
+				}
+				out = append(out, s)
+			}
+		}
+	}
+	return out, nil
 }
 
 // ReplaySettle re-applies one logged settlement during recovery,
 // without re-logging it.
 func (r *Registry) ReplaySettle(s Settlement) error {
-	resp, ok := r.do(request{
-		op: opSettle, replay: true, settleOp: s.Op, id: s.ID, tenant: s.Tenant,
-		full: s.Full, charged: s.Charged, origin: s.Origin,
-	})
-	if !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return ErrClosed
 	}
-	return resp.err
+	if _, ok := r.apply(s, true); !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownID, s.ID)
+	}
+	return nil
 }

@@ -9,8 +9,10 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/generator"
 )
 
@@ -83,11 +85,9 @@ func TestSessionSteadyStateAllocationFree(t *testing.T) {
 }
 
 // TestSessionOfferDepartCycleAllocBudget pins the full admit/release
-// cycle: the only per-cycle allocations left are the ones that must
-// outlive the call (the tenant's retained subscriber list and the
-// churn of its sorted stream sets). The budget has slack for exactly
-// those; the pre-pooling path spent ~6 allocations on channels and
-// result plumbing alone.
+// cycle at zero allocations: the one list that outlives the call, the
+// tenant's retained subscriber list, is carved from the tenant's
+// shared arrays (buf.Lists).
 func TestSessionOfferDepartCycleAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counters are unreliable under -race")
@@ -97,15 +97,16 @@ func TestSessionOfferDepartCycleAllocBudget(t *testing.T) {
 	// admittedStream warms one full cycle, growing every slice to its
 	// steady capacity.
 	s := admittedStream(t, c)
-	if avg := testing.AllocsPerRun(200, func() {
+	avg := testing.AllocsPerRun(200, func() {
 		if res, err := c.OfferStream(ctx, 0, s); err != nil || !res.Accepted {
 			t.Fatalf("offer = %+v, %v", res, err)
 		}
 		if res, err := c.DepartStream(ctx, 0, s); err != nil || !res.Removed {
 			t.Fatalf("depart = %+v, %v", res, err)
 		}
-	}); avg > 6 {
-		t.Fatalf("offer+depart cycle allocates %.2f per cycle, budget 6", avg)
+	})
+	if avg != 0 {
+		t.Fatalf("offer+depart cycle allocates %.2f per cycle, want 0", avg)
 	}
 }
 
@@ -147,4 +148,76 @@ func TestStreamSteadyStateAllocationFree(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("warm stream submit+recv allocates %.2f per op, want 0", avg)
 	}
+}
+
+// TestStreamCatalogCycleAllocationFree pins a warm stream's catalog
+// offer and departure of one ID under SharedOrigin, with a second
+// tenant holding it, over an in-process registry: the admission's
+// ticket, its SharedWith list, the admitted subscriber list and the
+// settlements allocate nothing per event.
+func TestStreamCatalogCycleAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counters are unreliable under -race")
+	}
+	c := catalogTestFleet(t, 2, 20, 6, 401, 0.25, 2, catalog.SharedOrigin{ReplicationFraction: 0.25})
+	ctx := context.Background()
+	id := sharedCatalogStream(t, c)
+	sc, err := c.OpenStream(StreamOptions{Window: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	cycle := func() {
+		if err := sc.Submit(ctx, Event{Tenant: 0, Type: EventStreamArrival, CatalogID: id}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sc.Recv(ctx)
+		if err != nil || res.Err != nil || !res.Catalog.Admitted || len(res.Catalog.SharedWith) != 1 {
+			t.Fatalf("catalog offer = %+v, %v", res, err)
+		}
+		if err := sc.Submit(ctx, Event{Tenant: 0, Type: EventStreamDeparture, CatalogID: id}); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := sc.Recv(ctx); err != nil || res.Err != nil || !res.Catalog.Removed {
+			t.Fatalf("catalog depart = %+v, %v", res, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("warm catalog offer+depart allocates %.2f per cycle, want 0", avg)
+	}
+}
+
+// sharedCatalogStream finds a catalog stream both tenants of c admit,
+// leaves tenant 1 holding it and tenant 0 not, and returns its ID.
+func sharedCatalogStream(t *testing.T, c *Cluster) catalog.ID {
+	t.Helper()
+	ctx := context.Background()
+	for s := 0; s < 20; s++ {
+		id := catalog.ID(fmt.Sprintf("s-%03d", s))
+		one, err := c.OfferCatalogStream(ctx, 1, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !one.Admitted {
+			continue
+		}
+		zero, err := c.OfferCatalogStream(ctx, 0, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if zero.Admitted {
+			if _, err := c.DepartCatalogStream(ctx, 0, id); err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}
+		if _, err := c.DepartCatalogStream(ctx, 1, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Fatal("no catalog stream both tenants admit")
+	return ""
 }

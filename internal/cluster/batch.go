@@ -91,7 +91,7 @@ func (c *Cluster) ApplyBatch(ctx context.Context, tenant int, events []Event) ([
 		if c.catalog == nil {
 			return fail(fmt.Errorf("cluster: batch event %d: %w", i, ErrNoCatalog))
 		}
-		local, err := c.catalog.Lookup(batch[i].CatalogID, tenant)
+		local, err := c.catalogBindings.Lookup(batch[i].CatalogID, tenant)
 		if err != nil {
 			return fail(fmt.Errorf("cluster: batch event %d: %w", i, wrapCatalogErr(err)))
 		}

@@ -23,10 +23,10 @@ import (
 // reject or removal) right after applying the event — so registry
 // transitions happen in shard FIFO order and concurrent same-tenant
 // calls can never desynchronize refcounts from the tenant's carried
-// set. All state stays share-nothing: refcounts live with the
-// registry's owner goroutine, tenant state with the shard worker; the
-// worker's settlement is a message round trip, never a shared lock,
-// and the registry owner never calls back into shards.
+// set. Refcounts live in the registry, behind its own lock, and tenant
+// state with the shard worker; the worker's settlement is one registry
+// call (one round trip when the registry is remote), and the registry
+// never calls back into shards.
 //
 // Departing a catalog-managed stream through the local-index
 // DepartStream is equivalent to DepartCatalogStream: the shard worker

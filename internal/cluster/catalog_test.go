@@ -640,3 +640,133 @@ func TestCatalogNilContextAndDuplicateBindings(t *testing.T) {
 		t.Fatal("two catalog IDs bound to one (tenant, stream) accepted")
 	}
 }
+
+// lookupCounter is a catalog.Service that counts the Lookup calls it
+// forwards.
+type lookupCounter struct {
+	catalog.Service
+	mu      sync.Mutex
+	lookups int
+}
+
+func (s *lookupCounter) Lookup(id catalog.ID, tenant int) (int, error) {
+	s.mu.Lock()
+	s.lookups++
+	s.mu.Unlock()
+	return s.Service.Lookup(id, tenant)
+}
+
+// TestCatalogLookupAnsweredLocally pins where a catalog event's binding
+// comes from: the cluster's own binding table, never the registry. A
+// cluster over a Lookup-counting service runs catalog departures as
+// session calls, on a stream and in a batch without one Lookup call,
+// and ends with the same render as a cluster over an in-process
+// registry fed the same events. Unknown and unbound IDs still fail
+// with the cluster sentinel wrapping the catalog's.
+func TestCatalogLookupAnsweredLocally(t *testing.T) {
+	const tenants, channels = 3, 6
+	// Identity bindings for all but the last channel, which only tenant
+	// 0 carries as a catalog stream ("solo").
+	bindings := catalog.IdentityBindings(tenants, channels-1, func(s int) catalog.ID {
+		return catalog.ID(fmt.Sprintf("s-%03d", s))
+	})
+	bindings = append(bindings, catalog.Binding{ID: "solo", Local: map[int]int{0: channels - 1}})
+	model := catalog.SharedOrigin{ReplicationFraction: 0.25}
+	build := func(remote catalog.Service) *Cluster {
+		cfgs := make([]TenantConfig, tenants)
+		for i := range cfgs {
+			in, err := generator.CableTV{Channels: channels, Gateways: 4, Seed: 61 + int64(i), EgressFraction: 0.5}.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgs[i] = TenantConfig{Instance: in}
+		}
+		c, err := New(cfgs, Options{Shards: 2, BatchSize: 4,
+			Catalog: &CatalogOptions{Streams: bindings, CostModel: model, Remote: remote}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	reg, err := catalog.NewRegistry(bindings, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reg.Close)
+	counter := &lookupCounter{Service: reg}
+	ref, counted := build(nil), build(counter)
+
+	ctx := context.Background()
+	id := func(s int) catalog.ID { return catalog.ID(fmt.Sprintf("s-%03d", s)) }
+	batch := []Event{
+		{Type: EventStreamArrival, CatalogID: id(2)},
+		{Type: EventStreamDeparture, CatalogID: id(0)},
+		{Type: EventStreamDeparture, CatalogID: "solo"},
+		{Type: EventStreamArrival, CatalogID: id(4)},
+	}
+	for _, c := range []*Cluster{ref, counted} {
+		for _, st := range catalogScheduleFor(tenants, channels-1, 5) {
+			var err error
+			if st.depart {
+				_, err = c.DepartCatalogStream(ctx, st.tenant, id(st.stream))
+			} else {
+				_, err = c.OfferCatalogStream(ctx, st.tenant, id(st.stream))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.OfferCatalogStream(ctx, 0, "solo"); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := c.OpenStream(StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < channels-1; s++ {
+			if err := sc.Submit(ctx, Event{Tenant: 1, Type: EventStreamDeparture, CatalogID: id(s)}); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := sc.Recv(ctx); err != nil || res.Err != nil {
+				t.Fatalf("streamed departure of %s: %+v, %v", id(s), res, err)
+			}
+		}
+		sc.Close()
+		if _, err := c.ApplyBatch(ctx, 0, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if counter.lookups != 0 {
+		t.Fatalf("the cluster made %d registry Lookup calls, want 0", counter.lookups)
+	}
+	rs, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := counted.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cs.Render(), rs.Render(); got != want {
+		t.Fatalf("render over the counting service:\n%s\nin-process:\n%s", got, want)
+	}
+
+	for _, tc := range []struct {
+		tenant int
+		id     catalog.ID
+		want   error
+	}{{0, "nope", catalog.ErrUnknownID}, {1, "solo", catalog.ErrNotBound}} {
+		_, err := counted.DepartCatalogStream(ctx, tc.tenant, tc.id)
+		if !errors.Is(err, ErrUnknownCatalogStream) || !errors.Is(err, tc.want) {
+			t.Fatalf("depart %q by tenant %d: %v; want %v and %v", tc.id, tc.tenant, err, ErrUnknownCatalogStream, tc.want)
+		}
+		_, err = counted.ApplyBatch(ctx, tc.tenant, []Event{{Type: EventStreamDeparture, CatalogID: tc.id}})
+		if !errors.Is(err, ErrUnknownCatalogStream) || !errors.Is(err, tc.want) {
+			t.Fatalf("batch depart %q by tenant %d: %v; want %v and %v", tc.id, tc.tenant, err, ErrUnknownCatalogStream, tc.want)
+		}
+	}
+	if counter.lookups != 0 {
+		t.Fatalf("refused events made %d registry Lookup calls, want 0", counter.lookups)
+	}
+}

@@ -397,6 +397,12 @@ type Cluster struct {
 	// injected a wire client against a registry owned by another
 	// process (the fleet catalog service, serving API v7).
 	catalog catalog.Service
+	// catalogBindings is the binding table (Options.Catalog.Streams):
+	// the in-process registry's own, or the cluster's copy when the
+	// registry is remote. route and ApplyBatch answer a catalog event's
+	// local stream index from it, so a departure costs no registry call
+	// — and a node whose registry is remote no round trip.
+	catalogBindings catalog.Bindings
 	// catalogLocals[tenant] lists the tenant's catalog bindings in
 	// Options.Catalog.Streams order — the worker walks it after an
 	// installing re-solve to find fleet streams the new lineup dropped,
@@ -439,8 +445,8 @@ type Cluster struct {
 
 	// Durability plane (wlog nil when Options.WAL is nil); see wal.go.
 	// walSeq is the global sequence counter every worker and the
-	// registry owner stamp from; walCatApp is the catalog plane's active
-	// appender, loaded by the registry owner and by every worker's
+	// registry's logger stamp from; walCatApp is the catalog plane's
+	// active appender, loaded by the registry's logger and by every worker's
 	// commit hand-off, stored at rotation. walLive marks a cluster whose
 	// WAL is actively logging (false during recovery replay); it is
 	// written only while workers are quiesced. ckptKick/ckptQuit/ckptDone
@@ -556,8 +562,8 @@ func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, er
 		// Each (tenant, local stream) pair may back at most one catalog
 		// ID: two IDs sharing a local stream would let a departure by
 		// one ID strand the other's confirmed reference forever.
-		type tenantLocal struct{ tenant, local int }
-		bound := make(map[tenantLocal]catalog.ID)
+		c.catalogLocals = make([][]catalogLocal, len(c.tenants))
+		c.catalogByLocal = make([]map[int]catalog.ID, len(c.tenants))
 		for _, b := range opts.Catalog.Streams {
 			for tenant, s := range b.Local {
 				if tenant < 0 || tenant >= len(c.tenants) {
@@ -568,39 +574,35 @@ func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, er
 					return nil, fmt.Errorf("cluster: catalog %q: tenant %d stream %d out of range [0,%d)",
 						b.ID, tenant, s, n)
 				}
-				key := tenantLocal{tenant, s}
-				if prev, dup := bound[key]; dup {
+				if prev, dup := c.catalogByLocal[tenant][s]; dup {
 					return nil, fmt.Errorf("cluster: catalog %q: tenant %d stream %d already bound to %q",
 						b.ID, tenant, s, prev)
 				}
-				bound[key] = b.ID
+				if c.catalogByLocal[tenant] == nil {
+					c.catalogByLocal[tenant] = make(map[int]catalog.ID)
+				}
+				c.catalogByLocal[tenant][s] = b.ID
+				c.catalogLocals[tenant] = append(c.catalogLocals[tenant],
+					catalogLocal{id: b.ID, local: s})
 			}
 		}
 		if opts.Catalog.Remote != nil {
 			if opts.WAL != nil {
 				return nil, fmt.Errorf("cluster: a remote catalog registry cannot be combined with a WAL (the registry's durability plane lives with the remote owner)")
 			}
-			c.catalog = opts.Catalog.Remote
+			bindings, err := catalog.NewBindings(opts.Catalog.Streams)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: %w", err)
+			}
+			c.catalog, c.catalogBindings = opts.Catalog.Remote, bindings
 		} else {
 			reg, err := catalog.NewRegistry(opts.Catalog.Streams, opts.Catalog.CostModel)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: %w", err)
 			}
-			c.catalog = reg
+			c.catalog, c.catalogBindings = reg, reg.Bindings()
 		}
-		c.catalogLocals = make([][]catalogLocal, len(c.tenants))
-		c.catalogByLocal = make([]map[int]catalog.ID, len(c.tenants))
 		c.heldCatalog = make([]map[catalog.ID]bool, len(c.tenants))
-		for _, b := range opts.Catalog.Streams {
-			for tenant, s := range b.Local {
-				c.catalogLocals[tenant] = append(c.catalogLocals[tenant],
-					catalogLocal{id: b.ID, local: s})
-				if c.catalogByLocal[tenant] == nil {
-					c.catalogByLocal[tenant] = make(map[int]catalog.ID)
-				}
-				c.catalogByLocal[tenant][s] = b.ID
-			}
-		}
 		for i := range c.heldCatalog {
 			c.heldCatalog[i] = make(map[catalog.ID]bool)
 		}
@@ -776,8 +778,8 @@ func (c *Cluster) barrierSnapshot() (*FleetSnapshot, error) {
 	if c.catalog != nil {
 		// Taken after every shard barrier replied, so all catalog
 		// traffic submitted-and-acknowledged before Snapshot is
-		// reflected; the registry owner renders entries in sorted ID
-		// order, keeping the section deterministic.
+		// reflected; the registry renders entries in sorted ID order,
+		// keeping the section deterministic.
 		fs.Catalog = c.catalog.Snapshot()
 	}
 	for i := range c.tenants {
@@ -1256,7 +1258,7 @@ func (c *Cluster) applyArrival(sh *shard, ev Event, needResult, deferred bool, s
 			held[ev.CatalogID] = true
 		}
 		// During log replay the registry is rebuilt from its own plane
-		// (the owner's serialization order — see internal/catalog), so
+		// (the registry's serialization order — see internal/catalog), so
 		// the worker keeps classifying to maintain its held set but
 		// never re-issues the settlement.
 		if !sh.replay {

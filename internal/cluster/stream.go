@@ -213,8 +213,9 @@ func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 
 // route is the one caller-side path of a single event — a streamed
 // one, or a session call: it validates the event, runs the catalog
-// protocol for a catalog-managed arrival (acquire) or departure
-// (lookup), and enqueues it with p.ack attached. It returns the error
+// protocol for a catalog-managed arrival (acquire) or departure (a
+// lookup in the cluster's own binding table), and enqueues it with
+// p.ack attached. It returns the error
 // of an event that never reached its shard queue; once enqueued, the
 // worker owns the event, its fleet reference included.
 func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
@@ -245,7 +246,7 @@ func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
 	if ev.Type == EventStreamDeparture {
 		// The worker settles the reference (release on removal) in shard
 		// FIFO order; a canceled caller has nothing to reconcile.
-		if ev.Stream, err = reg.Lookup(ev.CatalogID, ev.Tenant); err != nil {
+		if ev.Stream, err = c.catalogBindings.Lookup(ev.CatalogID, ev.Tenant); err != nil {
 			return wrapCatalogErr(err)
 		}
 		return c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p.ack})

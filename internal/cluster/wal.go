@@ -15,8 +15,8 @@ package cluster
 //     record carries the event exactly as applied — including the
 //     catalog cost scale and origin-payer election the admission ran
 //     under — stamped with a globally unique sequence number.
-//   - The registry plane: the catalog registry's owner goroutine logs
-//     every acquisition and settlement to its own segment, in its own
+//   - The registry plane: the catalog registry logs every acquisition
+//     and settlement to its own segment, under its lock, in its own
 //     serialization order. This plane exists because registry state is
 //     not a function of per-shard event order: the eviction gate
 //     counts in-flight acquisitions (a release while an acquisition is
@@ -26,8 +26,8 @@ package cluster
 // Recovery feeds the event plane back through the normal worker ingest
 // path (global sequence order, which preserves every per-tenant
 // suborder) with catalog settlements suppressed, and replays the
-// registry plane directly into the owner — re-deriving every quote and
-// verifying it against the logged one. After a torn crash the two
+// registry plane directly into the registry — re-deriving every quote
+// and verifying it against the logged one. After a torn crash the two
 // planes may disagree about the final few references; recovery drains
 // dangling acquisitions and reconciles held-versus-holders through the
 // normal (logged) settlement path, so the log itself records the
@@ -335,9 +335,9 @@ func settleOpFromToken(s string) (catalog.SettleOp, error) {
 	return 0, fmt.Errorf("cluster: replay: unknown settle op %q", s)
 }
 
-// catalogWALLogger is the registry-plane appender: installed on the
-// registry owner goroutine, it stamps each registry operation with the
-// global sequence counter and appends it to the "catalog" segment.
+// catalogWALLogger is the registry-plane appender: called under the
+// registry's lock, it stamps each registry operation with the global
+// sequence counter and appends it to the "catalog" segment.
 type catalogWALLogger struct {
 	c *Cluster
 }
@@ -418,7 +418,7 @@ func (c *Cluster) Checkpoint(reason string) (*wal.Manifest, error) {
 // Recover rebuilds a fleet from a durability log directory: it loads
 // every segment (truncating torn final lines — the crash signature),
 // replays the event plane through the normal worker ingest path and
-// the registry plane through the owner, pauses at every checkpoint
+// the registry plane into the registry, pauses at every checkpoint
 // fence to verify the rebuilt state against its manifest's renders
 // (so a divergence is caught at the first fence after it), repairs the torn
 // window between the two planes, and goes live on a fresh segment
@@ -565,7 +565,7 @@ func (c *Cluster) verifyManifest(m *wal.Manifest) error {
 // feedReplay drives log records with from < Seq <= to into the
 // cluster: event-plane records go through the shard channels
 // (fire-and-forget, exactly the normal ingest path), registry-plane
-// records replay synchronously into the owner. The final barrier
+// records replay synchronously into the registry. The final barrier
 // (Snapshot) is the caller's job.
 func (c *Cluster) feedReplay(recs []wal.Record, from, to uint64) (events, catOps int, err error) {
 	for i := range recs {

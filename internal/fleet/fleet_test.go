@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	videodist "repro"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/generator"
 	"repro/internal/httpserve"
+	"repro/internal/ndjson"
 	"repro/streamclient"
 )
 
@@ -651,6 +654,97 @@ func TestRouterEndsStreamOnNodeRefusal(t *testing.T) {
 	}
 }
 
+// TestRouterStreamLineCap pins the router's line cap, the node's own: a
+// valid catalog offer whose catalog_id alone is 1 MiB ends the client
+// stream with a seq -1 line naming streamclient.MaxLine, after the
+// relayed result of the event before it, and is never forwarded.
+func TestRouterStreamLineCap(t *testing.T) {
+	rig := buildFleetDial(t, 1, 1, catalog.Isolated{}, nil)
+	conn, err := streamclient.Dial(rig.routerURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The sends run beside the receives: a server that stops reading
+	// may leave the client blocked mid-line.
+	go func() {
+		_ = conn.Send(streamclient.Event{Tenant: 0, Type: "offer", Stream: 1})
+		_ = conn.Send(streamclient.Event{Tenant: 0, Type: "catalog-offer", CatalogID: strings.Repeat("x", 1<<20)})
+		_ = conn.Send(streamclient.Event{Tenant: 0, Type: "offer", Stream: 2})
+		_ = conn.CloseSend()
+	}()
+	res, err := conn.Recv()
+	if err != nil || res.Seq != 0 || res.Error != "" || res.Offer == nil {
+		t.Fatalf("seq 0 = %+v, %v", res, err)
+	}
+	res, err = conn.Recv()
+	if err != nil || res.Seq != -1 || !strings.Contains(res.Error, fmt.Sprint(streamclient.MaxLine)) {
+		t.Fatalf("after the oversized line: seq %d error %.200q, %v; want a seq -1 line naming the %d-byte cap",
+			res.Seq, res.Error, err, streamclient.MaxLine)
+	}
+	if res, err := conn.Recv(); err != io.EOF {
+		t.Fatalf("after the tail line: %+v, %v; want io.EOF", res, err)
+	}
+}
+
+// TestRouterStreamLineCapReencoded sends a line under the cap whose
+// catalog ID the router's re-encoding spells longer (encoding/json
+// writes each '<' of a non-ASCII string as \u003c, six bytes for one).
+// The router ends the stream with the node's cap message after the
+// result before it, and never sends the line upstream: the bytes the
+// router writes to the node stay far below the cap.
+func TestRouterStreamLineCapReencoded(t *testing.T) {
+	var upstream atomic.Int64
+	dial := func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{c, &upstream}, nil
+	}
+	rig := buildFleetDial(t, 1, 1, catalog.Isolated{}, dial)
+	conn, err := streamclient.Dial(rig.routerURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	id := "\u00e9" + strings.Repeat("<", streamclient.MaxLine-100)
+	line := `{"tenant":0,"type":"catalog-offer","catalog_id":"` + id + `"}`
+	if len(line) > streamclient.MaxLine {
+		t.Fatalf("test line is %d bytes, over the %d-byte cap", len(line), streamclient.MaxLine)
+	}
+	go func() {
+		_ = conn.Send(streamclient.Event{Tenant: 0, Type: "offer", Stream: 1})
+		_ = conn.SendRaw([]byte(line))
+		_ = conn.CloseSend()
+	}()
+	res, err := conn.Recv()
+	if err != nil || res.Seq != 0 || res.Error != "" || res.Offer == nil {
+		t.Fatalf("seq 0 = %+v, %v", res, err)
+	}
+	res, err = conn.Recv()
+	if want := ndjson.LineTooLong(streamclient.MaxLine).Error(); err != nil || res.Seq != -1 || res.Error != want {
+		t.Fatalf("after the line: seq %d error %.200q, %v; want a seq -1 line %q", res.Seq, res.Error, err, want)
+	}
+	if res, err := conn.Recv(); err != io.EOF {
+		t.Fatalf("after the seq -1 line: %+v, %v; want io.EOF", res, err)
+	}
+	if n := upstream.Load(); n >= streamclient.MaxLine {
+		t.Fatalf("the router wrote %d bytes to the node: it forwarded the refused line", n)
+	}
+}
+
+// countingConn adds the bytes written through it to n.
+type countingConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.n.Add(int64(len(p)))
+	return c.Conn.Write(p)
+}
+
 // relayAllocBudget bounds the allocations of one event relayed through
 // a router and a node: none measured, against 19 when the router
 // decoded and re-encoded each result with encoding/json.
@@ -691,5 +785,87 @@ func TestRouterRelayAllocations(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(400, event); avg > relayAllocBudget {
 		t.Fatalf("one relayed event allocates %.1f times, budget %d", avg, relayAllocBudget)
+	}
+}
+
+// TestRouterCatalogRelayAllocations pins catalog events at plain-event
+// cost through the whole fleet path: a client's catalog offers and
+// departures of one ID under SharedOrigin, with a second tenant holding
+// it, cross the router, a node and the wire catalog without a single
+// allocation per event — the IDs are interned by the router's and the
+// node's parsers and by the catalog wire, the departure's binding comes
+// from the node's own table, and every list a ticket or an admission
+// hands out is carved from shared arrays.
+func TestRouterCatalogRelayAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	rig := buildFleetDial(t, 1, 1, catalog.SharedOrigin{ReplicationFraction: 0.25}, nil)
+	conn, err := streamclient.Dial(rig.routerURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(tenant int, typ string, id catalog.ID) streamclient.Result {
+		if err := conn.Send(streamclient.Event{Tenant: tenant, Type: typ, CatalogID: string(id)}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := conn.Recv()
+		if err != nil || res.Error != "" || res.Catalog == nil {
+			t.Fatalf("%s %s by tenant %d = %+v, %v", typ, id, tenant, res, err)
+		}
+		return res
+	}
+	// A stream both tenants admit, held by tenant 1 only.
+	var id catalog.ID
+	for s := 0; s < rigChannels && id == ""; s++ {
+		c := rigChannelID(s)
+		if !send(1, "catalog-offer", c).Catalog.Admitted {
+			continue
+		}
+		if send(0, "catalog-offer", c).Catalog.Admitted {
+			send(0, "catalog-depart", c)
+			id = c
+		} else {
+			send(1, "catalog-depart", c)
+		}
+	}
+	if id == "" {
+		t.Fatal("no catalog stream both tenants admit")
+	}
+	if res := send(0, "catalog-offer", id); !res.Catalog.Admitted || len(res.Catalog.SharedWith) != 1 || res.Catalog.CostScale != 0.25 {
+		t.Fatalf("shared offer = %+v", res.Catalog)
+	}
+	send(0, "catalog-depart", id)
+	i := 0
+	event := func() {
+		ev := streamclient.Event{Tenant: 0, Type: "catalog-offer", CatalogID: string(id)}
+		if i%2 == 1 {
+			ev.Type = "catalog-depart"
+		}
+		i++
+		if err := conn.Send(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		line, err := conn.RecvRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := `"removed":true`
+		if ev.Type == "catalog-offer" {
+			want = `"admitted":true,"subscribers":`
+		}
+		if !bytes.Contains(line, []byte(want)) {
+			t.Fatalf("%s answered %s", ev.Type, line)
+		}
+	}
+	for j := 0; j < 100; j++ {
+		event()
+	}
+	if avg := testing.AllocsPerRun(400, event); avg != 0 {
+		t.Fatalf("one relayed catalog event allocates %.2f times, want 0", avg)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -211,18 +212,32 @@ func (rt *Router) forward(rs *routerSession, ev streamclient.Event) (line []byte
 	}
 }
 
+// upstreamLine appends the line forward sends for ev: a re-encoding of
+// the client's line (Session.Send) under the upstream session's next
+// seq.
+func (rt *Router) upstreamLine(b []byte, rs *routerSession, ev streamclient.Event) []byte {
+	ev.Seq = rs.nodeSeq[rt.opts.Plan.NodeOfTenant(ev.Tenant)] + 1
+	return ev.AppendJSON(b)
+}
+
 // handleStream proxies one client stream session: Event lines in,
 // Result lines out, in submission order, each event forwarded to its
 // owning node before the next is read. The client-facing protocol is
 // exactly the node's own /v1/stream — plain connections get 0-based
 // response seqs, X-Stream-Session connections get client-seq echoes,
 // contiguity checks, dup acknowledgements below the watermark, and an
-// Error-only Seq -1 line on a protocol violation. Lines are checked with
-// the node's own parser (streamclient.ParseEvent), so a line the node
-// would refuse ends the stream here with the node's message, and is
-// never forwarded. Result lines are relayed as the node wrote them,
-// with only the leading seq rewritten; a node's own seq -1 line ends
-// the client stream too.
+// Error-only Seq -1 line on a protocol violation. Lines are read under
+// the node's own cap (streamclient.MaxLine) and checked with the node's
+// own parser (a per-connection streamclient.Parser, which interns
+// catalog IDs), so a line the node would refuse ends the stream here
+// with the node's message, and is never forwarded. The router forwards
+// a re-encoding of each line, which can be longer than the client's
+// (encoding/json spells '<' in a non-ASCII catalog ID as \u003c): a
+// line whose re-encoding is over the node's cap ends the stream with
+// the node's cap message too, where a client talking to the node
+// directly would have had its line answered in-band. Result lines are
+// relayed as the node wrote them, with only the leading seq rewritten;
+// a node's own seq -1 line ends the client stream too.
 func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	sid := r.Header.Get("X-Stream-Session")
 	var rs *routerSession
@@ -244,13 +259,18 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	var protoErr error
 	body := bufio.NewReaderSize(r.Body, 32<<10)
+	var parser streamclient.Parser
 	outSeq := 0          // plain-mode response seq
 	lastSeq := uint64(0) // last client seq read (session mode)
-	var scratch, out []byte
+	var scratch, out, up []byte
 	for {
-		line, err := ndjson.ReadLine(body, &scratch)
+		line, err := ndjson.ReadLine(body, &scratch, streamclient.MaxLine)
+		if errors.Is(err, ndjson.ErrLineTooLong) {
+			protoErr = err
+			break
+		}
 		if len(line) > 0 {
-			ev, perr := streamclient.ParseEvent(line)
+			ev, perr := parser.Parse(line)
 			dup := false
 			if perr == nil && !ephemeral {
 				switch {
@@ -263,6 +283,12 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 				}
 				lastSeq = ev.Seq
 				dup = ev.Seq < base
+			}
+			if perr == nil && !dup {
+				// The node would end the upstream session on this line.
+				if up = rt.upstreamLine(up[:0], rs, ev); len(up) > streamclient.MaxLine {
+					perr = ndjson.LineTooLong(streamclient.MaxLine)
+				}
 			}
 			if perr != nil {
 				protoErr = perr

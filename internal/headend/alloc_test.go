@@ -56,3 +56,46 @@ func TestResolveSteadyStateAllocBudget(t *testing.T) {
 	}
 	t.Logf("installing re-solve: %.0f allocations", allocs)
 }
+
+// TestOfferStreamScaledAllocationFree pins an admitted catalog offer on
+// a warm tenant at zero allocations: the admitted subscriber list is
+// carved from the tenant's shared arrays, not allocated per offer.
+func TestOfferStreamScaledAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	in, err := generator.CableTV{Channels: 20, Gateways: 6, Seed: 401, EgressFraction: 0.25}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := headend.NewOnlinePolicy(in, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := headend.NewTenant(in, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := -1
+	for c := 0; c < in.NumStreams() && s < 0; c++ {
+		if tn.OfferStreamScaled(c, 0.25) != nil {
+			s = c
+		}
+		tn.DepartStream(c)
+	}
+	if s < 0 {
+		t.Fatal("no admissible stream")
+	}
+	cycle := func() {
+		if tn.OfferStreamScaled(s, 0.25) == nil {
+			t.Fatal("warm offer rejected")
+		}
+		tn.DepartStream(s)
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("admitted OfferStreamScaled and its departure allocate %.2f per cycle, want 0", avg)
+	}
+}

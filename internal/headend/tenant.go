@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/buf"
 	"repro/internal/core"
 	"repro/internal/mmd"
 )
@@ -22,7 +23,11 @@ type Tenant struct {
 	assn   *mmd.Assignment
 	// live maps a carried stream to the users admitted for it; a stream
 	// stays carried (and further offers are no-ops) until DepartStream.
-	live map[int][]int
+	// The step calls hand these lists to callers, so an admission carves
+	// each from lists and an install from a fresh array (see
+	// rebuildLive): memory no later step writes.
+	live  map[int][]int
+	lists buf.Lists[int]
 	// scale records the server-cost charge scale of live streams
 	// admitted at a discount (OfferStreamScaled with scale != 1; the
 	// shared-catalog path). Absent streams were charged at full price.
@@ -120,14 +125,21 @@ func (t *Tenant) OfferStreamScaled(s int, serverCostScale float64) []int {
 	} else {
 		users = t.policy.OnStreamArrival(s)
 	}
-	kept := make([]int, 0, len(users))
+	online := func(u int) bool { return u >= 0 && u < len(t.away) && !t.away[u] }
+	n := 0
 	for _, u := range users {
-		if u >= 0 && u < len(t.away) && !t.away[u] {
-			kept = append(kept, u)
+		if online(u) {
+			n++
 		}
 	}
-	if len(kept) == 0 {
+	if n == 0 {
 		return nil
+	}
+	kept := t.lists.Make(n)[:0]
+	for _, u := range users {
+		if online(u) {
+			kept = append(kept, u)
+		}
 	}
 	t.admitted++
 	t.live[s] = kept

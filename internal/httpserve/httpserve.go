@@ -83,16 +83,11 @@ func NewHandler(c *videodist.Cluster) http.Handler {
 	return NewHandlerOpts(c, Options{})
 }
 
-// maxEventBody caps an /events body. One event line is under 200
-// bytes, so the cap only stops a request from making the server buffer
-// an unbounded body.
-const maxEventBody = 64 << 10
-
 // handleEvent applies one event as a one-event stream: the body is one
 // stream line, parsed and refused by the stream's own parser
 // (streamclient.ParseEvent), the tenant rides in the URL, and a failed
-// event answers with its transport error's status. A body over
-// maxEventBody answers 413.
+// event answers with its transport error's status. A body over the
+// protocol's line cap, streamclient.MaxLine, answers 413.
 func (s *server) handleEvent(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w) {
 		return
@@ -102,7 +97,7 @@ func (s *server) handleEvent(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad tenant id %q", r.PathValue("id")))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEventBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, streamclient.MaxLine))
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -438,10 +433,13 @@ const streamWindow = 16384
 // reader loop (window full), which parks the TCP receive window —
 // backpressure end to end with no unbounded buffering.
 //
+// Lines are read with a per-connection streamclient.Parser, so a
+// catalog ID the connection has named before costs no allocation.
 // Data-level failures (unknown tenant, unknown catalog stream) come
 // back in-band as per-line errors; a protocol violation (malformed
-// line, or a line streamclient.CheckEvent refuses) stops reading,
-// drains the in-flight results, and appends a final Error-only line. A dropped client
+// line, a line streamclient.CheckEvent refuses, or a line over
+// streamclient.MaxLine) stops reading, drains the in-flight results,
+// and appends a final Error-only line. A dropped client
 // cancels the request context; every event already submitted still
 // applies and settles on its shard worker (catalog references
 // included), so disconnects leak nothing.
@@ -580,13 +578,18 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	var protoErr error
 	body := bufio.NewReaderSize(r.Body, 32<<10)
+	var parser streamclient.Parser
 	var scratch []byte
 	var dupBuf []byte
 	lastSeq := uint64(0) // last wire seq read on this conn (session mode)
 	for {
-		line, err := ndjson.ReadLine(body, &scratch)
+		line, err := ndjson.ReadLine(body, &scratch, streamclient.MaxLine)
+		if errors.Is(err, ndjson.ErrLineTooLong) {
+			protoErr = err
+			break
+		}
 		if len(line) > 0 {
-			req, perr := streamclient.ParseEvent(line)
+			req, perr := parser.Parse(line)
 			if perr != nil {
 				protoErr = perr
 				break

@@ -214,7 +214,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 }
 
 // TestHTTPEventBodyCap pins the /events body cap: a valid offer padded
-// past maxEventBody is refused with 413 and the shared error body
+// past streamclient.MaxLine is refused with 413 and the shared error body
 // instead of being buffered whole, and the server keeps serving.
 func TestHTTPEventBodyCap(t *testing.T) {
 	c := buildFleet(t, defaultFleetConfig())
@@ -789,6 +789,41 @@ func TestHTTPStreamInBandErrors(t *testing.T) {
 	}
 	if _, err := conn.Recv(); err != io.EOF {
 		t.Fatalf("after tail line: %v, want io.EOF", err)
+	}
+}
+
+// TestHTTPStreamLineCap pins the stream's line cap: a valid catalog
+// offer whose catalog_id alone is 1 MiB ends the stream with a seq -1
+// line naming streamclient.MaxLine, after the result of the event
+// before it, instead of being buffered whole and answered in-band.
+func TestHTTPStreamLineCap(t *testing.T) {
+	c := buildFleet(t, defaultFleetConfig())
+	ts := httptest.NewServer(NewHandler(c))
+	defer ts.Close()
+	conn, err := streamclient.Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The sends run beside the receives: a server that stops reading
+	// may leave the client blocked mid-line.
+	go func() {
+		_ = conn.Send(streamclient.Event{Tenant: 0, Type: "offer", Stream: 1})
+		_ = conn.Send(streamclient.Event{Tenant: 0, Type: "catalog-offer", CatalogID: strings.Repeat("x", 1<<20)})
+		_ = conn.Send(streamclient.Event{Tenant: 0, Type: "offer", Stream: 2})
+		_ = conn.CloseSend()
+	}()
+	res, err := conn.Recv()
+	if err != nil || res.Seq != 0 || res.Error != "" || res.Offer == nil {
+		t.Fatalf("seq 0 = %+v, %v", res, err)
+	}
+	res, err = conn.Recv()
+	if err != nil || res.Seq != -1 || !strings.Contains(res.Error, fmt.Sprint(streamclient.MaxLine)) {
+		t.Fatalf("after the oversized line: seq %d error %.200q, %v; want a seq -1 line naming the %d-byte cap",
+			res.Seq, res.Error, err, streamclient.MaxLine)
+	}
+	if res, err := conn.Recv(); err != io.EOF {
+		t.Fatalf("after the tail line: %+v, %v; want io.EOF", res, err)
 	}
 }
 

@@ -55,7 +55,7 @@ const (
 	TypeResolve         = "resolve"
 	// TypeCatalogAcquire and TypeCatalogSettle are the registry's log
 	// plane: one record per admission quote and per reference
-	// transition, in the registry owner's serialization order.
+	// transition, in the registry's own serialization order.
 	TypeCatalogAcquire = "catalog_acquire"
 	TypeCatalogSettle  = "catalog_settle"
 )

@@ -4,19 +4,42 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/ndjson"
 )
+
+// MaxLine caps one request line of the stream protocol, in bytes. A
+// server refuses a longer line: a stream ends with a seq -1 line, and
+// the single-event endpoint, whose body is one line, answers 413. An
+// event line is under 200 bytes, so the cap only stops a client from
+// making a server buffer without bound.
+const MaxLine = 64 << 10
 
 // ParseEvent decodes one request line of the stream protocol. It is
 // the parser every server of the protocol shares — nodes and the fleet
 // router alike, and a node's single-event endpoint, whose body is one
 // such line — so all of them refuse the same lines with the same
 // message. Canonical lines (see ParseCanonicalEvent) decode without
-// allocating, catalog IDs aside; anything else goes through
+// allocating when a Parser reads them; anything else goes through
 // encoding/json, so exotic but valid JSON still works and invalid JSON
 // fails with the stdlib's message. A decoded event CheckEvent refuses
 // is refused too.
-func ParseEvent(line []byte) (Event, error) {
-	ev, ok := ParseCanonicalEvent(line)
+func ParseEvent(line []byte) (Event, error) { return parseEvent(line, nil) }
+
+// Parser is ParseEvent with a memory: it interns the catalog IDs it
+// decodes (up to a bound, see ndjson.Interner), so a canonical line
+// naming an ID the parser has met before allocates nothing. A server
+// keeps one per connection. The zero value is ready; a Parser is not
+// safe for concurrent use.
+type Parser struct{ ids ndjson.Interner }
+
+// Parse is ParseEvent through the parser's interning table.
+func (p *Parser) Parse(line []byte) (Event, error) { return parseEvent(line, &p.ids) }
+
+// parseEvent is ParseEvent, with catalog IDs interned by ids (nil
+// interns nothing).
+func parseEvent(line []byte, ids *ndjson.Interner) (Event, error) {
+	ev, ok := parseCanonical(line, ids)
 	if !ok {
 		var err error
 		if ev, err = decodeEvent(line); err != nil {
@@ -56,14 +79,19 @@ func decodeEvent(line []byte) (Event, error) {
 	return ev, nil
 }
 
-// ParseCanonicalEvent is ParseEvent's allocation-free half: it scans
-// a canonical wire line (a flat JSON object of known keys with
-// integer, boolean, or escape-free ASCII string values, the shape
-// AppendJSON writes). Every line it accepts decodes exactly as
+// ParseCanonicalEvent is ParseEvent's hand-rolled half: it scans a
+// canonical wire line (a flat JSON object of known keys with integer,
+// boolean, or escape-free ASCII string values, the shape AppendJSON
+// writes), allocating only a catalog ID's string, which a Parser
+// interns instead. Every line it accepts decodes exactly as
 // encoding/json decodes it; ok false means "not provably canonical —
 // use the stdlib", never an error of its own. The type is not checked
 // beyond being a known token when present.
-func ParseCanonicalEvent(line []byte) (Event, bool) {
+func ParseCanonicalEvent(line []byte) (Event, bool) { return parseCanonical(line, nil) }
+
+// parseCanonical is ParseCanonicalEvent, with the catalog ID interned
+// by ids (nil interns nothing).
+func parseCanonical(line []byte, ids *ndjson.Interner) (Event, bool) {
 	var ev Event
 	i, n := 0, len(line)
 	skip := func() {
@@ -171,7 +199,7 @@ func ParseCanonicalEvent(line []byte) (Event, bool) {
 					return ev, false // unknown token: let the stdlib path shape the error
 				}
 			} else {
-				ev.CatalogID = string(line[vs:i])
+				ev.CatalogID = ids.String(line[vs:i])
 			}
 			i++
 		case "install":

@@ -142,6 +142,28 @@ func TestParseEventRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParserInternsCatalogIDs requires a Parser to decode every line
+// exactly as ParseEvent does, and a catalog line naming an ID it has
+// met before to cost no allocation.
+func TestParserInternsCatalogIDs(t *testing.T) {
+	var p Parser
+	for i, ev := range wireEvents {
+		line := ev.AppendJSON(nil)
+		want, werr := ParseEvent(line)
+		got, err := p.Parse(line)
+		if !reflect.DeepEqual(got, want) || (err == nil) != (werr == nil) {
+			t.Errorf("case %d: Parse(%s) = %+v, %v; ParseEvent %+v, %v", i, line, got, err, want, werr)
+		}
+	}
+	line := []byte(`{"tenant":1,"type":"catalog-offer","catalog_id":"ch-007"}`)
+	if ev, err := p.Parse(line); err != nil || ev.CatalogID != "ch-007" {
+		t.Fatalf("Parse = %+v, %v", ev, err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, _ = p.Parse(line) }); avg != 0 {
+		t.Fatalf("Parse of a catalog line with a known ID allocates %.1f times", avg)
+	}
+}
+
 // headLines are result lines as servers write them on the hot path;
 // decodeLines are valid lines only a decode reads (escapes may spell a
 // key, keys in other letter cases, whitespace, keys out of order).
