@@ -2,11 +2,13 @@ package headend_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/generator"
 	"repro/internal/headend"
+	"repro/internal/mmd"
 )
 
 // TestResolveSteadyStateAllocBudget pins the allocations of one
@@ -98,4 +100,83 @@ func TestOfferStreamScaledAllocationFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("admitted OfferStreamScaled and its departure allocate %.2f per cycle, want 0", avg)
 	}
+}
+
+// TestUserChurnAllocationFree pins a warm leave-and-join cycle at zero
+// allocations under the online and threshold policies. The gateway
+// shares two streams with other gateways and is not the last holder of
+// either, so the leave carves both shortened subscriber lists; the
+// streams then depart and are offered again, so the gateway holds them
+// for the next cycle. Offers and departures allocate nothing on their
+// own (TestOfferStreamScaledAllocationFree).
+func TestUserChurnAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	in, err := generator.CableTV{Channels: 20, Gateways: 6, Seed: 402, EgressFraction: 0.3}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"online", "threshold"} {
+		t.Run(policy, func(t *testing.T) {
+			tn := newTenant(t, in, policy)
+			for s := 0; s < in.NumStreams(); s++ {
+				tn.OfferStream(s)
+			}
+			u, shared := sharedStreams(tn.Assignment())
+			if u < 0 {
+				t.Fatal("no gateway shares two streams ahead of another holder")
+			}
+			// The first leave also takes u off its other streams;
+			// from then on it holds the two shared ones alone.
+			tn.UserLeave(u)
+			cycle := func() {
+				tn.UserJoin(u)
+				for _, s := range shared {
+					tn.DepartStream(s)
+				}
+				for _, s := range shared {
+					if users := tn.OfferStream(s); len(users) < 2 || users[0] != u {
+						t.Fatalf("stream %d re-offered to %v, want gateway %d first of two or more", s, users, u)
+					}
+				}
+				if got := tn.UserLeave(u); !slices.Equal(got, shared) {
+					t.Fatalf("gateway %d left holding %v, want %v", u, got, shared)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				cycle()
+			}
+			if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+				t.Fatalf("warm leave, join and re-offer allocate %.2f per cycle, want 0", avg)
+			}
+		})
+	}
+}
+
+// sharedStreams finds a gateway that is the first of two or more
+// holders of at least two streams, and returns it with two of them
+// (-1 when there is none).
+func sharedStreams(a *mmd.Assignment) (int, []int) {
+	for u := 0; u < a.NumUsers(); u++ {
+		var shared []int
+		for _, s := range a.UserView(u) {
+			first, holders := -1, 0
+			for v := 0; v < a.NumUsers(); v++ {
+				if a.Has(v, s) {
+					if first < 0 {
+						first = v
+					}
+					holders++
+				}
+			}
+			if first == u && holders >= 2 {
+				shared = append(shared, s)
+			}
+		}
+		if len(shared) >= 2 {
+			return u, shared[:2]
+		}
+	}
+	return -1, nil
 }

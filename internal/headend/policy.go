@@ -26,7 +26,9 @@ type Policy interface {
 	// OnStreamArrival returns the users that should receive stream s
 	// (empty or nil when the stream is rejected). The returned slice
 	// may alias policy-internal state (reveal policies serve from
-	// precomputed delivery lists); callers must not mutate it.
+	// precomputed delivery lists, and the online and threshold
+	// policies reuse one buffer across arrivals); callers must not
+	// mutate it, and copy what they keep past the next arrival.
 	OnStreamArrival(s int) []int
 }
 
@@ -96,9 +98,10 @@ type OnlinePolicy struct {
 	// returned users into its own slice before storing, so the policy
 	// never needs a fresh allocation per admission.
 	kept []int
-	// savedUtility keeps the zeroed utility rows of away users (gateway
-	// churn, see UserChurnPolicy).
-	savedUtility map[int][]float64
+	// away marks gateways currently offline, whose normalized utility
+	// rows are zeroed (see UserChurnPolicy); the first leave allocates
+	// it.
+	away []bool
 	// spare and spareLedger are the buffers Reinstall builds the next
 	// allocator and ledger in before swapping them with the running
 	// ones; the first Reinstall creates them.
@@ -311,8 +314,12 @@ type ThresholdPolicy struct {
 	// in increasing index order — the delivery list an arrival walks
 	// instead of scanning all |U| users.
 	interested [][]int
-	// away marks gateways currently offline (see UserChurnPolicy).
-	away map[int]bool
+	// away marks gateways currently offline (see UserChurnPolicy); the
+	// first leave allocates it.
+	away []bool
+	// kept is OnStreamArrival's result, reused across arrivals like
+	// OnlinePolicy.kept: the tenant copies it into its own list.
+	kept []int
 }
 
 var _ Policy = (*ThresholdPolicy)(nil)
@@ -340,17 +347,19 @@ func NewThresholdPolicy(in *mmd.Instance, margin float64) (*ThresholdPolicy, err
 // Name implements Policy.
 func (p *ThresholdPolicy) Name() string { return "threshold" }
 
-// OnStreamArrival implements Policy.
+// OnStreamArrival implements Policy. The returned slice is reused by
+// the next arrival; a caller that keeps it copies it, as the tenant
+// does.
 func (p *ThresholdPolicy) OnStreamArrival(s int) []int {
 	for i, c := range p.in.Streams[s].Costs {
 		if p.serverCost[i]+c > p.margin*p.in.Budgets[i]+1e-12 {
 			return nil
 		}
 	}
-	var kept []int
+	kept := p.kept[:0]
 	for _, u := range p.interested[s] {
 		usr := &p.in.Users[u]
-		if p.away[u] {
+		if p.away != nil && p.away[u] {
 			continue
 		}
 		fits := true
@@ -369,6 +378,7 @@ func (p *ThresholdPolicy) OnStreamArrival(s int) []int {
 		p.assn.Add(u, s)
 		kept = append(kept, u)
 	}
+	p.kept = kept
 	if len(kept) > 0 {
 		for i, c := range p.in.Streams[s].Costs {
 			p.serverCost[i] += c

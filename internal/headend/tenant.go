@@ -2,7 +2,7 @@ package headend
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/core"
@@ -23,9 +23,9 @@ type Tenant struct {
 	assn   *mmd.Assignment
 	// live maps a carried stream to the users admitted for it; a stream
 	// stays carried (and further offers are no-ops) until DepartStream.
-	// The step calls hand these lists to callers, so an admission carves
-	// each from lists and an install from a fresh array (see
-	// rebuildLive): memory no later step writes.
+	// The step calls hand these lists to callers, so an admission or a
+	// leave carves each from lists and an install from a fresh array
+	// (see rebuildLive): memory no later step writes.
 	live  map[int][]int
 	lists buf.Lists[int]
 	// scale records the server-cost charge scale of live streams
@@ -196,22 +196,34 @@ func (t *Tenant) UserLeave(u int) []int {
 	}
 	t.leaves++
 	t.away[u] = true
-	var removed []int
-	for s, held := range t.live {
-		for i, holder := range held {
-			if holder == u {
-				t.live[s] = append(held[:i:i], held[i+1:]...)
-				t.assn.Remove(u, s)
-				removed = append(removed, s)
-				break
-			}
-		}
+	// live and assn hold the same (user, stream) pairs, so the streams
+	// whose lists name u are u's own.
+	held := t.assn.UserView(u)
+	removed := t.lists.Make(len(held))
+	copy(removed, held)
+	for _, s := range removed {
+		t.assn.Remove(u, s)
+		t.live[s] = t.dropHolder(t.live[s], u)
 	}
-	sort.Ints(removed)
 	if cp, ok := t.policy.(UserChurnPolicy); ok {
 		cp.OnUserLeave(u)
 	}
 	return removed
+}
+
+// dropHolder returns a carried stream's list without u. Callers may
+// hold the list, so it is never written: the shorter list is carved
+// from lists, or is the list's capped prefix when u is last — an
+// empty, non-nil list when u was the only holder.
+func (t *Tenant) dropHolder(list []int, u int) []int {
+	i := slices.Index(list, u)
+	if i == len(list)-1 {
+		return list[:i:i]
+	}
+	kept := t.lists.Make(len(list) - 1)
+	copy(kept, list[:i])
+	copy(kept[i:], list[i+1:])
+	return kept
 }
 
 // UserJoin brings gateway u back online (eligible for future streams;

@@ -19,24 +19,23 @@ type UserChurnPolicy interface {
 // OnUserLeave implements UserChurnPolicy for the online policy: the
 // allocator releases the user's resources, and the user's utility row
 // in the normalized instance is zeroed so Offer never selects it while
-// away (the allocator reads utilities live).
+// away (the allocator reads utilities live). The release comes first:
+// it takes the user's utility off the allocator's value.
 func (p *OnlinePolicy) OnUserLeave(u int) {
 	if u < 0 || u >= p.in.NumUsers() {
 		return
 	}
-	if p.savedUtility == nil {
-		p.savedUtility = make(map[int][]float64)
+	if p.away == nil {
+		p.away = make([]bool, p.in.NumUsers())
 	}
-	if _, away := p.savedUtility[u]; away {
+	if p.away[u] {
 		return
 	}
-	row := p.norm.Instance.Users[u].Utility
-	p.savedUtility[u] = append([]float64(nil), row...)
-	for s := range row {
-		row[s] = 0
-	}
+	p.away[u] = true
 	_, _ = p.allocator.ReleaseUser(u)
-	for _, s := range p.assn.UserStreams(u) {
+	clear(p.norm.Instance.Users[u].Utility)
+	for held := p.assn.UserView(u); len(held) > 0; held = p.assn.UserView(u) {
+		s := held[0]
 		p.assn.Remove(u, s)
 		if p.ledger != nil {
 			p.ledger.Remove(u, s)
@@ -44,14 +43,15 @@ func (p *OnlinePolicy) OnUserLeave(u int) {
 	}
 }
 
-// OnUserJoin implements UserChurnPolicy for the online policy.
+// OnUserJoin implements UserChurnPolicy for the online policy: the
+// user's utility row is restored from the instance, which Normalize
+// copied without scaling.
 func (p *OnlinePolicy) OnUserJoin(u int) {
-	saved, away := p.savedUtility[u]
-	if !away {
+	if u < 0 || u >= len(p.away) || !p.away[u] {
 		return
 	}
-	copy(p.norm.Instance.Users[u].Utility, saved)
-	delete(p.savedUtility, u)
+	p.away[u] = false
+	copy(p.norm.Instance.Users[u].Utility, p.in.Users[u].Utility)
 }
 
 // OnUserLeave implements UserChurnPolicy for the threshold policy.
@@ -60,13 +60,14 @@ func (p *ThresholdPolicy) OnUserLeave(u int) {
 		return
 	}
 	if p.away == nil {
-		p.away = make(map[int]bool)
+		p.away = make([]bool, p.in.NumUsers())
 	}
 	if p.away[u] {
 		return
 	}
 	p.away[u] = true
-	for _, s := range p.assn.UserStreams(u) {
+	for held := p.assn.UserView(u); len(held) > 0; held = p.assn.UserView(u) {
+		s := held[0]
 		p.assn.Remove(u, s)
 		if !p.assn.InRange(s) {
 			// Last holder gone: the stream leaves the server lineup.
@@ -78,12 +79,12 @@ func (p *ThresholdPolicy) OnUserLeave(u int) {
 			}
 		}
 	}
-	for j := range p.userLoad[u] {
-		p.userLoad[u][j] = 0
-	}
+	clear(p.userLoad[u])
 }
 
 // OnUserJoin implements UserChurnPolicy for the threshold policy.
 func (p *ThresholdPolicy) OnUserJoin(u int) {
-	delete(p.away, u)
+	if u >= 0 && u < len(p.away) {
+		p.away[u] = false
+	}
 }

@@ -204,9 +204,33 @@ func TestBatchFallbackDecodeStreams(t *testing.T) {
 // whole-array reference: json.Unmarshal into []streamclient.Event, then
 // the shared refusal rule and mapping per element. Whenever decodeBatch
 // accepts a body its events equal the reference's, and whenever it
-// refuses one the reference refuses it too.
+// refuses one the reference refuses it too — except for an element
+// over the stream line cap, which the reference has no cap for and
+// which only a body over the cap can hold. The oversized seeds make
+// minimizing a new input slow; bound it with -fuzzminimizetime, as CI
+// does.
 func FuzzBatchBody(f *testing.F) {
+	pad := strings.Repeat(" ", streamclient.MaxLine)
+	id := strings.Repeat("x", streamclient.MaxLine)
 	for _, body := range []string{
+		// Oversized: an element; whitespace before an element, before
+		// the array and after it; and an element just under the cap.
+		`[{"type":"offer","stream":3},{"type":"catalog-offer","catalog_id":"` + id + `"}]`,
+		`[{"type":"offer","stream":3},` + pad + `{"type":"offer","stream":4}]`,
+		pad + `[{"type":"offer","stream":3}]`,
+		`[{"type":"offer","stream":3}]` + pad,
+		`[{"type":"catalog-offer","catalog_id":"` + id[:streamclient.MaxLine-64] + `"}]`,
+		// Malformed.
+		``,
+		`[`,
+		`[{"type":"offer","stream":3}]]`,
+		`[{"type":"offer","stream":3},{"type":`,
+		`[{"type":"offer"}{"type":"offer"}]`,
+		`[{"type":"offer",}]`,
+		`[1,2]`,
+		`["offer"]`,
+		`[{"type":"offer","stream":1e400}]`,
+		"[{\"type\":\"catalog-offer\",\"catalog_id\":\"\xff\"}]",
 		canonicalBatchBody,
 		`[]`,
 		` [ ] `,
@@ -229,6 +253,12 @@ func FuzzBatchBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := decodeBatch(bytes.NewReader(body), nil)
+		if errors.Is(err, errBatchElement) {
+			if len(body) <= streamclient.MaxLine {
+				t.Fatalf("decodeBatch refused a %d-byte body as over the %d-byte element cap: %v", len(body), streamclient.MaxLine, err)
+			}
+			return
+		}
 		var want []videodist.ClusterEvent
 		var reqs []streamclient.Event
 		werr := json.Unmarshal(body, &reqs)

@@ -191,15 +191,43 @@ type batchScratch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
+// errBatchElement reports a batch element over the stream protocol's
+// line cap. A batch element is the batch's form of a stream line, so
+// it gets the same cap, and the endpoint answers 413 as /events does.
+var errBatchElement = fmt.Errorf("element over %d bytes (the stream line cap)", streamclient.MaxLine)
+
+// elementReader is the body under decodeBatch's json.Decoder, which
+// buffers each element whole: it fails a read past limit, an offset
+// the walk moves to streamclient.MaxLine past the start of each
+// element (the separator and whitespace before it included).
+type elementReader struct {
+	r           io.Reader
+	read, limit int64
+}
+
+func (e *elementReader) Read(p []byte) (int, error) {
+	if e.read >= e.limit {
+		return 0, errBatchElement
+	}
+	if rest := e.limit - e.read; int64(len(p)) > rest {
+		p = p[:rest]
+	}
+	n, err := e.r.Read(p)
+	e.read += int64(n)
+	return n, err
+}
+
 // decodeBatch decodes a batch body — a JSON array of stream events, the
 // tenant taken from the URL — appending one routed event per element
 // to dst. A json.Decoder walks the array element by element into one
 // reused decode target, and each element passes the stream's refusal
 // rule (streamclient.CheckEvent) as it arrives, so the batch is never
 // materialized as a []streamclient.Event. Malformed JSON reports the
-// stdlib's message; a refused element reports its index.
+// stdlib's message; a refused element reports its index, and one over
+// the stream line cap wraps errBatchElement.
 func decodeBatch(r io.Reader, dst []videodist.ClusterEvent) ([]videodist.ClusterEvent, error) {
-	dec := json.NewDecoder(r)
+	body := &elementReader{r: r, limit: streamclient.MaxLine}
+	dec := json.NewDecoder(body)
 	tok, err := dec.Token()
 	if err != nil {
 		return dst, fmt.Errorf("bad batch body: %w", err)
@@ -208,9 +236,16 @@ func decodeBatch(r io.Reader, dst []videodist.ClusterEvent) ([]videodist.Cluster
 		return dst, fmt.Errorf("bad batch body: json: cannot unmarshal %v into batch array", tok)
 	}
 	var req streamclient.Event
-	for i := 0; dec.More(); i++ {
+	for i := 0; ; i++ {
+		body.limit = dec.InputOffset() + streamclient.MaxLine
+		if !dec.More() {
+			break
+		}
 		req = streamclient.Event{}
 		if err := dec.Decode(&req); err != nil {
+			if errors.Is(err, errBatchElement) {
+				return dst, fmt.Errorf("batch event %d: %w", i, err)
+			}
 			return dst, fmt.Errorf("bad batch body: %w", err)
 		}
 		if err := streamclient.CheckEvent(req); err != nil {
@@ -223,6 +258,9 @@ func decodeBatch(r io.Reader, dst []videodist.ClusterEvent) ([]videodist.Cluster
 	}
 	// Unmarshal rejects trailing data; so does the walk.
 	if _, err := dec.Token(); err != io.EOF {
+		if errors.Is(err, errBatchElement) {
+			return dst, fmt.Errorf("bad batch body: %w", err)
+		}
 		return dst, errors.New("bad batch body: json: trailing data after batch array")
 	}
 	return dst, nil
@@ -246,7 +284,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	bs := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(bs)
 	if bs.events, err = decodeBatch(r.Body, bs.events[:0]); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		if errors.Is(err, errBatchElement) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	start := time.Now()

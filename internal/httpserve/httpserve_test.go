@@ -237,6 +237,36 @@ func TestHTTPEventBodyCap(t *testing.T) {
 	}
 }
 
+// TestHTTPBatchElementCap pins the :batch element cap: a batch whose
+// second element carries a 1 MiB catalog_id is refused with 413 and an
+// error naming streamclient.MaxLine instead of being buffered whole,
+// and the server keeps serving batches.
+func TestHTTPBatchElementCap(t *testing.T) {
+	c := buildFleet(t, defaultFleetConfig())
+	ts := httptest.NewServer(NewHandler(c))
+	defer ts.Close()
+
+	post := func(body string) (int, errorResponse) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/tenants/0/events:batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e errorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e
+	}
+	big := `[{"type":"offer","stream":3},{"type":"catalog-offer","catalog_id":"` + strings.Repeat("x", 1<<20) + `"}]`
+	if code, e := post(big); code != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, fmt.Sprint(streamclient.MaxLine)) {
+		t.Fatalf("oversized element: status %d, error of %d bytes beginning %.120q; want 413 naming %d",
+			code, len(e.Error), e.Error, streamclient.MaxLine)
+	}
+	if code, e := post(`[{"type":"offer","stream":3}]`); code != http.StatusOK {
+		t.Fatalf("batch after the oversized one: status %d, error %q", code, e.Error)
+	}
+}
+
 // batchParityEvents is the mixed single-tenant schedule shared by the
 // batch and stream parity tests. Catalog events are kept out of this
 // shared mix on purpose: the stream parity test replays it for every

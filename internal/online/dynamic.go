@@ -62,7 +62,10 @@ func (al *Allocator) ReleaseUser(u int) (pruned int, err error) {
 		return 0, fmt.Errorf("online: release user %d: out of range", u)
 	}
 	usr := &al.in.Users[u]
-	for _, s := range al.assn.UserStreams(u) {
+	// Each step removes u's lowest remaining stream from a fresh view, so
+	// streams are released in increasing order without a copy.
+	for held := al.assn.UserView(u); len(held) > 0; held = al.assn.UserView(u) {
+		s := held[0]
 		al.assn.Remove(u, s)
 		al.value -= usr.Utility[s]
 		for j, capJ := range usr.Capacities {

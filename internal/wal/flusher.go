@@ -1,6 +1,9 @@
 package wal
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // A flusher coalesces group commits across a log's writers into shared
 // flush rounds: a committer registers its file and waits for the next
@@ -26,19 +29,32 @@ import "sync"
 // once the round's fdatasyncs hold. On platforms without
 // sync_file_range the round is fdatasync per file with no writeback
 // overlap.
+//
+// Rounds are recycled, so a warm log commits without allocating: a
+// round's waiters sleep on its sync.Cond, and the last waiter to read
+// the round's result returns it to a free list. A round is therefore
+// never reused while a waiter of it has yet to read its error, whatever
+// later rounds do meanwhile. Two files slices take turns: one gathers
+// registrations while the other's round is in flight.
 type flusher struct {
 	mu    sync.Mutex
-	files []File
+	files []File // registered for the gathering round
+	spare []File // the other slice, empty; nil while its round is in flight
 	round *flushRound
+	free  *flushRound // completed rounds no waiter still reads
 
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
 }
 
+// A flushRound is one flush round; fl.mu guards every field.
 type flushRound struct {
-	done chan struct{}
-	err  error
+	cond    sync.Cond // broadcast when the round completes
+	waiters int       // Flush calls that have yet to read err
+	done    bool
+	err     error
+	next    *flushRound // free-list link
 }
 
 func newFlusher() *flusher {
@@ -52,30 +68,38 @@ func newFlusher() *flusher {
 }
 
 // Flush makes everything written to f so far durable. It blocks until
-// a flush round covering the registration completes.
+// a flush round covering the registration completes, and returns that
+// round's error.
 func (fl *flusher) Flush(f File) error {
 	fl.mu.Lock()
-	if fl.round == nil {
-		fl.round = &flushRound{done: make(chan struct{})}
-	}
+	defer fl.mu.Unlock()
 	r := fl.round
-	found := false
-	for _, g := range fl.files {
-		if g == f {
-			found = true
-			break
+	if r == nil {
+		if r = fl.free; r != nil {
+			fl.free, r.next = r.next, nil
+		} else {
+			r = &flushRound{}
+			r.cond.L = &fl.mu
 		}
+		fl.round = r
 	}
-	if !found {
+	r.waiters++
+	if !slices.Contains(fl.files, f) {
 		fl.files = append(fl.files, f)
 	}
-	fl.mu.Unlock()
 	select {
 	case fl.kick <- struct{}{}:
 	default:
 	}
-	<-r.done
-	return r.err
+	for !r.done {
+		r.cond.Wait()
+	}
+	err := r.err
+	if r.waiters--; r.waiters == 0 {
+		r.done, r.err = false, nil
+		r.next, fl.free = fl.free, r
+	}
+	return err
 }
 
 // Close stops the round loop after draining any gathered round.
@@ -101,11 +125,17 @@ func (fl *flusher) loop() {
 func (fl *flusher) run() {
 	fl.mu.Lock()
 	files, r := fl.files, fl.round
-	fl.files, fl.round = nil, nil
-	fl.mu.Unlock()
 	if r == nil {
+		fl.mu.Unlock()
 		return
 	}
-	r.err = deviceFlush(files)
-	close(r.done)
+	fl.files, fl.spare, fl.round = fl.spare, nil, nil
+	fl.mu.Unlock()
+	err := deviceFlush(files)
+	clear(files)
+	fl.mu.Lock()
+	fl.spare = files[:0]
+	r.err, r.done = err, true
+	r.cond.Broadcast()
+	fl.mu.Unlock()
 }
