@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -220,4 +221,98 @@ func sharedCatalogStream(t *testing.T, c *Cluster) catalog.ID {
 	}
 	t.Fatal("no catalog stream both tenants admit")
 	return ""
+}
+
+// TestStreamRejectAllocations pins that a Submit the window refuses
+// takes no in-flight entry: a rejection at a full window under
+// BackpressureReject, and a Submit under an already-canceled context,
+// allocate exactly what their errors do, and a thousand of them carve
+// no entry.
+func TestStreamRejectAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counters are unreliable under -race")
+	}
+	c := allocTestCluster(t)
+	ev := Event{Tenant: 0, Type: EventStreamDeparture, Stream: 19}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		opts StreamOptions
+		ctx  context.Context
+		want error
+		// errOnly builds the refusal's error alone.
+		errOnly func() error
+	}{
+		{"full window", StreamOptions{Window: 4, Backpressure: BackpressureReject}, context.Background(), ErrQueueFull,
+			func() error { return fmt.Errorf("%w: stream window (%d in flight)", ErrQueueFull, 4) }},
+		{"canceled", StreamOptions{Window: 4}, canceled, ErrCanceled,
+			func() error { return fmt.Errorf("%w: %w", ErrCanceled, canceled.Err()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := c.OpenStream(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			if tc.want == ErrQueueFull {
+				for i := 0; i < tc.opts.Window; i++ {
+					if err := sc.Submit(context.Background(), ev); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			refuse := func() {
+				if err := sc.Submit(tc.ctx, ev); !errors.Is(err, tc.want) {
+					t.Fatalf("submit = %v, want %v", err, tc.want)
+				}
+			}
+			want := testing.AllocsPerRun(100, func() { _ = tc.errOnly() })
+			if got := testing.AllocsPerRun(100, refuse); got != want {
+				t.Fatalf("refused submit allocates %.2f per call, its error alone %.2f", got, want)
+			}
+			carved := sc.carved
+			for i := 0; i < 1000; i++ {
+				refuse()
+			}
+			if sc.carved != carved {
+				t.Fatalf("1000 refused submits carved %d entries, want 0", sc.carved-carved)
+			}
+		})
+	}
+}
+
+// TestStreamWarmupAllocations pins how a stream's in-flight entries
+// grow: in chunks, each as large as all before it, so a fresh
+// 16,384-deep window driven once to full depth allocates a few dozen
+// times in all instead of once or more per entry.
+func TestStreamWarmupAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counters are unreliable under -race")
+	}
+	c := allocTestCluster(t)
+	ctx := context.Background()
+	const window = 16384
+	ev := Event{Tenant: 0, Type: EventStreamDeparture, Stream: 19}
+	avg := testing.AllocsPerRun(1, func() {
+		sc, err := c.OpenStream(StreamOptions{Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < window; i++ {
+			if err := sc.Submit(ctx, ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < window; i++ {
+			if res, err := sc.Recv(ctx); err != nil || res.Err != nil || res.Seq != i {
+				t.Fatalf("recv %d = %+v, %v", i, res, err)
+			}
+		}
+		sc.Close()
+	})
+	t.Logf("a %d-deep window driven to full depth allocates %.0f times", window, avg)
+	if avg > 64 {
+		t.Fatalf("a %d-deep window driven to full depth allocates %.0f times, want at most 64", window, avg)
+	}
 }

@@ -147,12 +147,12 @@ func (c *Cluster) ApplyBatch(ctx context.Context, tenant int, events []Event) ([
 	out := make([]EventResult, len(batch))
 	k := 0
 	for i, ev := range batch {
-		p := streamPending{typ: ev.Type, id: ev.CatalogID}
+		p := streamPending{typ: ev.Type, id: ev.CatalogID, res: res[i]}
 		if ev.CatalogID != "" && ev.Type == EventStreamArrival {
 			p.tk, p.fullCost = tickets[k], in.StreamCostSum(tickets[k].Local)
 			k++
 		}
-		out[i] = assembleResult(&p, res[i])
+		out[i] = assembleResult(&p)
 	}
 	return out, nil
 }

@@ -17,7 +17,7 @@
 // tenant's policy state is activated once per batch instead of once
 // per event. Tenants are independent, so grouping never changes
 // results. A partial batch is flushed by the next non-arrival event, a
-// request/response arrival (one carrying a completion channel — see
+// request/response arrival (one carrying an in-flight entry — see
 // below), a snapshot barrier, or shutdown — never by a timer — which
 // keeps flush boundaries (and the per-shard batch stats) a pure
 // function of the submission sequence.
@@ -27,15 +27,15 @@
 // The public surface is typed and per operation: OfferStream,
 // DepartStream, UserLeave, UserJoin, and Resolve (and the catalog calls
 // OfferCatalogStream and DepartCatalogStream) each route one event to
-// the owning shard with a per-event completion channel attached and
-// block until the worker replies with a typed result (OfferResult,
+// the owning shard with a pooled in-flight entry attached and block
+// until the worker writes a typed result into it (OfferResult,
 // DepartResult, ChurnResult, ResolveResult, CatalogResult). Every one
 // of them is a projection of the same request path a streamed event
 // takes — route, then assembleResult (see stream.go and session.go) —
 // and ApplyBatch, which keeps its one-message batch mechanics, builds
 // its results with the same assembleResult. So that a blocked caller
-// never waits on a trailing partial batch, an arrival carrying a
-// completion channel flushes the batch it joins immediately; arrivals
+// never waits on a trailing partial batch, an arrival carrying an
+// in-flight entry flushes the batch it joins immediately; arrivals
 // submitted by the fire-and-forget replay path (RunWorkload) coalesce
 // exactly as before. Failures use the sentinel taxonomy in session.go
 // (ErrUnknownTenant, ErrQueueFull, ErrClosed, ErrCanceled,
@@ -281,15 +281,16 @@ type ShardStats struct {
 	Arrivals, Admitted, Departures, Leaves, Joins, Resolves int
 }
 
-// message is the shard channel payload: an event (with an optional
-// per-event completion channel), a single-tenant event batch when batch
-// is non-nil (see Cluster.ApplyBatch), or a barrier request when snap is
-// non-nil. ack and batchAck are always buffered with capacity 1 so the
-// worker never blocks delivering a result, even when the caller has
-// abandoned the call on context cancellation.
+// message is the shard channel payload: an event (with the caller's
+// in-flight entry, nil for fire-and-forget replay), a single-tenant
+// event batch when batch is non-nil (see Cluster.ApplyBatch), or a
+// barrier request when snap is non-nil. An entry's completion channel
+// and batchAck always have room for the delivery (see streamPending and
+// StreamConn.acks), so the worker never blocks delivering a result,
+// even when the caller has abandoned the call on context cancellation.
 type message struct {
 	ev       Event
-	ack      chan result
+	ack      *streamPending
 	batch    []Event
 	batchAck chan []result
 	snap     chan shardReport
@@ -325,61 +326,46 @@ type shard struct {
 
 	// Durability plane, worker-owned. wal is the shard's segment
 	// appender (nil with no WAL, and during recovery replay — replayed
-	// events are already in the log). replay suppresses
-	// catalog settlements while the registry is rebuilt from its own
-	// log plane; it is flipped off at go-live, while the worker is
-	// provably idle. Under SyncBatch the worker defers result delivery
-	// (pendAcks/pendBatch) and hands a group off at each commit point —
-	// queue-empty, pending at commitGroupBound, barrier, or shutdown —
-	// to the
-	// shard's committer goroutine (commits/commitDone), which fsyncs
-	// both planes' segments before delivering the group's results:
-	// pipelined group commit. The worker keeps applying while the fsync
-	// runs; commitErr latches the committer's first failure and the
-	// worker folds it into err at barriers and shutdown.
-	wal        *wal.Appender
-	replay     bool
-	deferAcks  bool
-	pendAcks   []pendAck
-	pendBatch  []pendBatchAck
-	commits    chan commitGroup
-	commitDone chan struct{}
-	commitMu   sync.Mutex
-	commitErr  error
-
-	// Freelists recycling delivered groups' ack slices back to the
-	// worker (committer sends, releaseAcks receives; both non-blocking —
-	// a miss just allocates). At commitGroupBound-sized groups the
-	// slices are the batch path's dominant allocation, and without
-	// recycling each
-	// one lives exactly one commit round: steady GC pressure on the hot
-	// path for memory that is immediately reusable.
-	ackFree   chan []pendAck
-	batchFree chan []pendBatchAck
+	// events are already in the log). replay suppresses catalog
+	// settlements while the registry is rebuilt from its own log plane;
+	// it is flipped off at go-live, while the worker is provably idle.
+	//
+	// Under SyncBatch the worker defers result delivery onto its pending
+	// group (pendAcks/pendBatch) and hands the group to the shard's
+	// committer goroutine, which fsyncs both planes' segments before
+	// delivering the group's results: pipelined group commit, with at
+	// most one group in flight (inFlight). While it is, the worker keeps
+	// applying and appending to the next group; the committer returns
+	// each delivered group on idle, and its emptied slices (spare) back
+	// the group after next — so each shard owns exactly two slices of
+	// each kind.
+	wal       *wal.Appender
+	replay    bool
+	deferAcks bool
+	pendAcks  []*streamPending
+	pendBatch []pendBatchAck
+	spare     commitGroup
+	inFlight  bool
+	commits   chan commitGroup
+	idle      chan commitGroup
 }
 
-// pendAck and pendBatchAck are deferred result deliveries under the
+// pendBatchAck is a batch's deferred result delivery under the
 // SyncBatch group-commit policy (see shard).
-type pendAck struct {
-	ch  chan result
-	res result
-}
-
 type pendBatchAck struct {
 	ch  chan []result
 	res []result
 }
 
 // commitGroup is one deferred-acknowledgement group handed from a
-// shard worker to its committer: make the carried appenders durable,
-// then deliver the results. done, when non-nil, is closed after
-// delivery — the worker's drain barrier (such a group may carry no
-// results at all).
+// shard worker to its committer and back: make the carried appenders
+// durable, then deliver the results. The committer returns it emptied,
+// with err set to the commit's failure.
 type commitGroup struct {
 	wal, cat *wal.Appender
-	acks     []pendAck
+	acks     []*streamPending
 	batches  []pendBatchAck
-	done     chan struct{}
+	err      error
 }
 
 // Cluster is a sharded multi-tenant head-end service. The session
@@ -427,15 +413,15 @@ type Cluster struct {
 	// tenant's next worker with the rest of the tenant's state.
 	churn []int
 
-	// Hot-path pools. Ownership rule for every pooled completion
-	// channel: the side that *receives* the reply recycles the channel,
-	// and only after draining it — a call abandoned on context
+	// Hot-path pools. Ownership rule for every pooled entry and
+	// completion channel: the side that *receives* the reply recycles
+	// it, and only after draining it — a call abandoned on context
 	// cancellation never recycles (the worker may still deliver into
-	// it), it leaks the channel to the garbage collector instead.
-	// Snapshot's barrier buffers follow the same rule: the reply
-	// channel and the per-shard snapshot maps come from pools, and
-	// Snapshot returns them only after the barrier fully drained.
-	ackPool      sync.Pool // chan result, capacity 1
+	// it), it leaves it to the garbage collector instead. Snapshot's
+	// barrier buffers follow the same rule: the reply channel and the
+	// per-shard snapshot maps come from pools, and Snapshot returns them
+	// only after the barrier fully drained.
+	callPool     sync.Pool // *streamPending with its own one-slot done channel
 	batchAckPool sync.Pool // chan []result, capacity 1
 	snapChPool   sync.Pool // chan shardReport, capacity len(shards)
 	snapMapPool  sync.Pool // map[int]headend.TenantSnapshot
@@ -462,30 +448,7 @@ type Cluster struct {
 	ckptEvery uint64
 }
 
-// getAck returns a pooled one-shot result channel.
-func (c *Cluster) getAck() chan result {
-	if ch, ok := c.ackPool.Get().(chan result); ok {
-		return ch
-	}
-	return make(chan result, 1)
-}
-
-// putAck recycles a drained result channel. Never call it on a channel
-// a worker may still deliver into (an abandoned call).
-func (c *Cluster) putAck(ch chan result) {
-	if poisonAck != nil {
-		poisonAck(ch)
-	}
-	c.ackPool.Put(ch)
-}
-
-// poisonAck, when non-nil (set only by test builds), inspects a result
-// channel at the moment it is recycled — the -race pool-discipline
-// tests install a checker that fails loudly on an undrained delivery,
-// which would mean a future caller could receive a stale result.
-var poisonAck func(chan result)
-
-// getBatchAck / putBatchAck mirror getAck for batch completion channels.
+// getBatchAck returns a pooled one-shot batch completion channel.
 func (c *Cluster) getBatchAck() chan []result {
 	if ch, ok := c.batchAckPool.Get().(chan []result); ok {
 		return ch
@@ -493,6 +456,8 @@ func (c *Cluster) getBatchAck() chan []result {
 	return make(chan []result, 1)
 }
 
+// putBatchAck recycles a drained batch completion channel. Never call
+// it on a channel a worker may still deliver into (an abandoned call).
 func (c *Cluster) putBatchAck(ch chan []result) {
 	if poisonBatchAck != nil {
 		poisonBatchAck(ch)
@@ -500,7 +465,10 @@ func (c *Cluster) putBatchAck(ch chan []result) {
 	c.batchAckPool.Put(ch)
 }
 
-// poisonBatchAck mirrors poisonAck for batch completion channels.
+// poisonBatchAck, when non-nil (set only by test builds), inspects a
+// batch completion channel at the moment it is recycled — the -race
+// pool-discipline tests fail loudly on an undrained delivery, which
+// would mean a future caller could receive a stale result.
 var poisonBatchAck func(chan []result)
 
 // New builds the cluster and starts one worker per shard. Tenant i is
@@ -634,10 +602,10 @@ func (c *Cluster) startShards(n int, replay bool) {
 		sh.stats.Tenants = len(sh.tenants)
 		c.shards[s] = sh
 		if sh.deferAcks {
-			sh.commits = make(chan commitGroup, 16)
-			sh.commitDone = make(chan struct{})
-			sh.ackFree = make(chan []pendAck, 4)
-			sh.batchFree = make(chan []pendBatchAck, 4)
+			// One group is in flight at a time, so one slot each way
+			// never blocks.
+			sh.commits = make(chan commitGroup, 1)
+			sh.idle = make(chan commitGroup, 1)
 			go c.committer(sh)
 		}
 		go c.worker(sh)
@@ -851,11 +819,13 @@ func (c *Cluster) Close() error {
 // worker is the shard event loop: FIFO with arrival coalescing and
 // per-event result delivery. Under the WAL's SyncBatch policy, result
 // delivery is deferred (see deliver) and the loop hands the pending
-// group to the shard's committer at every commit point: the queue
-// momentarily empty, the pending count reaching commitGroupBound, a barrier
-// (which additionally drains the committer), or shutdown. The
-// arrival-coalescing flush boundaries are untouched — they stay a pure
-// function of the submission sequence; only delivery is deferred.
+// group to the shard's committer at every commit point the committer
+// is idle for: the queue momentarily empty, or — when a group was still
+// in flight then — the committer going idle while the queue is. At
+// commitGroupBound pending results, a barrier, or shutdown it waits for
+// the committer instead. The arrival-coalescing flush boundaries are
+// untouched — they stay a pure function of the submission sequence;
+// only delivery is deferred.
 func (c *Cluster) worker(sh *shard) {
 	defer close(sh.done)
 	batch := make([]message, 0, c.opts.BatchSize)
@@ -892,7 +862,6 @@ func (c *Cluster) worker(sh *shard) {
 			// made durable and acknowledged before the reply, so the
 			// barrier's snapshot covers only acknowledged state.
 			flush()
-			c.releaseAcks(sh)
 			c.drainCommits(sh)
 			msg.snap <- c.reportShard(sh)
 			return
@@ -916,10 +885,10 @@ func (c *Cluster) worker(sh *shard) {
 		if msg.ev.Type == EventStreamArrival {
 			batch = append(batch, msg)
 			// A request/response arrival is its own flush boundary: the
-			// caller is blocked on its completion channel, and waiting
-			// for the batch to fill could strand it forever. Ack-ness
-			// is part of the submission sequence, so flush boundaries
-			// stay a pure function of it.
+			// caller is blocked on its in-flight entry, and waiting for
+			// the batch to fill could strand it forever. Ack-ness is
+			// part of the submission sequence, so flush boundaries stay
+			// a pure function of it.
 			if len(batch) >= c.opts.BatchSize || msg.ack != nil {
 				flush()
 			}
@@ -932,7 +901,21 @@ func (c *Cluster) worker(sh *shard) {
 		}
 	}
 	for {
-		msg, ok := <-sh.ch
+		msg, ok := message{}, true
+		if sh.inFlight && len(sh.pendAcks)+len(sh.pendBatch) > 0 {
+			// A group waits for the committer: wake for it as well as for
+			// traffic, or its results would wait for traffic that may
+			// never come.
+			select {
+			case msg, ok = <-sh.ch:
+			case g := <-sh.idle:
+				c.committed(sh, g)
+				c.handOff(sh)
+				continue
+			}
+		} else {
+			msg, ok = <-sh.ch
+		}
 		if !ok {
 			break
 		}
@@ -954,29 +937,30 @@ func (c *Cluster) worker(sh *shard) {
 		c.releaseAcks(sh)
 	}
 	flush()
-	c.releaseAcks(sh)
+	c.drainCommits(sh)
 	if sh.deferAcks {
 		close(sh.commits)
-		<-sh.commitDone
-		sh.commitMu.Lock()
-		if sh.err == nil {
-			sh.err = sh.commitErr
-		}
-		sh.commitMu.Unlock()
+		<-sh.idle // closed once the committer has exited
 	}
 }
 
-// deliver hands one event result to its caller — immediately, or onto
-// the shard's pending group under SyncBatch (the result must not reach
-// the caller before its log record is durable; the committer fsyncs
-// the segment before delivering the group).
-func (c *Cluster) deliver(sh *shard, ch chan result, res result) {
+// deliver hands one event result to its caller: it writes the result
+// into the caller's in-flight entry and sends the entry on its
+// completion channel — immediately, or, under SyncBatch, once the
+// entry's group is durable (the result must not reach the caller before
+// its log record is; the committer fsyncs the segment before delivering
+// the group).
+func (c *Cluster) deliver(sh *shard, p *streamPending, res result) {
+	p.res = res
 	if sh.deferAcks {
-		sh.pendAcks = append(sh.pendAcks, pendAck{ch: ch, res: res})
+		if sh.pendAcks == nil { // either of the two slices, at its first use
+			sh.pendAcks = make([]*streamPending, 0, c.groupBound())
+		}
+		sh.pendAcks = append(sh.pendAcks, p)
 		c.maybeRelease(sh)
 		return
 	}
-	ch <- res
+	p.done <- p
 }
 
 // commitGroupBound caps a shard's deferred-acknowledgement group, in
@@ -991,173 +975,124 @@ func (c *Cluster) deliver(sh *shard, ch chan result, res result) {
 // where they hurt.
 const commitGroupBound = 2048
 
-// maybeRelease bounds the pending group at commitGroupBound (or the
-// configured queue depth, if larger) so a saturating submitter cannot
-// defer acknowledgements without limit.
+// groupBound is commitGroupBound, or the configured queue depth if
+// larger.
+func (c *Cluster) groupBound() int { return max(commitGroupBound, c.opts.QueueDepth) }
+
+// maybeRelease bounds the pending group at groupBound so a saturating
+// submitter cannot defer acknowledgements without limit: a full group
+// waits for the committer to go idle — the disk's backpressure — and
+// is handed off at once.
 func (c *Cluster) maybeRelease(sh *shard) {
-	bound := commitGroupBound
-	if c.opts.QueueDepth > bound {
-		bound = c.opts.QueueDepth
-	}
-	if len(sh.pendAcks)+len(sh.pendBatch) >= bound {
-		c.releaseAcks(sh)
+	if len(sh.pendAcks)+len(sh.pendBatch) >= c.groupBound() {
+		if sh.inFlight {
+			c.committed(sh, <-sh.idle)
+		}
+		c.handOff(sh)
 	}
 }
 
-// releaseAcks is the group-commit point: it hands the shard's pending
-// group — with the two planes' appenders (the registry's settlements
-// for the group's events are already in the catalog appender's buffer)
-// — to the committer, which fsyncs and then delivers every deferred
-// result in order. The worker returns immediately and keeps applying
-// while the fsync runs. A no-op outside SyncBatch.
+// releaseAcks is the queue-empty commit point: it hands the shard's
+// pending group to the committer if no group is in flight. Otherwise
+// the group keeps growing and rides the next fsync; the worker hands it
+// off when the committer goes idle (see worker). A no-op outside
+// SyncBatch.
 func (c *Cluster) releaseAcks(sh *shard) {
-	if !sh.deferAcks || (len(sh.pendAcks) == 0 && len(sh.pendBatch) == 0) {
+	if len(sh.pendAcks)+len(sh.pendBatch) == 0 {
 		return
 	}
-	g := commitGroup{wal: sh.wal, cat: c.walCatApp.Load(), acks: sh.pendAcks, batches: sh.pendBatch}
-	// Swap in a recycled slice, or start one with real capacity: the
-	// freelist is empty exactly when every slice is in flight behind an
-	// fsync, and growing from nil there puts the doubling copies on the
-	// hot path (they were the batch path's dominant timed allocation).
-	sh.pendAcks, sh.pendBatch = nil, nil
-	select {
-	case sh.pendAcks = <-sh.ackFree:
-	default:
-		sh.pendAcks = make([]pendAck, 0, commitGroupBound/4)
-	}
-	select {
-	case sh.pendBatch = <-sh.batchFree:
-	default:
-	}
-	sh.commits <- g
-}
-
-// committer is the shard's group-commit daemon: for each window of
-// handed-off groups it makes both planes' segments durable, then
-// delivers the groups' deferred results in order — an acknowledged
-// event is on disk before its caller unblocks, while the worker's
-// apply loop never waits on an fsync. Groups that queued up behind an
-// in-flight fsync are drained into the next window and share one
-// syscall (Appender.Commit covers everything appended before the
-// call), so a pipelined submitter pays roughly one fsync per disk
-// latency, not per ack group.
-func (c *Cluster) committer(sh *shard) {
-	defer close(sh.commitDone)
-	var window []commitGroup
-	for open := true; open; {
-		g, ok := <-sh.commits
-		if !ok {
+	if sh.inFlight {
+		select {
+		case g := <-sh.idle:
+			c.committed(sh, g)
+		default:
 			return
 		}
-		window = append(window[:0], g)
-		for more := true; more; {
-			select {
-			case g2, ok2 := <-sh.commits:
-				if !ok2 {
-					open, more = false, false
-				} else {
-					window = append(window, g2)
-				}
-			default:
-				more = false
+	}
+	c.handOff(sh)
+}
+
+// handOff hands the pending group — with the two planes' appenders (the
+// registry's settlements for the group's events are already in the
+// catalog appender's buffer) — to the idle committer, which fsyncs and
+// then delivers every deferred result in order. The worker continues
+// at once with the spare slices.
+func (c *Cluster) handOff(sh *shard) {
+	sh.commits <- commitGroup{wal: sh.wal, cat: c.walCatApp.Load(), acks: sh.pendAcks, batches: sh.pendBatch}
+	sh.pendAcks, sh.pendBatch = sh.spare.acks, sh.spare.batches
+	sh.spare, sh.inFlight = commitGroup{}, true
+}
+
+// committed takes a delivered group back from the committer: its
+// slices become the spare, and a commit failure is latched as the
+// shard's error.
+func (c *Cluster) committed(sh *shard, g commitGroup) {
+	if g.err != nil && sh.err == nil {
+		sh.err = g.err
+	}
+	sh.spare, sh.inFlight = g, false
+}
+
+// drainCommits commits and delivers every deferred result — the barrier
+// step that makes a snapshot cover only acknowledged, durable state. A
+// no-op outside SyncBatch.
+func (c *Cluster) drainCommits(sh *shard) {
+	for sh.inFlight || len(sh.pendAcks)+len(sh.pendBatch) > 0 {
+		if sh.inFlight {
+			c.committed(sh, <-sh.idle)
+		} else {
+			c.handOff(sh)
+		}
+	}
+}
+
+// committer is the shard's group-commit daemon: for each group the
+// worker hands off it makes both planes' segments durable, then
+// delivers the group's deferred results in order and hands the group
+// back — an acknowledged event is on disk before its caller unblocks,
+// while the worker's apply loop never waits on an fsync below
+// commitGroupBound. Everything the worker applied while the previous
+// fsync ran shares this one (Appender.Commit covers everything
+// appended before the call), so a pipelined submitter pays roughly one
+// fsync per disk latency, not per ack group.
+func (c *Cluster) committer(sh *shard) {
+	defer close(sh.idle)
+	for g := range sh.commits {
+		if g.wal != nil {
+			g.err = g.wal.Commit()
+		}
+		if g.cat != nil {
+			if err := g.cat.Commit(); g.err == nil {
+				g.err = err
 			}
 		}
-		// One commit per distinct appender in the window (rotation can
-		// only change the pointers across a drain barrier, so a window
-		// almost always holds exactly one of each).
-		var prevWAL, prevCat *wal.Appender
-		var windowErr error
-		for _, g := range window {
-			if g.wal != nil && g.wal != prevWAL {
-				prevWAL = g.wal
-				if err := g.wal.Commit(); err != nil {
-					c.latchCommitErr(sh, err)
-					if windowErr == nil {
-						windowErr = err
-					}
-				}
-			}
-			if g.cat != nil && g.cat != prevCat {
-				prevCat = g.cat
-				if err := g.cat.Commit(); err != nil {
-					c.latchCommitErr(sh, err)
-					if windowErr == nil {
-						windowErr = err
-					}
-				}
-			}
-		}
-		// Acks are truthful: a window whose commit failed delivers
+		// Acks are truthful: a group whose commit failed delivers
 		// ErrNotDurable to every caller instead of a success the disk
 		// never backed. The appender error is latched, so every later
-		// window fails the same way until the cluster is torn down and
+		// group fails the same way until the cluster is torn down and
 		// recovered.
 		var notDurable error
-		if windowErr != nil {
-			notDurable = fmt.Errorf("%w: %v", ErrNotDurable, windowErr)
+		if g.err != nil {
+			notDurable = fmt.Errorf("%w: %v", ErrNotDurable, g.err)
 		}
-		for _, g := range window {
-			for i := range g.acks {
-				if notDurable != nil {
-					g.acks[i].res.err = notDurable
-				}
-				g.acks[i].ch <- g.acks[i].res
-				g.acks[i] = pendAck{}
+		for _, p := range g.acks {
+			if notDurable != nil {
+				p.res.err = notDurable
 			}
-			for i := range g.batches {
-				if notDurable != nil {
-					for j := range g.batches[i].res {
-						g.batches[i].res[j].err = notDurable
-					}
-				}
-				g.batches[i].ch <- g.batches[i].res
-				g.batches[i] = pendBatchAck{}
-			}
-			if cap(g.acks) > 0 {
-				select {
-				case sh.ackFree <- g.acks[:0]:
-				default:
-				}
-			}
-			if cap(g.batches) > 0 {
-				select {
-				case sh.batchFree <- g.batches[:0]:
-				default:
-				}
-			}
-			if g.done != nil {
-				close(g.done)
-			}
+			p.done <- p
 		}
+		for _, b := range g.batches {
+			if notDurable != nil {
+				for j := range b.res {
+					b.res[j].err = notDurable
+				}
+			}
+			b.ch <- b.res
+		}
+		clear(g.acks)
+		clear(g.batches)
+		sh.idle <- commitGroup{acks: g.acks[:0], batches: g.batches[:0], err: g.err}
 	}
-}
-
-// latchCommitErr records the committer's first failure for the worker
-// to surface at its next drain point.
-func (c *Cluster) latchCommitErr(sh *shard, err error) {
-	sh.commitMu.Lock()
-	if sh.commitErr == nil {
-		sh.commitErr = err
-	}
-	sh.commitMu.Unlock()
-}
-
-// drainCommits blocks until the committer has delivered every group
-// enqueued so far and folds any commit error into the shard — the
-// barrier step that makes a snapshot cover only acknowledged, durable
-// state. A no-op outside SyncBatch.
-func (c *Cluster) drainCommits(sh *shard) {
-	if !sh.deferAcks {
-		return
-	}
-	done := make(chan struct{})
-	sh.commits <- commitGroup{done: done}
-	<-done
-	sh.commitMu.Lock()
-	if sh.err == nil {
-		sh.err = sh.commitErr
-	}
-	sh.commitMu.Unlock()
 }
 
 // dispatchSettle routes one catalog settlement the worker decided:

@@ -1,13 +1,13 @@
 package cluster
 
-// Pool-discipline tests: the serving hot path recycles completion
-// channels and stream pending entries through sync.Pool / free lists,
-// and the ownership rule says an entry is recycled only after its one
-// delivery was drained. These tests install the poison hooks — which
-// scribble garbage into an entry the instant it is recycled and assert
-// its channel is empty — and then drive the concurrent paths hard. Any
-// read-after-recycle surfaces deterministically as a poisoned result
-// header, and as a write/read data race under -race.
+// Pool-discipline tests: the serving hot path recycles in-flight
+// entries and batch completion channels through sync.Pool / free
+// lists, and the ownership rule says an entry is recycled only after
+// its one delivery was consumed. These tests install the poison hooks —
+// which scribble garbage into an entry the instant it is recycled and
+// assert its delivery was consumed — and then drive the concurrent
+// paths hard. Any read-after-recycle surfaces deterministically as a
+// poisoned result header, and as a write/read data race under -race.
 
 import (
 	"context"
@@ -19,33 +19,31 @@ import (
 	"repro/internal/catalog"
 )
 
-// installPoison arms all three recycle hooks for the duration of one
-// test. The hooks fail the test on an undrained delivery (a result
-// still buffered in a channel at recycle time) and scramble recycled
-// stream entries so any stale read shows up as a corrupt header.
+// installPoison arms both recycle hooks for the duration of one test.
+// The hooks fail the test on an entry recycled before its one
+// completion was consumed (a stream entry not yet marked ready, or a
+// result still buffered in a session entry's or batch's own channel)
+// and scramble recycled entries so any stale read shows up as a
+// corrupt header.
 func installPoison(t *testing.T) *atomic.Int64 {
 	t.Helper()
 	var recycled atomic.Int64
 	poisonRecycled = func(p *streamPending) {
 		recycled.Add(1)
-		select {
-		case <-p.ack:
-			t.Error("recycled stream entry still had a buffered delivery")
-		default:
+		// A session call's entry owns a one-slot channel; a stream
+		// entry shares its connection's, whose capacity is at least 2.
+		if cap(p.done) == 1 && len(p.done) > 0 {
+			t.Error("recycled call entry still had a buffered delivery")
+		}
+		if cap(p.done) > 1 && !p.ready {
+			t.Error("recycled stream entry before its completion was consumed")
 		}
 		p.seq = -1 << 30
 		p.typ = EventType(0x7f)
 		p.id = "poisoned"
 		p.tk = catalog.Ticket{Scale: -1, Local: -1}
 		p.fullCost = -1
-	}
-	poisonAck = func(ch chan result) {
-		recycled.Add(1)
-		select {
-		case <-ch:
-			t.Error("recycled ack channel still had a buffered delivery")
-		default:
-		}
+		p.res = result{refs: -1}
 	}
 	poisonBatchAck = func(ch chan []result) {
 		recycled.Add(1)
@@ -57,7 +55,6 @@ func installPoison(t *testing.T) *atomic.Int64 {
 	}
 	t.Cleanup(func() {
 		poisonRecycled = nil
-		poisonAck = nil
 		poisonBatchAck = nil
 	})
 	return &recycled

@@ -11,7 +11,7 @@ import (
 // Each per-operation method — the five below and the two catalog calls
 // in catalog.go — is a one-line projection of call: the event takes the
 // stream's own caller-side path (route, see stream.go) with a pooled
-// completion channel attached, the caller blocks until the shard worker
+// in-flight entry attached, the caller blocks until the shard worker
 // has applied it, and the reply is assembled by the stream's
 // assembleResult. A session call is therefore a one-event stream by
 // construction, not by a parity test. The sentinel
@@ -151,8 +151,8 @@ func (c *Cluster) Resolve(ctx context.Context, tenant int, opts ResolveOptions) 
 	return res.Resolve, res.Err
 }
 
-// result is the union payload delivered on a per-event completion
-// channel; exactly the field for the event's type is populated. refs
+// result is the union payload a worker writes into an event's in-flight
+// entry; exactly the field for the event's type is populated. refs
 // and evicted report the fleet-reference state the worker settled for a
 // catalog-managed event (Event.CatalogID set).
 type result struct {
@@ -166,36 +166,45 @@ type result struct {
 }
 
 // call is the request/response helper behind every session method: it
-// routes one event with a stack-held pending entry and a pooled
-// completion channel, waits for the worker's reply, and assembles it
-// with the stream's assembleResult. An arrival carrying a completion
-// channel is its own flush boundary (the worker flushes the batch
-// immediately after appending it), so a blocked caller never waits on
-// a trailing partial batch.
+// routes one event with a pooled in-flight entry, which carries its own
+// one-slot completion channel, waits for the worker's reply, and
+// assembles it with the stream's assembleResult. An arrival carrying an
+// entry is its own flush boundary (the worker flushes the batch
+// immediately after appending it), so a blocked caller never waits on a
+// trailing partial batch.
 //
-// The completion channel is recycled after its result was drained (or
-// when the event never enqueued), and deliberately leaked to the
-// garbage collector when the caller abandons the wait on context
-// cancellation — the worker may still deliver into it, and a recycled
-// channel must never have a delivery in flight. Once enqueued, the
-// worker settles any fleet reference itself, so a canceled caller has
-// nothing to reconcile.
+// The entry is recycled after its completion was consumed (or when the
+// event never enqueued), and deliberately left to the garbage collector
+// when the caller abandons the wait on context cancellation — the
+// worker may still deliver into it, and a recycled entry must never
+// have a delivery in flight. Once enqueued, the worker settles any
+// fleet reference itself, so a canceled caller has nothing to
+// reconcile.
 func (c *Cluster) call(ctx context.Context, ev Event) StreamResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := streamPending{typ: ev.Type, id: ev.CatalogID, ack: c.getAck()}
-	if err := c.route(ctx, ev, &p); err != nil {
-		c.putAck(p.ack)
-		return StreamResult{Type: p.typ, CatalogID: p.id, Err: err}
+	p, _ := c.callPool.Get().(*streamPending)
+	if p == nil {
+		p = &streamPending{done: make(chan *streamPending, 1)}
 	}
-	select {
-	case res := <-p.ack:
-		c.putAck(p.ack)
-		return assembleResult(&p, res)
-	case <-ctx.Done():
-		return StreamResult{Type: p.typ, CatalogID: p.id, Err: fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())}
+	*p = streamPending{typ: ev.Type, id: ev.CatalogID, done: p.done}
+	var out StreamResult
+	if err := c.route(ctx, ev, p); err != nil {
+		out = StreamResult{Type: p.typ, CatalogID: p.id, Err: err}
+	} else {
+		select {
+		case <-p.done:
+			out = assembleResult(p)
+		case <-ctx.Done():
+			return StreamResult{Type: p.typ, CatalogID: p.id, Err: fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())}
+		}
 	}
+	if poisonRecycled != nil {
+		poisonRecycled(p)
+	}
+	c.callPool.Put(p)
+	return out
 }
 
 // validEventType is the single serving-event allowlist shared by route

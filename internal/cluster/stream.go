@@ -85,12 +85,15 @@ type StreamResult struct {
 	Err error
 }
 
-// streamPending is one single event's caller-side context: an entry
-// of a stream's in-flight window (in submission order), or a session
-// call's stack-held request. ack is buffered (capacity 1) and receives
-// at most one result — from the shard worker, or from Submit itself
-// when the event failed before enqueueing. ApplyBatch builds one per
-// result, without an ack, to assemble it.
+// streamPending is one single event's caller-side context and its
+// delivery slot: an entry of a stream's in-flight window (in submission
+// order), or a session call's pooled entry. The worker — or, under
+// group commit, the committer — delivers the event's result by writing
+// res and then sending the entry itself on done, exactly once: done is
+// the connection's completion channel for a stream entry, and the
+// entry's own one-slot channel for a session call. Submit delivers the
+// same way when the event failed before enqueueing. ApplyBatch builds
+// one per result, without a channel, to assemble it.
 type streamPending struct {
 	seq int
 	typ EventType
@@ -99,7 +102,12 @@ type streamPending struct {
 	// zero unless the offer reached its shard queue.
 	tk       catalog.Ticket
 	fullCost float64
-	ack      chan result
+	res      result
+	done     chan *streamPending
+	// ready marks a stream entry whose completion Recv has consumed;
+	// next links the connection's free list.
+	ready bool
+	next  *streamPending
 }
 
 // StreamConn is a persistent, pipelined ingestion session (serving API
@@ -115,11 +123,26 @@ type StreamConn struct {
 	sendClosed bool
 	seq        int
 	pending    chan *streamPending
-	// free recycles settled pending entries (and their one-shot ack
-	// channels, consumed exactly once by Recv before recycling) back to
-	// Submit — the stream hot path allocates nothing per event once
-	// warm. Entries abandoned by Close are simply not recycled.
-	free chan *streamPending
+	// chunk is the uncarved rest of the newest entry chunk and carved
+	// counts the entries carved so far. Each chunk is as large as all
+	// before it, up to 1,024 entries (about 280 KiB) and to the most a
+	// connection can hold at once (a full window, the popped head, and
+	// the one a blocked Submit holds), so entries never move and a
+	// connection pays only for the depth it reaches.
+	chunk  []streamPending
+	carved int
+
+	// acks is the connection's completion channel. Its capacity,
+	// Window+1, covers every entry that can be in flight at once (a full
+	// window plus the popped head), so a delivery never blocks a shard
+	// worker or committer on a slow reader.
+	acks chan *streamPending
+
+	// free lists the settled entries Recv hands back to Submit, so the
+	// stream hot path allocates nothing per event once warm. Entries
+	// abandoned by Close are simply not recycled.
+	freeMu sync.Mutex
+	free   *streamPending
 
 	recvMu sync.Mutex
 	// head is the oldest in-flight event, popped from pending but not
@@ -144,7 +167,7 @@ func (c *Cluster) OpenStream(opts StreamOptions) (*StreamConn, error) {
 		c:       c,
 		window:  opts.Backpressure,
 		pending: make(chan *streamPending, opts.Window),
-		free:    make(chan *streamPending, opts.Window),
+		acks:    make(chan *streamPending, opts.Window+1),
 	}, nil
 }
 
@@ -174,48 +197,71 @@ func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 	if sc.sendClosed {
 		return ErrClosed
 	}
-	var p *streamPending
-	select {
-	case p = <-sc.free:
-		*p = streamPending{seq: sc.seq, typ: ev.Type, id: ev.CatalogID, ack: p.ack}
-	default:
-		p = &streamPending{seq: sc.seq, typ: ev.Type, id: ev.CatalogID, ack: make(chan result, 1)}
-	}
+	// The window slot is checked before an entry is taken, so a refused
+	// Submit costs none: only this goroutine sends on pending (under
+	// sendMu), so a slot seen free stays free.
 	if sc.window == BackpressureReject {
-		select {
-		case sc.pending <- p:
-		default:
+		if len(sc.pending) == cap(sc.pending) {
 			return fmt.Errorf("%w: stream window (%d in flight)", ErrQueueFull, cap(sc.pending))
 		}
-	} else {
+	} else if err := ctx.Err(); err != nil {
 		// An already-done context must not reserve a slot (mirrors
 		// enqueueLocked): otherwise both cases below could be ready and
 		// the event would be submitted ~half the time under ErrCanceled.
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		if done := ctx.Done(); done == nil {
-			sc.pending <- p
-		} else {
-			select {
-			case sc.pending <- p:
-			case <-done:
-				return fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-			}
+		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	p := sc.take()
+	*p = streamPending{seq: sc.seq, typ: ev.Type, id: ev.CatalogID, done: sc.acks}
+	if done := ctx.Done(); done == nil || sc.window == BackpressureReject {
+		sc.pending <- p
+	} else {
+		select {
+		case sc.pending <- p:
+		case <-done:
+			sc.put(p)
+			return fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
 		}
 	}
 	sc.seq++
 	if err := sc.c.route(ctx, ev, p); err != nil {
-		p.ack <- result{err: err}
+		p.res = result{err: err}
+		p.done <- p
 	}
 	return nil
+}
+
+// take returns a free entry: a recycled one, or the next one carved
+// from the connection's chunks (called with sendMu held).
+func (sc *StreamConn) take() *streamPending {
+	sc.freeMu.Lock()
+	p := sc.free
+	if p != nil {
+		sc.free = p.next
+	}
+	sc.freeMu.Unlock()
+	if p != nil {
+		return p
+	}
+	if len(sc.chunk) == 0 {
+		sc.chunk = make([]streamPending, max(min(sc.carved, 1024, cap(sc.pending)+2-sc.carved), 1))
+	}
+	p, sc.chunk = &sc.chunk[0], sc.chunk[1:]
+	sc.carved++
+	return p
+}
+
+// put returns an entry to the free list.
+func (sc *StreamConn) put(p *streamPending) {
+	sc.freeMu.Lock()
+	p.next, sc.free = sc.free, p
+	sc.freeMu.Unlock()
 }
 
 // route is the one caller-side path of a single event — a streamed
 // one, or a session call: it validates the event, runs the catalog
 // protocol for a catalog-managed arrival (acquire) or departure (a
-// lookup in the cluster's own binding table), and enqueues it with
-// p.ack attached. It returns the error
+// lookup in the cluster's own binding table), and enqueues it with p
+// attached for the result. It returns the error
 // of an event that never reached its shard queue; once enqueued, the
 // worker owns the event, its fleet reference included.
 func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
@@ -237,7 +283,7 @@ func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if ev.CatalogID == "" {
-		return c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p.ack})
+		return c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p})
 	}
 	reg, err := c.catalogFor(ev.Tenant)
 	if err != nil {
@@ -249,7 +295,7 @@ func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
 		if ev.Stream, err = c.catalogBindings.Lookup(ev.CatalogID, ev.Tenant); err != nil {
 			return wrapCatalogErr(err)
 		}
-		return c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p.ack})
+		return c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p})
 	}
 	// Acquire takes a provisional reference in every case — also when
 	// the tenant already holds the stream — so a concurrent departure
@@ -270,7 +316,7 @@ func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
 	// is what orders it before the receiver's assembleResult.
 	p.tk, p.fullCost = tk, c.tenants[ev.Tenant].Instance().StreamCostSum(tk.Local)
 	ev.Stream, ev.CostScale, ev.originPayer = tk.Local, tk.Scale, tk.OriginPayer
-	if err := c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p.ack}); err != nil {
+	if err := c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p}); err != nil {
 		// Never enqueued: the provisional reference is dropped (still
 		// under the lock, so it reaches the registry that granted it;
 		// once enqueued, the worker settles it — see applyArrival).
@@ -313,41 +359,44 @@ func (sc *StreamConn) Recv(ctx context.Context) (StreamResult, error) {
 			}
 		}
 	}
-	if done == nil {
-		res := <-sc.head.ack
-		return sc.settleHead(res), nil
+	// Completions arrive in shard order, not submission order: mark each
+	// one ready until the head is.
+	for !sc.head.ready {
+		if done == nil {
+			(<-sc.acks).ready = true
+			continue
+		}
+		select {
+		case p := <-sc.acks:
+			p.ready = true
+		case <-done:
+			return StreamResult{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
+		}
 	}
-	select {
-	case res := <-sc.head.ack:
-		return sc.settleHead(res), nil
-	case <-done:
-		return StreamResult{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-	}
+	return sc.settleHead(), nil
 }
 
-// poisonRecycled, when non-nil (set only by test builds), scribbles a
-// pending entry right before it returns to the free list, so any read
-// of a recycled entry observes garbage deterministically — and shows up
-// as a data race under -race when the reader is concurrent. Production
+// poisonRecycled, when non-nil (set only by test builds), scribbles an
+// entry right before it is recycled — a stream entry back to its free
+// list, a session call's entry back to its pool — so any read of a
+// recycled entry observes garbage deterministically, and shows up as a
+// data race under -race when the reader is concurrent. Production
 // builds leave it nil.
 var poisonRecycled func(*streamPending)
 
 // settleHead assembles the head's result and recycles the entry
-// (called with recvMu held, after its ack was consumed). Ownership
-// rule: the receiver — and only the receiver, only after draining the
-// entry's ack — puts the entry back; entries abandoned by Close are
-// leaked to the garbage collector, never recycled.
-func (sc *StreamConn) settleHead(res result) StreamResult {
+// (called with recvMu held, once the head is ready). Ownership rule:
+// the receiver — and only the receiver, only after consuming the
+// entry's one completion — puts the entry back; entries abandoned by
+// Close are left to the garbage collector, never recycled.
+func (sc *StreamConn) settleHead() StreamResult {
 	p := sc.head
 	sc.head = nil
-	out := assembleResult(p, res)
+	out := assembleResult(p)
 	if poisonRecycled != nil {
 		poisonRecycled(p)
 	}
-	select {
-	case sc.free <- p:
-	default:
-	}
+	sc.put(p)
 	return out
 }
 
@@ -370,21 +419,25 @@ func (sc *StreamConn) TryRecv() (StreamResult, bool) {
 			return StreamResult{}, false
 		}
 	}
-	select {
-	case res := <-sc.head.ack:
-		return sc.settleHead(res), true
-	default:
-		return StreamResult{}, false
+	for !sc.head.ready {
+		select {
+		case p := <-sc.acks:
+			p.ready = true
+		default:
+			return StreamResult{}, false
+		}
 	}
+	return sc.settleHead(), true
 }
 
 // assembleResult builds the typed StreamResult of a settled event from
-// its caller-side context and the worker's reply — the one result
+// its entry: the caller-side context and the worker's reply — the one result
 // assembly behind streams, session calls and ApplyBatch. The payload is
 // filled even when res.err is set (a failed re-solve, ErrNotDurable):
 // the worker applied the event, and each wire encoder decides whether
 // to render it next to the error.
-func assembleResult(p *streamPending, res result) StreamResult {
+func assembleResult(p *streamPending) StreamResult {
+	res := &p.res
 	out := StreamResult{Seq: p.seq, Type: p.typ, CatalogID: p.id, Err: res.err}
 	switch {
 	case p.id != "" && p.typ == EventStreamArrival:

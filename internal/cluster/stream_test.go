@@ -8,9 +8,11 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/generator"
+	"repro/internal/wal"
 )
 
 // streamTestClusters builds n same-shaped fleets so the same schedule
@@ -477,5 +479,64 @@ func TestOpenStreamOnClosedCluster(t *testing.T) {
 	}
 	if _, err := c.OpenStream(StreamOptions{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("OpenStream on closed cluster = %v, want ErrClosed", err)
+	}
+}
+
+// TestStreamUnreadNeverBlocksShard pins the capacity rule of a
+// stream's completion channel: a stream whose receiver reads nothing
+// holds Window+1 routed events on one shard — a full window behind the
+// popped head — and a session call to another tenant on that shard
+// still completes, with and without group commit. A channel one slot
+// short would park the shard worker (or its committer) on the last
+// delivery, and every tenant of the shard behind it.
+func TestStreamUnreadNeverBlocksShard(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync=batch:%v", batch), func(t *testing.T) {
+			const window = 4
+			pol := &blockingPolicy{entered: make(chan struct{}, window+1), gate: make(chan struct{})}
+			cfgs := tenantInstances(t, 2, 8, 3, 907)
+			cfgs[0].Policy = pol
+			opts := Options{Shards: 1}
+			if batch {
+				opts.WAL = &WALOptions{Dir: t.TempDir(), Sync: wal.SyncBatch}
+			}
+			// Not closed on failure: Close would wait for the parked shard.
+			c, err := New(cfgs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := c.OpenStream(StreamOptions{Window: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			submit := func(s int) {
+				if err := sc.Submit(ctx, Event{Tenant: 0, Type: EventStreamArrival, Stream: s}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			submit(0)
+			<-pol.entered // the worker is parked inside event 0
+			if res, ok := sc.TryRecv(); ok {
+				t.Fatalf("result %+v ready while its worker is parked", res)
+			}
+			for s := 1; s <= window; s++ {
+				submit(s)
+			}
+			close(pol.gate)
+			if _, err := c.OfferStream(ctx, 1, 0); err != nil {
+				t.Fatalf("session call behind an unread stream on its shard: %v", err)
+			}
+			for i := 0; i <= window; i++ {
+				if res, err := sc.Recv(ctx); err != nil || res.Seq != i || res.Err != nil {
+					t.Fatalf("result %d = %+v, %v", i, res, err)
+				}
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -490,14 +490,19 @@ func e15FlashCrowd(cfg E15Config, shards, recoverShards int, mi int) ([]string, 
 		// and the whole crowd lands on one hot tenant, so its shard queue
 		// overflows even when the fleet has many shards. The typed API
 		// blocks each caller until its ack, so the crowd's concurrency is
-		// the real queue pressure.
+		// the real queue pressure. The callers start together: released
+		// as they are spawned, the early ones would be served before the
+		// late ones arrive, and the crowd would overload the queue only
+		// when the shard happened to be slow.
 		var wg sync.WaitGroup
 		var bad atomic.Value
+		start := make(chan struct{})
 		for g := 0; g < b.Submitters; g++ {
 			for e := 0; e < b.EventsPer; e++ {
 				wg.Add(1)
 				go func(g, e int) {
 					defer wg.Done()
+					<-start
 					s := (bi*7 + g*3 + e) % cfg.Channels
 					var err error
 					switch e % 3 {
@@ -516,14 +521,34 @@ func e15FlashCrowd(cfg E15Config, shards, recoverShards int, mi int) ([]string, 
 				}(g, e)
 			}
 		}
+		close(start)
+		// The stream floods the hot tenant alongside the crowd. It
+		// submits without waiting for results, so it outpaces the worker
+		// even when the scheduler serves the blocking crowd one caller at
+		// a time — and such a crowd need not overflow the queue, because
+		// the worker keeps applying while a group commit is in flight.
+		// So the queue overflows whatever the scheduler does.
+		for e := 0; e < b.EventsPer; e++ {
+			ev := cluster.Event{Type: cluster.EventStreamArrival, Tenant: 0, Stream: (bi*5 + e) % cfg.Channels}
+			if err := sc.Submit(ctx, ev); err != nil {
+				return nil, false, fmt.Errorf("crowd stream submit: %w", err)
+			}
+			pending++
+		}
 		wg.Wait()
 		if err, _ := bad.Load().(error); err != nil {
 			return nil, false, fmt.Errorf("crowd submitter: %w", err)
 		}
-	}
-	for i := 0; i < pending; i++ {
-		if _, err := sc.Recv(ctx); err != nil {
-			return nil, false, fmt.Errorf("crowd stream drain: %w", err)
+		for ; pending > 0; pending-- {
+			res, err := sc.Recv(ctx)
+			if err != nil {
+				return nil, false, fmt.Errorf("crowd stream drain: %w", err)
+			}
+			// A streamed event the full shard queue refused is rejected
+			// in-band, as its result's error.
+			if errors.Is(res.Err, cluster.ErrQueueFull) {
+				rejected.Add(1)
+			}
 		}
 	}
 	sc.CloseSend()

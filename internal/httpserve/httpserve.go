@@ -463,7 +463,9 @@ func appendCatalogResult(buf []byte, v videodist.CatalogResult) []byte {
 // while the committer's previous fsync was in flight rides the next
 // one, so the window must cover more events than one disk-sync latency
 // admits (~1.3k at measured rates) or the pipeline stalls on the disk
-// instead of the CPU. Memory cost is two pointer slots per entry.
+// instead of the CPU. The window costs two pointer slots per entry up
+// front; the in-flight entries themselves (about 280 B each) are
+// carved in chunks only as deep as the connection actually gets.
 const streamWindow = 16384
 
 // handleStream is the serving API v4 endpoint: a persistent NDJSON

@@ -282,7 +282,10 @@ func TestRecvLineMatchesRecv(t *testing.T) {
 // hand-rolled readers: whenever ParseCanonicalEvent or ParseEvent
 // accepts a line, the event equals encoding/json's, and whenever the
 // result head reader reads a line the stdlib also decodes, seq and dup
-// mark agree.
+// mark agree. The parsers know no line cap (a server's line reader
+// enforces MaxLine), so lines around the cap must parse as the stdlib
+// parses them. The oversized seeds make minimizing a new input slow;
+// bound it with -fuzzminimizetime, as CI does.
 func FuzzEventLine(f *testing.F) {
 	for _, ev := range wireEvents {
 		f.Add(ev.AppendJSON(nil))
@@ -290,7 +293,38 @@ func FuzzEventLine(f *testing.F) {
 	for _, l := range append(headLines, decodeLines...) {
 		f.Add([]byte(l))
 	}
-	f.Add([]byte(`{"tenant":0,"type":"offer","stream":3,"extra":1}`))
+	// catalogLine is a canonical catalog offer exactly n bytes long.
+	catalogLine := func(n int) string {
+		head := `{"tenant":0,"type":"catalog-offer","catalog_id":"`
+		return head + strings.Repeat("x", n-len(head)-2) + `"}`
+	}
+	pad := strings.Repeat(" ", MaxLine)
+	for _, l := range []string{
+		// Oversized: just under, at and just over the cap, as one long
+		// ID and as whitespace around a short event.
+		catalogLine(MaxLine - 1),
+		catalogLine(MaxLine),
+		catalogLine(MaxLine + 1),
+		`{"tenant":0,"type":"offer","stream":3}` + pad,
+		pad[:MaxLine-40] + `{"tenant":0,"type":"offer","stream":3}`,
+		// Malformed.
+		`{"tenant":0,"type":"offer","stream":3,"extra":1}`,
+		`{"tenant":0,"type":"offer","stream":`,
+		`{"tenant":0,"type":"offer"`,
+		`{"tenant":0,"type":"offer","stream":3} trail`,
+		`{"tenant":0,"type":"offer","stream":3}{}`,
+		`{"tenant":0,"tenant":1,"type":"offer","stream":3}`,
+		`{"tenant":0,"type":"offer","stream":03}`,
+		`{"tenant":0,"type":"offer","stream":3.}`,
+		`{"tenant":-0,"type":"offer","stream":1e400}`,
+		"{\"tenant\":0,\"type\":\"catalog-offer\",\"catalog_id\":\"a\tb\"}",
+		`[{"tenant":0,"type":"offer","stream":3}]`,
+		`"offer"`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(l))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var want Event
 		werr := json.Unmarshal(line, &want)
