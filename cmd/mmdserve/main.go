@@ -60,8 +60,9 @@
 // cluster whose registry is a wire client against -catalog-url, and
 // "router" fans /v1/stream sessions out across -nodes (comma-separated
 // node URLs, routing tenant → shard → node), merging per-node
-// snapshots into one fleet view. All processes must share the tenant
-// flags; a 3-process quickstart:
+// snapshots into one fleet view. No process of such a fleet writes a
+// log, so every -role refuses -wal-dir. All processes must share the
+// tenant flags; a 3-process quickstart:
 //
 //	mmdserve -http :9101 -role catalog
 //	mmdserve -http :9102 -role node -catalog-url http://127.0.0.1:9101
@@ -124,7 +125,7 @@ func main() {
 	flag.IntVar(&cfg.resolveEvery, "resolve-every", 0, "offline re-solve after every n churn events (0 = off)")
 	flag.StringVar(&cfg.costModel, "cost-model", "isolated", "fleet catalog cost model: isolated, shared, or off (no catalog)")
 	flag.Float64Var(&cfg.shareFraction, "share-fraction", 0.25, "replication fraction later tenants pay under -cost-model shared")
-	flag.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log directory; reopening a directory that already holds a log recovers the fleet from it (empty = no durability)")
+	flag.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log directory; reopening a directory that already holds a log recovers the fleet from it (empty = no durability; every -role refuses it)")
 	flag.StringVar(&cfg.walSync, "wal-sync", "batch", "WAL sync policy: none, interval, or batch (group commit; every acked event durable)")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "log records between automatic checkpoints (0 = checkpoint only on clean close)")
 	flag.DurationVar(&cfg.shedP99, "shed-p99", 0, "overload threshold: shed load (fast 503 + Retry-After) while the rolling ack p99 is above this (0 = never shed)")
@@ -139,20 +140,7 @@ func main() {
 	flag.Parse()
 	switch {
 	case httpAddr != "":
-		var err error
-		switch role {
-		case "":
-			err = serve(cfg, httpAddr, os.Stderr)
-		case "node":
-			err = serveNode(cfg, httpAddr, catalogURL, os.Stderr)
-		case "catalog":
-			err = serveCatalog(cfg, httpAddr, os.Stderr)
-		case "router":
-			err = serveRouter(cfg, httpAddr, nodesCSV, catalogURL, os.Stderr)
-		default:
-			err = fmt.Errorf("unknown -role %q (want node, catalog, or router)", role)
-		}
-		if err != nil {
+		if err := serveHTTP(cfg, role, httpAddr, nodesCSV, catalogURL, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "mmdserve:", err)
 			os.Exit(1)
 		}
@@ -350,6 +338,27 @@ func serve(cfg config, addr string, log io.Writer) error {
 	return newServer(addr, httpserve.NewHandlerOpts(c, opts)).ListenAndServe()
 }
 
+// serveHTTP serves the whole fleet, or with a role one process of a
+// multi-process fleet. No such process writes a log: a node's registry
+// is remote, and the WAL logs the registry's operations in process. So
+// every role refuses -wal-dir, before it listens.
+func serveHTTP(cfg config, role, addr, nodesCSV, catalogURL string, log io.Writer) error {
+	if role != "" && cfg.walDir != "" {
+		return fmt.Errorf("-role %s cannot take -wal-dir: no process of a multi-process fleet writes a log", role)
+	}
+	switch role {
+	case "":
+		return serve(cfg, addr, log)
+	case "node":
+		return serveNode(cfg, addr, catalogURL, log)
+	case "catalog":
+		return serveCatalog(cfg, addr, log)
+	case "router":
+		return serveRouter(cfg, addr, nodesCSV, catalogURL, log)
+	}
+	return fmt.Errorf("unknown -role %q (want node, catalog, or router)", role)
+}
+
 // serveNode is -role node: the same cluster as serve, but its catalog
 // registry is a wire client against the catalog service — this process
 // owns its tenants' assignment state while cross-node refcounts settle
@@ -358,9 +367,6 @@ func serve(cfg config, addr string, log io.Writer) error {
 func serveNode(cfg config, addr, catalogURL string, log io.Writer) error {
 	if catalogURL == "" {
 		return fmt.Errorf("-role node needs -catalog-url")
-	}
-	if cfg.walDir != "" {
-		return fmt.Errorf("-role node cannot take -wal-dir (the registry's durability plane lives with the catalog service)")
 	}
 	rc, err := remote.Dial(catalogURL, remote.Options{})
 	if err != nil {

@@ -142,3 +142,23 @@ func TestServerDropsStalledHeaders(t *testing.T) {
 		t.Fatal("server still holds a connection whose headers never finished")
 	}
 }
+
+// TestRolesRefuseWALDir pins that every -role refuses -wal-dir before
+// it listens: each is handed an address the test already holds, so a
+// role that ignored the flag would fail to listen instead.
+func TestRolesRefuseWALDir(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cfg := defaultTestConfig()
+	cfg.walDir = t.TempDir()
+	url := "http://" + ln.Addr().String()
+	for _, role := range []string{"node", "catalog", "router"} {
+		err := serveHTTP(cfg, role, ln.Addr().String(), url, url, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-wal-dir") {
+			t.Errorf("-role %s -wal-dir: err %v, want a refusal naming -wal-dir", role, err)
+		}
+	}
+}

@@ -12,26 +12,22 @@ import (
 // wireResp, so either end may be any JSON speaker. Requests, and the
 // replies of the per-event ops (acquire, acquire-batch, lookup,
 // release, settle-batch), are written by the append encoders below and
-// read back by the flat scanner into values reused from line to line;
+// read back by an ndjson.Scanner into values reused from line to line;
 // what the scanner cannot prove canonical — escapes, other keys,
-// snapshots and settlement lists in replies — goes through
-// encoding/json.
+// snapshot replies — goes through encoding/json.
 
 // Request ops, interned by the scanner.
 const (
-	opAcquire       = "acquire"
-	opAcquireBatch  = "acquire-batch"
-	opLookup        = "lookup"
-	opRelease       = "release"
-	opSettleBatch   = "settle-batch"
-	opSnapshot      = "snapshot"
-	opReplayAcquire = "replay-acquire"
-	opReplaySettle  = "replay-settle"
-	opDangling      = "dangling"
+	opAcquire      = "acquire"
+	opAcquireBatch = "acquire-batch"
+	opLookup       = "lookup"
+	opRelease      = "release"
+	opSettleBatch  = "settle-batch"
+	opSnapshot     = "snapshot"
 )
 
 // appendJSON appends r as encoding/json encodes it. ok false means a
-// float with no JSON form: encoding/json then reports the error.
+// settlement cost with no JSON form, which encoding/json refuses too.
 func (r *wireReq) appendJSON(b []byte) (_ []byte, ok bool) {
 	b = append(b, `{"op":`...)
 	b = ndjson.AppendString(b, r.Op)
@@ -88,21 +84,14 @@ func (r *wireReq) appendJSON(b []byte) (_ []byte, ok bool) {
 	if r.WantResults {
 		b = append(b, `,"want_results":true`...)
 	}
-	if r.Scale != 0 {
-		if !ndjson.Finite(r.Scale) {
-			return b, false
-		}
-		b = append(b, `,"scale":`...)
-		b = ndjson.AppendFloat(b, r.Scale)
-	}
 	return append(b, '}'), true
 }
 
 // appendJSON appends r as encoding/json encodes it. ok false means a
-// shape left to encoding/json: a snapshot or settlement list, or a
-// float with no JSON form.
+// shape left to encoding/json: a snapshot, or a float with no JSON
+// form.
 func (r *wireResp) appendJSON(b []byte) (_ []byte, ok bool) {
-	if r.Snapshot != nil || r.Settles != nil {
+	if r.Snapshot != nil {
 		return b, false
 	}
 	b = append(b, '{')
@@ -192,247 +181,10 @@ func appendTicket(b []byte, tk *catalog.Ticket, prefix string) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
-// scanner reads the canonical shape of a wire line: objects and arrays
-// holding integers, booleans, finite numbers, null and escape-free
-// ASCII strings, no object-valued key twice. Anything else marks the
-// scan failed, and the caller decodes the line with encoding/json
-// instead; a line the scanner reads decodes to the same value both
-// ways. Methods are no-ops once the scan has failed.
-type scanner struct {
-	b     []byte
-	i     int
-	first bool // just past an opening bracket
-	bad   bool
-}
-
-func (s *scanner) fail() { s.bad = true }
-
-func (s *scanner) ws() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\r', '\n':
-			s.i++
-		default:
-			return
-		}
-	}
-}
-
-// open consumes the bracket c that opens an object or array.
-func (s *scanner) open(c byte) bool {
-	s.ws()
-	if s.bad || s.i >= len(s.b) || s.b[s.i] != c {
-		s.fail()
-		return false
-	}
-	s.i++
-	s.first = true
-	return true
-}
-
-// more reports whether another member or element follows in the
-// object or array closed by close, consuming the separator or the
-// closing bracket.
-func (s *scanner) more(close byte) bool {
-	s.ws()
-	if s.bad || s.i >= len(s.b) {
-		s.fail()
-		return false
-	}
-	first := s.first
-	s.first = false
-	switch c := s.b[s.i]; {
-	case c == close:
-		s.i++
-		return false
-	case first:
-		return true
-	case c == ',':
-		s.i++
-		return true
-	}
-	s.fail()
-	return false
-}
-
-// once fails the scan on a key seen before in the same object (whose
-// keys so far are the bits in *seen). A repeated key holding a scalar
-// or a list of scalars decodes last-wins both ways, but encoding/json
-// merges a repeated object, or list of objects, into the first one,
-// which the scanner does not reproduce.
-func (s *scanner) once(seen *uint8, bit uint8) {
-	if *seen&bit != 0 {
-		s.fail()
-	}
-	*seen |= bit
-}
-
-// key reads a member key and its colon.
-func (s *scanner) key() []byte {
-	k := s.str()
-	s.ws()
-	if s.bad || s.i >= len(s.b) || s.b[s.i] != ':' {
-		s.fail()
-		return nil
-	}
-	s.i++
-	return k
-}
-
-// str reads an escape-free ASCII string.
-func (s *scanner) str() []byte {
-	s.ws()
-	if s.bad || s.i >= len(s.b) || s.b[s.i] != '"' {
-		s.fail()
-		return nil
-	}
-	s.i++
-	start := s.i
-	for s.i < len(s.b) && s.b[s.i] != '"' {
-		if c := s.b[s.i]; c == '\\' || c < 0x20 || c >= 0x80 {
-			s.fail()
-			return nil
-		}
-		s.i++
-	}
-	if s.i >= len(s.b) {
-		s.fail()
-		return nil
-	}
-	s.i++
-	return s.b[start : s.i-1]
-}
-
-// digits reads an unsigned JSON integer of at most nine digits.
-func (s *scanner) digits() int {
-	v, start := 0, s.i
-	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-		v = v*10 + int(s.b[s.i]-'0')
-		s.i++
-	}
-	if n := s.i - start; n == 0 || n > 9 || s.b[start] == '0' && n > 1 {
-		s.fail()
-	}
-	return v
-}
-
-// int reads a JSON integer into an int.
-func (s *scanner) int() int {
-	s.ws()
-	if s.bad {
-		return 0
-	}
-	neg := s.i < len(s.b) && s.b[s.i] == '-'
-	if neg {
-		s.i++
-	}
-	v := s.digits()
-	if neg {
-		v = -v
-	}
-	return v
-}
-
-// uint8 reads a JSON integer into a uint8.
-func (s *scanner) uint8() uint8 {
-	s.ws()
-	if s.bad {
-		return 0
-	}
-	v := s.digits()
-	if v > 255 {
-		s.fail()
-	}
-	return uint8(v)
-}
-
-// float reads a JSON number into a float64, parsed exactly as
-// encoding/json parses it.
-func (s *scanner) float() float64 {
-	s.ws()
-	if s.bad {
-		return 0
-	}
-	start := s.i
-	digits := func() int {
-		n := 0
-		for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-			s.i++
-			n++
-		}
-		return n
-	}
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i++
-	}
-	if n := digits(); n == 0 || n > 1 && s.b[s.i-n] == '0' {
-		s.fail()
-		return 0
-	}
-	if s.i < len(s.b) && s.b[s.i] == '.' {
-		s.i++
-		if digits() == 0 {
-			s.fail()
-			return 0
-		}
-	}
-	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
-		s.i++
-		if s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
-			s.i++
-		}
-		if digits() == 0 {
-			s.fail()
-			return 0
-		}
-	}
-	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
-	if err != nil {
-		s.fail()
-	}
-	return f
-}
-
-// bool reads a JSON boolean.
-func (s *scanner) bool() bool {
-	s.ws()
-	switch {
-	case s.bad:
-	case s.literal("true"):
-		return true
-	case s.literal("false"):
-	default:
-		s.fail()
-	}
-	return false
-}
-
-// literal consumes lit if it comes next.
-func (s *scanner) literal(lit string) bool {
-	if len(s.b)-s.i >= len(lit) && string(s.b[s.i:s.i+len(lit)]) == lit {
-		s.i += len(lit)
-		return true
-	}
-	return false
-}
-
-// null consumes a JSON null if it comes next.
-func (s *scanner) null() bool {
-	s.ws()
-	return !s.bad && s.literal("null")
-}
-
-// done reports a scan that read the whole line.
-func (s *scanner) done() bool {
-	s.ws()
-	return !s.bad && s.i == len(s.b)
-}
-
 // wireOps are the request ops, and wireCodes the sentinel codes, that
 // the scanner interns.
 var (
-	wireOps = []string{opAcquire, opAcquireBatch, opLookup, opRelease, opSettleBatch,
-		opSnapshot, opReplayAcquire, opReplaySettle, opDangling}
+	wireOps   = []string{opAcquire, opAcquireBatch, opLookup, opRelease, opSettleBatch, opSnapshot}
 	wireCodes = []string{codeUnknownID, codeNotBound, codeClosed}
 )
 
@@ -462,71 +214,69 @@ func (c *wireConn) decodeReq(line []byte) error {
 func (c *wireConn) scanReq(line []byte) bool {
 	req := &c.req
 	*req = wireReq{}
-	s := scanner{b: line}
+	s := ndjson.NewScanner(line)
 	var seen uint8
-	for s.open('{'); s.more('}'); {
-		switch k := s.key(); string(k) {
+	for s.Open('{'); s.More('}'); {
+		switch k := s.Key(); string(k) {
 		case "op":
-			if req.Op = intern(s.str(), wireOps); req.Op == "" {
-				s.fail()
+			if req.Op = intern(s.Str(), wireOps); req.Op == "" {
+				s.Fail()
 			}
 		case "id":
-			req.ID = c.id(s.str())
+			req.ID = c.id(s.Str())
 		case "tenant":
-			req.Tenant = s.int()
+			req.Tenant = s.Int()
 		case "ids":
 			ids := c.idBuf[:0]
 			if ids == nil {
 				ids = []catalog.ID{}
 			}
-			for s.open('['); s.more(']'); {
-				ids = append(ids, c.id(s.str()))
+			for s.Open('['); s.More(']'); {
+				ids = append(ids, c.id(s.Str()))
 			}
 			c.idBuf, req.IDs = ids, ids
 		case "held":
-			req.Held = s.bool()
+			req.Held = s.Bool()
 		case "origin":
-			req.Origin = s.bool()
+			req.Origin = s.Bool()
 		case "settles":
-			s.once(&seen, 1<<0)
+			s.Once(&seen, 1<<0)
 			settles := c.settleBuf[:0]
 			if settles == nil {
 				settles = []catalog.Settlement{}
 			}
-			for s.open('['); s.more(']'); {
+			for s.Open('['); s.More(']'); {
 				settles = append(settles, c.settlement(&s))
 			}
 			c.settleBuf, req.Settles = settles, settles
 		case "want_results":
-			req.WantResults = s.bool()
-		case "scale":
-			req.Scale = s.float()
+			req.WantResults = s.Bool()
 		default:
-			s.fail()
+			s.Fail()
 		}
 	}
-	return s.done()
+	return s.Done()
 }
 
 // settlement reads one catalog.Settlement object.
-func (c *wireConn) settlement(s *scanner) catalog.Settlement {
+func (c *wireConn) settlement(s *ndjson.Scanner) catalog.Settlement {
 	var st catalog.Settlement
-	for s.open('{'); s.more('}'); {
-		switch k := s.key(); string(k) {
+	for s.Open('{'); s.More('}'); {
+		switch k := s.Key(); string(k) {
 		case "Op":
-			st.Op = catalog.SettleOp(s.uint8())
+			st.Op = catalog.SettleOp(s.Uint8())
 		case "ID":
-			st.ID = c.id(s.str())
+			st.ID = c.id(s.Str())
 		case "Tenant":
-			st.Tenant = s.int()
+			st.Tenant = s.Int()
 		case "Full":
-			st.Full = s.float()
+			st.Full = s.Float()
 		case "Charged":
-			st.Charged = s.float()
+			st.Charged = s.Float()
 		case "Origin":
-			st.Origin = s.bool()
+			st.Origin = s.Bool()
 		default:
-			s.fail()
+			s.Fail()
 		}
 	}
 	return st
@@ -549,96 +299,96 @@ func (c *Client) decodeResp(line []byte) error {
 func (c *Client) scanResp(line []byte) bool {
 	resp := &c.resp
 	*resp = wireResp{}
-	s := scanner{b: line}
+	s := ndjson.NewScanner(line)
 	var seen uint8
-	for s.open('{'); s.more('}'); {
-		switch k := s.key(); string(k) {
+	for s.Open('{'); s.More('}'); {
+		switch k := s.Key(); string(k) {
 		case "ticket":
-			s.once(&seen, 1<<0)
+			s.Once(&seen, 1<<0)
 			c.ticket = c.decodeTicket(&s)
 			resp.Ticket = &c.ticket
 		case "tickets":
-			s.once(&seen, 1<<1)
+			s.Once(&seen, 1<<1)
 			tickets := c.ticketBuf[:0]
 			if tickets == nil {
 				tickets = []catalog.Ticket{}
 			}
-			for s.open('['); s.more(']'); {
+			for s.Open('['); s.More(']'); {
 				tickets = append(tickets, c.decodeTicket(&s))
 			}
 			c.ticketBuf, resp.Tickets = tickets, tickets
 		case "local":
-			resp.Local = s.int()
+			resp.Local = s.Int()
 		case "refs":
-			resp.Refs = s.int()
+			resp.Refs = s.Int()
 		case "evicted":
-			resp.Evicted = s.bool()
+			resp.Evicted = s.Bool()
 		case "results":
-			s.once(&seen, 1<<2)
+			s.Once(&seen, 1<<2)
 			results := c.resultBuf[:0]
 			if results == nil {
 				results = []catalog.SettleResult{}
 			}
-			for s.open('['); s.more(']'); {
+			for s.Open('['); s.More(']'); {
 				var res catalog.SettleResult
-				for s.open('{'); s.more('}'); {
-					switch k := s.key(); string(k) {
+				for s.Open('{'); s.More('}'); {
+					switch k := s.Key(); string(k) {
 					case "Refs":
-						res.Refs = s.int()
+						res.Refs = s.Int()
 					case "Evicted":
-						res.Evicted = s.bool()
+						res.Evicted = s.Bool()
 					default:
-						s.fail()
+						s.Fail()
 					}
 				}
 				results = append(results, res)
 			}
 			c.resultBuf, resp.Results = results, results
 		case "error":
-			resp.Error = string(s.str())
+			resp.Error = string(s.Str())
 		case "code":
-			code := s.str()
+			code := s.Str()
 			if resp.Code = intern(code, wireCodes); resp.Code == "" {
 				resp.Code = string(code)
 			}
 		default:
-			s.fail()
+			s.Fail()
 		}
 	}
-	return s.done()
+	return s.Done()
 }
 
 // decodeTicket reads one catalog.Ticket object.
-func (c *Client) decodeTicket(s *scanner) catalog.Ticket {
+func (c *Client) decodeTicket(s *ndjson.Scanner) catalog.Ticket {
 	var tk catalog.Ticket
-	for s.open('{'); s.more('}'); {
-		switch k := s.key(); string(k) {
+	for s.Open('{'); s.More('}'); {
+		switch k := s.Key(); string(k) {
 		case "Local":
-			tk.Local = s.int()
+			tk.Local = s.Int()
 		case "Scale":
-			tk.Scale = s.float()
+			tk.Scale = s.Float()
 		case "Refs":
-			tk.Refs = s.int()
+			tk.Refs = s.Int()
 		case "SharedWith":
-			if s.null() {
+			if s.Null() {
 				tk.SharedWith = nil
 				break
 			}
 			var buf [16]int
 			held := buf[:0]
-			for s.open('['); s.more(']'); {
-				held = append(held, s.int())
+			for s.Open('['); s.More(']'); {
+				held = append(held, s.Int())
 			}
 			if tk.SharedWith = c.shared.Make(len(held)); tk.SharedWith == nil {
 				tk.SharedWith = []int{} // an empty array, which decodes non-nil
 			}
 			copy(tk.SharedWith, held)
 		case "Already":
-			tk.Already = s.bool()
+			tk.Already = s.Bool()
 		case "OriginPayer":
-			tk.OriginPayer = s.bool()
+			tk.OriginPayer = s.Bool()
 		default:
-			s.fail()
+			s.Fail()
 		}
 	}
 	return tk

@@ -19,10 +19,15 @@
 // catalog package's sentinels, so the cluster's wrapCatalogErr — and
 // every caller matching catalog.ErrUnknownID / ErrNotBound /
 // ErrClosed — behaves identically against a remote registry.
+//
+// The wire carries only what a node sends, the calls of
+// catalog.Service: six ops, acquire, acquire-batch, lookup, release,
+// settle-batch and snapshot. Any other op gets an "unknown op" reply
+// and the connection keeps serving. The registry's durability plane
+// never crosses it: a cluster with a remote registry refuses a WAL.
 package remote
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -45,15 +50,12 @@ type wireReq struct {
 	// Acquire-batch payload.
 	IDs []catalog.ID `json:"ids,omitempty"`
 	// Release flags (held selects confirmed vs provisional; origin
-	// echoes Ticket.OriginPayer) — origin doubles as the replay-acquire
-	// origin-payer flag.
+	// echoes Ticket.OriginPayer).
 	Held   bool `json:"held,omitempty"`
 	Origin bool `json:"origin,omitempty"`
 	// Settle-batch payload; WantResults asks for per-op outcomes.
 	Settles     []catalog.Settlement `json:"settles,omitempty"`
 	WantResults bool                 `json:"want_results,omitempty"`
-	// Replay-acquire quote.
-	Scale float64 `json:"scale,omitempty"`
 }
 
 // wireResp is one registry reply line (service → client). Exactly the
@@ -66,7 +68,6 @@ type wireResp struct {
 	Evicted  bool                   `json:"evicted,omitempty"`
 	Results  []catalog.SettleResult `json:"results,omitempty"`
 	Snapshot *catalog.Snapshot      `json:"snapshot,omitempty"`
-	Settles  []catalog.Settlement   `json:"settles,omitempty"`
 	Error    string                 `json:"error,omitempty"`
 	Code     string                 `json:"code,omitempty"`
 }
@@ -158,10 +159,7 @@ func (c *Client) roundTrip(req *wireReq) (*wireResp, error) {
 	line, ok := req.appendJSON(c.buf[:0])
 	c.buf = line
 	if !ok {
-		var err error
-		if line, err = marshalReq(*req); err != nil {
-			return nil, fmt.Errorf("catalog/remote: encode %s: %w", req.Op, err)
-		}
+		return nil, fmt.Errorf("catalog/remote: encode %s: a settlement cost is NaN or infinite", req.Op)
 	}
 	if err := c.conn.SendRaw(line); err != nil {
 		return nil, fmt.Errorf("%w: remote: %v", catalog.ErrClosed, err)
@@ -181,10 +179,6 @@ func (c *Client) roundTrip(req *wireReq) (*wireResp, error) {
 	}
 	return &c.resp, nil
 }
-
-// marshalReq encodes r through encoding/json. Taking r by value keeps
-// the callers' requests off the heap.
-func marshalReq(r wireReq) ([]byte, error) { return json.Marshal(&r) }
 
 // Acquire implements catalog.Service.
 func (c *Client) Acquire(id catalog.ID, tenant int) (catalog.Ticket, error) {
@@ -292,38 +286,4 @@ func (c *Client) Close() {
 		c.closed = true
 		_ = c.conn.Close()
 	}
-}
-
-// SetLogger implements catalog.Service by refusing: the remote
-// registry's durability plane lives in its own process.
-func (c *Client) SetLogger(catalog.Logger) error {
-	return fmt.Errorf("catalog/remote: a remote registry has no local durability plane")
-}
-
-// ReplayAcquire implements catalog.Service, forwarding the replayed
-// quote for the remote owner to verify.
-func (c *Client) ReplayAcquire(id catalog.ID, tenant int, scale float64, origin bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err := c.roundTrip(&wireReq{Op: opReplayAcquire, ID: id, Tenant: tenant, Scale: scale, Origin: origin})
-	return err
-}
-
-// ReplaySettle implements catalog.Service.
-func (c *Client) ReplaySettle(s catalog.Settlement) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err := c.roundTrip(&wireReq{Op: opReplaySettle, Settles: []catalog.Settlement{s}})
-	return err
-}
-
-// DanglingPending implements catalog.Service.
-func (c *Client) DanglingPending() ([]catalog.Settlement, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	resp, err := c.roundTrip(&wireReq{Op: opDangling})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Settles, nil
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/streamclient"
 )
 
 // newPair builds the parity rig: one registry behind the wire (served
@@ -131,19 +133,6 @@ func TestWireParity(t *testing.T) {
 			if ws.Render() != ls.Render() {
 				t.Fatalf("snapshot render mismatch:\nwire:\n%s\nlocal:\n%s", ws.Render(), ls.Render())
 			}
-
-			// DanglingPending parity (the released batch left none).
-			wd, err := wire.DanglingPending()
-			if err != nil {
-				t.Fatalf("DanglingPending (wire): %v", err)
-			}
-			ld, err := local.DanglingPending()
-			if err != nil {
-				t.Fatalf("DanglingPending (local): %v", err)
-			}
-			if !reflect.DeepEqual(wd, ld) {
-				t.Fatalf("DanglingPending: wire %+v != local %+v", wd, ld)
-			}
 		})
 	}
 }
@@ -160,8 +149,56 @@ func TestWireSentinels(t *testing.T) {
 	if _, err := wire.Acquire("ch-000", 99); !errors.Is(err, catalog.ErrNotBound) {
 		t.Fatalf("Acquire(unbound tenant): err %v, want ErrNotBound", err)
 	}
-	if err := wire.SetLogger(nil); err == nil {
-		t.Fatal("SetLogger on a remote client must refuse")
+}
+
+// TestWireRetiredOps pins the wire to the node protocol: a request for
+// a durability-plane op gets the unknown-op reply, and the connection
+// keeps serving.
+func TestWireRetiredOps(t *testing.T) {
+	reg, err := catalog.NewRegistry(catalog.IdentityBindings(2, 2, func(s int) catalog.ID {
+		return catalog.ID(fmt.Sprintf("ch-%03d", s))
+	}), nil)
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	defer reg.Close()
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+	conn, err := streamclient.DialWith(srv.URL, streamclient.DialOptions{Path: WirePath})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	roundTrip := func(line string) wireResp {
+		t.Helper()
+		if err := conn.SendRaw([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := conn.RecvRaw()
+		if err != nil {
+			t.Fatalf("reply to %s: %v", line, err)
+		}
+		var resp wireResp
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatalf("reply to %s: %s: %v", line, raw, err)
+		}
+		return resp
+	}
+	for _, line := range retiredOpLines {
+		var req wireReq
+		if err := json.Unmarshal([]byte(line), &req); err != nil {
+			t.Fatal(err)
+		}
+		want := wireResp{Error: fmt.Sprintf("unknown op %q", req.Op)}
+		if resp := roundTrip(line); !reflect.DeepEqual(resp, want) {
+			t.Errorf("reply to %s = %+v, want %+v", line, resp, want)
+		}
+	}
+	if resp := roundTrip(`{"op":"acquire","id":"ch-001","tenant":1}`); resp.Ticket == nil || resp.Ticket.Local != 1 {
+		t.Fatalf("acquire after the retired ops: %+v", resp)
 	}
 }
 

@@ -173,25 +173,6 @@ func (c *wireConn) dispatch() {
 			return
 		}
 		c.resp.Snapshot = snap
-	case opReplayAcquire:
-		if err := c.reg.ReplayAcquire(req.ID, req.Tenant, req.Scale, req.Origin); err != nil {
-			c.fail(err)
-		}
-	case opReplaySettle:
-		if len(req.Settles) != 1 {
-			c.resp.Error = fmt.Sprintf("replay-settle wants exactly 1 settlement, got %d", len(req.Settles))
-			return
-		}
-		if err := c.reg.ReplaySettle(req.Settles[0]); err != nil {
-			c.fail(err)
-		}
-	case opDangling:
-		settles, err := c.reg.DanglingPending()
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.resp.Settles = settles
 	default:
 		c.resp.Error = fmt.Sprintf("unknown op %q", strings.TrimSpace(req.Op))
 	}

@@ -1,13 +1,18 @@
 package catalog
 
-// Service is the registry protocol surface the cluster drives: the
-// three-step acquire/admit/settle pricing protocol, its batched forms,
-// the binding lookup, the deterministic snapshot, and the
-// durability-log plane. *Registry implements it in-process; a fleet
-// node implements it against a remote registry process over the v4
-// NDJSON wire (see internal/catalog/remote) — each call is already one
-// self-contained operation the registry serializes, so the wire lift
-// changes the transport, never the protocol.
+// Service is the registry protocol surface a cluster's serving path
+// drives, and so the calls a fleet node sends: the three-step
+// acquire/admit/settle pricing protocol, its batched forms, the binding
+// lookup and the deterministic snapshot. *Registry implements it
+// in-process; a fleet node implements it against a remote registry
+// process over the v4 NDJSON wire (see internal/catalog/remote) — each
+// call is already one self-contained operation the registry serializes,
+// so the wire lift changes the transport, never the protocol.
+//
+// The durability-log plane (SetLogger, ReplayAcquire, ReplaySettle and
+// DanglingPending, see walog.go) is not part of it: only a cluster with
+// a WAL calls those, and such a cluster always builds its own
+// in-process *Registry.
 //
 // Implementations must preserve the registry's semantics exactly:
 // every Acquire balanced by exactly one settlement echoing the
@@ -37,15 +42,6 @@ type Service interface {
 	// in-process Registry marks itself closed; a remote client closes
 	// its connection and leaves the registry serving its other nodes.
 	Close()
-
-	// The durability-log plane (see walog.go). A remote registry owns
-	// its durability in its own process, so the remote client rejects
-	// SetLogger — a cluster with both a WAL and a remote catalog is
-	// refused at construction.
-	SetLogger(l Logger) error
-	ReplayAcquire(id ID, tenant int, scale float64, origin bool) error
-	ReplaySettle(s Settlement) error
-	DanglingPending() ([]Settlement, error)
 }
 
 // Registry implements Service in-process.

@@ -245,8 +245,9 @@ type CatalogOptions struct {
 	// Streams is still required — the cluster keeps its own binding
 	// tables for worker-side settlement classification — and must match
 	// the bindings the remote registry was built with. Remote cannot be
-	// combined with Options.WAL: the registry's durability plane
-	// belongs to the process that owns the refcounts.
+	// combined with Options.WAL: the WAL logs and replays the registry's
+	// operations through an in-process *catalog.Registry, and a
+	// multi-process fleet logs nothing.
 	Remote catalog.Service
 }
 
@@ -383,6 +384,10 @@ type Cluster struct {
 	// injected a wire client against a registry owned by another
 	// process (the fleet catalog service, serving API v7).
 	catalog catalog.Service
+	// registry is catalog when it is the in-process *catalog.Registry,
+	// else nil. The WAL plane logs and replays the registry's operations
+	// through it; a cluster with a WAL always has one.
+	registry *catalog.Registry
 	// catalogBindings is the binding table (Options.Catalog.Streams):
 	// the in-process registry's own, or the cluster's copy when the
 	// registry is remote. route and ApplyBatch answer a catalog event's
@@ -556,7 +561,7 @@ func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, er
 		}
 		if opts.Catalog.Remote != nil {
 			if opts.WAL != nil {
-				return nil, fmt.Errorf("cluster: a remote catalog registry cannot be combined with a WAL (the registry's durability plane lives with the remote owner)")
+				return nil, fmt.Errorf("cluster: a remote catalog registry cannot be combined with a WAL (the WAL logs the registry's operations in process, and a multi-process fleet logs nothing)")
 			}
 			bindings, err := catalog.NewBindings(opts.Catalog.Streams)
 			if err != nil {
@@ -568,7 +573,7 @@ func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, er
 			if err != nil {
 				return nil, fmt.Errorf("cluster: %w", err)
 			}
-			c.catalog, c.catalogBindings = reg, reg.Bindings()
+			c.catalog, c.registry, c.catalogBindings = reg, reg, reg.Bindings()
 		}
 		c.heldCatalog = make([]map[catalog.ID]bool, len(c.tenants))
 		for i := range c.heldCatalog {

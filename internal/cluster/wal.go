@@ -174,9 +174,9 @@ func (c *Cluster) attachAppenders() error {
 	for _, sh := range c.shards {
 		sh.wal = c.wlog.Appender(wal.ShardWriter(sh.id))
 	}
-	if c.catalog != nil {
+	if c.registry != nil {
 		c.walCatApp.Store(c.wlog.Appender(wal.CatalogWriter))
-		if err := c.catalog.SetLogger(&catalogWALLogger{c: c}); err != nil {
+		if err := c.registry.SetLogger(&catalogWALLogger{c: c}); err != nil {
 			return err
 		}
 	}
@@ -505,14 +505,14 @@ func Recover(tenants []TenantConfig, opts Options) (*Cluster, *RecoveryReport, e
 		return fail(err)
 	}
 	c.goLive()
-	if c.catalog != nil {
+	if c.registry != nil {
 		// Drain the acquisitions the crash left in flight — through the
 		// normal, logged settlement path, so the log itself records the
 		// drain and future replays reproduce it (including the
 		// evictions it fires). Then reconcile the torn window between
 		// the planes: an event record may have been durable while its
 		// settlement was still buffered, or vice versa.
-		dang, err := c.catalog.DanglingPending()
+		dang, err := c.registry.DanglingPending()
 		if err != nil {
 			return fail(err)
 		}
@@ -575,22 +575,22 @@ func (c *Cluster) feedReplay(recs []wal.Record, from, to uint64) (events, catOps
 		}
 		switch r.Type {
 		case wal.TypeCatalogAcquire:
-			if c.catalog == nil {
+			if c.registry == nil {
 				return events, catOps, fmt.Errorf("cluster: replay: catalog record seq %d without a catalog", r.Seq)
 			}
-			if err := c.catalog.ReplayAcquire(catalog.ID(r.Catalog), r.Tenant, r.Scale, r.Origin); err != nil {
+			if err := c.registry.ReplayAcquire(catalog.ID(r.Catalog), r.Tenant, r.Scale, r.Origin); err != nil {
 				return events, catOps, err
 			}
 			catOps++
 		case wal.TypeCatalogSettle:
-			if c.catalog == nil {
+			if c.registry == nil {
 				return events, catOps, fmt.Errorf("cluster: replay: catalog record seq %d without a catalog", r.Seq)
 			}
 			op, err := settleOpFromToken(r.Op)
 			if err != nil {
 				return events, catOps, err
 			}
-			if err := c.catalog.ReplaySettle(catalog.Settlement{
+			if err := c.registry.ReplaySettle(catalog.Settlement{
 				Op: op, ID: catalog.ID(r.Catalog), Tenant: r.Tenant,
 				Full: r.Full, Charged: r.Charged, Origin: r.Origin,
 			}); err != nil {

@@ -496,6 +496,27 @@ func TestWALErrors(t *testing.T) {
 	})
 }
 
+// TestWALRefusesRemoteCatalog pins that a WAL needs the cluster's own
+// registry: the WAL plane logs and replays the registry's operations
+// through the in-process *catalog.Registry, so New and Recover refuse a
+// remote catalog combined with a WAL.
+func TestWALRefusesRemoteCatalog(t *testing.T) {
+	opts := walFleetOptions(2, 8, 1, catalog.Isolated{}, &WALOptions{Dir: t.TempDir()})
+	reg, err := catalog.NewRegistry(opts.Catalog.Streams, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	opts.Catalog.Remote = reg
+	const want = "cannot be combined with a WAL"
+	if _, err := New(tenantInstances(t, 2, 8, 4, 9600), opts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("New with a remote catalog and a WAL: %v", err)
+	}
+	if _, _, err := Recover(tenantInstances(t, 2, 8, 4, 9600), opts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Recover with a remote catalog and a WAL: %v", err)
+	}
+}
+
 // TestWALCheckpointRacingTraffic races explicit checkpoints against
 // in-flight batches and streamed catalog events (run under -race in
 // CI), then crashes and verifies the recovered state matches the final

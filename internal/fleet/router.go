@@ -273,16 +273,8 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 			ev, perr := parser.Parse(line)
 			dup := false
 			if perr == nil && !ephemeral {
-				switch {
-				case ev.Seq == 0:
-					perr = fmt.Errorf("session stream: line missing seq")
-				case lastSeq == 0 && ev.Seq > base:
-					perr = fmt.Errorf("session stream: seq %d skips past watermark %d", ev.Seq, base-1)
-				case lastSeq != 0 && ev.Seq != lastSeq+1:
-					perr = fmt.Errorf("session stream: seq %d after %d breaks contiguity", ev.Seq, lastSeq)
-				}
+				dup, perr = streamclient.CheckSessionSeq(ev.Seq, base, lastSeq)
 				lastSeq = ev.Seq
-				dup = ev.Seq < base
 			}
 			if perr == nil && !dup {
 				// The node would end the upstream session on this line.
@@ -295,9 +287,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			if dup {
-				out = append(out[:0], `{"seq":`...)
-				out = strconv.AppendUint(out, ev.Seq, 10)
-				out = append(out, `,"dup":true}`+"\n"...)
+				out = streamclient.AppendDupAck(out[:0], ev.Seq)
 			} else {
 				res, fatal, ferr := rt.forward(rs, ev)
 				if ferr != nil {

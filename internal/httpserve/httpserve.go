@@ -641,20 +641,11 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			ev, seq := streamEvent(req), req.Seq
 			dup := false
 			if sess != nil {
-				switch {
-				case seq == 0:
-					perr = fmt.Errorf("session stream: line missing seq")
-				case lastSeq == 0 && seq > base:
-					perr = fmt.Errorf("session stream: seq %d skips past watermark %d", seq, base-1)
-				case lastSeq != 0 && seq != lastSeq+1:
-					perr = fmt.Errorf("session stream: seq %d after %d breaks contiguity", seq, lastSeq)
-				}
-				if perr != nil {
+				if dup, perr = streamclient.CheckSessionSeq(seq, base, lastSeq); perr != nil {
 					protoErr = perr
 					break
 				}
 				lastSeq = seq
-				dup = seq < base
 				ev.Session, ev.SessionSeq = sid, seq
 			}
 			if dup {
@@ -664,9 +655,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				// goroutine has nothing in flight yet and the response is
 				// ours to write. A failed write means the client is dying;
 				// the body read below will notice.
-				dupBuf = append(dupBuf[:0], `{"seq":`...)
-				dupBuf = strconv.AppendUint(dupBuf, seq, 10)
-				dupBuf = append(dupBuf, `,"dup":true}`+"\n"...)
+				dupBuf = streamclient.AppendDupAck(dupBuf[:0], seq)
 				_ = s.writeStream(w, rc, dupBuf)
 			} else if serr := sc.Submit(ctx, ev); serr != nil {
 				// Window reservation failed (client gone or cluster

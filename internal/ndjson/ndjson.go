@@ -1,13 +1,16 @@
 // Package ndjson holds the hand-rolled pieces the serving stack's
 // NDJSON wires share: append encoders for the JSON values the hot
 // paths emit (strings, floats, int slices), the server-side line
-// reader, and the string interning its line decoders share. The stream
-// endpoint and its router, the catalog wire and the WAL record codec
-// all use this one copy.
+// reader, the flat Scanner that reads canonical lines back, and the
+// string interning its line decoders share. The stream endpoint and
+// its router, the catalog wire and the WAL record codec all use this
+// one copy.
 //
 // Every encoder emits exactly the bytes encoding/json would for the
 // same value, except that AppendString may leave the HTML characters
-// <, > and & unescaped, which decodes identically.
+// <, > and & unescaped, which decodes identically. Every line the
+// Scanner reads decodes as encoding/json decodes it; a line it cannot
+// prove canonical is left to encoding/json.
 package ndjson
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/ndjson"
 )
@@ -19,8 +20,8 @@ const MaxLine = 64 << 10
 // the parser every server of the protocol shares — nodes and the fleet
 // router alike, and a node's single-event endpoint, whose body is one
 // such line — so all of them refuse the same lines with the same
-// message. Canonical lines (see ParseCanonicalEvent) decode without
-// allocating when a Parser reads them; anything else goes through
+// message. Canonical lines (the shape AppendJSON writes) decode
+// without allocating when a Parser reads them; anything else goes through
 // encoding/json, so exotic but valid JSON still works and invalid JSON
 // fails with the stdlib's message. A decoded event CheckEvent refuses
 // is refused too.
@@ -69,6 +70,34 @@ func CheckEvent(ev Event) error {
 	return nil
 }
 
+// CheckSessionSeq is the protocol's rule for the seq of a line on a
+// resumable session, shared by every server of the protocol. base is
+// the first seq the session has not applied (its watermark plus one),
+// and last the seq of the connection's previous line, 0 before the
+// first. The first line may replay seqs below base but not skip past
+// it, and each later line must follow the one before. dup reports a
+// replay of an applied event: the server acknowledges it with
+// AppendDupAck instead of applying it again.
+func CheckSessionSeq(seq, base, last uint64) (dup bool, err error) {
+	switch {
+	case seq == 0:
+		return false, fmt.Errorf("session stream: line missing seq")
+	case last == 0 && seq > base:
+		return false, fmt.Errorf("session stream: seq %d skips past watermark %d", seq, base-1)
+	case last != 0 && seq != last+1:
+		return false, fmt.Errorf("session stream: seq %d after %d breaks contiguity", seq, last)
+	}
+	return seq < base, nil
+}
+
+// AppendDupAck appends the result line, newline included, that
+// acknowledges a replayed line of seq without applying it.
+func AppendDupAck(b []byte, seq uint64) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, seq, 10)
+	return append(b, `,"dup":true}`+"\n"...)
+}
+
 // decodeEvent is ParseEvent's stdlib half, kept apart so that only this
 // path pays for the decode target escaping to the heap.
 func decodeEvent(line []byte) (Event, error) {
@@ -79,154 +108,39 @@ func decodeEvent(line []byte) (Event, error) {
 	return ev, nil
 }
 
-// ParseCanonicalEvent is ParseEvent's hand-rolled half: it scans a
-// canonical wire line (a flat JSON object of known keys with integer,
-// boolean, or escape-free ASCII string values, the shape AppendJSON
-// writes), allocating only a catalog ID's string, which a Parser
-// interns instead. Every line it accepts decodes exactly as
-// encoding/json decodes it; ok false means "not provably canonical —
+// parseCanonical is ParseEvent's fast half: it reads a canonical line
+// (a flat object of the event's keys with integer, boolean or
+// escape-free ASCII string values, the shape AppendJSON writes) with an
+// ndjson.Scanner, allocating only a catalog ID's string, which ids
+// interns (nil interns nothing). Every line it accepts decodes exactly
+// as encoding/json decodes it; ok false means "not provably canonical —
 // use the stdlib", never an error of its own. The type is not checked
 // beyond being a known token when present.
-func ParseCanonicalEvent(line []byte) (Event, bool) { return parseCanonical(line, nil) }
-
-// parseCanonical is ParseCanonicalEvent, with the catalog ID interned
-// by ids (nil interns nothing).
-func parseCanonical(line []byte, ids *ndjson.Interner) (Event, bool) {
-	var ev Event
-	i, n := 0, len(line)
-	skip := func() {
-		for i < n && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-	}
-	skip()
-	if i >= n || line[i] != '{' {
-		return ev, false
-	}
-	i++
-	skip()
-	if i < n && line[i] == '}' {
-		return ev, i+1 == n || allWS(line[i+1:])
-	}
-	for {
-		// Key.
-		skip()
-		if i >= n || line[i] != '"' {
-			return ev, false
-		}
-		i++
-		ks := i
-		for i < n && line[i] != '"' {
-			if line[i] == '\\' {
-				return ev, false
-			}
-			i++
-		}
-		if i >= n {
-			return ev, false
-		}
-		key := line[ks:i]
-		i++
-		skip()
-		if i >= n || line[i] != ':' {
-			return ev, false
-		}
-		i++
-		skip()
-		// Value, typed by key.
-		switch string(key) {
+func parseCanonical(line []byte, ids *ndjson.Interner) (ev Event, ok bool) {
+	s := ndjson.NewScanner(line)
+	for s.Open('{'); s.More('}'); {
+		switch k := s.Key(); string(k) {
 		case "seq":
-			v, ds := uint64(0), i
-			for i < n && line[i] >= '0' && line[i] <= '9' {
-				v = v*10 + uint64(line[i]-'0')
-				i++
+			ev.Seq = s.Uint64()
+		case "tenant":
+			ev.Tenant = s.Int()
+		case "type":
+			if ev.Type = wireToken(string(s.Str())); ev.Type == "" {
+				s.Fail() // unknown token: let the stdlib path shape the error
 			}
-			if i == ds || i-ds > 18 {
-				return ev, false // empty, or large enough to overflow
-			}
-			if line[ds] == '0' && i-ds > 1 {
-				return ev, false // leading zero: invalid JSON, let the stdlib reject it
-			}
-			ev.Seq = v
-		case "tenant", "stream", "user":
-			neg := false
-			if i < n && line[i] == '-' {
-				neg = true
-				i++
-			}
-			v, ds := 0, i
-			for i < n && line[i] >= '0' && line[i] <= '9' {
-				v = v*10 + int(line[i]-'0')
-				i++
-			}
-			if i == ds || i-ds > 9 {
-				return ev, false // empty, or large enough to overflow
-			}
-			if line[ds] == '0' && i-ds > 1 {
-				return ev, false // leading zero: invalid JSON, let the stdlib reject it
-			}
-			if neg {
-				v = -v
-			}
-			switch key[0] {
-			case 't':
-				ev.Tenant = v
-			case 's':
-				ev.Stream = v
-			default:
-				ev.User = v
-			}
-		case "type", "catalog_id":
-			if i >= n || line[i] != '"' {
-				return ev, false
-			}
-			i++
-			vs := i
-			for i < n && line[i] != '"' {
-				// Escapes and non-ASCII need the stdlib's decoding; raw
-				// control characters are invalid JSON it must refuse.
-				if c := line[i]; c == '\\' || c >= 0x7f || c < 0x20 {
-					return ev, false
-				}
-				i++
-			}
-			if i >= n {
-				return ev, false
-			}
-			if key[0] == 't' {
-				ev.Type = wireToken(string(line[vs:i]))
-				if ev.Type == "" {
-					return ev, false // unknown token: let the stdlib path shape the error
-				}
-			} else {
-				ev.CatalogID = ids.String(line[vs:i])
-			}
-			i++
+		case "stream":
+			ev.Stream = s.Int()
+		case "user":
+			ev.User = s.Int()
 		case "install":
-			switch {
-			case bytes.HasPrefix(line[i:], []byte("true")):
-				ev.Install = true
-				i += 4
-			case bytes.HasPrefix(line[i:], []byte("false")):
-				ev.Install = false
-				i += 5
-			default:
-				return ev, false
-			}
+			ev.Install = s.Bool()
+		case "catalog_id":
+			ev.CatalogID = ids.String(s.Str())
 		default:
-			return ev, false
+			s.Fail()
 		}
-		skip()
-		if i < n && line[i] == ',' {
-			i++
-			continue
-		}
-		if i < n && line[i] == '}' {
-			i++
-			return ev, i == n || allWS(line[i:])
-		}
-		return ev, false
 	}
+	return ev, s.Done()
 }
 
 // wireToken interns a wire type token so the hot path stores no new
@@ -249,16 +163,6 @@ func wireToken(t string) string {
 		return "catalog-depart"
 	}
 	return ""
-}
-
-// allWS reports whether b is only JSON whitespace.
-func allWS(b []byte) bool {
-	for _, ch := range b {
-		if ch != ' ' && ch != '\t' && ch != '\r' && ch != '\n' {
-			return false
-		}
-	}
-	return true
 }
 
 // resultHead reads the seq and dup mark of a result line in the shape

@@ -33,14 +33,25 @@ func TestFastParseMatchesStdlib(t *testing.T) {
 		`{"tenant":0,"type":"offer","stream":123456789}`,
 		`{"type":"resolve","install":true,"install":false}`, // last duplicate wins
 		"{}",
+		wideLines[0],
+		wideLines[1],
+		`{"seq":999999999999999999,"tenant":1,"type":"offer","stream":2}`, // 18-digit seq
 	}
 	for _, line := range lines {
 		var want Event
 		if err := json.Unmarshal([]byte(line), &want); err != nil {
 			t.Fatalf("bad test line %q: %v", line, err)
 		}
-		if got, ok := ParseCanonicalEvent([]byte(line)); ok && !reflect.DeepEqual(got, want) {
+		if got, ok := parseCanonical([]byte(line), nil); ok && !reflect.DeepEqual(got, want) {
 			t.Errorf("fast parse of %q = %+v, stdlib %+v", line, got, want)
+		}
+	}
+	// The fast path reads every shape of canonical line, these included.
+	var p Parser
+	for _, l := range wideLines {
+		line := []byte(l)
+		if avg := testing.AllocsPerRun(100, func() { _, _ = p.Parse(line) }); avg != 0 {
+			t.Errorf("Parse of %q allocates %.1f times", line, avg)
 		}
 	}
 
@@ -59,7 +70,7 @@ func TestFastParseMatchesStdlib(t *testing.T) {
 		"{\"type\":\"catalog-offer\",\"catalog_id\":\"a\tb\"}", // raw control character: invalid JSON
 	}
 	for _, line := range fallback {
-		if _, ok := ParseCanonicalEvent([]byte(line)); ok {
+		if _, ok := parseCanonical([]byte(line), nil); ok {
 			t.Errorf("fast path accepted non-canonical line %q", line)
 		}
 	}
@@ -71,6 +82,14 @@ func TestFastParseMatchesStdlib(t *testing.T) {
 	if _, err := ParseEvent([]byte(`{not json`)); err == nil {
 		t.Fatal("malformed line accepted")
 	}
+}
+
+// wideLines are valid canonical lines that JSON allows but AppendJSON
+// never writes: a \r between tokens, and a DEL byte (0x7f), which JSON
+// strings carry unescaped, inside a catalog ID.
+var wideLines = []string{
+	"{\"seq\":3,\r\"tenant\":1,\"type\":\"offer\",\r\"stream\":2}",
+	"{\"tenant\":0,\"type\":\"catalog-offer\",\"catalog_id\":\"ch\x7f01\"}",
 }
 
 // TestParseEventRefusals pins the messages a server ends a stream
@@ -130,9 +149,9 @@ func TestParseEventRoundTrip(t *testing.T) {
 		}
 		plain := true
 		for _, c := range []byte(ev.CatalogID) {
-			plain = plain && c != '"' && c != '\\' && c < 0x7f
+			plain = plain && c != '"' && c != '\\' && c < 0x80
 		}
-		if _, ok := ParseCanonicalEvent(line); ok != plain {
+		if _, ok := parseCanonical(line, nil); ok != plain {
 			t.Errorf("case %d: fast path took %s: %v, want %v", i, line, ok, plain)
 		}
 	}
@@ -279,7 +298,7 @@ func TestRecvLineMatchesRecv(t *testing.T) {
 }
 
 // FuzzEventLine is the differential check of the stream protocol's
-// hand-rolled readers: whenever ParseCanonicalEvent or ParseEvent
+// hand-rolled readers: whenever parseCanonical or ParseEvent
 // accepts a line, the event equals encoding/json's, and whenever the
 // result head reader reads a line the stdlib also decodes, seq and dup
 // mark agree. The parsers know no line cap (a server's line reader
@@ -322,13 +341,16 @@ func FuzzEventLine(f *testing.F) {
 		`"offer"`,
 		`null`,
 		``,
+		wideLines[0],
+		wideLines[1],
+		`{"seq":999999999999999999,"tenant":1,"type":"offer","stream":2}`,
 	} {
 		f.Add([]byte(l))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var want Event
 		werr := json.Unmarshal(line, &want)
-		if got, ok := ParseCanonicalEvent(line); ok && (werr != nil || !reflect.DeepEqual(got, want)) {
+		if got, ok := parseCanonical(line, nil); ok && (werr != nil || !reflect.DeepEqual(got, want)) {
 			t.Fatalf("fast path read %q as %+v; stdlib %+v, %v", line, got, want, werr)
 		}
 		if got, err := ParseEvent(line); err == nil && (werr != nil || !reflect.DeepEqual(got, want)) {
