@@ -316,3 +316,77 @@ func TestStreamWarmupAllocations(t *testing.T) {
 		t.Fatalf("a %d-deep window driven to full depth allocates %.0f times, want at most 64", window, avg)
 	}
 }
+
+// TestStreamChurnResolveCycleAllocationFree pins churn-resolve's shape
+// at zero allocations per cycle: on a warm stream over one 120 × 40
+// tenant, a gateway leaves and rejoins, a stream departs and is offered
+// again, and an installing re-solve follows. The re-solve solves its
+// bands on the shard worker, the install keeps every list the lineup
+// did not change, and the leave edits in place the lists no caller
+// holds; what the cycle still carves comes from the tenant's shared
+// arrays, far less than one allocation per cycle.
+func TestStreamChurnResolveCycleAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counters are unreliable under -race")
+	}
+	in, err := generator.CableTV{Channels: 120, Gateways: 40, Seed: 300, EgressFraction: 0.25}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New([]TenantConfig{{Instance: in}}, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sc, err := c.OpenStream(StreamOptions{Window: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	ctx := context.Background()
+	apply := func(ev Event) StreamResult {
+		if err := sc.Submit(ctx, ev); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sc.Recv(ctx)
+		if err != nil || res.Err != nil {
+			t.Fatalf("%v: %+v, %v", ev.Type, res, err)
+		}
+		return res
+	}
+	for s := 0; s < in.NumStreams(); s++ {
+		apply(Event{Type: EventStreamArrival, Stream: s})
+	}
+	apply(Event{Type: EventResolve, Install: true})
+	// The first gateway that holds a stream after the install, and the
+	// first stream it holds. A rejoin recovers no subscription, so a
+	// second install gives the probed gateways theirs back.
+	u, s := -1, -1
+	for g := 0; g < in.NumUsers() && u < 0; g++ {
+		if res := apply(Event{Type: EventUserLeave, User: g}); len(res.Churn.Streams) > 0 {
+			u, s = g, res.Churn.Streams[0]
+		}
+		apply(Event{Type: EventUserJoin, User: g})
+	}
+	if u < 0 {
+		t.Fatal("no gateway holds a stream after the install")
+	}
+	apply(Event{Type: EventResolve, Install: true})
+	cycle := func() {
+		if res := apply(Event{Type: EventUserLeave, User: u}); len(res.Churn.Streams) == 0 {
+			t.Fatalf("gateway %d left holding nothing", u)
+		}
+		apply(Event{Type: EventUserJoin, User: u})
+		apply(Event{Type: EventStreamDeparture, Stream: s})
+		apply(Event{Type: EventStreamArrival, Stream: s})
+		if res := apply(Event{Type: EventResolve, Install: true}); !res.Resolve.Installed {
+			t.Fatalf("re-solve did not install: %+v", res.Resolve)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("warm churn and installing re-solve cycle allocates %.2f per cycle, want 0", avg)
+	}
+}

@@ -8,16 +8,14 @@ import (
 	"repro/internal/generator"
 )
 
-// TestSolveManyBandsConcurrent exercises the concurrent band fan-out
-// in Solve (solver.go) on a high-skew instance that decomposes into
-// many bands, from several goroutines at once. Run under -race (the CI
-// does) it proves the fan-out's slot discipline: each band goroutine
-// writes only its own band slot, including when a workspace reuses the
-// slots from one solve to the next (every caller keeps a workspace and
-// alternates the instance with one of another band count). It also
-// asserts that concurrent callers all see the same bit-identical
-// result — the in-order winner scan must make Solve deterministic
-// regardless of goroutine timing.
+// TestSolveManyBandsConcurrent runs Solve (solver.go) on a high-skew
+// instance that decomposes into many bands, from several goroutines at
+// once, each with its own workspace. Run under -race (the CI does) it
+// proves that callers share nothing but the read-only instances,
+// including when a workspace reuses its band slots from one solve to
+// the next (every caller alternates the instance with one of another
+// band count). It also asserts that all callers see the same
+// bit-identical result, whatever the goroutines' timing.
 func TestSolveManyBandsConcurrent(t *testing.T) {
 	in, err := generator.RandomMMD{
 		Streams: 24, Users: 6, M: 3, MC: 2, Seed: 77, Skew: 4096,
@@ -30,7 +28,7 @@ func TestSolveManyBandsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Bands < 4 {
-		t.Fatalf("instance decomposed into only %d bands; fan-out barely exercised", rep.Bands)
+		t.Fatalf("instance decomposed into only %d bands; band slots barely exercised", rep.Bands)
 	}
 
 	other, err := generator.RandomMMD{

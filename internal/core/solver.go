@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/buf"
 	"repro/internal/mmd"
@@ -82,9 +81,9 @@ func Solve(in *mmd.Instance, opts Options) (*mmd.Assignment, *Report, error) {
 // Workspace carries every stage's buffers from one Solve to the next:
 // the reduced instance, the band decomposition, each band's greedy and
 // lift, and the fallback candidates. A caller that re-solves instance
-// after instance (a head-end tenant) keeps one and allocates little
-// beyond the band fan-out's goroutines once it is warm. The zero value
-// is ready to use.
+// after instance (a head-end tenant) keeps one, and once it has seen
+// its largest instance a Solve with the default options allocates
+// nothing. The zero value is ready to use.
 //
 // A Workspace is not safe for concurrent use. What its Solve returns —
 // the assignment and the report — is the workspace's own, valid until
@@ -93,8 +92,7 @@ func Solve(in *mmd.Instance, opts Options) (*mmd.Assignment, *Report, error) {
 type Workspace struct {
 	reduce reduction.Workspace
 	decomp skew.Workspace
-	// bands[i] is band i's scratch; each band goroutine touches only
-	// its own.
+	// bands[i] is band i's scratch, kept from one Solve to the next.
 	bands  []*bandSlot
 	report *Report
 
@@ -179,22 +177,17 @@ func (w *Workspace) Solve(in *mmd.Instance, opts Options) (*mmd.Assignment, *Rep
 	// Step 3+4: solve each band (Section 2) and lift each candidate back
 	// to the original multi-budget instance (Theorem 4.3). Lifting every
 	// candidate and comparing final values dominates the paper's
-	// "pick the best band first, lift once" order. Bands are independent,
-	// so they are solved concurrently, each in its own slot; the winner
-	// is chosen by an in-order scan afterwards, keeping results
-	// bit-for-bit deterministic.
+	// "pick the best band first, lift once" order. Bands are solved in
+	// order on the caller's goroutine, each in its own slot: a serving
+	// caller is a shard worker, and the cluster runs its parallelism
+	// across shards, so a per-solve fan-out would only add its
+	// goroutines and their synchronisation to every re-solve.
 	for len(w.bands) < len(dec.Bands) {
 		w.bands = append(w.bands, new(bandSlot))
 	}
-	var wg sync.WaitGroup
 	for i := range dec.Bands {
-		wg.Add(1)
-		go func(b *bandSlot, band skew.Band) {
-			defer wg.Done()
-			b.solve(view, band, opts)
-		}(w.bands[i], dec.Bands[i])
+		w.bands[i].solve(view, dec.Bands[i], opts)
 	}
-	wg.Wait()
 
 	var best *mmd.Assignment
 	bestVal := math.Inf(-1)

@@ -11,27 +11,38 @@ import (
 	"repro/internal/mmd"
 )
 
-// TestResolveSteadyStateAllocBudget pins the allocations of one
-// installing re-solve of a churn-resolve head-end (120 channels, 40
-// gateways) with three gateways away, once the tenant's solver
-// workspace is warm. What remains is the band fan-out (its goroutines
-// and their WaitGroup) and the fresh array the install carves the
-// carried streams' user lists from.
+// TestResolveSteadyStateAllocBudget pins one installing re-solve of a
+// churn-resolve head-end (120 channels, 40 gateways) with three
+// gateways away at zero allocations, once the tenant's solver workspace
+// and both of the online policy's alternating allocator states are
+// warm. The bands are solved on the caller's goroutine, and an install
+// that repeats the lineup keeps every carried list.
 func TestResolveSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
 	}
+	resolve := warmResolveTenant(t)
+	if allocs := testing.AllocsPerRun(20, resolve); allocs != 0 {
+		t.Fatalf("warm installing re-solve allocates %.0f times, want 0", allocs)
+	}
+}
+
+// warmResolveTenant builds a churn-resolve head-end (120 channels, 40
+// gateways) that carries a seeded lineup with three gateways away, and
+// returns its installing re-solve, run until warm.
+func warmResolveTenant(tb testing.TB) func() {
+	tb.Helper()
 	in, err := generator.CableTV{Channels: 120, Gateways: 40, Seed: 300, EgressFraction: 0.25}.Generate()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	pol, err := headend.NewOnlinePolicy(in, true)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	tn, err := headend.NewTenant(in, pol)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i, s := range rng.Perm(in.NumStreams()) {
@@ -43,20 +54,19 @@ func TestResolveSteadyStateAllocBudget(t *testing.T) {
 	for _, u := range []int{3, 11, 29} {
 		tn.UserLeave(u)
 	}
-	const budget = 64
-	allocs := testing.AllocsPerRun(20, func() {
+	resolve := func() {
 		out, err := tn.Resolve(core.Options{}, true)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if !out.Installed {
-			t.Fatal("steady-state re-solve did not install")
+			tb.Fatal("steady-state re-solve did not install")
 		}
-	})
-	if allocs > budget {
-		t.Fatalf("installing re-solve allocates %.0f times, budget %d", allocs, budget)
 	}
-	t.Logf("installing re-solve: %.0f allocations", allocs)
+	// Reinstall swaps between two allocators, so two installs warm both.
+	resolve()
+	resolve()
+	return resolve
 }
 
 // TestOfferStreamScaledAllocationFree pins an admitted catalog offer on

@@ -171,3 +171,15 @@ func onlinePolicySweep(b *testing.B, ledger bool) {
 		}
 	}
 }
+
+// BenchmarkTenantResolve times one warm installing re-solve of the
+// churn-resolve head-end with three gateways away: the offline
+// Theorem 1.1 pipeline and the install, on the caller's goroutine.
+func BenchmarkTenantResolve(b *testing.B) {
+	resolve := warmResolveTenant(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resolve()
+	}
+}

@@ -16,18 +16,23 @@ import (
 // order) and make one call per event.
 //
 // A Tenant is not safe for concurrent use; callers serialize all step
-// calls (the cluster pins each tenant to one shard worker).
+// calls (the cluster pins each tenant to one shard worker). A list a
+// step call returns is the caller's to keep: no later step writes it.
 type Tenant struct {
 	in     *mmd.Instance
 	policy Policy
 	assn   *mmd.Assignment
 	// live maps a carried stream to the users admitted for it; a stream
 	// stays carried (and further offers are no-ops) until DepartStream.
-	// The step calls hand these lists to callers, so an admission or a
-	// leave carves each from lists and an install from a fresh array
-	// (see rebuildLive): memory no later step writes.
-	live  map[int][]int
-	lists buf.Lists[int]
+	// handedOut[s] marks a list that a caller may hold: an admission
+	// returns its list, and a list sharing that memory keeps the mark.
+	// No step writes a marked list again. An unmarked list is the
+	// tenant's own, so a leave edits it in place. DepartStream takes its
+	// list out of live, so what it returns is never edited either. New
+	// lists are carved from lists, whose memory nothing hands out twice.
+	live      map[int][]int
+	handedOut []bool
+	lists     buf.Lists[int]
 	// scale records the server-cost charge scale of live streams
 	// admitted at a discount (OfferStreamScaled with scale != 1; the
 	// shared-catalog path). Absent streams were charged at full price.
@@ -77,11 +82,12 @@ func NewTenant(in *mmd.Instance, policy Policy) (*Tenant, error) {
 		return nil, fmt.Errorf("headend: tenant needs a policy")
 	}
 	return &Tenant{
-		in:     in,
-		policy: policy,
-		assn:   mmd.NewAssignment(in.NumUsers()),
-		live:   make(map[int][]int),
-		away:   make([]bool, in.NumUsers()),
+		in:        in,
+		policy:    policy,
+		assn:      mmd.NewAssignment(in.NumUsers()),
+		live:      make(map[int][]int),
+		handedOut: make([]bool, in.NumStreams()),
+		away:      make([]bool, in.NumUsers()),
 	}, nil
 }
 
@@ -143,6 +149,7 @@ func (t *Tenant) OfferStreamScaled(s int, serverCostScale float64) []int {
 	}
 	t.admitted++
 	t.live[s] = kept
+	t.handedOut[s] = true
 	if serverCostScale != 1 {
 		if t.scale == nil {
 			t.scale = make(map[int]float64)
@@ -203,7 +210,7 @@ func (t *Tenant) UserLeave(u int) []int {
 	copy(removed, held)
 	for _, s := range removed {
 		t.assn.Remove(u, s)
-		t.live[s] = t.dropHolder(t.live[s], u)
+		t.dropHolder(s, u)
 	}
 	if cp, ok := t.policy.(UserChurnPolicy); ok {
 		cp.OnUserLeave(u)
@@ -211,19 +218,27 @@ func (t *Tenant) UserLeave(u int) []int {
 	return removed
 }
 
-// dropHolder returns a carried stream's list without u. Callers may
-// hold the list, so it is never written: the shorter list is carved
-// from lists, or is the list's capped prefix when u is last — an
-// empty, non-nil list when u was the only holder.
-func (t *Tenant) dropHolder(list []int, u int) []int {
-	i := slices.Index(list, u)
-	if i == len(list)-1 {
-		return list[:i:i]
+// dropHolder takes u off carried stream s's list. When u is last, the
+// list becomes its capped prefix — an empty, non-nil list when u was
+// the only holder — which shares its memory and so keeps its mark.
+// Otherwise the tenant's own list is shortened in place, and a list a
+// caller may hold is copied once into one carved from lists, which is
+// then the tenant's own.
+func (t *Tenant) dropHolder(s, u int) {
+	list := t.live[s]
+	i, n := slices.Index(list, u), len(list)-1
+	switch {
+	case i == n:
+	case t.handedOut[s]:
+		kept := t.lists.Make(n)
+		copy(kept, list[:i])
+		copy(kept[i:], list[i+1:])
+		list = kept
+		t.handedOut[s] = false
+	default:
+		copy(list[i:], list[i+1:])
 	}
-	kept := t.lists.Make(len(list) - 1)
-	copy(kept, list[:i])
-	copy(kept[i:], list[i+1:])
-	return kept
+	t.live[s] = list[:n:n]
 }
 
 // UserJoin brings gateway u back online (eligible for future streams;
@@ -266,9 +281,9 @@ type resolveWorkspace struct {
 	masked mmd.Instance
 	zero   []float64
 	solver core.Workspace
-	// offsets is the install's per-stream cursor into the fresh array
-	// the carried streams' user lists are carved from.
-	offsets []int
+	// users is the scratch an install lays the new lineup's lists out
+	// in, and offsets each stream's cursor into it.
+	users, offsets []int
 }
 
 func newResolveWorkspace(in *mmd.Instance) *resolveWorkspace {
@@ -379,12 +394,14 @@ func (t *Tenant) install(assn *mmd.Assignment) error {
 }
 
 // rebuildLive refills the carried-stream table from the running
-// assignment, each stream's users in increasing order. DepartStream
-// hands these lists to callers, so they are carved from one fresh array
-// per install (capacity-capped, so no append reaches a neighbour) and
-// never from memory a later install reuses.
+// assignment, each stream's users in increasing order. The new lists
+// are laid out in the workspace's scratch first. A carried list equal
+// to its new one stays, mark and all; each changed or new list is
+// carved from lists and left unmarked, since no caller has seen it.
+// Streams outside the new lineup leave the table.
 func (t *Tenant) rebuildLive() {
-	offsets := t.workspace().offsets
+	ws := t.workspace()
+	offsets := ws.offsets
 	clear(offsets)
 	for u := 0; u < t.assn.NumUsers(); u++ {
 		for _, s := range t.assn.UserView(u) {
@@ -397,19 +414,31 @@ func (t *Tenant) rebuildLive() {
 		offsets[s] = next
 		next += n
 	}
-	users := make([]int, next)
+	ws.users = buf.Grow(ws.users, next)
+	users := ws.users
 	for u := 0; u < t.assn.NumUsers(); u++ {
 		for _, s := range t.assn.UserView(u) {
 			users[offsets[s]] = u
 			offsets[s]++
 		}
 	}
-	clear(t.live)
+	for s := range t.live {
+		if !t.assn.InRange(s) {
+			delete(t.live, s)
+		}
+	}
 	start := 0
 	for _, s := range t.assn.RangeView() {
 		end := offsets[s]
-		t.live[s] = users[start:end:end]
+		fresh := users[start:end]
 		start = end
+		if old, ok := t.live[s]; ok && slices.Equal(old, fresh) {
+			continue
+		}
+		list := t.lists.Make(len(fresh))
+		copy(list, fresh)
+		t.live[s] = list
+		t.handedOut[s] = false
 	}
 }
 

@@ -468,6 +468,12 @@ func appendCatalogResult(buf []byte, v videodist.CatalogResult) []byte {
 // carved in chunks only as deep as the connection actually gets.
 const streamWindow = 16384
 
+// streamWriteMax bounds one /v1/stream response write: a burst of ready
+// results goes out in pieces of at most this many bytes plus the line
+// that crossed it, so the writer's buffer stays this size instead of
+// growing to a full window's lines for the life of the connection.
+const streamWriteMax = 64 << 10
+
 // handleStream is the serving API v4 endpoint: a persistent NDJSON
 // session over one HTTP request. The request body is read line by line
 // and pipelined onto a Cluster.OpenStream session; a writer goroutine
@@ -576,6 +582,22 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		defer stopReader()
 		var buf []byte
 		writeOK := true
+		// send writes buf out, flushing it if asked, empties it, and
+		// reports whether the writer goes on. After a failed write a
+		// session keeps draining with writes disabled — every settled
+		// result still advances the watermark — but stops the reader
+		// now: no new events ride a dead response.
+		send := func(flush bool) bool {
+			if writeOK && !s.writeStream(w, rc, buf, flush) {
+				if sess == nil {
+					return false
+				}
+				writeOK = false
+				stopReader()
+			}
+			buf = buf[:0]
+			return true
+		}
 		for {
 			res, err := sc.Recv(recvCtx)
 			if err != nil {
@@ -583,17 +605,20 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			// Adaptive flushing: batch every result that has already
-			// settled into one write — a single syscall carries many
+			// settled into one burst — a single syscall carries many
 			// lines under load — and flush exactly when nothing more is
 			// ready, because then a client may be blocked on the lines
-			// written so far. The burst is bounded by the stream's
-			// in-flight window.
+			// written so far. A burst past streamWriteMax is written out
+			// unflushed as it grows.
 			if sess != nil {
 				res.Seq = int(base + uint64(res.Seq))
 				sess.watermark.Store(uint64(res.Seq))
 			}
-			buf = appendResultLine(buf[:0], res)
+			buf = appendResultLine(buf, res)
 			for {
+				if len(buf) > streamWriteMax && !send(false) {
+					return
+				}
 				res, ok := sc.TryRecv()
 				if !ok {
 					break
@@ -604,18 +629,8 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				}
 				buf = appendResultLine(buf, res)
 			}
-			if !writeOK {
-				continue
-			}
-			if !s.writeStream(w, rc, buf) {
-				if sess == nil {
-					return
-				}
-				// Keep draining with writes disabled — every settled
-				// result still advances the watermark above — but stop
-				// the reader now: no new events ride a dead response.
-				writeOK = false
-				stopReader()
+			if !send(true) {
+				return
 			}
 		}
 	}()
@@ -656,7 +671,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				// ours to write. A failed write means the client is dying;
 				// the body read below will notice.
 				dupBuf = streamclient.AppendDupAck(dupBuf[:0], seq)
-				_ = s.writeStream(w, rc, dupBuf)
+				_ = s.writeStream(w, rc, dupBuf, true)
 			} else if serr := sc.Submit(ctx, ev); serr != nil {
 				// Window reservation failed (client gone or cluster
 				// closed); the in-flight results still drain below.
@@ -682,17 +697,18 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeStream writes one burst of response lines under the configured
-// write deadline. False means the client is gone or stopped reading
-// past the deadline — the transport is done for.
-func (s *server) writeStream(w http.ResponseWriter, rc *http.ResponseController, buf []byte) bool {
+// writeStream writes response lines under the configured write
+// deadline, and flushes them when flush is set. False means the client
+// is gone or stopped reading past the deadline — the transport is done
+// for.
+func (s *server) writeStream(w http.ResponseWriter, rc *http.ResponseController, buf []byte, flush bool) bool {
 	if s.opts.StreamWriteTimeout > 0 {
 		_ = rc.SetWriteDeadline(time.Now().Add(s.opts.StreamWriteTimeout))
 	}
 	if _, err := w.Write(buf); err != nil {
 		return false
 	}
-	return rc.Flush() == nil
+	return !flush || rc.Flush() == nil
 }
 
 // reshardRequest is the wire form of POST /v1/admin/reshard.

@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -997,5 +998,87 @@ func TestHTTPStreamKeepAlive(t *testing.T) {
 	}
 	if n := conns.Load(); n != 1 {
 		t.Fatalf("%d streams took %d connections, want one kept alive", streams, n)
+	}
+}
+
+// burstWriter records a /v1/stream handler's response writes. Its
+// first write blocks until release is closed, so the results that
+// settle meanwhile leave the writer as one burst.
+type burstWriter struct {
+	header  http.Header
+	release chan struct{}
+	first   sync.Once
+	writes  []int
+	body    bytes.Buffer
+}
+
+func (w *burstWriter) Header() http.Header { return w.header }
+func (w *burstWriter) WriteHeader(int)     {}
+func (w *burstWriter) Flush()              {}
+
+func (w *burstWriter) Write(p []byte) (int, error) {
+	w.first.Do(func() { <-w.release })
+	w.writes = append(w.writes, len(p))
+	return w.body.Write(p)
+}
+
+// TestHTTPStreamWriteBounded drives a burst of well over streamWriteMax
+// bytes of results through the /v1/stream writer: no single write may
+// exceed streamWriteMax plus one result line, and every line must
+// arrive complete and in order.
+func TestHTTPStreamWriteBounded(t *testing.T) {
+	c := buildFleet(t, defaultFleetConfig())
+	const events = 6000
+	var body bytes.Buffer
+	for i := 0; i < events; i++ {
+		line, err := json.Marshal(streamclient.Event{Tenant: 0, Type: "offer", Stream: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Write(append(line, '\n'))
+	}
+	w := &burstWriter{header: make(http.Header), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		NewHandler(c).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/stream", &body))
+	}()
+	// Every event has applied, so every result is ready, once the
+	// barrier snapshot counts them all.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		fs, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fs.Offered == events {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d offers applied", fs.Offered, events)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(w.release)
+	<-served
+
+	lines := strings.Split(strings.TrimSuffix(w.body.String(), "\n"), "\n")
+	if len(lines) != events || w.body.Len() < 4*streamWriteMax {
+		t.Fatalf("%d lines, %d bytes; want %d lines and a burst well over %d bytes",
+			len(lines), w.body.Len(), events, streamWriteMax)
+	}
+	longest := 0
+	for i, line := range lines {
+		var res streamclient.Result
+		if err := json.Unmarshal([]byte(line), &res); err != nil || res.Seq != i || res.Offer == nil {
+			t.Fatalf("line %d = %q (%v), want the result of seq %d", i, line, err, i)
+		}
+		longest = max(longest, len(line)+1)
+	}
+	for i, n := range w.writes {
+		if n > streamWriteMax+longest {
+			t.Fatalf("write %d of %d carries %d bytes, over %d plus one %d-byte line",
+				i, len(w.writes), n, streamWriteMax, longest)
+		}
 	}
 }

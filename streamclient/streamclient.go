@@ -15,7 +15,7 @@
 // backpressure, never by unbounded buffering.
 //
 // The client speaks HTTP/1.1 directly over its own TCP connection
-// (request chunking via net/http/httputil, response parsing via
+// (request chunks framed by hand, response parsing via
 // http.ReadResponse) instead of going through http.Client: the standard
 // transport buffers streaming request bodies under its own flush
 // policy, while a pipelined protocol needs the flushes under the
@@ -32,7 +32,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"strings"
@@ -141,13 +140,13 @@ type Result struct {
 // Conn is one persistent streaming ingestion connection.
 type Conn struct {
 	conn net.Conn
-	bw   *bufio.Writer
-	cw   io.WriteCloser // chunked request body
+	bw   *bufio.Writer // the request: its headers, then its body's chunks
 	br   *bufio.Reader
 
 	sendMu     sync.Mutex
 	sendClosed bool
-	sendBuf    []byte // reused line-encoding scratch
+	sendBuf    []byte   // reused line-encoding scratch
+	chunkHead  [18]byte // a body chunk's size line: 16 hex digits, CRLF
 
 	recvMu  sync.Mutex
 	resp    *http.Response
@@ -231,7 +230,7 @@ func DialWith(baseURL string, opts DialOptions) (*Conn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("streamclient: %w", err)
 	}
-	return &Conn{conn: conn, bw: bw, cw: httputil.NewChunkedWriter(bw), br: bufio.NewReader(conn)}, nil
+	return &Conn{conn: conn, bw: bw, br: bufio.NewReader(conn)}, nil
 }
 
 // Send pipelines one event: the line is encoded into the send buffer
@@ -329,7 +328,14 @@ func (c *Conn) tryFlush() {
 
 func (c *Conn) flushLocked() error {
 	if len(c.sendBuf) > 0 {
-		if _, err := c.cw.Write(c.sendBuf); err != nil {
+		// The buffered lines leave as one chunk of the request body. Its
+		// size line is formatted here: net/http's chunked writer formats
+		// it with fmt, which allocates once per chunk. bufio.Writer keeps
+		// its first error, so the last write reports any.
+		head := append(strconv.AppendUint(c.chunkHead[:0], uint64(len(c.sendBuf)), 16), "\r\n"...)
+		_, _ = c.bw.Write(head)
+		_, _ = c.bw.Write(c.sendBuf)
+		if _, err := c.bw.WriteString("\r\n"); err != nil {
 			return fmt.Errorf("streamclient: %w", err)
 		}
 		c.sendBuf = c.sendBuf[:0]
@@ -469,12 +475,9 @@ func (c *Conn) CloseSend() error {
 	if err := c.flushLocked(); err != nil {
 		return err
 	}
-	if err := c.cw.Close(); err != nil {
-		return fmt.Errorf("streamclient: %w", err)
-	}
-	// The chunked writer's Close emits the zero-length chunk; the blank
-	// line that ends the body is the caller's to write.
-	if _, err := io.WriteString(c.bw, "\r\n"); err != nil {
+	// The zero-length chunk ends the body, and a blank line its empty
+	// trailer.
+	if _, err := c.bw.WriteString("0\r\n\r\n"); err != nil {
 		return fmt.Errorf("streamclient: %w", err)
 	}
 	if err := c.bw.Flush(); err != nil {

@@ -2,9 +2,11 @@ package streamclient
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -361,4 +363,73 @@ func FuzzEventLine(f *testing.F) {
 			t.Fatalf("head of %q = (%d, %v); stdlib (%d, %v)", line, seq, dup, res.Seq, res.Dup)
 		}
 	})
+}
+
+// TestSendChunkFraming pins the request body's hand-framed chunks: a
+// server's chunked reader reads back exactly the lines sent, across
+// flushes and the closing chunk, and a warm Send-and-Flush of a chunk
+// longer than 255 bytes allocates nothing (net/http's chunked writer
+// allocated once per such chunk, formatting its size).
+func TestSendChunkFraming(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	body := make(chan []byte, 1)
+	go func() {
+		defer close(body)
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		req, err := http.ReadRequest(bufio.NewReader(conn))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		b, err := io.ReadAll(req.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		body <- b
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var lines []byte
+	events := make([]Event, 20)
+	for i := range events {
+		events[i] = Event{Tenant: i, Type: "offer", Stream: 7}
+		lines = append(append(lines, events[i].AppendJSON(nil)...), '\n')
+	}
+	if len(lines) <= 255 {
+		t.Fatalf("a burst is %d bytes; want a chunk size fmt would allocate for", len(lines))
+	}
+	bursts := 0
+	burst := func() {
+		for _, ev := range events {
+			if err := c.Send(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		bursts++
+	}
+	burst()
+	if avg := testing.AllocsPerRun(50, burst); avg != 0 {
+		t.Fatalf("a warm Send burst and Flush allocate %.2f times, want 0", avg)
+	}
+	if err := c.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := <-body, bytes.Repeat(lines, bursts); !bytes.Equal(got, want) {
+		t.Fatalf("the server read %d bytes, want %d bursts of %d bytes", len(got), bursts, len(lines))
+	}
 }
