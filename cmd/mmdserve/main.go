@@ -118,7 +118,7 @@ func main() {
 	flag.IntVar(&cfg.gateways, "gateways", 10, "gateways per tenant")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	flag.IntVar(&cfg.rounds, "rounds", 2, "catalog replays per tenant")
-	flag.IntVar(&cfg.batch, "batch", 16, "arrivals coalesced per shard before admission (and events per -via batch post)")
+	flag.IntVar(&cfg.batch, "batch", 16, "fire-and-forget arrivals per admission window in the shard table (and events per -via batch post)")
 	flag.StringVar(&cfg.policy, "policy", "online", "admission policy: online, online-unguarded, threshold, oracle, static")
 	flag.IntVar(&cfg.departEvery, "depart-every", 3, "inject a stream departure every k arrivals (0 = off)")
 	flag.IntVar(&cfg.churnEvery, "churn-every", 0, "inject a gateway leave/join every k arrivals (0 = off)")

@@ -65,7 +65,7 @@
 // applies a shard worker's ordered settlement run — commits, recharges,
 // releases, install adoptions — likewise. Both write results into
 // caller-owned buffers, so a worker can reuse its settlement scratch
-// across batch windows without allocation; over the remote wire each
+// across shard messages without allocation; over the remote wire each
 // is one round trip.
 //
 // ARCHITECTURE.md (repo root) places this layer in the system map and

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/generator"
+	"repro/internal/wal"
 )
 
 func batchTestClusters(t *testing.T) (single, batched *Cluster) {
@@ -157,6 +159,23 @@ func TestApplyBatchValidation(t *testing.T) {
 	if _, err := c.ApplyBatch(ctx, 99, batchTestEvents()); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unknown tenant: %v", err)
 	}
+	// A catalog event for an unknown tenant fails as the unknown tenant,
+	// as a catalog session call does, on a fleet with a catalog and on
+	// one without.
+	withCatalog := catalogTestFleet(t, 2, 5, 3, 11, 0.5, 1, nil)
+	for _, fleet := range []struct {
+		name  string
+		c     *Cluster
+		wrong error
+	}{{"catalog", withCatalog, ErrUnknownCatalogStream}, {"no catalog", c, ErrNoCatalog}} {
+		for _, typ := range []EventType{EventStreamArrival, EventStreamDeparture} {
+			_, err := fleet.c.ApplyBatch(ctx, 9, []Event{{Type: typ, CatalogID: "s-001"}})
+			if !errors.Is(err, ErrUnknownTenant) || errors.Is(err, fleet.wrong) {
+				t.Fatalf("%s fleet, catalog event type %d for tenant 9: %v; want only %v",
+					fleet.name, typ, err, ErrUnknownTenant)
+			}
+		}
+	}
 	if _, err := c.ApplyBatch(ctx, 0, []Event{{Type: EventType(99)}}); err == nil {
 		t.Fatal("unknown event type accepted")
 	}
@@ -302,5 +321,64 @@ func TestApplyBatchCatalogMatchesSessions(t *testing.T) {
 					model.Name(), shards, gotR, wantR)
 			}
 		}
+	}
+}
+
+// TestApplyBatchAbandonedNeverBlocksShard pins the batch's completion
+// channel: a caller that gives up on a queued batch leaves every one of
+// its deliveries unread, and neither the worker nor, under group
+// commit, the committer may block on them.
+func TestApplyBatchAbandonedNeverBlocksShard(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync=batch:%v", durable), func(t *testing.T) {
+			const events = 8
+			pol := &blockingPolicy{entered: make(chan struct{}, events), gate: make(chan struct{})}
+			cfgs := tenantInstances(t, 1, 12, 3, 611)
+			cfgs[0].Policy = pol
+			opts := Options{Shards: 1}
+			if durable {
+				opts.WAL = &WALOptions{Dir: t.TempDir(), Sync: wal.SyncBatch}
+			}
+			// Not closed on failure: Close would wait on the blocked shard.
+			c, err := New(cfgs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := make([]Event, events)
+			for i := range batch {
+				batch[i] = Event{Type: EventStreamArrival, Stream: i}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			abandoned := make(chan error, 1)
+			go func() {
+				_, err := c.ApplyBatch(ctx, 0, batch)
+				abandoned <- err
+			}()
+			<-pol.entered // the worker is inside the batch's first arrival
+			cancel()
+			if err := <-abandoned; !errors.Is(err, ErrCanceled) {
+				t.Fatalf("abandoned batch: %v, want ErrCanceled", err)
+			}
+			close(pol.gate)
+			snap := make(chan *FleetSnapshot, 1)
+			go func() {
+				fs, err := c.Snapshot()
+				if err != nil {
+					t.Error(err)
+				}
+				snap <- fs
+			}()
+			select {
+			case fs := <-snap:
+				if fs != nil && fs.Offered != events {
+					t.Fatalf("offered %d, want the whole abandoned batch of %d", fs.Offered, events)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the shard blocked delivering an abandoned batch")
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

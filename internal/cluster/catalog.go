@@ -20,13 +20,13 @@ import (
 // catalog package's three-step protocol: the caller Acquires (pricing +
 // a provisional reference), the event is routed to the tenant's shard,
 // and the worker settles the reference (Commit on admit, Release on
-// reject or removal) right after applying the event — so registry
-// transitions happen in shard FIFO order and concurrent same-tenant
-// calls can never desynchronize refcounts from the tenant's carried
-// set. Refcounts live in the registry, behind its own lock, and tenant
-// state with the shard worker; the worker's settlement is one registry
-// call (one round trip when the registry is remote), and the registry
-// never calls back into shards.
+// reject or removal) after applying the event and before its result
+// goes out — so registry transitions happen in shard FIFO order and
+// concurrent same-tenant calls can never desynchronize refcounts from
+// the tenant's carried set. Refcounts live in the registry, behind its
+// own lock, and tenant state with the shard worker; the worker's
+// settlement is one registry call (one round trip when the registry is
+// remote), and the registry never calls back into shards.
 //
 // Departing a catalog-managed stream through the local-index
 // DepartStream is equivalent to DepartCatalogStream: the shard worker
@@ -145,6 +145,23 @@ func (c *Cluster) catalogFor(tenant int) (catalog.Service, error) {
 		return nil, ErrNoCatalog
 	}
 	return c.catalog, nil
+}
+
+// catalogIndex checks a catalog event in route's order — the tenant,
+// then the catalog, then the tenant's binding of id — and returns the
+// tenant's local index of id from the cluster's own binding table, so
+// the answer costs no registry call. route uses it for a departure (an
+// arrival's binding comes back on its ticket), ApplyBatch for every
+// catalog event.
+func (c *Cluster) catalogIndex(tenant int, id catalog.ID) (int, error) {
+	if _, err := c.catalogFor(tenant); err != nil {
+		return 0, err
+	}
+	local, err := c.catalogBindings.Lookup(id, tenant)
+	if err != nil {
+		return 0, wrapCatalogErr(err)
+	}
+	return local, nil
 }
 
 // wrapCatalogErr maps registry errors onto the cluster sentinel while

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -768,5 +769,202 @@ func TestCatalogLookupAnsweredLocally(t *testing.T) {
 	}
 	if counter.lookups != 0 {
 		t.Fatalf("refused events made %d registry Lookup calls, want 0", counter.lookups)
+	}
+}
+
+// serviceCall is one catalog.Service call a callLog forwarded: the
+// method, the ids an acquire carried, or the ops a settlement run
+// carried.
+type serviceCall struct {
+	method string
+	ids    []catalog.ID
+	ops    []catalog.Settlement
+}
+
+// callLog is a catalog.Service that records every call it forwards.
+type callLog struct {
+	catalog.Service
+	mu    sync.Mutex
+	calls []serviceCall
+}
+
+func (s *callLog) record(call serviceCall) {
+	s.mu.Lock()
+	s.calls = append(s.calls, call)
+	s.mu.Unlock()
+}
+
+// take returns the calls recorded since the last take.
+func (s *callLog) take() []serviceCall {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	calls := s.calls
+	s.calls = nil
+	return calls
+}
+
+func (s *callLog) Acquire(id catalog.ID, tenant int) (catalog.Ticket, error) {
+	s.record(serviceCall{method: "Acquire", ids: []catalog.ID{id}})
+	return s.Service.Acquire(id, tenant)
+}
+
+func (s *callLog) AcquireBatch(tenant int, ids []catalog.ID, out []catalog.Ticket) error {
+	s.record(serviceCall{method: "AcquireBatch", ids: append([]catalog.ID(nil), ids...)})
+	return s.Service.AcquireBatch(tenant, ids, out)
+}
+
+func (s *callLog) Lookup(id catalog.ID, tenant int) (int, error) {
+	s.record(serviceCall{method: "Lookup", ids: []catalog.ID{id}})
+	return s.Service.Lookup(id, tenant)
+}
+
+func (s *callLog) Release(id catalog.ID, tenant int, held, origin bool) (int, bool) {
+	s.record(serviceCall{method: "Release", ids: []catalog.ID{id}})
+	return s.Service.Release(id, tenant, held, origin)
+}
+
+func (s *callLog) SettleBatch(ops []catalog.Settlement, out []catalog.SettleResult) error {
+	s.record(serviceCall{method: "SettleBatch", ops: append([]catalog.Settlement(nil), ops...)})
+	return s.Service.SettleBatch(ops, out)
+}
+
+func (s *callLog) Snapshot() *catalog.Snapshot {
+	s.record(serviceCall{method: "Snapshot"})
+	return s.Service.Snapshot()
+}
+
+func (s *callLog) Close() {
+	s.record(serviceCall{method: "Close"})
+	s.Service.Close()
+}
+
+// TestCatalogRegistryTraffic pins the registry calls each surface
+// makes, over a service that records every call: one ApplyBatch with k
+// catalog arrivals and j catalog departures makes one AcquireBatch of
+// the k ids and one SettleBatch of k+j ops, in batch order; a session
+// offer makes one Acquire and one SettleBatch, a session departure one
+// SettleBatch; and an installing re-solve settles its whole
+// reconciliation in one SettleBatch.
+func TestCatalogRegistryTraffic(t *testing.T) {
+	ctx := context.Background()
+	in, err := generator.CableTV{Channels: 12, Gateways: 5, Seed: 901, EgressFraction: 0.3}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := headend.NewThresholdPolicy(in, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(s int) catalog.ID { return catalog.ID(fmt.Sprintf("s-%03d", s)) }
+	bindings := make([]catalog.Binding, in.NumStreams())
+	for s := range bindings {
+		bindings[s] = catalog.Binding{ID: id(s), Local: map[int]int{0: s}}
+	}
+	model := catalog.SharedOrigin{ReplicationFraction: 0.25}
+	build := func() (*Cluster, *callLog) {
+		reg, err := catalog.NewRegistry(bindings, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &callLog{Service: reg}
+		c, err := New([]TenantConfig{{Instance: in, Policy: pol}}, Options{
+			Shards:  1,
+			Catalog: &CatalogOptions{Streams: bindings, CostModel: model, Remote: log},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c, log
+	}
+	c, log := build()
+	one := func(calls []serviceCall, method string) serviceCall {
+		t.Helper()
+		if len(calls) != 1 || calls[0].method != method {
+			t.Fatalf("calls %+v, want one %s", calls, method)
+		}
+		return calls[0]
+	}
+
+	// A session offer and a session departure.
+	if _, err := c.OfferCatalogStream(ctx, 0, id(0)); err != nil {
+		t.Fatal(err)
+	}
+	calls := log.take()
+	if len(calls) != 2 || calls[0].method != "Acquire" || calls[1].method != "SettleBatch" ||
+		len(calls[1].ops) != 1 || calls[1].ops[0].ID != id(0) {
+		t.Fatalf("session offer made %+v, want one Acquire and one one-op SettleBatch", calls)
+	}
+	if _, err := c.DepartCatalogStream(ctx, 0, id(0)); err != nil {
+		t.Fatal(err)
+	}
+	if call := one(log.take(), "SettleBatch"); len(call.ops) != 1 || call.ops[0].Op != catalog.SettleRelease {
+		t.Fatalf("session departure settled %+v, want one release", call.ops)
+	}
+
+	// A batch of four catalog arrivals and two catalog departures, with
+	// plain events between them.
+	batch := []Event{
+		{Type: EventStreamArrival, CatalogID: id(1)},
+		{Type: EventStreamArrival, CatalogID: id(2)},
+		{Type: EventUserLeave, User: 1},
+		{Type: EventStreamDeparture, CatalogID: id(1)},
+		{Type: EventStreamArrival, Stream: 7},
+		{Type: EventStreamArrival, CatalogID: id(3)},
+		{Type: EventUserJoin, User: 1},
+		{Type: EventStreamArrival, CatalogID: id(4)},
+		{Type: EventStreamDeparture, CatalogID: id(2)},
+	}
+	out, err := c.ApplyBatch(ctx, 0, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls = log.take()
+	if len(calls) != 2 || calls[0].method != "AcquireBatch" || calls[1].method != "SettleBatch" {
+		t.Fatalf("batch made %+v, want one AcquireBatch and one SettleBatch", calls)
+	}
+	if got, want := calls[0].ids, []catalog.ID{id(1), id(2), id(3), id(4)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("AcquireBatch ids %v, want %v", got, want)
+	}
+	var wantOps []catalog.Settlement
+	for i, ev := range batch {
+		switch {
+		case ev.CatalogID == "":
+		case ev.Type == EventStreamDeparture:
+			wantOps = append(wantOps, catalog.Settlement{Op: catalog.SettleRelease, ID: ev.CatalogID})
+		case out[i].Catalog.Admitted:
+			wantOps = append(wantOps, catalog.Settlement{Op: catalog.SettleCommit, ID: ev.CatalogID})
+		default:
+			wantOps = append(wantOps, catalog.Settlement{Op: catalog.SettleReleasePending, ID: ev.CatalogID})
+		}
+	}
+	if len(calls[1].ops) != len(wantOps) {
+		t.Fatalf("SettleBatch carried %d ops, want %d", len(calls[1].ops), len(wantOps))
+	}
+	for k, op := range calls[1].ops {
+		if op.Op != wantOps[k].Op || op.ID != wantOps[k].ID {
+			t.Fatalf("settlement %d is %v of %s, want %v of %s", k, op.Op, op.ID, wantOps[k].Op, wantOps[k].ID)
+		}
+	}
+
+	// On a fresh fleet, offer every stream, then install the offline
+	// lineup (TestInstallReleasesDroppedCatalogRefs's setup): its
+	// reconciliation must reach the registry as one settlement run.
+	c, log = build()
+	for s := 0; s < in.NumStreams(); s++ {
+		if _, err := c.OfferCatalogStream(ctx, 0, id(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.take()
+	rr, err := c.Resolve(ctx, 0, ResolveOptions{Install: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rr.Installed {
+		t.Fatalf("install skipped: %+v", rr)
+	}
+	if call := one(log.take(), "SettleBatch"); len(call.ops) < 2 {
+		t.Fatalf("install settled %d references, want at least 2 for the test to bite", len(call.ops))
 	}
 }

@@ -6,21 +6,24 @@
 // and each shard runs a single worker goroutine that owns its tenants
 // outright — no locks, no shared mutable state between shards.
 //
-// # Shard / batch / determinism contract
+// # Shard / window / determinism contract
 //
 // Events (stream arrivals, stream departures, gateway leaves/joins,
 // offline re-solves) are routed to the owning shard over a buffered
-// channel and processed strictly in submission order per shard. Stream
-// arrivals are coalesced: a shard accumulates up to Options.BatchSize
-// consecutive arrivals, then admits them grouped by tenant (groups in
-// first-appearance order, per-tenant arrival order preserved), so each
-// tenant's policy state is activated once per batch instead of once
-// per event. Tenants are independent, so grouping never changes
-// results. A partial batch is flushed by the next non-arrival event, a
-// request/response arrival (one carrying an in-flight entry — see
-// below), a snapshot barrier, or shutdown — never by a timer — which
-// keeps flush boundaries (and the per-shard batch stats) a pure
-// function of the submission sequence.
+// channel, and the shard's worker applies each one the moment it
+// dequeues it, strictly in submission order per shard — the paper's
+// online allocator decides every arrival alone, in arrival order. The
+// worker writes each result into the event's in-flight entry, flushes
+// the catalog settlements a message produced in one registry call, and
+// only then delivers the message's results.
+//
+// Admission windows are counted, never buffered: a window is a run of
+// consecutive arrivals on one shard, and it closes at the next
+// non-arrival event, at the Options.BatchSize-th fire-and-forget
+// arrival, at an arrival carrying an in-flight entry (counted in it), at
+// a batch (see ApplyBatch), at a snapshot barrier, or at shutdown —
+// never by a timer — so the per-shard window stats (ShardStats.Batches
+// and MaxBatch) are a pure function of the submission sequence.
 //
 // # Request/response sessions (serving API v2)
 //
@@ -32,12 +35,10 @@
 // DepartResult, ChurnResult, ResolveResult, CatalogResult). Every one
 // of them is a projection of the same request path a streamed event
 // takes — route, then assembleResult (see stream.go and session.go) —
-// and ApplyBatch, which keeps its one-message batch mechanics, builds
-// its results with the same assembleResult. So that a blocked caller
-// never waits on a trailing partial batch, an arrival carrying an
-// in-flight entry flushes the batch it joins immediately; arrivals
-// submitted by the fire-and-forget replay path (RunWorkload) coalesce
-// exactly as before. Failures use the sentinel taxonomy in session.go
+// and ApplyBatch sends its events as one shard message with one
+// in-flight entry each, whose results the same assembleResult builds.
+// The fire-and-forget replay path (RunWorkload, recovery) sends events
+// without an entry. Failures use the sentinel taxonomy in session.go
 // (ErrUnknownTenant, ErrQueueFull, ErrClosed, ErrCanceled,
 // ErrNotDurable) and the enqueue side honors Options.Backpressure.
 //
@@ -65,10 +66,11 @@
 // With Options.Catalog, streams gain fleet-wide identity: a catalog.ID
 // names the same stream across tenants, whatever local index each
 // tenant's instance knows it by. OfferCatalogStream/DepartCatalogStream
-// admit and release by ID; a registry owned by its own goroutine (the
-// same share-nothing message discipline as the shard workers — see
-// internal/catalog) maintains cross-shard reference counts, and a
-// pluggable cost model prices each admission from the current count.
+// admit and release by ID; a registry (internal/catalog: every
+// operation runs inline on the caller's goroutine under the registry's
+// one mutex, or over the wire when the registry is remote) maintains
+// cross-shard reference counts, and a pluggable cost model prices each
+// admission from the current count.
 // Under catalog.Isolated (the default) every admission is full price
 // and results are bit-identical to the pre-catalog path; under
 // catalog.SharedOrigin the first admitting tenant pays the full
@@ -148,9 +150,10 @@ type Event struct {
 	// CatalogID marks a catalog-managed arrival or departure. The
 	// worker settles the fleet reference (commit or recharge on admit,
 	// release on reject or removal — classified against its own
-	// held-reference set) immediately after applying the event, so
-	// registry transitions follow shard FIFO order exactly — caller
-	// ordering races cannot desynchronize refcounts from tenant state.
+	// held-reference set) after applying the event and before its
+	// result goes out, so registry transitions follow shard FIFO order
+	// exactly — caller ordering races cannot desynchronize refcounts
+	// from tenant state.
 	// Set only by the catalog session methods; a departure with no
 	// CatalogID still settles a held reference when its local stream is
 	// catalog-bound (the worker resolves the binding itself).
@@ -197,8 +200,11 @@ type Options struct {
 	// Shards is the number of worker goroutines (default
 	// min(GOMAXPROCS, tenants)). Results are independent of Shards.
 	Shards int
-	// BatchSize is the number of consecutive stream arrivals a shard
-	// coalesces before invoking the policy (default 16).
+	// BatchSize caps a shard's admission window of fire-and-forget
+	// arrivals (RunWorkload, recovery replay) at this many (default 16).
+	// Every arrival is admitted the moment its worker dequeues it, so
+	// BatchSize shapes only the shard table (ShardStats.Batches and
+	// MaxBatch), never a result.
 	BatchSize int
 	// QueueDepth is the per-shard event channel buffer (default 256).
 	QueueDepth int
@@ -274,8 +280,9 @@ func (o Options) withDefaults(tenants int) Options {
 type ShardStats struct {
 	// Shard is the shard index; Tenants is how many tenants it owns.
 	Shard, Tenants int
-	// Events counts all processed events; Batches and MaxBatch describe
-	// arrival coalescing.
+	// Events counts all processed events. Batches counts admission
+	// windows (runs of consecutive arrivals, closed as the package
+	// comment describes) and MaxBatch is the longest one.
 	Events, Batches, MaxBatch int
 	// Arrivals..Resolves break Events down by type (Admitted counts
 	// arrivals that delivered to at least one user).
@@ -284,17 +291,18 @@ type ShardStats struct {
 
 // message is the shard channel payload: an event (with the caller's
 // in-flight entry, nil for fire-and-forget replay), a single-tenant
-// event batch when batch is non-nil (see Cluster.ApplyBatch), or a
-// barrier request when snap is non-nil. An entry's completion channel
-// and batchAck always have room for the delivery (see streamPending and
-// StreamConn.acks), so the worker never blocks delivering a result,
-// even when the caller has abandoned the call on context cancellation.
+// event batch when batch is non-nil, even empty (see ApplyBatch; acks[i]
+// is batch[i]'s entry), or a barrier request when snap is non-nil. An
+// entry's completion channel always has room for the delivery (see
+// streamPending, StreamConn.acks and ApplyBatch), so the worker never
+// blocks delivering a result, even when the caller has abandoned the
+// call on context cancellation.
 type message struct {
-	ev       Event
-	ack      *streamPending
-	batch    []Event
-	batchAck chan []result
-	snap     chan shardReport
+	ev    Event
+	ack   *streamPending
+	batch []Event
+	acks  []streamPending
+	snap  chan shardReport
 }
 
 type shardReport struct {
@@ -310,20 +318,20 @@ type shard struct {
 	done    chan struct{}
 
 	// Worker-owned state below; read by others only via barrier replies
-	// or after done is closed.
-	stats ShardStats
-	err   error
+	// or after done is closed. window counts the arrivals of the open
+	// admission window (0 when none is open).
+	stats  ShardStats
+	err    error
+	window int
 
-	// Settlement scratch, worker-owned and reused across batch windows:
-	// a batch defers its catalog settlements here and flushes them to
-	// the registry in one SettleBatch round trip (see dispatchSettle);
-	// settleSlots records which result slot each settlement backfills
-	// (-1 for none). settleOne is the immediate-mode one-op buffer.
-	settles      []catalog.Settlement
-	settleSlots  []int
-	settleRes    []catalog.SettleResult
-	settleOne    [1]catalog.Settlement
-	settleOneRes [1]catalog.SettleResult
+	// Settlement buffer, worker-owned and reused across messages: the
+	// catalog settlements one message produces, in apply order, flushed
+	// to the registry in one SettleBatch call before the message's
+	// results go out (see flushSettles). settleTo[k] is the result whose
+	// refs/evicted settles[k] backfills (nil for none).
+	settles   []catalog.Settlement
+	settleTo  []*result
+	settleRes []catalog.SettleResult
 
 	// Durability plane, worker-owned. wal is the shard's segment
 	// appender (nil with no WAL, and during recovery replay — replayed
@@ -332,30 +340,21 @@ type shard struct {
 	// it is flipped off at go-live, while the worker is provably idle.
 	//
 	// Under SyncBatch the worker defers result delivery onto its pending
-	// group (pendAcks/pendBatch) and hands the group to the shard's
+	// group (pendAcks) and hands the group to the shard's
 	// committer goroutine, which fsyncs both planes' segments before
 	// delivering the group's results: pipelined group commit, with at
 	// most one group in flight (inFlight). While it is, the worker keeps
 	// applying and appending to the next group; the committer returns
 	// each delivered group on idle, and its emptied slices (spare) back
-	// the group after next — so each shard owns exactly two slices of
-	// each kind.
+	// the group after next — so each shard owns exactly two ack slices.
 	wal       *wal.Appender
 	replay    bool
 	deferAcks bool
 	pendAcks  []*streamPending
-	pendBatch []pendBatchAck
 	spare     commitGroup
 	inFlight  bool
 	commits   chan commitGroup
 	idle      chan commitGroup
-}
-
-// pendBatchAck is a batch's deferred result delivery under the
-// SyncBatch group-commit policy (see shard).
-type pendBatchAck struct {
-	ch  chan []result
-	res []result
 }
 
 // commitGroup is one deferred-acknowledgement group handed from a
@@ -365,7 +364,6 @@ type pendBatchAck struct {
 type commitGroup struct {
 	wal, cat *wal.Appender
 	acks     []*streamPending
-	batches  []pendBatchAck
 	err      error
 }
 
@@ -390,9 +388,9 @@ type Cluster struct {
 	registry *catalog.Registry
 	// catalogBindings is the binding table (Options.Catalog.Streams):
 	// the in-process registry's own, or the cluster's copy when the
-	// registry is remote. route and ApplyBatch answer a catalog event's
-	// local stream index from it, so a departure costs no registry call
-	// — and a node whose registry is remote no round trip.
+	// registry is remote. catalogIndex answers a catalog event's local
+	// stream index from it, so a departure costs no registry call — and
+	// a node whose registry is remote no round trip.
 	catalogBindings catalog.Bindings
 	// catalogLocals[tenant] lists the tenant's catalog bindings in
 	// Options.Catalog.Streams order — the worker walks it after an
@@ -426,10 +424,9 @@ type Cluster struct {
 	// barrier buffers follow the same rule: the reply channel and the
 	// per-shard snapshot maps come from pools, and Snapshot returns them
 	// only after the barrier fully drained.
-	callPool     sync.Pool // *streamPending with its own one-slot done channel
-	batchAckPool sync.Pool // chan []result, capacity 1
-	snapChPool   sync.Pool // chan shardReport, capacity len(shards)
-	snapMapPool  sync.Pool // map[int]headend.TenantSnapshot
+	callPool    sync.Pool // *streamPending with its own one-slot done channel
+	snapChPool  sync.Pool // chan shardReport, capacity len(shards)
+	snapMapPool sync.Pool // map[int]headend.TenantSnapshot
 
 	mu     sync.RWMutex
 	closed bool
@@ -452,29 +449,6 @@ type Cluster struct {
 	ckptDone  chan struct{}
 	ckptEvery uint64
 }
-
-// getBatchAck returns a pooled one-shot batch completion channel.
-func (c *Cluster) getBatchAck() chan []result {
-	if ch, ok := c.batchAckPool.Get().(chan []result); ok {
-		return ch
-	}
-	return make(chan []result, 1)
-}
-
-// putBatchAck recycles a drained batch completion channel. Never call
-// it on a channel a worker may still deliver into (an abandoned call).
-func (c *Cluster) putBatchAck(ch chan []result) {
-	if poisonBatchAck != nil {
-		poisonBatchAck(ch)
-	}
-	c.batchAckPool.Put(ch)
-}
-
-// poisonBatchAck, when non-nil (set only by test builds), inspects a
-// batch completion channel at the moment it is recycled — the -race
-// pool-discipline tests fail loudly on an undrained delivery, which
-// would mean a future caller could receive a stale result.
-var poisonBatchAck func(chan []result)
 
 // New builds the cluster and starts one worker per shard. Tenant i is
 // pinned to shard i mod Shards. With Options.WAL the durability log is
@@ -821,93 +795,59 @@ func (c *Cluster) Close() error {
 	return firstErr
 }
 
-// worker is the shard event loop: FIFO with arrival coalescing and
-// per-event result delivery. Under the WAL's SyncBatch policy, result
-// delivery is deferred (see deliver) and the loop hands the pending
-// group to the shard's committer at every commit point the committer
-// is idle for: the queue momentarily empty, or — when a group was still
-// in flight then — the committer going idle while the queue is. At
-// commitGroupBound pending results, a barrier, or shutdown it waits for
-// the committer instead. The arrival-coalescing flush boundaries are
-// untouched — they stay a pure function of the submission sequence;
-// only delivery is deferred.
+// worker is the shard event loop: FIFO, one event applied at a time,
+// each message's catalog settlements flushed in one registry call
+// before its results are delivered. Under the WAL's SyncBatch policy,
+// result delivery is deferred (see deliver) and the loop hands the
+// pending group to the shard's committer at every commit point the
+// committer is idle for: the queue momentarily empty, or — when a group
+// was still in flight then — the committer going idle while the queue
+// is. At commitGroupBound pending results, a barrier, or shutdown it
+// waits for the committer instead. Only delivery is deferred: what
+// applies, and the admission windows, stay a pure function of the
+// submission sequence.
 func (c *Cluster) worker(sh *shard) {
 	defer close(sh.done)
-	batch := make([]message, 0, c.opts.BatchSize)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		sh.stats.Batches++
-		if len(batch) > sh.stats.MaxBatch {
-			sh.stats.MaxBatch = len(batch)
-		}
-		// Admit grouped by tenant, groups in first-appearance order.
-		// Per-tenant arrival order is preserved and tenants are
-		// independent, so results match pure FIFO.
-		for len(batch) > 0 {
-			ti := batch[0].ev.Tenant
-			keep := batch[:0]
-			for _, msg := range batch {
-				if msg.ev.Tenant != ti {
-					keep = append(keep, msg)
-					continue
-				}
-				res := c.applyArrival(sh, msg.ev, msg.ack != nil, false, -1)
-				if msg.ack != nil {
-					c.deliver(sh, msg.ack, res)
-				}
-			}
-			batch = keep
-		}
-	}
 	process := func(msg message) {
-		if msg.snap != nil {
-			// A barrier is a commit point: everything applied so far is
-			// made durable and acknowledged before the reply, so the
-			// barrier's snapshot covers only acknowledged state.
-			flush()
+		switch {
+		case msg.snap != nil:
+			// A barrier closes the open window and is a commit point:
+			// everything applied so far is made durable and acknowledged
+			// before the reply, so the barrier's snapshot covers only
+			// acknowledged state.
+			sh.window = 0
 			c.drainCommits(sh)
 			msg.snap <- c.reportShard(sh)
-			return
-		}
-		if msg.batch != nil {
-			// A single-tenant event batch (ApplyBatch, the HTTP batch
-			// endpoint): one shard message, applied as its own batch
-			// window — flush the pending window first so ordering stays
-			// FIFO per tenant.
-			flush()
-			res := c.applyEventBatch(sh, msg.batch)
-			if sh.deferAcks {
-				sh.pendBatch = append(sh.pendBatch, pendBatchAck{ch: msg.batchAck, res: res})
-				c.maybeRelease(sh)
-			} else {
-				msg.batchAck <- res
+		case msg.batch != nil:
+			// A batch (ApplyBatch) closes the open window, and each run of
+			// arrivals inside it is one window, however long.
+			sh.window = 0
+			for i := range msg.batch {
+				c.apply(sh, msg.batch[i], &msg.acks[i])
 			}
-			return
-		}
-		sh.stats.Events++
-		if msg.ev.Type == EventStreamArrival {
-			batch = append(batch, msg)
-			// A request/response arrival is its own flush boundary: the
-			// caller is blocked on its in-flight entry, and waiting for
-			// the batch to fill could strand it forever. Ack-ness is
-			// part of the submission sequence, so flush boundaries stay
-			// a pure function of it.
-			if len(batch) >= c.opts.BatchSize || msg.ack != nil {
-				flush()
+			sh.window = 0
+			c.flushSettles(sh)
+			for i := range msg.acks {
+				c.deliver(sh, &msg.acks[i])
 			}
-			return
-		}
-		flush()
-		res := c.applyEvent(sh, msg.ev, msg.ack == nil, false, -1)
-		if msg.ack != nil {
-			c.deliver(sh, msg.ack, res)
+		default:
+			c.apply(sh, msg.ev, msg.ack)
+			// An arrival whose caller waits on its entry closes its window,
+			// as does the BatchSize-th fire-and-forget one. Whether an event
+			// carries an entry is part of the submission sequence, so the
+			// windows stay a pure function of it.
+			if msg.ack != nil || sh.window >= c.opts.BatchSize {
+				sh.window = 0
+			}
+			c.flushSettles(sh)
+			if msg.ack != nil {
+				c.deliver(sh, msg.ack)
+			}
 		}
 	}
 	for {
 		msg, ok := message{}, true
-		if sh.inFlight && len(sh.pendAcks)+len(sh.pendBatch) > 0 {
+		if sh.inFlight && len(sh.pendAcks) > 0 {
 			// A group waits for the committer: wake for it as well as for
 			// traffic, or its results would wait for traffic that may
 			// never come.
@@ -941,7 +881,6 @@ func (c *Cluster) worker(sh *shard) {
 		}
 		c.releaseAcks(sh)
 	}
-	flush()
 	c.drainCommits(sh)
 	if sh.deferAcks {
 		close(sh.commits)
@@ -949,14 +888,12 @@ func (c *Cluster) worker(sh *shard) {
 	}
 }
 
-// deliver hands one event result to its caller: it writes the result
-// into the caller's in-flight entry and sends the entry on its
-// completion channel — immediately, or, under SyncBatch, once the
-// entry's group is durable (the result must not reach the caller before
-// its log record is; the committer fsyncs the segment before delivering
-// the group).
-func (c *Cluster) deliver(sh *shard, p *streamPending, res result) {
-	p.res = res
+// deliver hands one event's result, already written into its in-flight
+// entry, to the caller: it sends the entry on its completion channel —
+// immediately, or, under SyncBatch, once the entry's group is durable
+// (the result must not reach the caller before its log record is; the
+// committer fsyncs the segment before delivering the group).
+func (c *Cluster) deliver(sh *shard, p *streamPending) {
 	if sh.deferAcks {
 		if sh.pendAcks == nil { // either of the two slices, at its first use
 			sh.pendAcks = make([]*streamPending, 0, c.groupBound())
@@ -989,7 +926,7 @@ func (c *Cluster) groupBound() int { return max(commitGroupBound, c.opts.QueueDe
 // waits for the committer to go idle — the disk's backpressure — and
 // is handed off at once.
 func (c *Cluster) maybeRelease(sh *shard) {
-	if len(sh.pendAcks)+len(sh.pendBatch) >= c.groupBound() {
+	if len(sh.pendAcks) >= c.groupBound() {
 		if sh.inFlight {
 			c.committed(sh, <-sh.idle)
 		}
@@ -1003,7 +940,7 @@ func (c *Cluster) maybeRelease(sh *shard) {
 // off when the committer goes idle (see worker). A no-op outside
 // SyncBatch.
 func (c *Cluster) releaseAcks(sh *shard) {
-	if len(sh.pendAcks)+len(sh.pendBatch) == 0 {
+	if len(sh.pendAcks) == 0 {
 		return
 	}
 	if sh.inFlight {
@@ -1023,8 +960,8 @@ func (c *Cluster) releaseAcks(sh *shard) {
 // then delivers every deferred result in order. The worker continues
 // at once with the spare slices.
 func (c *Cluster) handOff(sh *shard) {
-	sh.commits <- commitGroup{wal: sh.wal, cat: c.walCatApp.Load(), acks: sh.pendAcks, batches: sh.pendBatch}
-	sh.pendAcks, sh.pendBatch = sh.spare.acks, sh.spare.batches
+	sh.commits <- commitGroup{wal: sh.wal, cat: c.walCatApp.Load(), acks: sh.pendAcks}
+	sh.pendAcks = sh.spare.acks
 	sh.spare, sh.inFlight = commitGroup{}, true
 }
 
@@ -1042,7 +979,7 @@ func (c *Cluster) committed(sh *shard, g commitGroup) {
 // step that makes a snapshot cover only acknowledged, durable state. A
 // no-op outside SyncBatch.
 func (c *Cluster) drainCommits(sh *shard) {
-	for sh.inFlight || len(sh.pendAcks)+len(sh.pendBatch) > 0 {
+	for sh.inFlight || len(sh.pendAcks) > 0 {
 		if sh.inFlight {
 			c.committed(sh, <-sh.idle)
 		} else {
@@ -1086,48 +1023,32 @@ func (c *Cluster) committer(sh *shard) {
 			}
 			p.done <- p
 		}
-		for _, b := range g.batches {
-			if notDurable != nil {
-				for j := range b.res {
-					b.res[j].err = notDurable
-				}
-			}
-			b.ch <- b.res
-		}
 		clear(g.acks)
-		clear(g.batches)
-		sh.idle <- commitGroup{acks: g.acks[:0], batches: g.batches[:0], err: g.err}
+		sh.idle <- commitGroup{acks: g.acks[:0], err: g.err}
 	}
 }
 
-// dispatchSettle routes one catalog settlement the worker decided:
-// immediately (deferred false — the FIFO single-event path, whose
-// caller is acked right after) via the shard's one-op scratch, or onto
-// the shard's settlement buffer (deferred true — the batch path, which
-// flushes the whole run in one SettleBatch round trip). slot is the
-// batch result index whose refs/evicted the flush backfills
-// (-1 for settlements with no per-event result, e.g. install
-// reconciliation). Deferred settlements return a zero result; the
-// flush fills it in.
-func (c *Cluster) dispatchSettle(sh *shard, s catalog.Settlement, deferred bool, slot int) (refs int, evicted bool) {
-	if deferred {
-		sh.settles = append(sh.settles, s)
-		sh.settleSlots = append(sh.settleSlots, slot)
-		return 0, false
+// settle buffers one catalog settlement the worker decided, with the
+// result whose refs/evicted it backfills (nil for none — install
+// reconciliation, or an event without an entry). During log replay the
+// registry is rebuilt from its own plane (the registry's serialization
+// order — see internal/catalog), so the worker keeps classifying, to
+// maintain its held-reference sets, but buffers nothing.
+func (c *Cluster) settle(sh *shard, s catalog.Settlement, to *result) {
+	if sh.replay {
+		return
 	}
-	sh.settleOne[0] = s
-	if err := c.catalog.SettleBatch(sh.settleOne[:], sh.settleOneRes[:]); err != nil {
-		return 0, false
-	}
-	return sh.settleOneRes[0].Refs, sh.settleOneRes[0].Evicted
+	sh.settles = append(sh.settles, s)
+	sh.settleTo = append(sh.settleTo, to)
 }
 
-// flushSettles sends the shard's deferred settlement run to the
-// registry in one round trip and backfills per-event reference state
-// into the batch results. Ordering is exact: every registry transition
-// a batch produces — arrival settlements, departure releases, install
-// reconciliation — rides this single ordered buffer.
-func (c *Cluster) flushSettles(sh *shard, out []result) {
+// flushSettles sends the settlements one message produced to the
+// registry in one SettleBatch call and backfills per-event reference
+// state into the results. The worker calls it after applying the
+// message and before delivering any of its results, so ordering is
+// exact: every registry transition — arrival settlements, departure
+// releases, install reconciliation — rides this single ordered buffer.
+func (c *Cluster) flushSettles(sh *shard) {
 	if len(sh.settles) == 0 {
 		return
 	}
@@ -1136,30 +1057,56 @@ func (c *Cluster) flushSettles(sh *shard, out []result) {
 	}
 	res := sh.settleRes[:len(sh.settles)]
 	if err := c.catalog.SettleBatch(sh.settles, res); err == nil {
-		for k, slot := range sh.settleSlots {
-			if slot >= 0 && out != nil {
-				out[slot].refs = res[k].Refs
-				out[slot].evicted = res[k].Evicted
+		for k, to := range sh.settleTo {
+			if to != nil {
+				to.refs, to.evicted = res[k].Refs, res[k].Evicted
 			}
 		}
 	}
-	sh.settles = sh.settles[:0]
-	sh.settleSlots = sh.settleSlots[:0]
+	clear(sh.settleTo)
+	sh.settles, sh.settleTo = sh.settles[:0], sh.settleTo[:0]
 }
 
-// applyArrival admits one stream arrival on the worker goroutine and
-// returns the typed decision (shared by the coalescing flush path and
-// the batch path). The utility sum is computed only when a caller will
-// read it (needResult); fire-and-forget replay arrivals skip it. For a
-// catalog-managed arrival the fleet reference is settled here, in shard
-// FIFO order: commit on admit, release of the provisional reference on
-// reject, recharge accounting for an admission under an existing
-// reference (Ticket.Already). deferred/slot select immediate or batched
-// settlement (see dispatchSettle).
-func (c *Cluster) applyArrival(sh *shard, ev Event, needResult, deferred bool, slot int) result {
+// apply applies one event on the worker goroutine, counts it into the
+// shard stats and admission windows, and writes its result into p, the
+// event's in-flight entry — nil for a fire-and-forget event (RunWorkload,
+// recovery replay), whose result nobody reads. Its catalog settlements
+// go onto the shard's buffer (see settle), which the worker flushes
+// after the write and before delivery.
+func (c *Cluster) apply(sh *shard, ev Event, p *streamPending) {
 	if sh.wal != nil {
 		c.logEvent(sh, &ev)
 	}
+	sh.stats.Events++
+	var to *result
+	if p != nil {
+		to = &p.res
+	}
+	var res result
+	if ev.Type == EventStreamArrival {
+		if sh.window == 0 {
+			sh.stats.Batches++
+		}
+		sh.window++
+		sh.stats.MaxBatch = max(sh.stats.MaxBatch, sh.window)
+		res = c.applyArrival(sh, ev, to)
+	} else {
+		sh.window = 0
+		res = c.applyEvent(sh, ev, to)
+	}
+	if p != nil {
+		p.res = res
+	}
+}
+
+// applyArrival admits one stream arrival and returns the typed
+// decision. The utility sum is computed only when a caller will read it
+// (to, the event's result in its entry, is non-nil); fire-and-forget
+// arrivals skip it. For a catalog-managed arrival the fleet reference
+// is settled in shard FIFO order: commit on admit, release of the
+// provisional reference on reject, recharge accounting for an admission
+// under an existing reference (Ticket.Already).
+func (c *Cluster) applyArrival(sh *shard, ev Event, to *result) result {
 	t := c.tenants[ev.Tenant]
 	sh.stats.Arrivals++
 	users := t.OfferStreamScaled(ev.Stream, ev.scale())
@@ -1167,7 +1114,7 @@ func (c *Cluster) applyArrival(sh *shard, ev Event, needResult, deferred bool, s
 		sh.stats.Admitted++
 	}
 	res := result{offer: OfferResult{Accepted: len(users) > 0, Subscribers: users}}
-	if needResult {
+	if to != nil {
 		in := t.Instance()
 		for _, u := range users {
 			res.offer.Utility += in.Users[u].Utility[ev.Stream]
@@ -1197,26 +1144,17 @@ func (c *Cluster) applyArrival(sh *shard, ev Event, needResult, deferred bool, s
 			s.Charged = ev.scale() * s.Full
 			held[ev.CatalogID] = true
 		}
-		// During log replay the registry is rebuilt from its own plane
-		// (the registry's serialization order — see internal/catalog), so
-		// the worker keeps classifying to maintain its held set but
-		// never re-issues the settlement.
-		if !sh.replay {
-			res.refs, res.evicted = c.dispatchSettle(sh, s, deferred, slot)
-		}
+		c.settle(sh, s, to)
 	}
 	return res
 }
 
 // applyEvent handles every non-arrival event and the churn-triggered
-// re-solve policy, returning the typed result. background marks events
-// with no caller to inform (fire-and-forget replay), whose resolve
-// errors latch as the shard's first error. deferred/slot select
-// immediate or batched catalog settlement (see dispatchSettle).
-func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slot int) result {
-	if sh.wal != nil {
-		c.logEvent(sh, &ev)
-	}
+// re-solve policy, returning the typed result. to is the event's
+// result in its entry, nil for an event with no caller to inform
+// (fire-and-forget replay), whose resolve errors latch as the shard's
+// first error.
+func (c *Cluster) applyEvent(sh *shard, ev Event, to *result) result {
 	t := c.tenants[ev.Tenant]
 	var res result
 	churned := false
@@ -1245,11 +1183,7 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 			held := c.heldCatalog[ev.Tenant]
 			if id != "" && (held[id] || byID) {
 				delete(held, id)
-				if !sh.replay {
-					res.refs, res.evicted = c.dispatchSettle(sh,
-						catalog.Settlement{Op: catalog.SettleRelease, ID: id, Tenant: ev.Tenant},
-						deferred, slot)
-				}
+				c.settle(sh, catalog.Settlement{Op: catalog.SettleRelease, ID: id, Tenant: ev.Tenant}, to)
 			}
 		}
 		churned = true
@@ -1266,7 +1200,7 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 		res.churn = ChurnResult{Changed: wasAway}
 		churned = true
 	case EventResolve:
-		res.resolve, res.err = c.resolve(sh, ev.Tenant, ev.Install, background)
+		res.resolve, res.err = c.resolve(sh, ev.Tenant, ev.Install, to == nil)
 		if res.err == nil && res.resolve.Installed && c.catalog != nil {
 			// An install adopts the offline lineup wholesale — dropping
 			// catalog-admitted streams outside it and picking up
@@ -1286,11 +1220,7 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 			for _, cl := range c.catalogLocals[ev.Tenant] {
 				switch carries := t.Carries(cl.local); {
 				case held[cl.id] && !carries:
-					if !sh.replay {
-						c.dispatchSettle(sh,
-							catalog.Settlement{Op: catalog.SettleRelease, ID: cl.id, Tenant: ev.Tenant},
-							deferred, -1)
-					}
+					c.settle(sh, catalog.Settlement{Op: catalog.SettleRelease, ID: cl.id, Tenant: ev.Tenant}, nil)
 					delete(held, cl.id)
 				case !held[cl.id] && carries:
 					// A pickup adopts a full-price reference atomically
@@ -1299,12 +1229,8 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 					// tenant's lineup retained for it (Tenant.install);
 					// adoption at full price only covers streams the
 					// lineup picked up without a reference.
-					if !sh.replay {
-						c.dispatchSettle(sh,
-							catalog.Settlement{Op: catalog.SettleAdopt, ID: cl.id, Tenant: ev.Tenant,
-								Full: t.Instance().StreamCostSum(cl.local)},
-							deferred, -1)
-					}
+					c.settle(sh, catalog.Settlement{Op: catalog.SettleAdopt, ID: cl.id, Tenant: ev.Tenant,
+						Full: t.Instance().StreamCostSum(cl.local)}, nil)
 					held[cl.id] = true
 				}
 			}
@@ -1317,47 +1243,6 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 		}
 	}
 	return res
-}
-
-// applyEventBatch applies one single-tenant event sequence in
-// submission order on the worker goroutine. Each contiguous run of
-// arrivals is one batch window for the shard stats (the coalescing a
-// remote caller gets from the batch endpoint); non-arrival events are
-// applied between windows exactly as in the FIFO path. Per-event
-// results are positional worker replies; ApplyBatch assembles them.
-//
-// Catalog settlements are deferred onto the shard's settlement buffer
-// and flushed in one registry round trip before the results are
-// delivered — the worker-FIFO settlement order is preserved exactly
-// (the buffer is ordered, and the flush completes before the batch
-// ack), only the number of registry crossings changes. The flush
-// backfills each catalog event's refs/evicted.
-func (c *Cluster) applyEventBatch(sh *shard, evs []Event) []result {
-	out := make([]result, len(evs))
-	for i := 0; i < len(evs); {
-		sh.stats.Events++
-		ev := evs[i]
-		if ev.Type != EventStreamArrival {
-			out[i] = c.applyEvent(sh, ev, false, true, i)
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(evs) && evs[j].Type == EventStreamArrival {
-			sh.stats.Events++
-			j++
-		}
-		sh.stats.Batches++
-		if j-i > sh.stats.MaxBatch {
-			sh.stats.MaxBatch = j - i
-		}
-		for k := i; k < j; k++ {
-			out[k] = c.applyArrival(sh, evs[k], true, true, k)
-		}
-		i = j
-	}
-	c.flushSettles(sh, out)
-	return out
 }
 
 // resolve runs one offline re-solve on the worker goroutine. A

@@ -129,6 +129,73 @@ func TestClusterBatchingCoalesces(t *testing.T) {
 	}
 }
 
+// TestAdmissionWindowBoundaries pins every place a shard's admission
+// window closes, by the exact shard row one fixed sequence leaves on a
+// one-shard fleet with BatchSize 4: the BatchSize-th fire-and-forget
+// arrival, an arrival carrying a caller's entry (counted in its
+// window), a non-arrival, a batch (before its first event; each arrival
+// run inside it is one window, however long), and a barrier.
+func TestAdmissionWindowBoundaries(t *testing.T) {
+	c, err := New(tenantInstances(t, 2, 16, 5, 930), Options{Shards: 1, BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	post := func(ev Event) {
+		t.Helper()
+		if err := c.post(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arrival := func(tenant, stream int) Event {
+		return Event{Tenant: tenant, Type: EventStreamArrival, Stream: stream}
+	}
+
+	// Six fire-and-forget arrivals over two tenants: a full window of
+	// four (windows 1), then two that the session offer joins and
+	// closes (window 2, three arrivals).
+	for s := 0; s < 6; s++ {
+		post(arrival(s%2, s))
+	}
+	if _, err := c.OfferStream(ctx, 0, 6); err != nil {
+		t.Fatal(err)
+	}
+	// An arrival that a departure closes (window 3), and one that the
+	// batch closes (window 4).
+	post(arrival(1, 7))
+	post(Event{Tenant: 1, Type: EventStreamDeparture, Stream: 7})
+	post(arrival(0, 8))
+	// Runs of five and two arrivals around a leave: windows 5 and 6.
+	batch := []Event{
+		{Type: EventStreamArrival, Stream: 0},
+		{Type: EventStreamArrival, Stream: 2},
+		{Type: EventStreamArrival, Stream: 4},
+		{Type: EventStreamArrival, Stream: 6},
+		{Type: EventStreamArrival, Stream: 8},
+		{Type: EventUserLeave, User: 0},
+		{Type: EventStreamArrival, Stream: 9},
+		{Type: EventStreamArrival, Stream: 11},
+	}
+	if _, err := c.ApplyBatch(ctx, 1, batch); err != nil {
+		t.Fatal(err)
+	}
+	// Two arrivals that the barrier closes (window 7).
+	post(arrival(0, 10))
+	post(arrival(1, 12))
+	fs, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fs.ShardStats[0]
+	got.Admitted = 0 // a policy figure, not a window one
+	want := ShardStats{Shard: 0, Tenants: 2, Events: 20, Batches: 7, MaxBatch: 5,
+		Arrivals: 18, Departures: 1, Leaves: 1}
+	if got != want {
+		t.Fatalf("shard row %+v, want %+v", got, want)
+	}
+}
+
 func TestClusterChurnAndResolve(t *testing.T) {
 	tenants := tenantInstances(t, 4, 12, 4, 800)
 	fs := runFleet(t, tenants,

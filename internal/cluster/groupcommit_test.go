@@ -286,3 +286,61 @@ func TestGroupCommitLoneEventAcked(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupCommitBatchSpansGroups runs one ApplyBatch longer than a
+// commit group under SyncBatch: its entries join the pending group one
+// by one, so the batch is acknowledged over several group commits. Every
+// result must come back without error, and recovering the log must
+// render the same tenant table.
+func TestGroupCommitBatchSpansGroups(t *testing.T) {
+	const events = 5000
+	if events <= commitGroupBound {
+		t.Fatalf("the batch must be longer than a commit group (%d events)", commitGroupBound)
+	}
+	cfgs := func() []TenantConfig { return tenantInstances(t, 1, 40, 10, 207) }
+	dir := t.TempDir()
+	fs := &slowSyncFS{}
+	opts := Options{Shards: 1, WAL: &WALOptions{Dir: dir, Sync: wal.SyncBatch, FS: fs}}
+	c, err := New(cfgs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	batch := make([]Event, events)
+	for i := range batch {
+		switch i % 5 {
+		case 0, 1, 2:
+			batch[i] = Event{Type: EventStreamArrival, Stream: (i * 7) % 40}
+		case 3:
+			batch[i] = Event{Type: EventStreamDeparture, Stream: (i * 3) % 40}
+		default:
+			batch[i] = Event{Type: EventUserLeave + EventType(i/5%2), User: i / 10 % 10}
+		}
+	}
+	out, err := c.ApplyBatch(context.Background(), 0, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != events {
+		t.Fatalf("%d results, want %d", len(out), events)
+	}
+	for i, res := range out {
+		if res.Err != nil || res.Type != batch[i].Type {
+			t.Fatalf("result %d: %+v", i, res)
+		}
+	}
+	want, _ := fleetRenders(t, c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d events, %d datasyncs", events, fs.syncs.Load())
+	opts.WAL.FS = nil
+	rec, _, err := Recover(cfgs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got, _ := fleetRenders(t, rec); got != want {
+		t.Fatalf("recovered tenant table diverges:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+}

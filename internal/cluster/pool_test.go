@@ -1,9 +1,9 @@
 package cluster
 
 // Pool-discipline tests: the serving hot path recycles in-flight
-// entries and batch completion channels through sync.Pool / free
-// lists, and the ownership rule says an entry is recycled only after
-// its one delivery was consumed. These tests install the poison hooks —
+// entries through sync.Pool / free lists, and the ownership rule says
+// an entry is recycled only after its one delivery was consumed. These
+// tests install the poison hook —
 // which scribble garbage into an entry the instant it is recycled and
 // assert its delivery was consumed — and then drive the concurrent
 // paths hard. Any read-after-recycle surfaces deterministically as a
@@ -19,12 +19,12 @@ import (
 	"repro/internal/catalog"
 )
 
-// installPoison arms both recycle hooks for the duration of one test.
-// The hooks fail the test on an entry recycled before its one
+// installPoison arms the recycle hook for the duration of one test.
+// The hook fails the test on an entry recycled before its one
 // completion was consumed (a stream entry not yet marked ready, or a
-// result still buffered in a session entry's or batch's own channel)
-// and scramble recycled entries so any stale read shows up as a
-// corrupt header.
+// result still buffered in a session entry's own channel) and
+// scrambles recycled entries so any stale read shows up as a corrupt
+// header.
 func installPoison(t *testing.T) *atomic.Int64 {
 	t.Helper()
 	var recycled atomic.Int64
@@ -45,17 +45,8 @@ func installPoison(t *testing.T) *atomic.Int64 {
 		p.fullCost = -1
 		p.res = result{refs: -1}
 	}
-	poisonBatchAck = func(ch chan []result) {
-		recycled.Add(1)
-		select {
-		case <-ch:
-			t.Error("recycled batch ack channel still had a buffered delivery")
-		default:
-		}
-	}
 	t.Cleanup(func() {
 		poisonRecycled = nil
-		poisonBatchAck = nil
 	})
 	return &recycled
 }

@@ -168,10 +168,10 @@ type result struct {
 // call is the request/response helper behind every session method: it
 // routes one event with a pooled in-flight entry, which carries its own
 // one-slot completion channel, waits for the worker's reply, and
-// assembles it with the stream's assembleResult. An arrival carrying an
-// entry is its own flush boundary (the worker flushes the batch
-// immediately after appending it), so a blocked caller never waits on a
-// trailing partial batch.
+// assembles it with the stream's assembleResult. The worker applies the
+// event the moment it dequeues it and delivers the result right after
+// (under group commit, once it is durable), so a blocked caller never
+// waits on later traffic.
 //
 // The entry is recycled after its completion was consumed (or when the
 // event never enqueued), and deliberately left to the garbage collector
@@ -207,15 +207,21 @@ func (c *Cluster) call(ctx context.Context, ev Event) StreamResult {
 	return out
 }
 
-// validEventType is the single serving-event allowlist shared by route
-// and ApplyBatch.
-func validEventType(t EventType) error {
-	switch t {
-	case EventStreamArrival, EventStreamDeparture, EventUserLeave, EventUserJoin, EventResolve:
-		return nil
+// normalize is the one check route and ApplyBatch make of a submitted
+// event: its type must be a serving event type, and what a caller may
+// not supply is cleared — the pricing (discounts and fleet references
+// are granted only by the catalog's own acquire protocol, never by a
+// caller-supplied event) and a CatalogID on a type with no catalog form.
+func normalize(ev *Event) error {
+	switch ev.Type {
+	case EventStreamArrival, EventStreamDeparture:
+	case EventUserLeave, EventUserJoin, EventResolve:
+		ev.CatalogID = ""
 	default:
-		return fmt.Errorf("cluster: unknown event type %d", t)
+		return fmt.Errorf("cluster: unknown event type %d", ev.Type)
 	}
+	ev.CostScale, ev.originPayer = 0, false
+	return nil
 }
 
 // enqueueLocked is the single shard-channel send shared by route and

@@ -28,10 +28,11 @@ import (
 // in session.go). For a catalog event route runs the acquire-then-route
 // protocol (the registry prices the admission and takes a provisional
 // reference before the event crosses the shard queue), and the shard
-// worker settles the fleet reference in FIFO order right after applying
-// the event. A connection that is dropped with results unread therefore
-// leaks nothing — every enqueued event still applies and settles on its
-// worker; only the results go unobserved.
+// worker settles the fleet reference in FIFO order after applying the
+// event and before its result goes out. A connection that is dropped
+// with results unread therefore leaks nothing — every enqueued event
+// still applies and settles on its worker; only the results go
+// unobserved.
 //
 // Because a streamed event and a session call share route and
 // assembleResult, a streamed schedule produces bit-identical fleet
@@ -92,8 +93,9 @@ type StreamResult struct {
 // res and then sending the entry itself on done, exactly once: done is
 // the connection's completion channel for a stream entry, and the
 // entry's own one-slot channel for a session call. Submit delivers the
-// same way when the event failed before enqueueing. ApplyBatch builds
-// one per result, without a channel, to assemble it.
+// same way when the event failed before enqueueing. ApplyBatch gives
+// each of its events one, all sharing one completion channel with room
+// for the whole batch.
 type streamPending struct {
 	seq int
 	typ EventType
@@ -175,13 +177,12 @@ func (c *Cluster) OpenStream(opts StreamOptions) (*StreamConn, error) {
 // in-flight window slot (blocking or rejecting per the stream's
 // backpressure mode), routes the event to its shard worker, and returns
 // without waiting for the result — Recv delivers it, in submission
-// order. ev follows the ApplyBatch conventions: Type must be a serving
-// event type and CostScale is ignored (discounts are granted only by
-// the catalog's acquire protocol). Unlike ApplyBatch, catalog-managed
-// events are first-class: an arrival or departure carrying a CatalogID
-// runs the catalog protocol exactly like OfferCatalogStream /
-// DepartCatalogStream, with the shard worker settling the fleet
-// reference in FIFO order.
+// order. ev is checked as every submitted event is (see normalize):
+// Type must be a serving event type and CostScale is ignored (discounts
+// are granted only by the catalog's acquire protocol). An arrival or
+// departure carrying a CatalogID runs the catalog protocol exactly like
+// OfferCatalogStream / DepartCatalogStream, with the shard worker
+// settling the fleet reference in FIFO order.
 //
 // Submit fails only when no window slot could be reserved (ErrClosed
 // after CloseSend, ErrQueueFull under BackpressureReject, ErrCanceled);
@@ -258,23 +259,17 @@ func (sc *StreamConn) put(p *streamPending) {
 }
 
 // route is the one caller-side path of a single event — a streamed
-// one, or a session call: it validates the event, runs the catalog
-// protocol for a catalog-managed arrival (acquire) or departure (a
-// lookup in the cluster's own binding table), and enqueues it with p
-// attached for the result. It returns the error
-// of an event that never reached its shard queue; once enqueued, the
+// one, or a session call: it checks the event (normalize), runs the
+// catalog protocol for a catalog-managed arrival (acquire) or departure
+// (a lookup in the cluster's own binding table, see catalogIndex), and
+// enqueues it with p attached for the result. It returns the error of
+// an event that never reached its shard queue; once enqueued, the
 // worker owns the event, its fleet reference included.
 func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
-	if err := validEventType(ev.Type); err != nil {
+	if err := normalize(&ev); err != nil {
 		return err
 	}
-	// Discounts and fleet references are granted only by the catalog's
-	// own acquire protocol, never by a caller-supplied event (the
-	// ApplyBatch rule).
-	ev.CostScale = 0
-	if ev.CatalogID != "" && ev.Type != EventStreamArrival && ev.Type != EventStreamDeparture {
-		ev.CatalogID, p.id = "", ""
-	}
+	p.id = ev.CatalogID
 	// The catalog protocol and the enqueue share one read-locked section:
 	// Reshard replaces the shard workers and Close stops them under the
 	// write lock (a stream's tenant may change shard between two events),
@@ -285,17 +280,19 @@ func (c *Cluster) route(ctx context.Context, ev Event, p *streamPending) error {
 	if ev.CatalogID == "" {
 		return c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p})
 	}
-	reg, err := c.catalogFor(ev.Tenant)
-	if err != nil {
-		return err
-	}
 	if ev.Type == EventStreamDeparture {
 		// The worker settles the reference (release on removal) in shard
 		// FIFO order; a canceled caller has nothing to reconcile.
-		if ev.Stream, err = c.catalogBindings.Lookup(ev.CatalogID, ev.Tenant); err != nil {
-			return wrapCatalogErr(err)
+		local, err := c.catalogIndex(ev.Tenant, ev.CatalogID)
+		if err != nil {
+			return err
 		}
+		ev.Stream = local
 		return c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p})
+	}
+	reg, err := c.catalogFor(ev.Tenant)
+	if err != nil {
+		return err
 	}
 	// Acquire takes a provisional reference in every case — also when
 	// the tenant already holds the stream — so a concurrent departure

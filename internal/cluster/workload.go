@@ -80,9 +80,10 @@ func (w Workload) EventsForInstance(in *mmd.Instance, ti int) []Event {
 // to drain via a snapshot barrier. It returns the quiesced fleet
 // snapshot and the total number of events submitted.
 //
-// Replay is fire-and-forget: events are enqueued without completion
-// channels, so arrivals coalesce into full batches and the snapshot is
-// the only synchronization point. The replay always blocks on a full
+// Replay is fire-and-forget: events are enqueued without in-flight
+// entries, so consecutive arrivals on a shard count as admission
+// windows of up to Options.BatchSize, and the snapshot is the only
+// synchronization point. The replay always blocks on a full
 // shard queue (backpressure by blocking, regardless of
 // Options.Backpressure) so a deterministic schedule is never dropped.
 func (c *Cluster) RunWorkload(w Workload) (*FleetSnapshot, int, error) {

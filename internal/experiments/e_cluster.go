@@ -51,7 +51,7 @@ func E12Cluster(cfg E12Config) (*Table, error) {
 		ID:    "E12",
 		Title: "Sharded multi-tenant head-end fleet",
 		Claim: "Fig. 1 at fleet scale: independent tenants admit concurrently under " +
-			"per-shard workers with batched admission; feasibility holds everywhere, " +
+			"per-shard workers admitting in submission order; feasibility holds everywhere, " +
 			"results are invariant under the shard count, and installing the offline " +
 			"re-solve only improves fleet utility",
 		Columns: []string{"shards", "online utility", "installed utility", "installs",

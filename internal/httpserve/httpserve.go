@@ -268,10 +268,10 @@ func decodeBatch(r io.Reader, dst []videodist.ClusterEvent) ([]videodist.Cluster
 
 // handleBatch applies a JSON array of events as one Cluster.ApplyBatch
 // call: the whole sequence crosses the tenant's shard queue as a single
-// message, so remote callers get the same arrival coalescing the
-// RunWorkload replay path enjoys. The response is one element per
-// event, positionally: the stream's result line without its seq, with
-// a per-event error after the payload.
+// message, and its catalog arrivals are priced in one registry call.
+// The response is one element per event, positionally: the stream's
+// result line without its seq, with a per-event error after the
+// payload.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w) {
 		return

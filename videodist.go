@@ -29,8 +29,8 @@
 //
 // NewCluster operates many independent head-end tenants as one fleet:
 // each tenant is pinned to a shard worker, stream-arrival and churn
-// events are routed over channels with batched admission, and results
-// are aggregated deterministically. The serving surface is typed and
+// events are routed over channels and admitted one at a time in
+// submission order, and results are aggregated deterministically. The serving surface is typed and
 // per operation — OfferStream/DepartStream/UserLeave/UserJoin/Resolve
 // sessions with sentinel errors (ErrUnknownTenant, ErrQueueFull,
 // ErrClosed, ErrCanceled) and configurable backpressure; Resolve can
@@ -139,7 +139,7 @@ type (
 // UserLeave, UserJoin, and Resolve directly on a Cluster.
 type (
 	// Cluster operates many head-end tenants as one fleet: per-shard
-	// workers, batched admission, deterministic aggregation, and typed
+	// workers, FIFO admission, deterministic aggregation, and typed
 	// per-operation session methods (OfferStream, DepartStream,
 	// UserLeave, UserJoin, Resolve).
 	Cluster = cluster.Cluster
