@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/catalog"
@@ -317,14 +318,16 @@ func TestStreamWarmupAllocations(t *testing.T) {
 	}
 }
 
-// TestStreamChurnResolveCycleAllocationFree pins churn-resolve's shape
-// at zero allocations per cycle: on a warm stream over one 120 × 40
-// tenant, a gateway leaves and rejoins, a stream departs and is offered
-// again, and an installing re-solve follows. The re-solve solves its
-// bands on the shard worker, the install keeps every list the lineup
-// did not change, and the leave edits in place the lists no caller
-// holds; what the cycle still carves comes from the tenant's shared
-// arrays, far less than one allocation per cycle.
+// TestStreamChurnResolveCycleAllocationFree counts churn-resolve's
+// shape exactly: on a warm stream over one 120 × 40 tenant, a gateway
+// leaves and rejoins, a stream departs and is offered again, and an
+// installing re-solve follows, and 1,000 such cycles may allocate at
+// most 64 times in all. The re-solve solves its bands on the shard
+// worker, and the install and the leave write the lists they change
+// into the tenant's own storage. What the cycle still carves from the
+// tenant's shared 256-int arrays are the lists steps hand out: the
+// leave's returned list, the departure's list and the re-offer's
+// admission list, about one array every 30 cycles.
 func TestStreamChurnResolveCycleAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counters are unreliable under -race")
@@ -386,7 +389,25 @@ func TestStreamChurnResolveCycleAllocationFree(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("warm churn and installing re-solve cycle allocates %.2f per cycle, want 0", avg)
+	const cycles = 1000
+	n := cycleMallocs(cycles, cycle)
+	t.Logf("%d warm churn and installing re-solve cycles allocate %d times", cycles, n)
+	if n > 64 {
+		t.Fatalf("%d warm churn and installing re-solve cycles allocate %d times, want at most 64", cycles, n)
 	}
+}
+
+// cycleMallocs runs cycle runs times on one processor and returns how
+// many heap allocations the runs made in all. testing.AllocsPerRun
+// divides that total by the runs as integers, so it would read 0 for
+// anything up to runs−1.
+func cycleMallocs(runs int, cycle func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
 }

@@ -2,6 +2,7 @@ package headend_test
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -11,20 +12,60 @@ import (
 	"repro/internal/mmd"
 )
 
-// TestResolveSteadyStateAllocBudget pins one installing re-solve of a
+// TestResolveSteadyStateAllocBudget pins 200 installing re-solves of a
 // churn-resolve head-end (120 channels, 40 gateways) with three
-// gateways away at zero allocations, once the tenant's solver workspace
-// and both of the online policy's alternating allocator states are
-// warm. The bands are solved on the caller's goroutine, and an install
-// that repeats the lineup keeps every carried list.
+// gateways away at exactly zero allocations in all, once the tenant's
+// solver workspace and both of the online policy's alternating
+// allocator states are warm. The bands are solved on the caller's
+// goroutine, and an install that repeats the lineup keeps every
+// carried list.
 func TestResolveSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
 	}
 	resolve := warmResolveTenant(t)
-	if allocs := testing.AllocsPerRun(20, resolve); allocs != 0 {
-		t.Fatalf("warm installing re-solve allocates %.0f times, want 0", allocs)
+	if n := countMallocs(200, nil, resolve); n != 0 {
+		t.Fatalf("200 warm installing re-solves allocate %d times, want 0", n)
 	}
+}
+
+// TestInstallAllocationFree pins the installs of churn-resolve's cycle
+// at exactly zero allocations: over 1,000 warm cycles in which a
+// gateway leaves and rejoins, a stream departs and is offered again,
+// and an installing re-solve follows, the re-solves allocate nothing
+// in all. Each install changes lists — the gateway's and the
+// re-offered stream's — and writes them into the tenant's own storage,
+// which earlier cycles grew. Only the re-solves are counted; the
+// lists the other steps return are the caller's and are carved.
+func TestInstallAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	churn, resolve := warmChurnTenant(t)
+	if n := countMallocs(1000, churn, resolve); n != 0 {
+		t.Fatalf("1000 warm installs allocate %d times, want 0", n)
+	}
+}
+
+// countMallocs runs runs cycles of before (when not nil) and f on one
+// processor, and returns how many heap allocations the calls of f made
+// in all. testing.AllocsPerRun divides its total by the runs as
+// integers, so an AllocsPerRun pin that reads 0 admits up to runs−1
+// allocations; the exact total admits none.
+func countMallocs(runs int, before, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var total uint64
+	var m0, m1 runtime.MemStats
+	for i := 0; i < runs; i++ {
+		if before != nil {
+			before()
+		}
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		total += m1.Mallocs - m0.Mallocs
+	}
+	return total
 }
 
 // warmResolveTenant builds a churn-resolve head-end (120 channels, 40
@@ -67,6 +108,68 @@ func warmResolveTenant(tb testing.TB) func() {
 	resolve()
 	resolve()
 	return resolve
+}
+
+// warmChurnTenant builds a churn-resolve head-end (120 channels, 40
+// gateways, the online policy) carrying the installed offline lineup,
+// and returns churn-resolve's cycle in two parts, each run until warm:
+// churn, in which a gateway leaves and rejoins and a stream departs and
+// is offered again, and the installing re-solve that follows. The
+// gateway is the first that holds a stream after an install, and the
+// stream the first it holds.
+func warmChurnTenant(tb testing.TB) (churn, resolve func()) {
+	tb.Helper()
+	in, err := generator.CableTV{Channels: 120, Gateways: 40, Seed: 300, EgressFraction: 0.25}.Generate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pol, err := headend.NewOnlinePolicy(in, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tn, err := headend.NewTenant(in, pol)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	resolve = func() {
+		out, err := tn.Resolve(core.Options{}, true)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !out.Installed {
+			tb.Fatal("re-solve did not install")
+		}
+	}
+	for s := 0; s < in.NumStreams(); s++ {
+		tn.OfferStream(s)
+	}
+	resolve()
+	// A rejoin recovers no subscription, so a second install gives the
+	// probed gateways theirs back.
+	u, s := -1, -1
+	for g := 0; g < in.NumUsers() && u < 0; g++ {
+		if held := tn.UserLeave(g); len(held) > 0 {
+			u, s = g, held[0]
+		}
+		tn.UserJoin(g)
+	}
+	if u < 0 {
+		tb.Fatal("no gateway holds a stream after the install")
+	}
+	resolve()
+	churn = func() {
+		if len(tn.UserLeave(u)) == 0 {
+			tb.Fatalf("gateway %d left holding nothing", u)
+		}
+		tn.UserJoin(u)
+		tn.DepartStream(s)
+		tn.OfferStream(s)
+	}
+	for i := 0; i < 8; i++ {
+		churn()
+		resolve()
+	}
+	return churn, resolve
 }
 
 // TestOfferStreamScaledAllocationFree pins an admitted catalog offer on

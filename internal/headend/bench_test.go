@@ -1,6 +1,7 @@
 package headend_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/generator"
@@ -182,4 +183,25 @@ func BenchmarkTenantResolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		resolve()
 	}
+}
+
+// BenchmarkTenantResolveChurn times one warm cycle of churn-resolve's
+// shape on its head-end: a gateway leaves and rejoins, a stream departs
+// and is offered again, and an installing re-solve follows, writing
+// the lists it changed into the tenant's own storage. A cycle
+// allocates far less than once, and the framework truncates allocs/op
+// to a whole number, so mallocs/op reports the fraction.
+func BenchmarkTenantResolveChurn(b *testing.B) {
+	churn, resolve := warmChurnTenant(b)
+	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn()
+		resolve()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "mallocs/op")
 }

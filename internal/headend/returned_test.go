@@ -11,11 +11,12 @@ import (
 
 // TestReturnedListsNeverWritten pins the contract behind the tenant's
 // in-place list edits: a list that OfferStream, DepartStream or
-// UserLeave returned is never written again. It keeps every returned
-// list beside a copy, and after every later step compares each with its
-// copy. The steps are a seeded mix of offers, departures, leaves (some
-// repeated at once), joins, and installing and monitoring re-solves,
-// under the online and threshold policies.
+// UserLeave returned is capped at its length and never written again.
+// It keeps every returned list beside a copy, and after every later
+// step compares each with its copy and runs the tenant's own storage
+// check (CheckListStorage). The steps are a seeded mix of offers,
+// departures, leaves (some repeated at once), joins, and installing and
+// monitoring re-solves, under the online and threshold policies.
 func TestReturnedListsNeverWritten(t *testing.T) {
 	in, err := generator.CableTV{Channels: 60, Gateways: 20, Seed: 503, EgressFraction: 0.25}.Generate()
 	if err != nil {
@@ -35,9 +36,17 @@ func TestReturnedListsNeverWritten(t *testing.T) {
 				call       string
 			}
 			var held []returned
+			memory := make(map[*int]bool)
+			longest := make([]int, in.NumStreams())
 			keep := func(list []int, step int, call string) {
+				if cap(list) != len(list) {
+					t.Fatalf("step %d: %s returned a list of length %d and capacity %d", step, call, len(list), cap(list))
+				}
 				if len(list) > 0 {
 					held = append(held, returned{list, slices.Clone(list), step, call})
+				}
+				for i := range list {
+					memory[&list[i]] = true
 				}
 			}
 			for step := 0; step < steps; step++ {
@@ -64,6 +73,9 @@ func TestReturnedListsNeverWritten(t *testing.T) {
 						t.Fatalf("step %d: the list %s returned at step %d reads %v, was %v",
 							step, h.call, h.step, h.list, h.want)
 					}
+				}
+				if err := tn.CheckListStorage(memory, longest); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
 			}
 			if snap := tn.Snapshot(); snap.Installs == 0 || snap.UserLeaves == 0 || !snap.Feasible {

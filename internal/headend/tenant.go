@@ -21,18 +21,27 @@ import (
 type Tenant struct {
 	in     *mmd.Instance
 	policy Policy
-	assn   *mmd.Assignment
+	// reinstall is policy when it can rebuild its state around an
+	// install, nil otherwise. NewTenant asserts it once: the runtime
+	// fills each type assertion's cache with one allocation, made at a
+	// random one of its first thousand or so calls, and a warm install
+	// allocates nothing.
+	reinstall ReinstallablePolicy
+	assn      *mmd.Assignment
 	// live maps a carried stream to the users admitted for it; a stream
 	// stays carried (and further offers are no-ops) until DepartStream.
-	// handedOut[s] marks a list that a caller may hold: an admission
-	// returns its list, and a list sharing that memory keeps the mark.
-	// No step writes a marked list again. An unmarked list is the
-	// tenant's own, so a leave edits it in place. DepartStream takes its
-	// list out of live, so what it returns is never edited either. New
-	// lists are carved from lists, whose memory nothing hands out twice.
-	live      map[int][]int
-	handedOut []bool
-	lists     buf.Lists[int]
+	// A carried list is either the tenant's own, held at the start of
+	// own[s], or one a caller may hold: an admission's list, or a prefix
+	// sharing its memory. No step writes a list a caller may hold. A
+	// leave edits an owned list in place and copies any other into
+	// own[s]; an install writes each changed list into own[s]. own is
+	// made on first use and own[s] grows to the longest list written
+	// there, and no step returns its memory: DepartStream copies an
+	// owned list out. The lists steps return are carved from lists,
+	// whose memory nothing hands out twice.
+	live  map[int][]int
+	own   [][]int
+	lists buf.Lists[int]
 	// scale records the server-cost charge scale of live streams
 	// admitted at a discount (OfferStreamScaled with scale != 1; the
 	// shared-catalog path). Absent streams were charged at full price.
@@ -81,12 +90,13 @@ func NewTenant(in *mmd.Instance, policy Policy) (*Tenant, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("headend: tenant needs a policy")
 	}
+	rp, _ := policy.(ReinstallablePolicy)
 	return &Tenant{
 		in:        in,
 		policy:    policy,
+		reinstall: rp,
 		assn:      mmd.NewAssignment(in.NumUsers()),
 		live:      make(map[int][]int),
-		handedOut: make([]bool, in.NumStreams()),
 		away:      make([]bool, in.NumUsers()),
 	}, nil
 }
@@ -149,7 +159,6 @@ func (t *Tenant) OfferStreamScaled(s int, serverCostScale float64) []int {
 	}
 	t.admitted++
 	t.live[s] = kept
-	t.handedOut[s] = true
 	if serverCostScale != 1 {
 		if t.scale == nil {
 			t.scale = make(map[int]float64)
@@ -169,6 +178,11 @@ func (t *Tenant) DepartStream(s int) []int {
 	users, alive := t.live[s]
 	if !alive {
 		return nil
+	}
+	if t.owns(s, users) {
+		out := t.lists.Make(len(users))
+		copy(out, users)
+		users = out
 	}
 	t.departed++
 	delete(t.live, s)
@@ -220,25 +234,43 @@ func (t *Tenant) UserLeave(u int) []int {
 
 // dropHolder takes u off carried stream s's list. When u is last, the
 // list becomes its capped prefix — an empty, non-nil list when u was
-// the only holder — which shares its memory and so keeps its mark.
-// Otherwise the tenant's own list is shortened in place, and a list a
-// caller may hold is copied once into one carved from lists, which is
-// then the tenant's own.
+// the only holder — which shares its memory and so stays whatever it
+// was. Otherwise the tenant's own list is shortened in place, and a
+// list a caller may hold is copied once into own[s].
 func (t *Tenant) dropHolder(s, u int) {
 	list := t.live[s]
 	i, n := slices.Index(list, u), len(list)-1
 	switch {
 	case i == n:
-	case t.handedOut[s]:
-		kept := t.lists.Make(n)
+	case t.owns(s, list):
+		copy(list[i:], list[i+1:])
+	default:
+		kept := t.storage(s, n)
 		copy(kept, list[:i])
 		copy(kept[i:], list[i+1:])
 		list = kept
-		t.handedOut[s] = false
-	default:
-		copy(list[i:], list[i+1:])
 	}
 	t.live[s] = list[:n:n]
+}
+
+// owns reports whether list, stream s's carried list, is the tenant's
+// own: it starts at own[s], which nothing else points into. An empty
+// list has nothing to write, so it needs no owner.
+func (t *Tenant) owns(s int, list []int) bool {
+	return len(list) > 0 && s < len(t.own) && len(t.own[s]) > 0 && &list[0] == &t.own[s][0]
+}
+
+// storage returns own[s] with length and capacity n, growing it to
+// exactly n when it is shorter; the first call makes the per-stream
+// table. The caller fills it and carries it as stream s's list.
+func (t *Tenant) storage(s, n int) []int {
+	if t.own == nil {
+		t.own = make([][]int, t.in.NumStreams())
+	}
+	if len(t.own[s]) < n {
+		t.own[s] = make([]int, n)
+	}
+	return t.own[s][:n:n]
 }
 
 // UserJoin brings gateway u back online (eligible for future streams;
@@ -369,11 +401,10 @@ func (t *Tenant) install(assn *mmd.Assignment) error {
 	if err := assn.CheckFeasible(t.in); err != nil {
 		return fmt.Errorf("headend: install: offline assignment infeasible: %w", err)
 	}
-	rp, ok := t.policy.(ReinstallablePolicy)
-	if !ok {
+	if t.reinstall == nil {
 		return fmt.Errorf("headend: install: policy %q cannot rebuild its state", t.policy.Name())
 	}
-	if err := rp.Reinstall(assn); err != nil {
+	if err := t.reinstall.Reinstall(assn); err != nil {
 		return fmt.Errorf("headend: install: %w", err)
 	}
 	t.assn.CopyFrom(assn)
@@ -396,9 +427,9 @@ func (t *Tenant) install(assn *mmd.Assignment) error {
 // rebuildLive refills the carried-stream table from the running
 // assignment, each stream's users in increasing order. The new lists
 // are laid out in the workspace's scratch first. A carried list equal
-// to its new one stays, mark and all; each changed or new list is
-// carved from lists and left unmarked, since no caller has seen it.
-// Streams outside the new lineup leave the table.
+// to its new one stays, whoever may hold it; each changed or new list
+// is written into own[s], in place when the carried list already lives
+// there. Streams outside the new lineup leave the table.
 func (t *Tenant) rebuildLive() {
 	ws := t.workspace()
 	offsets := ws.offsets
@@ -435,10 +466,9 @@ func (t *Tenant) rebuildLive() {
 		if old, ok := t.live[s]; ok && slices.Equal(old, fresh) {
 			continue
 		}
-		list := t.lists.Make(len(fresh))
+		list := t.storage(s, len(fresh))
 		copy(list, fresh)
 		t.live[s] = list
-		t.handedOut[s] = false
 	}
 }
 
