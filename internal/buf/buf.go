@@ -40,6 +40,19 @@ func Rows[T any](rows [][]T, n int) [][]T {
 	return rows
 }
 
+// Carve returns the first n elements of *slab, capped at n, and moves
+// *slab past them: rows carved one after another share one array but
+// no element, and an append to a carved row copies it. n == 0 gives
+// nil.
+func Carve[T any](slab *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	row := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return row
+}
+
 // Lists hands out lists that outlive the call making them — a ticket's
 // sharers, a stream's subscribers — carved from shared arrays instead
 // of one allocation each. Every list is a capacity-capped slice of an

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -130,6 +131,77 @@ func TestLatchedFsyncFailsFast(t *testing.T) {
 	if got != wantK && got != wantK1 {
 		t.Fatalf("recovered state matches neither the acked prefix nor prefix+1:\n%s", got)
 	}
+}
+
+// TestFailedOpenClosesEverySegment fails the open-time fill of one
+// segment — and of two — in a fresh 4-shard fleet with a catalog
+// plane, and requires cluster.New to return the first failing writer's
+// error in writer order, with every segment file it opened closed.
+func TestFailedOpenClosesEverySegment(t *testing.T) {
+	for _, tc := range []struct {
+		faults []chaos.FileFault
+		writer string
+	}{
+		{[]chaos.FileFault{{Match: "-s3.", FailSyncAt: 1}}, "s3"},
+		{[]chaos.FileFault{{Match: "-catalog.", FailSyncAt: 1}, {Match: "-s1.", FailSyncAt: 1}}, "s1"},
+	} {
+		count := &countingFS{inner: wal.OSFS{}}
+		_, err := cluster.New(tenantsLike(t), cluster.Options{
+			Shards: 4,
+			Catalog: &cluster.CatalogOptions{
+				Streams: catalog.IdentityBindings(4, 8, func(s int) catalog.ID {
+					return catalog.ID(fmt.Sprintf("ch-%03d", s))
+				}),
+				CostModel: catalog.Isolated{},
+			},
+			WAL: &cluster.WALOptions{Dir: t.TempDir(), Sync: wal.SyncBatch, FS: chaos.NewFS(count, tc.faults...)},
+		})
+		if !errors.Is(err, chaos.ErrInjected) || !strings.HasPrefix(err.Error(), "wal: "+tc.writer+": ") {
+			t.Fatalf("cluster.New = %v, want writer %s's injected fault", err, tc.writer)
+		}
+		opened, closed := count.counts()
+		if opened == 0 || closed != opened {
+			t.Fatalf("writer %s failing: %d segment files opened, %d closed", tc.writer, opened, closed)
+		}
+	}
+}
+
+// countingFS counts the segment files opened through it and how many
+// of them were closed.
+type countingFS struct {
+	inner wal.FS
+
+	mu             sync.Mutex
+	opened, closed int
+}
+
+func (fs *countingFS) OpenSegment(path string) (wal.File, error) {
+	f, err := fs.inner.OpenSegment(path)
+	if err != nil {
+		return nil, err
+	}
+	fs.mu.Lock()
+	fs.opened++
+	fs.mu.Unlock()
+	return &countedFile{File: f, fs: fs}, nil
+}
+
+func (fs *countingFS) counts() (opened, closed int) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.opened, fs.closed
+}
+
+type countedFile struct {
+	wal.File
+	fs *countingFS
+}
+
+func (f *countedFile) Close() error {
+	f.fs.mu.Lock()
+	f.fs.closed++
+	f.fs.mu.Unlock()
+	return f.File.Close()
 }
 
 // TestLatchedFsyncFailsEverySurface pins the latched-error contract on

@@ -47,6 +47,36 @@ func TestInstallAllocationFree(t *testing.T) {
 	}
 }
 
+// TestNewTenantAllocations pins building one online tenant — the
+// guarded online policy by name, then its tenant — on a churn-resolve
+// head-end (120 channels, 40 gateways) at 32 allocations or fewer, each
+// of 20 builds counted on its own: the policy's normalized copy is
+// carved from one array of floats and one of load-row headers, and the
+// per-user rows of its allocator and its ledger from one array each.
+func TestNewTenantAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	in, err := generator.CableTV{Channels: 120, Gateways: 40, Seed: 300, EgressFraction: 0.25}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() {
+		pol, err := headend.NewPolicyByName(in, "online")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := headend.NewTenant(in, pol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if n := countMallocs(1, nil, build); n > 32 {
+			t.Fatalf("building an online tenant allocates %d times, want at most 32", n)
+		}
+	}
+}
+
 // countMallocs runs runs cycles of before (when not nil) and f on one
 // processor, and returns how many heap allocations the calls of f made
 // in all. testing.AllocsPerRun divides its total by the runs as

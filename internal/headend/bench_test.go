@@ -173,6 +173,24 @@ func onlinePolicySweep(b *testing.B, ledger bool) {
 	}
 }
 
+// BenchmarkNewTenant times building one online tenant on
+// admissionInstance, as a cluster builds each of its tenants: the
+// guarded online policy by name (normalization, validation, the
+// allocator and the ledger), then the tenant.
+func BenchmarkNewTenant(b *testing.B) {
+	in := admissionInstance(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pol, err := headend.NewPolicyByName(in, "online")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := headend.NewTenant(in, pol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTenantResolve times one warm installing re-solve of the
 // churn-resolve head-end with three gateways away: the offline
 // Theorem 1.1 pipeline and the install, on the caller's goroutine.

@@ -51,13 +51,10 @@ func NewLoadLedger(in *Instance) *LoadLedger {
 		holders:     make([]int, in.NumStreams()),
 		chargeScale: make([]float64, in.NumStreams()),
 		serverCost:  make([]float64, in.M()),
-		userLoad:    make([][]float64, in.NumUsers()),
+		userLoad:    in.CapacityRows(),
 	}
 	for i := range l.chargeScale {
 		l.chargeScale[i] = 1
-	}
-	for u := range l.userLoad {
-		l.userLoad[u] = make([]float64, len(in.Users[u].Capacities))
 	}
 	return l
 }

@@ -106,18 +106,74 @@ func (in *Instance) TotalUtility() float64 {
 }
 
 // Clone returns a deep copy of the instance. Mutating the copy never
-// affects the original.
+// affects the original. Every float row is carved from one array and
+// every user's load-row headers from one more, each capped at its
+// length, so an append to a row copies it instead of writing its
+// neighbour. The copy has CloneInto's shape: empty float rows are nil.
 func (in *Instance) Clone() *Instance {
-	out := new(Instance)
-	in.CloneInto(out)
+	floats, rows := len(in.Budgets), 0
+	for s := range in.Streams {
+		floats += len(in.Streams[s].Costs)
+	}
+	for u := range in.Users {
+		usr := &in.Users[u]
+		floats += len(usr.Utility) + len(usr.Capacities)
+		rows += len(usr.Loads)
+		for j := range usr.Loads {
+			floats += len(usr.Loads[j])
+		}
+	}
+	slab, headers := make([]float64, floats), make([][]float64, rows)
+	out := &Instance{
+		Streams: make([]Stream, len(in.Streams)),
+		Users:   make([]User, len(in.Users)),
+		Budgets: cloneRow(&slab, in.Budgets),
+	}
+	for s := range in.Streams {
+		out.Streams[s] = Stream{Name: in.Streams[s].Name, Costs: cloneRow(&slab, in.Streams[s].Costs)}
+	}
+	for u := range in.Users {
+		src, dst := &in.Users[u], &out.Users[u]
+		dst.Name = src.Name
+		dst.Utility = cloneRow(&slab, src.Utility)
+		dst.Capacities = cloneRow(&slab, src.Capacities)
+		n := len(src.Loads)
+		dst.Loads, headers = headers[:n:n], headers[n:]
+		for j := range src.Loads {
+			dst.Loads[j] = cloneRow(&slab, src.Loads[j])
+		}
+	}
 	return out
+}
+
+// cloneRow copies src into a row carved from slab (nil when src is
+// empty).
+func cloneRow(slab *[]float64, src []float64) []float64 {
+	row := buf.Carve(slab, len(src))
+	copy(row, src)
+	return row
+}
+
+// CapacityRows returns one zeroed row per user, as long as the user's
+// capacities, all carved from one array: the per-user load state of
+// the online allocator and of LoadLedger.
+func (in *Instance) CapacityRows() [][]float64 {
+	n := 0
+	for u := range in.Users {
+		n += len(in.Users[u].Capacities)
+	}
+	rows, slab := make([][]float64, len(in.Users)), make([]float64, n)
+	for u := range rows {
+		rows[u] = buf.Carve(&slab, len(in.Users[u].Capacities))
+	}
+	return rows
 }
 
 // CloneInto makes dst a deep copy of the instance, reusing dst's
 // buffers where they are large enough — how a solver workspace
 // refreshes its private copy without allocating once warm. dst must
-// share no memory with the instance; cloning into a zero Instance is
-// exactly Clone.
+// share no memory with the instance; cloning into a zero Instance
+// gives Clone's values and shape.
 func (in *Instance) CloneInto(dst *Instance) {
 	dst.Streams = buf.Grow(dst.Streams, len(in.Streams))
 	dst.Users = buf.Grow(dst.Users, len(in.Users))
@@ -178,6 +234,11 @@ func (in *Instance) Validate() error {
 				s, st.Name, len(st.Costs), m, ErrShape)
 		}
 		for i, c := range st.Costs {
+			// Each row's loop tests the valid range first and
+			// classifies only what falls outside it.
+			if c >= 0 && c <= in.Budgets[i] && c <= math.MaxFloat64 {
+				continue
+			}
 			switch {
 			case math.IsNaN(c) || math.IsInf(c, 0):
 				return fmt.Errorf("stream %d cost %d is %v: %w", s, i, c, ErrNonFinite)
@@ -209,6 +270,9 @@ func (in *Instance) validateUser(u int) error {
 			u, len(usr.Loads), len(usr.Capacities), ErrShape)
 	}
 	for s, w := range usr.Utility {
+		if w >= 0 && w <= math.MaxFloat64 {
+			continue
+		}
 		switch {
 		case math.IsNaN(w) || math.IsInf(w, 0):
 			return fmt.Errorf("user %d utility for stream %d is %v: %w", u, s, w, ErrNonFinite)
@@ -225,7 +289,11 @@ func (in *Instance) validateUser(u int) error {
 		if math.IsNaN(cap) || cap < 0 {
 			return fmt.Errorf("user %d capacity %d is %v: %w", u, j, cap, ErrNegative)
 		}
+		fits := min(cap, math.MaxFloat64) // valid whatever the utility
 		for s, k := range usr.Loads[j] {
+			if k >= 0 && k <= fits {
+				continue
+			}
 			switch {
 			case math.IsNaN(k) || math.IsInf(k, 0):
 				return fmt.Errorf("user %d load[%d][%d] is %v: %w", u, j, s, k, ErrNonFinite)

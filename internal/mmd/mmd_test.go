@@ -3,6 +3,7 @@ package mmd
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -157,16 +158,24 @@ func TestStreamUtility(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep overwrites every element and every load-row header of
+// a clone and requires the source unchanged.
 func TestCloneIsDeep(t *testing.T) {
 	in := twoStreamInstance()
+	want := snapshot(in)
 	cp := in.Clone()
-	cp.Streams[0].Costs[0] = 99
-	cp.Users[0].Utility[0] = 99
-	cp.Users[0].Loads[0][0] = 99
-	cp.Budgets[0] = 99
-	if in.Streams[0].Costs[0] == 99 || in.Users[0].Utility[0] == 99 ||
-		in.Users[0].Loads[0][0] == 99 || in.Budgets[0] == 99 {
-		t.Fatal("Clone shares memory with the original")
+	for _, r := range rows(cp) {
+		for i := range r {
+			r[i] = 99
+		}
+	}
+	for u := range cp.Users {
+		for j := range cp.Users[u].Loads {
+			cp.Users[u].Loads[j] = nil
+		}
+	}
+	if got := snapshot(in); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Clone shares memory with the original:\ngot  %v\nwant %v", got, want)
 	}
 }
 

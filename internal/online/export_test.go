@@ -8,3 +8,7 @@ func MinMaxSupportUtility(in *mmd.Instance, s int) (minW, sumW float64, ok bool)
 	su := supportUtilities(in)[s]
 	return su.minW, su.sumW, su.ok
 }
+
+// ReferenceNormalize exposes referenceNormalize, FuzzNormalizeMatchesReference's
+// oracle.
+var ReferenceNormalize = referenceNormalize

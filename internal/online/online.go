@@ -89,15 +89,14 @@ func supportUtilities(in *mmd.Instance) []supportUtility {
 // streams). Zero budgets are also left untouched: validation guarantees
 // only zero-cost streams exist on such measures.
 func Normalize(in *mmd.Instance) (*Normalization, error) {
-	out := in.Clone()
 	d := 0
-	for _, b := range out.Budgets {
+	for _, b := range in.Budgets {
 		if !math.IsInf(b, 1) {
 			d++
 		}
 	}
-	for u := range out.Users {
-		for _, k := range out.Users[u].Capacities {
+	for u := range in.Users {
+		for _, k := range in.Users[u].Capacities {
 			if !math.IsInf(k, 1) {
 				d++
 			}
@@ -106,69 +105,94 @@ func Normalize(in *mmd.Instance) (*Normalization, error) {
 	if d == 0 {
 		return nil, ErrNotNormalized
 	}
-	df := float64(d)
+	out := in.Clone()
 	// Normalization scales costs and loads, never utilities, so each
 	// stream's support utilities are computed once for every measure.
-	support := supportUtilities(out)
-
+	sc := scaler{support: supportUtilities(out), df: float64(d)}
 	gamma := 1.0
-	// scaleMeasure normalizes one cost row (cost(s) for each stream) and
-	// its budget in place, returning the measure's contribution to gamma.
-	scaleMeasure := func(cost func(s int) float64, setCost func(s int, v float64), budget *float64) float64 {
-		ratio := math.Inf(1) // min over supported streams of minW/(D*c)
-		for s := 0; s < out.NumStreams(); s++ {
-			c := cost(s)
-			if c <= 0 || !support[s].ok {
-				continue
-			}
-			if r := support[s].minW / (df * c); r < ratio {
+	for i := range out.Budgets {
+		ratio := math.Inf(1)
+		for s := range sc.support {
+			if r := sc.lower(s, out.Streams[s].Costs[i]); r < ratio {
 				ratio = r
 			}
 		}
 		if math.IsInf(ratio, 1) {
-			return 1 // measure never constrains supported streams
-		}
-		for s := 0; s < out.NumStreams(); s++ {
-			setCost(s, cost(s)*ratio)
-		}
-		if !math.IsInf(*budget, 1) {
-			*budget *= ratio
+			continue // measure never constrains supported streams
 		}
 		g := 1.0
-		for s := 0; s < out.NumStreams(); s++ {
-			c := cost(s)
-			if c <= 0 || !support[s].ok {
-				continue
-			}
-			if r := support[s].sumW / (df * c); r > g {
+		for s := range sc.support {
+			c := &out.Streams[s].Costs[i]
+			*c *= ratio
+			if r := sc.upper(s, *c); r > g {
 				g = r
 			}
 		}
-		return g
-	}
-
-	for i := range out.Budgets {
-		i := i
-		g := scaleMeasure(
-			func(s int) float64 { return out.Streams[s].Costs[i] },
-			func(s int, v float64) { out.Streams[s].Costs[i] = v },
-			&out.Budgets[i],
-		)
+		if !math.IsInf(out.Budgets[i], 1) {
+			out.Budgets[i] *= ratio
+		}
 		gamma = math.Max(gamma, g)
 	}
 	for u := range out.Users {
 		usr := &out.Users[u]
 		for j := range usr.Loads {
-			j := j
-			g := scaleMeasure(
-				func(s int) float64 { return usr.Loads[j][s] },
-				func(s int, v float64) { usr.Loads[j][s] = v },
-				&usr.Capacities[j],
-			)
-			gamma = math.Max(gamma, g)
+			gamma = math.Max(gamma, sc.scaleRow(usr.Loads[j], &usr.Capacities[j]))
 		}
 	}
 	return &Normalization{Instance: out, Gamma: gamma, D: d}, nil
+}
+
+// scaler holds what scaling one measure reads: every stream's support
+// utilities and the budget count D.
+type scaler struct {
+	support []supportUtility
+	df      float64
+}
+
+// lower returns minW/(D*c) for a supported stream of positive cost c,
+// and +Inf for a stream that does not constrain the measure. The
+// smallest lower over a measure's streams is its scale factor.
+func (sc *scaler) lower(s int, c float64) float64 {
+	if c <= 0 || !sc.support[s].ok {
+		return math.Inf(1)
+	}
+	return sc.support[s].minW / (sc.df * c)
+}
+
+// upper returns sumW/(D*c) for a supported stream of positive scaled
+// cost c, and 0 for one that does not constrain the measure. The
+// largest upper over a measure's streams, and 1, is its skew.
+func (sc *scaler) upper(s int, c float64) float64 {
+	if c <= 0 || !sc.support[s].ok {
+		return 0
+	}
+	return sc.support[s].sumW / (sc.df * c)
+}
+
+// scaleRow normalizes one cost row (row[s] for each stream) and its
+// budget in place, returning the measure's contribution to gamma.
+func (sc *scaler) scaleRow(row []float64, budget *float64) float64 {
+	row = row[:len(sc.support)]
+	ratio := math.Inf(1)
+	for s, c := range row {
+		if r := sc.lower(s, c); r < ratio {
+			ratio = r
+		}
+	}
+	if math.IsInf(ratio, 1) {
+		return 1 // measure never constrains supported streams
+	}
+	g := 1.0
+	for s := range row {
+		row[s] *= ratio
+		if r := sc.upper(s, row[s]); r > g {
+			g = r
+		}
+	}
+	if !math.IsInf(*budget, 1) {
+		*budget *= ratio
+	}
+	return g
 }
 
 // SmallStreamError reports a stream too large for the Lemma 5.1
@@ -271,11 +295,8 @@ func NewAllocator(in *mmd.Instance, mu float64) (*Allocator, error) {
 		in:         in,
 		mu:         mu,
 		serverLoad: make([]float64, in.M()),
-		userLoad:   make([][]float64, in.NumUsers()),
+		userLoad:   in.CapacityRows(),
 		assn:       mmd.NewAssignment(in.NumUsers()),
-	}
-	for u := range al.userLoad {
-		al.userLoad[u] = make([]float64, len(in.Users[u].Capacities))
 	}
 	return al, nil
 }

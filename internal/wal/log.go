@@ -288,22 +288,36 @@ func (l *Log) beginLocked(names []string) error {
 	if l.opts.Sync == SyncBatch && l.flusher == nil {
 		l.flusher = newFlusher()
 	}
-	for _, name := range names {
+	apps := make([]*Appender, len(names))
+	for i, name := range names {
 		path := filepath.Join(l.opts.Dir, fmt.Sprintf("seg-%06d-%s.ndjson", gen, name))
 		f, err := l.opts.FS.OpenSegment(path)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		a := &Appender{name: name, f: f, fl: l.flusher, sync: l.opts.Sync}
-		// Pay the first chunk's zero-fill now, at open, so the first
-		// group commit already runs metadata-free (see preallocChunk).
-		a.mu.Lock()
-		a.preallocLocked(1)
-		a.mu.Unlock()
+		// Stored at once, so Close seals (and closes) every opened
+		// file even when a later open or fill fails.
+		apps[i] = &Appender{name: name, f: f, fl: l.flusher, sync: l.opts.Sync}
+		l.appenders[name] = apps[i]
+	}
+	// Pay every segment's first-chunk zero-fill and datasync now, at
+	// open and all at once, so the first group commit already runs
+	// metadata-free (see preallocChunk).
+	var wg sync.WaitGroup
+	for _, a := range apps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.mu.Lock()
+			a.preallocLocked(1)
+			a.mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	for _, a := range apps {
 		if a.err != nil {
-			return a.err
+			return a.err // the first failing writer in names order
 		}
-		l.appenders[name] = a
 	}
 	l.gen, l.lastGen = gen, gen
 	if l.opts.Sync == SyncInterval && l.syncStop == nil {
