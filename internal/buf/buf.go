@@ -1,8 +1,9 @@
 // Package buf holds the slice helpers the solver workspaces reuse their
 // buffers with: a workspace that sizes its scratch through them
 // allocates only while an instance is larger than any it has seen, and
-// nothing once warm. Lists is the serving path's counterpart for lists
-// that outlive the call that makes them.
+// nothing once warm. Slab lays a structure's rows out in one array
+// instead of one each. Lists is the serving path's counterpart for
+// lists that outlive the call that makes them.
 package buf
 
 // Zeroed returns s with length n and every element zero, reusing s's
@@ -51,6 +52,43 @@ func Carve[T any](slab *[]T, n int) []T {
 	row := (*slab)[:n:n]
 	*slab = (*slab)[n:]
 	return row
+}
+
+// Slab lays out the rows of one structure — a list per stream, a float
+// row per user — in one array instead of one array per row. A counting
+// pass tells it, row by row, the length each row must have (Need); the
+// fill then takes each row from it (Fit), with the same rows and
+// lengths. A row whose array already holds its length keeps it; every
+// other row is carved, capped at its length, from one array sized to
+// all of them, so an append to a carved row copies it instead of
+// writing its neighbour. Building a structure costs one allocation, and
+// rebuilding it allocates nothing until some row's length outgrows its
+// array; then only the rows that outgrew theirs move, to a fresh array.
+// The zero value is ready; a Slab serves one counting pass and its fill.
+type Slab[T any] struct {
+	need int // elements Need counted for rows that do not hold them
+	rest []T // the array's part that Fit has not carved yet
+}
+
+// Need records that row is to have length n.
+func (s *Slab[T]) Need(row []T, n int) {
+	if cap(row) < n {
+		s.need += n
+	}
+}
+
+// Fit returns row with length n: row itself when its array holds n,
+// otherwise a row carved from the slab's array, which the first such
+// row makes. n == 0 leaves a nil row nil.
+func (s *Slab[T]) Fit(row []T, n int) []T {
+	if cap(row) >= n {
+		return row[:n]
+	}
+	if len(s.rest) < n {
+		s.rest = make([]T, max(s.need, n))
+		s.need = 0
+	}
+	return Carve(&s.rest, n)
 }
 
 // Lists hands out lists that outlive the call making them — a ticket's

@@ -64,3 +64,53 @@ func TestListsCarveDisjointCappedLists(t *testing.T) {
 		t.Fatalf("long list has length %d", len(big))
 	}
 }
+
+func TestSlabFitsRows(t *testing.T) {
+	fits := make([]int, 2, 5)
+	rows := [][]int{fits, nil, {7}}
+	lens := []int{4, 2, 3}
+	var slab Slab[int]
+	for i, n := range lens {
+		slab.Need(rows[i], n)
+	}
+	for i, n := range lens {
+		rows[i] = slab.Fit(rows[i], n)
+	}
+	if len(rows[0]) != 4 || &rows[0][0] != &fits[0] {
+		t.Fatal("a row that holds its length did not keep its array")
+	}
+	for i := 1; i < 3; i++ {
+		if len(rows[i]) != lens[i] || cap(rows[i]) != lens[i] {
+			t.Fatalf("carved row %d has length %d, capacity %d, want %d", i, len(rows[i]), cap(rows[i]), lens[i])
+		}
+	}
+	copy(rows[1], []int{1, 2})
+	copy(rows[2], []int{3, 4, 5})
+	if grown := append(rows[1], 9); &grown[0] == &rows[1][0] || rows[2][0] != 3 {
+		t.Fatalf("an append to a carved row reached its neighbour: %v", rows[2])
+	}
+	if got := slab.Fit(nil, 0); got != nil {
+		t.Fatalf("Fit(nil, 0) = %v, want nil", got)
+	}
+
+	// Refitting the same lengths allocates nothing.
+	refit := func() {
+		var slab Slab[int]
+		for i, n := range lens {
+			slab.Need(rows[i], n)
+		}
+		for i, n := range lens {
+			rows[i] = slab.Fit(rows[i], n)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, refit); avg != 0 {
+		t.Fatalf("a warm refit allocates %.1f times, want 0", avg)
+	}
+	// A longer row moves alone, and its neighbours keep their arrays.
+	first := &rows[1][0]
+	lens[2] = 6
+	refit()
+	if len(rows[2]) != 6 || cap(rows[2]) != 6 || &rows[1][0] != first {
+		t.Fatalf("after a row grew: lengths %d/%d, row 1 moved: %v", len(rows[2]), cap(rows[2]), &rows[1][0] != first)
+	}
+}

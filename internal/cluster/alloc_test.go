@@ -225,9 +225,8 @@ func sharedCatalogStream(t *testing.T, c *Cluster) catalog.ID {
 }
 
 // TestStreamRejectAllocations pins that a Submit the window refuses
-// takes no in-flight entry: a rejection at a full window under
-// BackpressureReject, and a Submit under an already-canceled context,
-// allocate exactly what their errors do, and a thousand of them carve
+// takes no in-flight entry: a Submit under an already-canceled context
+// allocates exactly what its error does, and a thousand of them carve
 // no entry.
 func TestStreamRejectAllocations(t *testing.T) {
 	if raceEnabled {
@@ -237,50 +236,29 @@ func TestStreamRejectAllocations(t *testing.T) {
 	ev := Event{Tenant: 0, Type: EventStreamDeparture, Stream: 19}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, tc := range []struct {
-		name string
-		opts StreamOptions
-		ctx  context.Context
-		want error
-		// errOnly builds the refusal's error alone.
-		errOnly func() error
-	}{
-		{"full window", StreamOptions{Window: 4, Backpressure: BackpressureReject}, context.Background(), ErrQueueFull,
-			func() error { return fmt.Errorf("%w: stream window (%d in flight)", ErrQueueFull, 4) }},
-		{"canceled", StreamOptions{Window: 4}, canceled, ErrCanceled,
-			func() error { return fmt.Errorf("%w: %w", ErrCanceled, canceled.Err()) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sc, err := c.OpenStream(tc.opts)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("canceled", func(t *testing.T) {
+		sc, err := c.OpenStream(StreamOptions{Window: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		refuse := func() {
+			if err := sc.Submit(canceled, ev); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("submit = %v, want ErrCanceled", err)
 			}
-			defer sc.Close()
-			if tc.want == ErrQueueFull {
-				for i := 0; i < tc.opts.Window; i++ {
-					if err := sc.Submit(context.Background(), ev); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			refuse := func() {
-				if err := sc.Submit(tc.ctx, ev); !errors.Is(err, tc.want) {
-					t.Fatalf("submit = %v, want %v", err, tc.want)
-				}
-			}
-			want := testing.AllocsPerRun(100, func() { _ = tc.errOnly() })
-			if got := testing.AllocsPerRun(100, refuse); got != want {
-				t.Fatalf("refused submit allocates %.2f per call, its error alone %.2f", got, want)
-			}
-			carved := sc.carved
-			for i := 0; i < 1000; i++ {
-				refuse()
-			}
-			if sc.carved != carved {
-				t.Fatalf("1000 refused submits carved %d entries, want 0", sc.carved-carved)
-			}
-		})
-	}
+		}
+		want := testing.AllocsPerRun(100, func() { _ = fmt.Errorf("%w: %w", ErrCanceled, canceled.Err()) })
+		if got := testing.AllocsPerRun(100, refuse); got != want {
+			t.Fatalf("refused submit allocates %.2f per call, its error alone %.2f", got, want)
+		}
+		carved := sc.carved
+		for i := 0; i < 1000; i++ {
+			refuse()
+		}
+		if sc.carved != carved {
+			t.Fatalf("1000 refused submits carved %d entries, want 0", sc.carved-carved)
+		}
+	})
 }
 
 // TestStreamWarmupAllocations pins how a stream's in-flight entries

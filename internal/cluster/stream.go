@@ -17,10 +17,9 @@ import (
 // tenant, exactly like the single-event session methods), and the
 // receiver reads one typed result per event back in submission order.
 // Between the two sides sits a bounded in-flight window — the stream's
-// backpressure point: when Window results are unread, Submit blocks (or
-// fails fast with ErrQueueFull under BackpressureReject) until the
-// receiver catches up, so a slow reader can never queue unbounded
-// state.
+// backpressure point: when Window results are unread, Submit blocks
+// until the receiver catches up or its ctx is done, so a slow reader
+// can never queue unbounded state.
 //
 // Catalog events need no special casing: Submit hands every event to
 // route, the one caller-side path a single event takes — the session
@@ -46,13 +45,10 @@ import (
 // StreamOptions configures one StreamConn.
 type StreamOptions struct {
 	// Window bounds the number of in-flight events (submitted, result
-	// not yet received). Default 64.
+	// not yet received). Default 64. Submit parks on a full window
+	// until the receiver drains a result or its ctx is done, whatever
+	// the cluster's own shard-queue mode.
 	Window int
-	// Backpressure selects what Submit does when the window is full:
-	// BackpressureBlock (default) parks the submitter until the receiver
-	// drains a result or ctx is done; BackpressureReject fails fast with
-	// ErrQueueFull. Independent of the cluster's own shard-queue mode.
-	Backpressure Backpressure
 }
 
 // StreamResult is one event's typed outcome, delivered in submission
@@ -118,8 +114,7 @@ type streamPending struct {
 // exactly one submitter and one receiver may run concurrently. Results
 // arrive in submission order.
 type StreamConn struct {
-	c      *Cluster
-	window Backpressure
+	c *Cluster
 
 	sendMu     sync.Mutex
 	sendClosed bool
@@ -167,15 +162,13 @@ func (c *Cluster) OpenStream(opts StreamOptions) (*StreamConn, error) {
 	}
 	return &StreamConn{
 		c:       c,
-		window:  opts.Backpressure,
 		pending: make(chan *streamPending, opts.Window),
 		acks:    make(chan *streamPending, opts.Window+1),
 	}, nil
 }
 
 // Submit pipelines one event onto the stream: it reserves the next
-// in-flight window slot (blocking or rejecting per the stream's
-// backpressure mode), routes the event to its shard worker, and returns
+// in-flight window slot (parking while the window is full), routes the event to its shard worker, and returns
 // without waiting for the result — Recv delivers it, in submission
 // order. ev is checked as every submitted event is (see normalize):
 // Type must be a serving event type and CostScale is ignored (discounts
@@ -185,7 +178,7 @@ func (c *Cluster) OpenStream(opts StreamOptions) (*StreamConn, error) {
 // settling the fleet reference in FIFO order.
 //
 // Submit fails only when no window slot could be reserved (ErrClosed
-// after CloseSend, ErrQueueFull under BackpressureReject, ErrCanceled);
+// after CloseSend, ErrCanceled);
 // every other failure — unknown tenant or catalog stream, a full shard
 // queue, a closed cluster — is delivered in-band as the event's
 // StreamResult.Err, keeping the one-result-per-event contract.
@@ -198,22 +191,16 @@ func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 	if sc.sendClosed {
 		return ErrClosed
 	}
-	// The window slot is checked before an entry is taken, so a refused
-	// Submit costs none: only this goroutine sends on pending (under
-	// sendMu), so a slot seen free stays free.
-	if sc.window == BackpressureReject {
-		if len(sc.pending) == cap(sc.pending) {
-			return fmt.Errorf("%w: stream window (%d in flight)", ErrQueueFull, cap(sc.pending))
-		}
-	} else if err := ctx.Err(); err != nil {
-		// An already-done context must not reserve a slot (mirrors
-		// enqueueLocked): otherwise both cases below could be ready and
-		// the event would be submitted ~half the time under ErrCanceled.
+	// An already-done context must not reserve a slot (mirrors
+	// enqueueLocked): otherwise both cases below could be ready and the
+	// event would be submitted ~half the time under ErrCanceled. It is
+	// checked before an entry is taken, so a refused Submit costs none.
+	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
 	p := sc.take()
 	*p = streamPending{seq: sc.seq, typ: ev.Type, id: ev.CatalogID, done: sc.acks}
-	if done := ctx.Done(); done == nil || sc.window == BackpressureReject {
+	if done := ctx.Done(); done == nil {
 		sc.pending <- p
 	} else {
 		select {

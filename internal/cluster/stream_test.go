@@ -351,32 +351,11 @@ func TestStreamPipelinedCatalogSettlesOnAbandon(t *testing.T) {
 	}
 }
 
-// TestStreamWindowBackpressure pins the window taxonomy: a full window
-// rejects with ErrQueueFull under BackpressureReject and parks the
-// submitter until ctx cancellation under the default block mode.
+// TestStreamWindowBackpressure pins the window's backpressure: a full
+// window parks the submitter until ctx cancellation.
 func TestStreamWindowBackpressure(t *testing.T) {
 	cs := streamTestClusters(t, 1, 2, 2)
 	c := cs[0]
-
-	rej, err := c.OpenStream(StreamOptions{Window: 2, Backpressure: BackpressureReject})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := rej.Submit(context.Background(), Event{Tenant: 0, Type: EventStreamArrival, Stream: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rej.Submit(context.Background(), Event{Tenant: 0, Type: EventStreamArrival, Stream: 2}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("full window submit = %v, want ErrQueueFull", err)
-	}
-	if _, err := rej.Recv(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := rej.Submit(context.Background(), Event{Tenant: 0, Type: EventStreamArrival, Stream: 2}); err != nil {
-		t.Fatalf("submit after drain = %v", err)
-	}
-	rej.CloseSend()
 
 	blk, err := c.OpenStream(StreamOptions{Window: 1})
 	if err != nil {

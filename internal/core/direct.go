@@ -31,8 +31,13 @@ func (w *Workspace) directGreedy(in *mmd.Instance, interested [][]int) *mmd.Assi
 
 	budgetLeft := append(w.budgetLeft[:0], in.Budgets...)
 	capLeft := buf.Grow(w.capLeft, nU)
+	var rows buf.Slab[float64]
 	for u := range in.Users {
-		capLeft[u] = append(capLeft[u][:0], in.Users[u].Capacities...)
+		rows.Need(capLeft[u], len(in.Users[u].Capacities))
+	}
+	for u := range in.Users {
+		capLeft[u] = rows.Fit(capLeft[u], len(in.Users[u].Capacities))
+		copy(capLeft[u], in.Users[u].Capacities)
 	}
 	chosen := buf.Zeroed(w.chosen, nS)
 

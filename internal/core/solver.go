@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/mmd"
@@ -254,7 +255,9 @@ func approxFactor(in *mmd.Instance, alpha float64) float64 {
 // interested is in.InterestedUsers().
 func (w *Workspace) bestSingleStream(in *mmd.Instance, interested [][]int) (*mmd.Assignment, float64) {
 	bestS, bestVal := -1, 0.0
-	users, bestUsers := w.users[:0], w.bestUsers[:0]
+	// Each list holds at most every user.
+	users := slices.Grow(w.users[:0], in.NumUsers())
+	bestUsers := slices.Grow(w.bestUsers[:0], in.NumUsers())
 	for s := 0; s < in.NumStreams(); s++ {
 		val := 0.0
 		users = users[:0]

@@ -98,10 +98,41 @@ func countMallocs(runs int, before, f func()) uint64 {
 	return total
 }
 
-// warmResolveTenant builds a churn-resolve head-end (120 channels, 40
-// gateways) that carries a seeded lineup with three gateways away, and
-// returns its installing re-solve, run until warm.
+// TestFirstResolveAllocations pins the re-solves that build a
+// tenant's solver workspace on a churn-resolve head-end (120 channels,
+// 40 gateways, three gateways away), each counted on its own: the
+// first installing re-solve at 200 allocations or fewer, the second,
+// which warms the online policy's other allocator state, at 8 or
+// fewer. Every per-row structure of the pipeline is laid out in one
+// array per structure, so building it costs a few allocations per
+// structure instead of one per row.
+func TestFirstResolveAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	resolve := resolveTenant(t)
+	if n := countMallocs(1, nil, resolve); n > 200 {
+		t.Fatalf("the first installing re-solve allocates %d times, want at most 200", n)
+	}
+	if n := countMallocs(1, nil, resolve); n > 8 {
+		t.Fatalf("the second installing re-solve allocates %d times, want at most 8", n)
+	}
+}
+
+// warmResolveTenant is resolveTenant's re-solve, run until warm.
 func warmResolveTenant(tb testing.TB) func() {
+	tb.Helper()
+	resolve := resolveTenant(tb)
+	// Reinstall swaps between two allocators, so two installs warm both.
+	resolve()
+	resolve()
+	return resolve
+}
+
+// resolveTenant builds a churn-resolve head-end (120 channels, 40
+// gateways) that carries a seeded lineup with three gateways away, and
+// returns its installing re-solve, not yet run.
+func resolveTenant(tb testing.TB) func() {
 	tb.Helper()
 	in, err := generator.CableTV{Channels: 120, Gateways: 40, Seed: 300, EgressFraction: 0.25}.Generate()
 	if err != nil {
@@ -125,19 +156,15 @@ func warmResolveTenant(tb testing.TB) func() {
 	for _, u := range []int{3, 11, 29} {
 		tn.UserLeave(u)
 	}
-	resolve := func() {
+	return func() {
 		out, err := tn.Resolve(core.Options{}, true)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if !out.Installed {
-			tb.Fatal("steady-state re-solve did not install")
+			tb.Fatal("re-solve did not install")
 		}
 	}
-	// Reinstall swaps between two allocators, so two installs warm both.
-	resolve()
-	resolve()
-	return resolve
 }
 
 // warmChurnTenant builds a churn-resolve head-end (120 channels, 40

@@ -191,6 +191,20 @@ func BenchmarkNewTenant(b *testing.B) {
 	}
 }
 
+// BenchmarkFirstResolve times a fresh tenant's first installing
+// re-solve on the churn-resolve head-end with three gateways away,
+// which builds the tenant's solver workspace; building and preparing
+// the tenant is not timed.
+func BenchmarkFirstResolve(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		resolve := resolveTenant(b)
+		b.StartTimer()
+		resolve()
+	}
+}
+
 // BenchmarkTenantResolve times one warm installing re-solve of the
 // churn-resolve head-end with three gateways away: the offline
 // Theorem 1.1 pipeline and the install, on the caller's goroutine.

@@ -187,3 +187,71 @@ func TestResolveInstallRequiresReinstallablePolicy(t *testing.T) {
 		t.Fatal("failed install mutated the running assignment")
 	}
 }
+
+// TestResolveRowsGrowAgain re-solves one tenant on churn-resolve's
+// head-end (120 channels, 40 gateways) under a sequence of away masks:
+// every gateway but one away, none away, half away, none away. An away
+// gateway's zeroed utilities shrink the rows its re-solve counts, and a
+// rejoin grows them back, so the workspace's rows must grow again.
+// Each outcome's offline value, and each installed assignment, must
+// equal bit for bit a fresh core.Solve of a copy of the same masked
+// instance with the away gateways stripped.
+func TestResolveRowsGrowAgain(t *testing.T) {
+	in, err := generator.CableTV{Channels: 120, Gateways: 40, Seed: 300, EgressFraction: 0.25}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := headend.NewOnlinePolicy(in, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := headend.NewTenant(in, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < in.NumStreams(); s++ {
+		tn.OfferStream(s)
+	}
+	masks := []struct {
+		name string
+		away func(u int) bool
+	}{
+		{"all but one away", func(u int) bool { return u != 0 }},
+		{"none away", func(int) bool { return false }},
+		{"half away", func(u int) bool { return u >= 20 }},
+		{"none away again", func(int) bool { return false }},
+	}
+	for _, m := range masks {
+		for u := 0; u < in.NumUsers(); u++ {
+			if m.away(u) {
+				tn.UserLeave(u)
+			} else {
+				tn.UserJoin(u)
+			}
+		}
+		out, err := tn.Resolve(core.Options{}, true)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if !out.Installed {
+			t.Fatalf("%s: the re-solve did not install", m.name)
+		}
+		masked := in.Clone()
+		for u := range masked.Users {
+			if m.away(u) {
+				clear(masked.Users[u].Utility)
+			}
+		}
+		want, rep, err := core.Solve(masked, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: fresh solve: %v", m.name, err)
+		}
+		want.Restrict(func(u, _ int) bool { return !m.away(u) })
+		if math.Float64bits(out.OfflineValue) != math.Float64bits(rep.Value) {
+			t.Fatalf("%s: offline value %v, a fresh solve %v", m.name, out.OfflineValue, rep.Value)
+		}
+		if !tn.Assignment().Equal(want) {
+			t.Fatalf("%s: installed %v, a fresh solve %v", m.name, tn.Assignment(), want)
+		}
+	}
+}

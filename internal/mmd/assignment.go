@@ -19,8 +19,12 @@ import (
 // too. Add and Remove are O(log k) to locate plus O(k) to shift within
 // the touched set; per-user sets are small in every workload here, so
 // the shift is cache-friendly and beats a map-of-sets on both time and
-// allocations. Reset and CopyFrom keep every buffer's capacity, so a
-// reused assignment allocates nothing once warm.
+// allocations. The sets are rows of a few shared arrays, each capped
+// at its own capacity, so no set's insert reaches another's: a full
+// set moves to a row twice its size carved from the assignment's spare
+// array, and CopyFrom lays out every set that does not fit its row in
+// one array. Reset and CopyFrom keep every row's capacity, so a reused
+// assignment allocates nothing once warm.
 //
 // Stream indices must be nonnegative; Add ignores negative indices.
 // Assignment is not safe for concurrent mutation.
@@ -28,6 +32,9 @@ type Assignment struct {
 	// sets[u] holds the stream indices assigned to user u, sorted
 	// ascending.
 	sets [][]int
+	// spare is the part of the last array grow made that no set has
+	// taken yet.
+	spare []int
 	// rangeCount[s] counts how many users hold stream s (grown on
 	// demand); a stream is in the range while its count is positive.
 	rangeCount []int
@@ -59,33 +66,47 @@ func (a *Assignment) CopyFrom(b *Assignment) {
 		return
 	}
 	a.Reset(len(b.sets))
+	var slab buf.Slab[int]
 	for u, set := range b.sets {
-		a.sets[u] = append(a.sets[u], set...)
+		slab.Need(a.sets[u], len(set))
+	}
+	for u, set := range b.sets {
+		a.sets[u] = slab.Fit(a.sets[u], len(set))
+		copy(a.sets[u], set)
 	}
 	a.rangeCount = append(a.rangeCount[:0], b.rangeCount...)
 	a.rangeList = append(a.rangeList, b.rangeList...)
 }
 
-// insertSorted inserts v into the ascending slice if absent. It returns
-// the slice and whether v was inserted.
-func insertSorted(sorted []int, v int) ([]int, bool) {
-	i := sort.SearchInts(sorted, v)
-	if i < len(sorted) && sorted[i] == v {
-		return sorted, false
+// grownSize is the capacity a full sorted slice of capacity c grows to:
+// a floor of 8 slots, because user stream sets and range lists start
+// tiny, and the default 1->2->4 doubling charges the serving hot path
+// several reallocations per set before amortization kicks in.
+func grownSize(c int) int { return max(8, 2*c) }
+
+// grow moves user u's full set to a row of grownSize, carved from the
+// spare array. A spare too short for it is replaced by a fresh array
+// with room for every user's first row, so one assignment's sets take a
+// few arrays instead of one each; the rows they leave stay in their
+// array, unused.
+func (a *Assignment) grow(u int) {
+	set := a.sets[u]
+	n := grownSize(cap(set))
+	if len(a.spare) < n {
+		a.spare = make([]int, max(n, grownSize(0)*len(a.sets)))
 	}
-	if len(sorted) == cap(sorted) {
-		// Grow with a floor of 8 slots: user stream sets and range
-		// lists start tiny, and the default 1->2->4 doubling charges
-		// the serving hot path several reallocations per set before
-		// amortization kicks in.
-		grown := make([]int, len(sorted), max(8, 2*cap(sorted)))
-		copy(grown, sorted)
-		sorted = grown
-	}
+	row := buf.Carve(&a.spare, n)
+	copy(row, set)
+	a.sets[u] = row[:len(set)]
+}
+
+// insertAt inserts v at index i of sorted, whose capacity must exceed
+// its length.
+func insertAt(sorted []int, i, v int) []int {
 	sorted = append(sorted, 0)
 	copy(sorted[i+1:], sorted[i:])
 	sorted[i] = v
-	return sorted, true
+	return sorted
 }
 
 // removeSorted deletes v from the ascending slice if present. It returns
@@ -107,18 +128,28 @@ func (a *Assignment) Add(u, s int) {
 	if s < 0 {
 		return
 	}
-	set, inserted := insertSorted(a.sets[u], s)
-	if !inserted {
+	i := sort.SearchInts(a.sets[u], s)
+	if i < len(a.sets[u]) && a.sets[u][i] == s {
 		return
 	}
-	a.sets[u] = set
+	if len(a.sets[u]) == cap(a.sets[u]) {
+		a.grow(u)
+	}
+	a.sets[u] = insertAt(a.sets[u], i, s)
 	if s >= len(a.rangeCount) {
 		// append-grow so ascending insertion (the common solver order)
 		// amortizes instead of reallocating on every new maximum.
 		a.rangeCount = append(a.rangeCount, make([]int, s+1-len(a.rangeCount))...)
 	}
 	if a.rangeCount[s]++; a.rangeCount[s] == 1 {
-		a.rangeList, _ = insertSorted(a.rangeList, s)
+		// s is new to the range, which holds at most the streams
+		// rangeCount covers.
+		list := a.rangeList
+		if len(list) == cap(list) {
+			grown := max(grownSize(cap(list)), len(a.rangeCount))
+			list = append(make([]int, 0, grown), list...)
+		}
+		a.rangeList = insertAt(list, sort.SearchInts(list, s), s)
 	}
 }
 

@@ -171,28 +171,59 @@ func (in *Instance) CapacityRows() [][]float64 {
 
 // CloneInto makes dst a deep copy of the instance, reusing dst's
 // buffers where they are large enough — how a solver workspace
-// refreshes its private copy without allocating once warm. dst must
+// refreshes its private copy without allocating once warm. A row too
+// short for its source is carved from one array shared by all such
+// rows, and a user's load-row headers likewise from one more. dst must
 // share no memory with the instance; cloning into a zero Instance
 // gives Clone's values and shape.
 func (in *Instance) CloneInto(dst *Instance) {
 	dst.Streams = buf.Grow(dst.Streams, len(in.Streams))
 	dst.Users = buf.Grow(dst.Users, len(in.Users))
-	dst.Budgets = append(dst.Budgets[:0], in.Budgets...)
+	var headers buf.Slab[[]float64]
+	for u := range in.Users {
+		headers.Need(dst.Users[u].Loads, len(in.Users[u].Loads))
+	}
+	for u := range in.Users {
+		out := &dst.Users[u]
+		if out.Loads = headers.Fit(out.Loads, len(in.Users[u].Loads)); out.Loads == nil {
+			out.Loads = [][]float64{} // Clone's shape: headers are never nil
+		}
+	}
+	var floats buf.Slab[float64]
+	floats.Need(dst.Budgets, len(in.Budgets))
+	for s := range in.Streams {
+		floats.Need(dst.Streams[s].Costs, len(in.Streams[s].Costs))
+	}
+	for u := range in.Users {
+		src, out := &in.Users[u], &dst.Users[u]
+		floats.Need(out.Utility, len(src.Utility))
+		floats.Need(out.Capacities, len(src.Capacities))
+		for j := range src.Loads {
+			floats.Need(out.Loads[j], len(src.Loads[j]))
+		}
+	}
+	dst.Budgets = fitCopy(&floats, dst.Budgets, in.Budgets)
 	for s := range in.Streams {
 		src, out := &in.Streams[s], &dst.Streams[s]
 		out.Name = src.Name
-		out.Costs = append(out.Costs[:0], src.Costs...)
+		out.Costs = fitCopy(&floats, out.Costs, src.Costs)
 	}
 	for u := range in.Users {
 		src, out := &in.Users[u], &dst.Users[u]
 		out.Name = src.Name
-		out.Utility = append(out.Utility[:0], src.Utility...)
-		out.Capacities = append(out.Capacities[:0], src.Capacities...)
-		out.Loads = buf.Grow(out.Loads, len(src.Loads))
+		out.Utility = fitCopy(&floats, out.Utility, src.Utility)
+		out.Capacities = fitCopy(&floats, out.Capacities, src.Capacities)
 		for j := range src.Loads {
-			out.Loads[j] = append(out.Loads[j][:0], src.Loads[j]...)
+			out.Loads[j] = fitCopy(&floats, out.Loads[j], src.Loads[j])
 		}
 	}
+}
+
+// fitCopy copies src into dst fitted to its length by slab.
+func fitCopy(slab *buf.Slab[float64], dst, src []float64) []float64 {
+	dst = slab.Fit(dst, len(src))
+	copy(dst, src)
+	return dst
 }
 
 // Validation errors returned by Validate. Use errors.Is to classify.
@@ -358,17 +389,35 @@ func (in *Instance) AddUtilityCapMeasure(caps []float64) error {
 func (in *Instance) InterestedUsers() [][]int { return in.InterestedUsersInto(nil) }
 
 // InterestedUsersInto is InterestedUsers written into dst, whose rows
-// are reused (grown as needed) and returned.
+// are reused where they are long enough and returned. The rows that
+// are not are carved from one array, each capped at its length.
 func (in *Instance) InterestedUsersInto(dst [][]int) [][]int {
-	dst = buf.Rows(dst, len(in.Streams))
-	for u := range in.Users {
-		for s, w := range in.Users[u].Utility {
-			if w > 0 {
-				dst[s] = append(dst[s], u)
+	dst = buf.Grow(dst, len(in.Streams))
+	var slab buf.Slab[int]
+	for s := range dst {
+		slab.Need(dst[s], in.interested(s))
+	}
+	for s := range dst {
+		row := slab.Fit(dst[s], in.interested(s))[:0]
+		for u := range in.Users {
+			if in.Users[u].Utility[s] > 0 {
+				row = append(row, u)
 			}
 		}
+		dst[s] = row
 	}
 	return dst
+}
+
+// interested counts the users with positive utility for stream s.
+func (in *Instance) interested(s int) int {
+	n := 0
+	for u := range in.Users {
+		if in.Users[u].Utility[s] > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // SupportSize returns the number of (user, stream) pairs with positive

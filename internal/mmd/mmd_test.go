@@ -214,3 +214,38 @@ func TestAddUtilityCapMeasure(t *testing.T) {
 		t.Fatal("AddUtilityCapMeasure with wrong length should fail")
 	}
 }
+
+// TestInterestedUsersRowsAreCapped appends to each row of
+// InterestedUsers in turn and requires every other row unchanged, as
+// TestCloneRowsAreCapped does for Clone: the rows share one array, each
+// capped at its length. It then gives a stream more users and requires
+// the same of the rows InterestedUsersInto refills.
+func TestInterestedUsersRowsAreCapped(t *testing.T) {
+	in := &Instance{
+		Streams: make([]Stream, 4),
+		Users: []User{
+			{Utility: []float64{1, 0, 2, 3}},
+			{Utility: []float64{0, 0, 1, 1}},
+			{Utility: []float64{4, 0, 0, 2}},
+		},
+	}
+	check := func(rows, want [][]int) {
+		t.Helper()
+		if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("interested users = %v, want %v", rows, want)
+		}
+		for s := range rows {
+			if grown := append(rows[s], 99, 99); len(grown) != len(want[s])+2 {
+				t.Fatal("append lost elements")
+			}
+			if !reflect.DeepEqual(rows, want) {
+				t.Fatalf("appending to stream %d's row wrote a neighbour: %v", s, rows)
+			}
+		}
+	}
+	rows := in.InterestedUsers()
+	check(rows, [][]int{{0, 2}, nil, {0, 1}, {0, 1, 2}})
+	in.Users[1].Utility[0], in.Users[2].Utility[1] = 5, 5
+	rows = in.InterestedUsersInto(rows)
+	check(rows, [][]int{{0, 1, 2}, {2}, {0, 1}, {0, 1, 2}})
+}

@@ -105,22 +105,43 @@ func (al *Allocator) Install(a *mmd.Assignment) {
 	// Invert the assignment once — O(pairs) instead of an O(|S(A)|·|U|)
 	// Has scan — then commit in increasing stream order with users in
 	// increasing index order, the exact order the scan produced, so the
-	// allocator's accumulated state is unchanged bit for bit.
-	users := buf.Rows(al.byStream, nS)
-	al.byStream = users
+	// allocator's accumulated state is unchanged bit for bit. The lists
+	// are laid out in one array as Tenant.rebuildLive lays out an
+	// install's: a count per stream, then each stream's offset, then the
+	// fill, after which offsets[s] is where stream s's list ends.
+	offsets := buf.Zeroed(al.offsets, nS)
 	for u := 0; u < a.NumUsers() && u < numUsers; u++ {
 		for _, s := range a.UserView(u) {
 			if s >= 0 && s < nS && !al.assn.Has(u, s) {
-				users[s] = append(users[s], u)
+				offsets[s]++
 			}
 		}
 	}
+	next := 0
+	for s, n := range offsets {
+		offsets[s] = next
+		next += n
+	}
+	users := buf.Grow(al.byStream, next)
+	for u := 0; u < a.NumUsers() && u < numUsers; u++ {
+		for _, s := range a.UserView(u) {
+			if s >= 0 && s < nS && !al.assn.Has(u, s) {
+				users[offsets[s]] = u
+				offsets[s]++
+			}
+		}
+	}
+	al.offsets, al.byStream = offsets, users
 	for _, s := range a.RangeView() {
 		if s < 0 || s >= nS {
 			continue
 		}
-		if len(users[s]) > 0 {
-			al.commit(s, users[s])
+		start := 0
+		if s > 0 {
+			start = offsets[s-1]
+		}
+		if end := offsets[s]; end > start {
+			al.commit(s, users[start:end])
 		}
 	}
 }

@@ -162,3 +162,83 @@ func TestChurnValueAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestInstallSkipsHeldPairs installs an assignment onto an allocator
+// that already holds some of its pairs: the held pairs are skipped, and
+// every other pair is committed in increasing stream order with users
+// in increasing order, so the value and every load equal, bit for bit,
+// what adding exactly those pairs in that order gives.
+func TestInstallSkipsHeldPairs(t *testing.T) {
+	in, al := dynamicAllocator(t, 203)
+	for s := 0; s < in.NumStreams(); s += 2 {
+		al.Offer(s)
+	}
+	held := al.Assignment().Clone()
+	if held.Pairs() == 0 {
+		t.Fatal("the offers admitted nothing")
+	}
+	a := mmd.NewAssignment(in.NumUsers())
+	for u := range in.Users {
+		for s, w := range in.Users[u].Utility {
+			if w > 0 && (u+s)%3 != 0 {
+				a.Add(u, s)
+			}
+		}
+	}
+
+	finite := func(limit float64) bool { return limit > 0 && !math.IsInf(limit, 1) }
+	value := al.Value()
+	serverLoad := make([]float64, len(in.Budgets))
+	for i := range serverLoad {
+		serverLoad[i] = al.ServerLoad(i)
+	}
+	userLoad := make([][]float64, in.NumUsers())
+	for u := range userLoad {
+		for j := range in.Users[u].Capacities {
+			userLoad[u] = append(userLoad[u], al.UserLoad(u, j))
+		}
+	}
+	union := held.Clone()
+	for _, s := range a.RangeView() {
+		for u := range in.Users {
+			if !a.Has(u, s) || held.Has(u, s) {
+				continue
+			}
+			union.Add(u, s)
+			usr := &in.Users[u]
+			value += usr.Utility[s]
+			for j, capJ := range usr.Capacities {
+				if finite(capJ) {
+					userLoad[u][j] += usr.Loads[j][s] / capJ
+				}
+			}
+		}
+		if !held.InRange(s) {
+			for i, b := range in.Budgets {
+				if finite(b) {
+					serverLoad[i] += in.Streams[s].Costs[i] / b
+				}
+			}
+		}
+	}
+
+	al.Install(a)
+	if !al.Assignment().Equal(union) {
+		t.Fatalf("installed %v, want the union %v", al.Assignment(), union)
+	}
+	if math.Float64bits(al.Value()) != math.Float64bits(value) {
+		t.Fatalf("value %v, want %v", al.Value(), value)
+	}
+	for i, want := range serverLoad {
+		if got := al.ServerLoad(i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("server load %d is %v, want %v", i, got, want)
+		}
+	}
+	for u := range userLoad {
+		for j, want := range userLoad[u] {
+			if got := al.UserLoad(u, j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("user %d load %d is %v, want %v", u, j, got, want)
+			}
+		}
+	}
+}

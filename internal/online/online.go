@@ -268,9 +268,10 @@ type Allocator struct {
 	// ownership note on Offer.
 	cands []offerCand
 	users []int
-	// byStream is Install's scratch: the installed assignment inverted
-	// into per-stream user lists.
-	byStream [][]int
+	// byStream and offsets are Install's scratch: the installed
+	// assignment inverted into per-stream user lists, laid out one after
+	// another in byStream.
+	byStream, offsets []int
 }
 
 // offerCand is one candidate row of Algorithm 2's maximal-subset

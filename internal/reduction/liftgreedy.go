@@ -74,9 +74,22 @@ func (w *Workspace) LiftGreedy(v *View, a *mmd.Assignment) (*mmd.Assignment, *Re
 
 	// holders[s] lists the users a gives stream s, in increasing order:
 	// the assignment inverted once instead of a Has probe per user per
-	// candidate stream.
-	holders := buf.Rows(w.holders, nS)
-	w.holders = holders
+	// candidate stream. A count per stream sizes the lists first.
+	counts := buf.Zeroed(w.counts, nS)
+	for u := 0; u < nU; u++ {
+		for _, s := range a.UserView(u) {
+			counts[s]++
+		}
+	}
+	holders := buf.Grow(w.holders, nS)
+	var slab buf.Slab[int]
+	for s, n := range counts {
+		slab.Need(holders[s], n)
+	}
+	for s, n := range counts {
+		holders[s] = slab.Fit(holders[s], n)[:0]
+	}
+	w.counts, w.holders = counts, holders
 	for u := 0; u < nU; u++ {
 		for _, s := range a.UserView(u) {
 			holders[s] = append(holders[s], u)

@@ -68,6 +68,7 @@ type Workspace struct {
 	s1, s2              []int
 	candidates, sets    [][]int
 	scored              []scoredSet
+	counts              []int
 	holders             [][]int
 	budgetLeft, setCost []float64
 	capLeft, setLoad    []float64
@@ -93,10 +94,38 @@ func (w *Workspace) ToSMD(in *mmd.Instance) (*View, error) {
 	}
 	m := len(finite)
 
+	nS := in.NumStreams()
 	out := v.SMD
-	out.Streams = buf.Grow(out.Streams, in.NumStreams())
+	out.Streams = buf.Grow(out.Streams, nS)
 	out.Users = buf.Grow(out.Users, in.NumUsers())
 	out.Budgets = append(out.Budgets[:0], float64(m))
+	v.FiniteCaps = buf.Grow(v.FiniteCaps, in.NumUsers())
+
+	// Every row is fitted from one slab per element type: the users'
+	// load-row headers first, since the load rows they hold are sized
+	// with the other float rows.
+	var headers buf.Slab[[]float64]
+	for u := range in.Users {
+		headers.Need(out.Users[u].Loads, loadRows(&in.Users[u]))
+	}
+	for u := range in.Users {
+		out.Users[u].Loads = headers.Fit(out.Users[u].Loads, loadRows(&in.Users[u]))
+	}
+	var floats buf.Slab[float64]
+	var ints buf.Slab[int]
+	for s := range out.Streams {
+		floats.Need(out.Streams[s].Costs, 1)
+	}
+	for u := range in.Users {
+		fin, nu := finiteCaps(&in.Users[u]), &out.Users[u]
+		ints.Need(v.FiniteCaps[u], fin)
+		floats.Need(nu.Utility, nS)
+		if fin > 0 {
+			floats.Need(nu.Loads[0], nS)
+		}
+		floats.Need(nu.Capacities, loadRows(&in.Users[u]))
+	}
+
 	for s := range in.Streams {
 		c := 0.0
 		for _, i := range finite {
@@ -104,13 +133,12 @@ func (w *Workspace) ToSMD(in *mmd.Instance) (*View, error) {
 		}
 		st := &out.Streams[s]
 		st.Name = in.Streams[s].Name
-		st.Costs = append(st.Costs[:0], c)
+		st.Costs = floats.Fit(st.Costs, 1)
+		st.Costs[0] = c
 	}
-
-	v.FiniteCaps = buf.Grow(v.FiniteCaps, in.NumUsers())
 	for u := range in.Users {
 		usr := &in.Users[u]
-		fin := v.FiniteCaps[u][:0]
+		fin := ints.Fit(v.FiniteCaps[u], finiteCaps(usr))[:0]
 		for j, k := range usr.Capacities {
 			if !math.IsInf(k, 1) {
 				fin = append(fin, j)
@@ -119,14 +147,14 @@ func (w *Workspace) ToSMD(in *mmd.Instance) (*View, error) {
 		v.FiniteCaps[u] = fin
 		nu := &out.Users[u]
 		nu.Name = usr.Name
-		nu.Utility = append(nu.Utility[:0], usr.Utility...)
+		nu.Utility = floats.Fit(nu.Utility, nS)
+		copy(nu.Utility, usr.Utility)
+		nu.Capacities = floats.Fit(nu.Capacities, loadRows(usr))
 		if len(fin) == 0 {
-			nu.Loads = nu.Loads[:0]
-			nu.Capacities = nu.Capacities[:0]
 			continue
 		}
-		nu.Loads = buf.Grow(nu.Loads, 1)
-		row := buf.Zeroed(nu.Loads[0], in.NumStreams())
+		row := floats.Fit(nu.Loads[0], nS)
+		clear(row)
 		for _, j := range fin {
 			capJ := usr.Capacities[j]
 			for s, k := range usr.Loads[j] {
@@ -134,11 +162,26 @@ func (w *Workspace) ToSMD(in *mmd.Instance) (*View, error) {
 			}
 		}
 		nu.Loads[0] = row
-		nu.Capacities = append(nu.Capacities[:0], float64(len(fin)))
+		nu.Capacities[0] = float64(len(fin))
 	}
 	v.Orig = in
 	return v, nil
 }
+
+// finiteCaps counts the user's finite capacities.
+func finiteCaps(usr *mmd.User) int {
+	n := 0
+	for _, k := range usr.Capacities {
+		if !math.IsInf(k, 1) {
+			n++
+		}
+	}
+	return n
+}
+
+// loadRows is the number of load rows, and of capacities, the user has
+// in the reduced instance: one when a capacity is finite, else none.
+func loadRows(usr *mmd.User) int { return min(finiteCaps(usr), 1) }
 
 // intervalTolerance guards the boundary tests of the interval
 // decomposition against floating-point drift.

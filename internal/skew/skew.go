@@ -167,9 +167,12 @@ func (ws *Workspace) Decompose(in *mmd.Instance) (*Decomposition, error) {
 		costs[s] = norm.Streams[s].Costs[0]
 	}
 
+	// Every band's utility rows are fitted from one slab, sized once the
+	// non-empty bands are known.
 	dec := ws.dec
 	dec.Alpha = alpha
 	dec.Bands = dec.Bands[:0]
+	var rows buf.Slab[float64]
 	for b := 0; b <= t; b++ {
 		if counts[b] == 0 {
 			continue
@@ -178,15 +181,23 @@ func (ws *Workspace) Decompose(in *mmd.Instance) (*Decomposition, error) {
 			ws.subs = append(ws.subs, new(smd.Instance))
 		}
 		sub := ws.subs[len(dec.Bands)]
+		sub.Utility = buf.Grow(sub.Utility, nU)
+		for u := range sub.Utility {
+			rows.Need(sub.Utility[u], nS)
+		}
+		dec.Bands = append(dec.Bands, Band{Index: b, Instance: sub})
+	}
+	for i := range dec.Bands {
+		b, sub := dec.Bands[i].Index, dec.Bands[i].Instance
 		sub.StreamNames = names
 		sub.Costs = costs
 		sub.Budget = norm.Budgets[0]
-		sub.Utility = buf.Grow(sub.Utility, nU)
 		sub.Caps = buf.Grow(sub.Caps, nU)
 		pairs := 0
 		for u := 0; u < nU; u++ {
 			usr := &norm.Users[u]
-			row := buf.Zeroed(sub.Utility[u], nS)
+			row := rows.Fit(sub.Utility[u], nS)
+			clear(row)
 			cap := math.Inf(1)
 			if b != FreeBand && len(usr.Loads) == 1 {
 				cap = usr.Capacities[0]
@@ -205,7 +216,7 @@ func (ws *Workspace) Decompose(in *mmd.Instance) (*Decomposition, error) {
 			sub.Utility[u] = row
 			sub.Caps[u] = cap
 		}
-		dec.Bands = append(dec.Bands, Band{Index: b, Instance: sub, Pairs: pairs})
+		dec.Bands[i].Pairs = pairs
 	}
 	return dec, nil
 }

@@ -38,6 +38,8 @@ type greedyEngine struct {
 	in      *Instance
 	support [][]int // support[u]: streams with w_u(S) > 0
 	usersOf [][]int // usersOf[s]: users with w_u(S) > 0
+	// counts sizes the lists: each user's, then each stream's.
+	counts []int
 
 	userSum []float64 // current uncapped sum w_u(A)
 	rem     []float64 // residual cap max(0, W_u - userSum[u])
@@ -64,8 +66,7 @@ func newGreedyEngine(in *Instance) *greedyEngine {
 func (e *greedyEngine) reset(in *Instance) {
 	nS, nU := in.NumStreams(), in.NumUsers()
 	e.in = in
-	e.support = buf.Rows(e.support, nU)
-	e.usersOf = buf.Rows(e.usersOf, nS)
+	e.fitLists()
 	e.userSum = buf.Zeroed(e.userSum, nU)
 	e.rem = buf.Zeroed(e.rem, nU)
 	e.resid = buf.Zeroed(e.resid, nS)
@@ -91,6 +92,38 @@ func (e *greedyEngine) reset(in *Instance) {
 		for _, u := range e.usersOf[s] {
 			e.resid[s] += math.Min(in.Utility[u][s], e.rem[u])
 		}
+	}
+}
+
+// fitLists empties support and usersOf, each list with room for the
+// pairs it will hold: both structures' lists are fitted from one slab.
+func (e *greedyEngine) fitLists() {
+	nS, nU := e.in.NumStreams(), e.in.NumUsers()
+	counts := buf.Zeroed(e.counts, nU+nS)
+	perUser, perStream := counts[:nU], counts[nU:]
+	for u, row := range e.in.Utility {
+		for s, w := range row {
+			if w > 0 {
+				perUser[u]++
+				perStream[s]++
+			}
+		}
+	}
+	e.counts = counts
+	e.support = buf.Grow(e.support, nU)
+	e.usersOf = buf.Grow(e.usersOf, nS)
+	var slab buf.Slab[int]
+	for u, n := range perUser {
+		slab.Need(e.support[u], n)
+	}
+	for s, n := range perStream {
+		slab.Need(e.usersOf[s], n)
+	}
+	for u, n := range perUser {
+		e.support[u] = slab.Fit(e.support[u], n)[:0]
+	}
+	for s, n := range perStream {
+		e.usersOf[s] = slab.Fit(e.usersOf[s], n)[:0]
 	}
 }
 

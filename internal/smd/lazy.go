@@ -1,6 +1,9 @@
 package smd
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // LazyGreedy is Algorithm 1 with lazy evaluation (the classic CELF
 // optimization): because the utility of semi-feasible assignments is
@@ -26,7 +29,7 @@ func (w *Workspace) lazyGreedy(in *Instance) (*Result, error) {
 	e.reset(in)
 	nS := in.NumStreams()
 
-	pq := w.heap[:0]
+	pq := slices.Grow(w.heap[:0], nS)
 	for s := 0; s < nS; s++ {
 		if e.resid[s] > 0 {
 			pq = append(pq, lazyItem{stream: s, resid: e.resid[s], cost: in.Costs[s], round: 0})

@@ -181,8 +181,8 @@ type (
 	// API v4): open with Cluster.OpenStream, Submit events without
 	// waiting, Recv typed results in submission order.
 	StreamConn = cluster.StreamConn
-	// StreamOptions configures a StreamConn (in-flight window size and
-	// window backpressure mode).
+	// StreamOptions configures a StreamConn (its in-flight window
+	// size; a full window parks Submit).
 	StreamOptions = cluster.StreamOptions
 	// StreamResult is one event's typed outcome on a StreamConn.
 	StreamResult = cluster.StreamResult
