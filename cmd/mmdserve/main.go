@@ -502,23 +502,6 @@ func run(cfg config, out, timing io.Writer) error {
 	return nil
 }
 
-// wireType maps a routed event type onto its wire name.
-func wireType(t videodist.ClusterEvent) (string, error) {
-	switch t.Type {
-	case videodist.ClusterStreamArrival:
-		return "offer", nil
-	case videodist.ClusterStreamDeparture:
-		return "depart", nil
-	case videodist.ClusterUserLeave:
-		return "leave", nil
-	case videodist.ClusterUserJoin:
-		return "join", nil
-	case videodist.ClusterResolve:
-		return "resolve", nil
-	}
-	return "", fmt.Errorf("event type %d has no wire form", t.Type)
-}
-
 // schedules derives every tenant's synthetic event schedule from cfg —
 // the exact sequence a local RunWorkload would submit — already mapped
 // onto the wire form.
@@ -536,12 +519,9 @@ func schedules(cfg config) ([][]streamclient.Event, error) {
 	out := make([][]streamclient.Event, len(ins))
 	for ti, in := range ins {
 		for _, ev := range w.EventsForInstance(in, ti) {
-			typ, err := wireType(ev)
-			if err != nil {
-				return nil, err
-			}
 			out[ti] = append(out[ti], streamclient.Event{
-				Tenant: ti, Type: typ, Stream: ev.Stream, User: ev.User, Install: ev.Install,
+				Tenant: ti, Type: streamclient.TypeName(ev.Type, ev.CatalogID != ""),
+				Stream: ev.Stream, User: ev.User, Install: ev.Install,
 			})
 		}
 	}

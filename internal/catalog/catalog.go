@@ -215,8 +215,8 @@ type Ticket struct {
 	// cost for this occupancy cycle (no confirmed holder and no other
 	// full-priced acquisition in flight at decision time). The flag must
 	// be echoed back on whichever settlement balances the acquisition
-	// (Settlement.Origin, or the origin argument of Commit / Recharge /
-	// Release) so the registry can retire the prospective-payer slot.
+	// (Settlement.Origin, or the origin argument of Commit / Release) so
+	// the registry can retire the prospective-payer slot.
 	OriginPayer bool
 }
 
@@ -271,7 +271,11 @@ const (
 	// successful admission.
 	SettleCommit SettleOp = iota + 1
 	// SettleRecharge consumes a provisional reference whose admission
-	// ran under an existing confirmed reference (see Recharge).
+	// ran under an existing confirmed reference — the re-offer of a
+	// fleet stream whose local subscription the holder had dropped out
+	// of band (e.g. a local-index departure). The admission counter and
+	// cost totals move; the confirmed count is untouched, so Snapshot's
+	// origin-cost accounting stays truthful.
 	SettleRecharge
 	// SettleRelease drops a confirmed reference (a departure).
 	SettleRelease
@@ -374,12 +378,6 @@ func NewRegistry(bindings []Binding, model CostModel) (*Registry, error) {
 	return r, nil
 }
 
-// NumStreams returns the number of catalog entries.
-func (r *Registry) NumStreams() int { return len(r.entries) }
-
-// Model returns the registry's cost model.
-func (r *Registry) Model() CostModel { return r.model }
-
 // Lookup returns the tenant's local stream index for id. The binding
 // table is immutable, so no lock is taken.
 func (r *Registry) Lookup(id ID, tenant int) (int, error) {
@@ -391,20 +389,14 @@ func (r *Registry) Lookup(id ID, tenant int) (int, error) {
 // it.
 func (r *Registry) Bindings() Bindings { return r.bindings }
 
-// IDs returns every catalog ID in sorted order (a copy).
-func (r *Registry) IDs() []ID {
-	out := make([]ID, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
 // Acquire prices an admission of id by tenant and records a provisional
 // reference — also when the tenant already holds a confirmed one (see
 // Ticket.Already), so a concurrent departure cannot evict the origin
 // while this acquisition is in flight. Every successful Acquire must be
-// balanced by exactly one Commit (admission succeeded), Recharge
-// (admission under an existing reference), or Release(…, held=false)
-// (admission rejected or never ran), each echoing Ticket.OriginPayer.
+// balanced by exactly one Commit (admission succeeded), SettleRecharge
+// settlement (admission under an existing reference), or
+// Release(…, held=false) (admission rejected or never ran), each
+// echoing Ticket.OriginPayer.
 func (r *Registry) Acquire(id ID, tenant int) (Ticket, error) {
 	if _, err := r.Lookup(id, tenant); err != nil {
 		return Ticket{}, err
@@ -464,17 +456,6 @@ func (r *Registry) Commit(id ID, tenant int, fullCost, chargedCost float64, orig
 	return r.settle(Settlement{Op: SettleCommit, ID: id, Tenant: tenant, Full: fullCost, Charged: chargedCost, Origin: origin}).Refs
 }
 
-// Recharge settles an acquisition whose admission happened under an
-// existing confirmed reference — the re-offer of a fleet stream whose
-// local subscription the holder had dropped out of band (e.g. a
-// local-index departure). The provisional reference is consumed and the
-// admission counter and cost totals move; the confirmed count is
-// untouched, so Snapshot's origin-cost accounting stays truthful.
-// origin echoes the ticket's OriginPayer flag.
-func (r *Registry) Recharge(id ID, tenant int, fullCost, chargedCost float64, origin bool) int {
-	return r.settle(Settlement{Op: SettleRecharge, ID: id, Tenant: tenant, Full: fullCost, Charged: chargedCost, Origin: origin}).Refs
-}
-
 // Release drops a reference: held true releases a confirmed reference
 // (a departure), held false a provisional one (a rejected admission,
 // which must echo the ticket's OriginPayer flag as origin). It returns
@@ -490,8 +471,8 @@ func (r *Registry) Release(id ID, tenant int, held, origin bool) (refs int, evic
 	return res.Refs, res.Evicted
 }
 
-// settle applies the one settlement of Commit, Recharge or Release: a
-// zero result on a closed registry or an unknown ID.
+// settle applies the one settlement of Commit or Release: a zero result
+// on a closed registry or an unknown ID.
 func (r *Registry) settle(s Settlement) SettleResult {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -16,7 +16,7 @@ import (
 // priced by the catalog's cost model from the cross-shard reference
 // count, and the result reports who else carries the stream and what
 // was charged. Like every session method they are projections of the
-// one request path (call → route, see stream.go), which runs the
+// one request path (Apply → route, see stream.go), which runs the
 // catalog package's three-step protocol: the caller Acquires (pricing +
 // a provisional reference), the event is routed to the tenant's shard,
 // and the worker settles the reference (Commit on admit, Release on
@@ -98,7 +98,7 @@ func (c *Cluster) DepartCatalogStream(ctx context.Context, tenant int, id catalo
 	return c.catalogCall(ctx, Event{Tenant: tenant, Type: EventStreamDeparture, CatalogID: id})
 }
 
-// catalogCall is call for a by-ID event. An empty ID would route as a
+// catalogCall is Apply for a by-ID event. An empty ID would route as a
 // plain local-index event, so it is refused here as the unknown ID it
 // is, after the same tenant and catalog checks route makes.
 func (c *Cluster) catalogCall(ctx context.Context, ev Event) (CatalogResult, error) {
@@ -111,8 +111,8 @@ func (c *Cluster) catalogCall(ctx context.Context, ev Event) (CatalogResult, err
 		}
 		return CatalogResult{}, err
 	}
-	res := c.call(ctx, ev)
-	return res.Catalog, res.Err
+	res, err := c.Apply(ctx, ev)
+	return res.Catalog, err
 }
 
 // CatalogSnapshot returns the registry state on demand (the same

@@ -45,6 +45,81 @@ func catalogTestFleet(t *testing.T, n, channels, gateways int, seed int64, egres
 	return c
 }
 
+// TestApplyMatchesSessionMethods pins Apply against the session
+// methods it backs: on twin clusters, every event kind — offer,
+// depart, leave, join, resolve, catalog offer and catalog depart, and
+// refused events — returns through Apply exactly the result and error
+// the matching session method returns.
+func TestApplyMatchesSessionMethods(t *testing.T) {
+	ctx := context.Background()
+	model := catalog.SharedOrigin{ReplicationFraction: 0.25}
+	viaApply := catalogTestFleet(t, 2, 8, 3, 910, 0.5, 2, model)
+	sess := catalogTestFleet(t, 2, 8, 3, 910, 0.5, 2, model)
+	steps := []struct {
+		ev      Event
+		session func() (any, error)
+	}{
+		{Event{Tenant: 0, Type: EventStreamArrival, CatalogID: "s-001"},
+			func() (any, error) { return sess.OfferCatalogStream(ctx, 0, "s-001") }},
+		{Event{Tenant: 1, Type: EventStreamArrival, CatalogID: "s-001"},
+			func() (any, error) { return sess.OfferCatalogStream(ctx, 1, "s-001") }},
+		{Event{Tenant: 0, Type: EventStreamArrival, Stream: 2},
+			func() (any, error) { return sess.OfferStream(ctx, 0, 2) }},
+		{Event{Tenant: 1, Type: EventStreamArrival, Stream: 3},
+			func() (any, error) { return sess.OfferStream(ctx, 1, 3) }},
+		{Event{Tenant: 0, Type: EventUserLeave, User: 0},
+			func() (any, error) { return sess.UserLeave(ctx, 0, 0) }},
+		{Event{Tenant: 0, Type: EventUserJoin, User: 0},
+			func() (any, error) { return sess.UserJoin(ctx, 0, 0) }},
+		{Event{Tenant: 0, Type: EventStreamDeparture, Stream: 2},
+			func() (any, error) { return sess.DepartStream(ctx, 0, 2) }},
+		{Event{Tenant: 1, Type: EventResolve, Install: true},
+			func() (any, error) { return sess.Resolve(ctx, 1, ResolveOptions{Install: true}) }},
+		{Event{Tenant: 0, Type: EventStreamDeparture, CatalogID: "s-001"},
+			func() (any, error) { return sess.DepartCatalogStream(ctx, 0, "s-001") }},
+		{Event{Tenant: 1, Type: EventStreamDeparture, CatalogID: "s-001"},
+			func() (any, error) { return sess.DepartCatalogStream(ctx, 1, "s-001") }},
+		{Event{Tenant: 9, Type: EventStreamArrival, Stream: 1},
+			func() (any, error) { return sess.OfferStream(ctx, 9, 1) }},
+		{Event{Tenant: 0, Type: EventStreamArrival, CatalogID: "nope"},
+			func() (any, error) { return sess.OfferCatalogStream(ctx, 0, "nope") }},
+	}
+	for i, st := range steps {
+		res, err := viaApply.Apply(ctx, st.ev)
+		var got any
+		switch {
+		case st.ev.CatalogID != "":
+			got = res.Catalog
+		case st.ev.Type == EventStreamArrival:
+			got = res.Offer
+		case st.ev.Type == EventStreamDeparture:
+			got = res.Depart
+		case st.ev.Type == EventResolve:
+			got = res.Resolve
+		default:
+			got = res.Churn
+		}
+		want, werr := st.session()
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("step %d %+v: Apply = (%+v, %v), session method = (%+v, %v)", i, st.ev, got, err, want, werr)
+		}
+		if err != res.Err {
+			t.Fatalf("step %d: Apply's error %v is not its result's %v", i, err, res.Err)
+		}
+	}
+	fa, err := viaApply.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fa.RenderTenants() != fs.RenderTenants() || fa.Catalog.Render() != fs.Catalog.Render() {
+		t.Fatalf("renders differ:\n%s%s\nvs\n%s%s", fa.RenderTenants(), fa.Catalog.Render(), fs.RenderTenants(), fs.Catalog.Render())
+	}
+}
+
 // catalogSchedule is a deterministic interleaved offer/depart schedule:
 // each step names a tenant, a stream, and whether to depart instead of
 // offer. It is a pure function of the seed.

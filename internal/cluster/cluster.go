@@ -33,7 +33,8 @@
 // the owning shard with a pooled in-flight entry attached and block
 // until the worker writes a typed result into it (OfferResult,
 // DepartResult, ChurnResult, ResolveResult, CatalogResult). Every one
-// of them is a projection of the same request path a streamed event
+// of them is a projection of Apply, which takes a routed Event and
+// returns its StreamResult: the same request path a streamed event
 // takes — route, then assembleResult (see stream.go and session.go) —
 // and ApplyBatch sends its events as one shard message with one
 // in-flight entry each, whose results the same assembleResult builds.
@@ -85,7 +86,8 @@
 // OpenStream returns a StreamConn, a persistent pipelined session over
 // the same request path: one goroutine Submits events without waiting,
 // another Recvs typed results in submission order, and a bounded
-// in-flight window (block or reject) is the backpressure point.
+// in-flight window is the backpressure point: a full window parks
+// Submit until a result is received or its ctx is done.
 // Catalog events ride streams with no special casing because the shard
 // worker settles every fleet reference in FIFO order — see stream.go.
 // The HTTP face of this surface lives in internal/httpserve
@@ -214,8 +216,6 @@ type Options struct {
 	// monitoring only; use Resolve with ResolveOptions.Install to
 	// install.
 	ResolveEvery int
-	// SolveOptions configures the re-solve pipeline.
-	SolveOptions core.Options
 	// Backpressure selects the enqueue behavior when a shard queue is
 	// full: BackpressureBlock (default) or BackpressureReject.
 	Backpressure Backpressure
@@ -1253,7 +1253,7 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, to *result) result {
 // must not poison fleet observability.
 func (c *Cluster) resolve(sh *shard, tenant int, install, background bool) (ResolveResult, error) {
 	sh.stats.Resolves++
-	out, err := c.tenants[tenant].Resolve(c.opts.SolveOptions, install)
+	out, err := c.tenants[tenant].Resolve(core.Options{}, install)
 	if err != nil {
 		err = fmt.Errorf("cluster: tenant %d: %w", tenant, err)
 		if background && sh.err == nil {

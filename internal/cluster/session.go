@@ -9,7 +9,7 @@ import (
 // Serving API v2: the typed, context-aware request/response surface.
 //
 // Each per-operation method — the five below and the two catalog calls
-// in catalog.go — is a one-line projection of call: the event takes the
+// in catalog.go — is a one-line projection of Apply: the event takes the
 // stream's own caller-side path (route, see stream.go) with a pooled
 // in-flight entry attached, the caller blocks until the shard worker
 // has applied it, and the reply is assembled by the stream's
@@ -115,29 +115,29 @@ type ResolveOptions struct {
 // already-carried stream, or a policy "no") is a successful call with
 // Accepted false.
 func (c *Cluster) OfferStream(ctx context.Context, tenant, stream int) (OfferResult, error) {
-	res := c.call(ctx, Event{Tenant: tenant, Type: EventStreamArrival, Stream: stream})
-	return res.Offer, res.Err
+	res, err := c.Apply(ctx, Event{Tenant: tenant, Type: EventStreamArrival, Stream: stream})
+	return res.Offer, err
 }
 
 // DepartStream removes a carried stream from tenant t, releasing its
 // subscribers and (for departure-aware policies) the policy's
 // resources.
 func (c *Cluster) DepartStream(ctx context.Context, tenant, stream int) (DepartResult, error) {
-	res := c.call(ctx, Event{Tenant: tenant, Type: EventStreamDeparture, Stream: stream})
-	return res.Depart, res.Err
+	res, err := c.Apply(ctx, Event{Tenant: tenant, Type: EventStreamDeparture, Stream: stream})
+	return res.Depart, err
 }
 
 // UserLeave takes gateway u of tenant t offline, tearing down its
 // subscriptions.
 func (c *Cluster) UserLeave(ctx context.Context, tenant, user int) (ChurnResult, error) {
-	res := c.call(ctx, Event{Tenant: tenant, Type: EventUserLeave, User: user})
-	return res.Churn, res.Err
+	res, err := c.Apply(ctx, Event{Tenant: tenant, Type: EventUserLeave, User: user})
+	return res.Churn, err
 }
 
 // UserJoin brings gateway u of tenant t back online.
 func (c *Cluster) UserJoin(ctx context.Context, tenant, user int) (ChurnResult, error) {
-	res := c.call(ctx, Event{Tenant: tenant, Type: EventUserJoin, User: user})
-	return res.Churn, res.Err
+	res, err := c.Apply(ctx, Event{Tenant: tenant, Type: EventUserJoin, User: user})
+	return res.Churn, err
 }
 
 // Resolve re-runs the offline Theorem 1.1 pipeline for tenant t on its
@@ -147,8 +147,8 @@ func (c *Cluster) UserJoin(ctx context.Context, tenant, user int) (ChurnResult, 
 // catalog is configured, the worker releases the fleet references of
 // catalog streams the installed lineup dropped before replying.
 func (c *Cluster) Resolve(ctx context.Context, tenant int, opts ResolveOptions) (ResolveResult, error) {
-	res := c.call(ctx, Event{Tenant: tenant, Type: EventResolve, Install: opts.Install})
-	return res.Resolve, res.Err
+	res, err := c.Apply(ctx, Event{Tenant: tenant, Type: EventResolve, Install: opts.Install})
+	return res.Resolve, err
 }
 
 // result is the union payload a worker writes into an event's in-flight
@@ -165,13 +165,20 @@ type result struct {
 	err     error
 }
 
-// call is the request/response helper behind every session method: it
-// routes one event with a pooled in-flight entry, which carries its own
-// one-slot completion channel, waits for the worker's reply, and
-// assembles it with the stream's assembleResult. The worker applies the
-// event the moment it dequeues it and delivers the result right after
-// (under group commit, once it is durable), so a blocked caller never
-// waits on later traffic.
+// Apply applies one event and returns its typed result, with the
+// result's Err as the error: the one request path behind every session
+// method, for a caller that holds a routed event (a wire front end, a
+// replayed schedule). ev is checked as a streamed event is (see
+// Submit): an arrival or departure carrying a CatalogID runs the catalog
+// protocol exactly like OfferCatalogStream / DepartCatalogStream, and
+// one without is a plain local-index event.
+//
+// Apply routes the event with a pooled in-flight entry, which carries
+// its own one-slot completion channel, waits for the worker's reply,
+// and assembles it with the stream's assembleResult. The worker applies
+// the event the moment it dequeues it and delivers the result right
+// after (under group commit, once it is durable), so a blocked caller
+// never waits on later traffic.
 //
 // The entry is recycled after its completion was consumed (or when the
 // event never enqueued), and deliberately left to the garbage collector
@@ -180,7 +187,7 @@ type result struct {
 // have a delivery in flight. Once enqueued, the worker settles any
 // fleet reference itself, so a canceled caller has nothing to
 // reconcile.
-func (c *Cluster) call(ctx context.Context, ev Event) StreamResult {
+func (c *Cluster) Apply(ctx context.Context, ev Event) (StreamResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -197,14 +204,15 @@ func (c *Cluster) call(ctx context.Context, ev Event) StreamResult {
 		case <-p.done:
 			out = assembleResult(p)
 		case <-ctx.Done():
-			return StreamResult{Type: p.typ, CatalogID: p.id, Err: fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())}
+			err := fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
+			return StreamResult{Type: p.typ, CatalogID: p.id, Err: err}, err
 		}
 	}
 	if poisonRecycled != nil {
 		poisonRecycled(p)
 	}
 	c.callPool.Put(p)
-	return out
+	return out, out.Err
 }
 
 // normalize is the one check route and ApplyBatch make of a submitted

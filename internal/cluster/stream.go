@@ -23,7 +23,7 @@ import (
 //
 // Catalog events need no special casing: Submit hands every event to
 // route, the one caller-side path a single event takes — the session
-// methods, catalog calls included, are one-event uses of it (see call
+// methods, catalog calls included, are one-event uses of it (see Apply
 // in session.go). For a catalog event route runs the acquire-then-route
 // protocol (the registry prices the admission and takes a provisional
 // reference before the event crosses the shard queue), and the shard

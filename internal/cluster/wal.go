@@ -66,7 +66,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/wal"
@@ -81,9 +80,6 @@ type WALOptions struct {
 	// or wal.SyncBatch (group commit — an acknowledged event is
 	// durable; the default zero value is SyncNone).
 	Sync wal.SyncPolicy
-	// SyncInterval is the background fsync cadence under SyncInterval
-	// (default 50ms).
-	SyncInterval time.Duration
 	// CheckpointEvery takes an automatic checkpoint after roughly
 	// every N logged records (0 disables automatic checkpoints;
 	// explicit Checkpoint calls always work).
@@ -162,7 +158,7 @@ func (c *Cluster) walStart() error {
 
 func (c *Cluster) walLogOptions() wal.Options {
 	w := c.opts.WAL
-	return wal.Options{Dir: w.Dir, Sync: w.Sync, SyncInterval: w.SyncInterval, FS: w.FS}
+	return wal.Options{Dir: w.Dir, Sync: w.Sync, FS: w.FS}
 }
 
 // attachAppenders points every shard worker (and the registry logger)

@@ -69,11 +69,13 @@ func e15Options(cfg E15Config, shards int, model catalog.CostModel) cluster.Opti
 	}
 }
 
-// e15Schedule is the deterministic serial drill schedule in wire form —
-// the same interleaving of plain offers, catalog offers, departures,
-// and gateway churn e14Drive submits, but as streamclient events so the
-// disconnect drill can push it through the HTTP front end while the
-// control fleet applies it directly.
+// e15Schedule is the deterministic serial drill schedule in wire form:
+// two equal rounds of interleaved plain offers, catalog offers (every
+// third channel), departures, and gateway churn, serial per tenant — so
+// per-tenant ordering, which the WAL must reproduce, is fixed. The
+// disconnect and multi-node drills push it over the wire, and the
+// control fleets, E14 and the fsync drill apply each event with
+// Cluster.Apply.
 func e15Schedule(cfg E15Config) []streamclient.Event {
 	var out []streamclient.Event
 	for round := 0; round < 2; round++ {
@@ -99,30 +101,6 @@ func e15Schedule(cfg E15Config) []streamclient.Event {
 		}
 	}
 	return out
-}
-
-// e15Apply applies one wire event through the typed serving API (the
-// control fleets stand in for a client that never loses a connection).
-func e15Apply(c *cluster.Cluster, ev streamclient.Event) error {
-	ctx := context.Background()
-	var err error
-	switch ev.Type {
-	case "offer":
-		_, err = c.OfferStream(ctx, ev.Tenant, ev.Stream)
-	case "depart":
-		_, err = c.DepartStream(ctx, ev.Tenant, ev.Stream)
-	case "leave":
-		_, err = c.UserLeave(ctx, ev.Tenant, ev.User)
-	case "join":
-		_, err = c.UserJoin(ctx, ev.Tenant, ev.User)
-	case "catalog-offer":
-		_, err = c.OfferCatalogStream(ctx, ev.Tenant, catalog.ID(ev.CatalogID))
-	case "catalog-depart":
-		_, err = c.DepartCatalogStream(ctx, ev.Tenant, catalog.ID(ev.CatalogID))
-	default:
-		err = fmt.Errorf("e15: unknown wire type %q", ev.Type)
-	}
-	return err
 }
 
 // e15DrainRefs is the reference audit: depart every confirmed catalog
@@ -168,7 +146,7 @@ func e15Control(cfg E15Config, shards int, model catalog.CostModel, schedule []s
 		return nil, err
 	}
 	for i, ev := range schedule {
-		if err := e15Apply(c, ev); err != nil {
+		if _, err := c.Apply(context.Background(), ev.Routed()); err != nil {
 			_ = c.Close()
 			return nil, fmt.Errorf("control event %d: %w", i, err)
 		}
@@ -354,7 +332,7 @@ func e15Fsync(cfg E15Config, recoverShards int, mi int) ([]string, bool, error) 
 	acked := 0
 	var firstErr error
 	for _, ev := range schedule {
-		if err := e15Apply(doomed, ev); err != nil {
+		if _, err := doomed.Apply(context.Background(), ev.Routed()); err != nil {
 			firstErr = err
 			break
 		}
@@ -368,7 +346,7 @@ func e15Fsync(cfg E15Config, recoverShards int, mi int) ([]string, bool, error) 
 	// refused too — no ack may ever ride past a failed sync.
 	failFast := true
 	for i := acked + 1; i < len(schedule) && i <= acked+3; i++ {
-		if err := e15Apply(doomed, schedule[i]); err == nil {
+		if _, err := doomed.Apply(context.Background(), schedule[i].Routed()); err == nil {
 			failFast = false
 		}
 	}
@@ -382,7 +360,7 @@ func e15Fsync(cfg E15Config, recoverShards int, mi int) ([]string, bool, error) 
 	if err != nil {
 		return nil, false, err
 	}
-	if err := e15Apply(control, schedule[acked]); err != nil {
+	if _, err := control.Apply(context.Background(), schedule[acked].Routed()); err != nil {
 		return nil, false, err
 	}
 	wantK1Tables, wantK1Cat, err := e14Renders(control)

@@ -50,59 +50,6 @@ func e14Tenants(cfg E14Config) ([]cluster.TenantConfig, error) {
 	return tenants, nil
 }
 
-// e14Drive submits the drill's deterministic schedule: two rounds of
-// interleaved plain offers, catalog offers (every third channel),
-// departures, and gateway churn, serial per tenant — so per-tenant
-// ordering, which the WAL must reproduce, is fixed. checkpoint, when
-// non-nil, fires between the rounds (the recovery then verifies the
-// mid-log manifest fence, not just the tail).
-func e14Drive(c *cluster.Cluster, cfg E14Config, checkpoint func() error) (int, error) {
-	ctx := context.Background()
-	total := 0
-	for round := 0; round < 2; round++ {
-		for t := 0; t < cfg.Tenants; t++ {
-			for s := 0; s < cfg.Channels; s++ {
-				var err error
-				if s%3 == 0 {
-					_, err = c.OfferCatalogStream(ctx, t, e14ChannelID(s))
-				} else {
-					_, err = c.OfferStream(ctx, t, s)
-				}
-				if err != nil {
-					return total, err
-				}
-				total++
-				if s%3 == 2 && s > 2 {
-					if s%6 == 5 {
-						_, err = c.DepartCatalogStream(ctx, t, e14ChannelID(s-2))
-					} else {
-						_, err = c.DepartStream(ctx, t, s-1)
-					}
-					if err != nil {
-						return total, err
-					}
-					total++
-				}
-				if s%5 == 4 {
-					if _, err = c.UserLeave(ctx, t, (s+t)%cfg.Gateways); err != nil {
-						return total, err
-					}
-					if _, err = c.UserJoin(ctx, t, (s+t)%cfg.Gateways); err != nil {
-						return total, err
-					}
-					total += 2
-				}
-			}
-		}
-		if round == 0 && checkpoint != nil {
-			if err := checkpoint(); err != nil {
-				return total, err
-			}
-		}
-	}
-	return total, nil
-}
-
 func e14ChannelID(s int) catalog.ID {
 	return catalog.ID(fmt.Sprintf("ch-%03d", s))
 }
@@ -143,36 +90,16 @@ func E14CrashRecovery(cfg E14Config) (*Table, error) {
 			"ckpt verified", "bit-identical"},
 	}
 
-	models := []struct {
-		name  string
-		model catalog.CostModel
-	}{
-		{"isolated", catalog.Isolated{}},
-		{"shared-origin", catalog.SharedOrigin{ReplicationFraction: 0.25}},
-	}
-
+	// The drill drives E15's schedule on E15's fleet options.
+	fleet := E15Config{Tenants: cfg.Tenants, Channels: cfg.Channels, Gateways: cfg.Gateways, Seed: cfg.Seed}
+	schedule := e15Schedule(fleet)
 	allHold := true
 	for si, shards := range cfg.ShardCounts {
 		recoverShards := cfg.ShardCounts[(si+1)%len(cfg.ShardCounts)]
-		for _, m := range models {
-			opts := cluster.Options{
-				Shards: shards, BatchSize: 8,
-				Catalog: &cluster.CatalogOptions{
-					Streams:   catalog.IdentityBindings(cfg.Tenants, cfg.Channels, e14ChannelID),
-					CostModel: m.model,
-				},
-			}
-
+		for _, m := range e15Models {
 			// Control: same schedule, no WAL, never crashes.
-			tenants, err := e14Tenants(cfg)
+			control, err := e15Control(fleet, shards, m.model, schedule)
 			if err != nil {
-				return nil, err
-			}
-			control, err := cluster.New(tenants, opts)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := e14Drive(control, cfg, nil); err != nil {
 				return nil, err
 			}
 			wantTables, wantCat, err := e14Renders(control)
@@ -192,9 +119,9 @@ func E14CrashRecovery(cfg E14Config) (*Table, error) {
 				return nil, err
 			}
 			defer os.RemoveAll(dir)
-			walOpts := opts
+			walOpts := e15Options(fleet, shards, m.model)
 			walOpts.WAL = &cluster.WALOptions{Dir: dir, Sync: wal.SyncBatch}
-			tenants, err = e14Tenants(cfg)
+			tenants, err := e14Tenants(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -202,12 +129,17 @@ func E14CrashRecovery(cfg E14Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			events, err := e14Drive(doomed, cfg, func() error {
-				_, err := doomed.Checkpoint("drill")
-				return err
-			})
-			if err != nil {
-				return nil, err
+			for i, ev := range schedule {
+				// The checkpoint between the two rounds makes recovery
+				// verify a mid-log manifest fence, not just the tail.
+				if i == len(schedule)/2 {
+					if _, err := doomed.Checkpoint("drill"); err != nil {
+						return nil, err
+					}
+				}
+				if _, err := doomed.Apply(context.Background(), ev.Routed()); err != nil {
+					return nil, err
+				}
 			}
 
 			// Recovery, into the next layout in the sweep.
@@ -236,7 +168,7 @@ func E14CrashRecovery(cfg E14Config) (*Table, error) {
 				fmt.Sprintf("%d", shards),
 				fmt.Sprintf("%d", recoverShards),
 				m.name,
-				fmt.Sprintf("%d", events),
+				fmt.Sprintf("%d", len(schedule)),
 				fmt.Sprintf("%v", rep.CheckpointVerified),
 				fmt.Sprintf("%v", identical),
 			})

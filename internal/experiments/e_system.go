@@ -191,9 +191,7 @@ func runOneTenant(in *mmd.Instance, policy string, w cluster.Workload) (*oneTena
 	ctx := context.Background()
 	run := &oneTenantRun{}
 	for _, ev := range w.EventsForInstance(in, 0) {
-		// A one-event batch applies any event type on the worker
-		// through the same path as a session call.
-		if _, err := c.ApplyBatch(ctx, 0, []cluster.Event{ev}); err != nil {
+		if _, err := c.Apply(ctx, ev); err != nil {
 			return nil, err
 		}
 		fs, err := c.Snapshot()

@@ -12,6 +12,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/generator"
 	"repro/internal/online"
+	"repro/streamclient"
 )
 
 // E16Config parameterizes E16.
@@ -35,9 +36,11 @@ func DefaultE16() E16Config {
 
 // e16Schedule builds E16's merged workload — Zipf background traffic
 // with the scheduled flash crowd, plus diurnal stream/gateway churn —
-// and returns it with the crowd's CatalogID and the index of the last
-// crowd offer (the spike's peak, where refcounts are sampled).
-func e16Schedule(cfg E16Config) ([]generator.Event, string, int, error) {
+// in wire form, and returns it with the crowd's CatalogID and the index
+// of the last crowd offer (the spike's peak, where refcounts are
+// sampled). The generator's event names are the wire's, so each event
+// converts field by field.
+func e16Schedule(cfg E16Config) ([]streamclient.Event, string, int, error) {
 	zipf := generator.ZipfFlashCrowd{
 		Tenants: cfg.Tenants, Channels: cfg.Channels, Gateways: cfg.Gateways,
 		Seed: cfg.Seed, Rounds: 4, HoldRounds: 1, ZipfS: 1.6,
@@ -54,10 +57,13 @@ func e16Schedule(cfg E16Config) ([]generator.Event, string, int, error) {
 	if err != nil {
 		return nil, "", 0, err
 	}
-	events := generator.Merge(background, churn)
+	merged := generator.Merge(background, churn)
+	events := make([]streamclient.Event, len(merged))
 	crowdID := zipf.CrowdID()
 	peak := -1
-	for i, ev := range events {
+	for i, ev := range merged {
+		events[i] = streamclient.Event{Tenant: ev.Tenant, Type: string(ev.Type),
+			Stream: ev.Stream, User: ev.User, CatalogID: ev.CatalogID}
 		if ev.Type == generator.EventCatalogOffer && ev.CatalogID == crowdID {
 			peak = i
 		}
@@ -66,31 +72,6 @@ func e16Schedule(cfg E16Config) ([]generator.Event, string, int, error) {
 		return nil, "", 0, fmt.Errorf("E16: schedule has no crowd offers")
 	}
 	return events, crowdID, peak, nil
-}
-
-// e16Apply applies one generator event through the typed serving API.
-// The generator's event vocabulary matches the wire's, so this is the
-// same dispatch as e15Apply without the streamclient detour.
-func e16Apply(c *cluster.Cluster, ev generator.Event) error {
-	ctx := context.Background()
-	var err error
-	switch ev.Type {
-	case generator.EventOffer:
-		_, err = c.OfferStream(ctx, ev.Tenant, ev.Stream)
-	case generator.EventDepart:
-		_, err = c.DepartStream(ctx, ev.Tenant, ev.Stream)
-	case generator.EventLeave:
-		_, err = c.UserLeave(ctx, ev.Tenant, ev.User)
-	case generator.EventJoin:
-		_, err = c.UserJoin(ctx, ev.Tenant, ev.User)
-	case generator.EventCatalogOffer:
-		_, err = c.OfferCatalogStream(ctx, ev.Tenant, catalog.ID(ev.CatalogID))
-	case generator.EventCatalogDepart:
-		_, err = c.DepartCatalogStream(ctx, ev.Tenant, catalog.ID(ev.CatalogID))
-	default:
-		err = fmt.Errorf("E16: unknown event type %q", ev.Type)
-	}
-	return err
 }
 
 // e16Tenants builds the fleet. Unlike the durability drills' 0.25,
@@ -172,7 +153,7 @@ func E16FlashCrowd(cfg E16Config) (*Table, error) {
 				return nil, err
 			}
 			for _, ev := range events[:peak+1] {
-				if err := e16Apply(c, ev); err != nil {
+				if _, err := c.Apply(context.Background(), ev.Routed()); err != nil {
 					_ = c.Close()
 					return nil, err
 				}
@@ -190,7 +171,7 @@ func E16FlashCrowd(cfg E16Config) (*Table, error) {
 				return nil, err
 			}
 			for _, ev := range events[peak+1:] {
-				if err := e16Apply(c, ev); err != nil {
+				if _, err := c.Apply(context.Background(), ev.Routed()); err != nil {
 					_ = c.Close()
 					return nil, err
 				}

@@ -67,8 +67,3 @@ func (p Plan) NodeOfTenant(t int) int {
 	}
 	return p.NodeOfShard(t % p.Shards)
 }
-
-// OwnsTenant reports whether node owns tenant t under the plan.
-func (p Plan) OwnsTenant(node, t int) bool {
-	return p.NodeOfTenant(t) == node
-}

@@ -3,6 +3,7 @@ package headend_test
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -81,7 +82,10 @@ func TestNewTenantAllocations(t *testing.T) {
 // processor, and returns how many heap allocations the calls of f made
 // in all. testing.AllocsPerRun divides its total by the runs as
 // integers, so an AllocsPerRun pin that reads 0 admits up to runs−1
-// allocations; the exact total admits none.
+// allocations; the exact total admits none. A GC cycle that starts
+// inside a counted call allocates on its own (the process's first one
+// starts the mark workers), so each call runs right after a collection,
+// with the collector held off until its count is read.
 func countMallocs(runs int, before, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var total uint64
@@ -90,9 +94,12 @@ func countMallocs(runs int, before, f func()) uint64 {
 		if before != nil {
 			before()
 		}
+		runtime.GC()
+		gcPercent := debug.SetGCPercent(-1)
 		runtime.ReadMemStats(&m0)
 		f()
 		runtime.ReadMemStats(&m1)
+		debug.SetGCPercent(gcPercent)
 		total += m1.Mallocs - m0.Mallocs
 	}
 	return total

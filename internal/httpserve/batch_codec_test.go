@@ -29,7 +29,8 @@ const canonicalBatchBody = `[` +
 
 // TestAppendBatchResponseMatchesStdlibDecode pins the hand-rolled batch
 // response encoder: every object it emits must decode into exactly the
-// eventResponse the pre-pooling handler's stdlib marshal decoded into.
+// streamclient.Result a stdlib marshal of the same response decodes
+// into.
 func TestAppendBatchResponseMatchesStdlibDecode(t *testing.T) {
 	cases := []struct {
 		typ string
@@ -57,13 +58,13 @@ func TestAppendBatchResponseMatchesStdlibDecode(t *testing.T) {
 	}
 	for i, tc := range cases {
 		line := appendBatchResponse(nil, tc.res)
-		var got eventResponse
+		var got streamclient.Result
 		if err := json.Unmarshal(line, &got); err != nil {
 			t.Fatalf("case %d: emitted invalid JSON %q: %v", i, line, err)
 		}
-		// The reference: build the eventResponse exactly as the
-		// pre-pooling handler did and round-trip it through the stdlib.
-		ref := eventResponse{Type: tc.typ}
+		// The reference: build the response as a streamclient.Result and
+		// round-trip it through the stdlib.
+		ref := streamclient.Result{Type: tc.typ}
 		switch {
 		case tc.res.CatalogID != "":
 			v := tc.res.Catalog
@@ -88,7 +89,7 @@ func TestAppendBatchResponseMatchesStdlibDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want eventResponse
+		var want streamclient.Result
 		if err := json.Unmarshal(refJSON, &want); err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +269,7 @@ func FuzzBatchBody(f *testing.F) {
 		}
 		for i := 0; werr == nil && i < len(reqs); i++ {
 			if werr = streamclient.CheckEvent(reqs[i]); werr == nil {
-				want = append(want, streamEvent(reqs[i]))
+				want = append(want, reqs[i].Routed())
 			}
 		}
 		switch {

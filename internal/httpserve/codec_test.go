@@ -43,7 +43,7 @@ func TestAppendResultLineMatchesStdlibDecode(t *testing.T) {
 			t.Fatalf("seq %d: emitted invalid JSON %q: %v", res.Seq, line, err)
 		}
 		// The stdlib reference: marshal the equivalent Result and decode.
-		ref := streamclient.Result{Seq: res.Seq, Type: wireTypeName(res)}
+		ref := streamclient.Result{Seq: res.Seq, Type: streamclient.TypeName(res.Type, res.CatalogID != "")}
 		switch {
 		case res.Err != nil:
 			ref.Error = res.Err.Error()

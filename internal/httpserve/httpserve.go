@@ -13,17 +13,18 @@
 // path. Every event passes the protocol's one refusal rule,
 // streamclient.CheckEvent (a known type; a catalog_id on every catalog
 // event), so a bad event is refused alike everywhere: 400 on the
-// per-tenant endpoints, the seq -1 line on a stream. /events is a
-// one-event stream: its body is one stream line (streamclient.ParseEvent)
-// applied over Cluster.OpenStream, exactly as /v1/stream applies each
-// line — one Event line in, one Result line out, in submission order,
-// with the stream's bounded in-flight window as the flow-control point
-// (see repro/streamclient for the wire structs and the Go client).
-// :batch decodes its array with a json.Decoder and hands it to
-// Cluster.ApplyBatch, whose results the cluster assembles the way it
-// assembles a stream's. Stream result lines and batch elements share
-// one payload encoder; sentinel errors map onto HTTP status codes
-// (writeTransportError).
+// per-tenant endpoints, the seq -1 line on a stream, and every event
+// is mapped onto the cluster by streamclient's Event.Routed. /events
+// parses its body as one stream line (streamclient.ParseEvent) and
+// applies it with Cluster.Apply. /v1/stream pipelines its lines onto a
+// Cluster.OpenStream session — one Event line in, one Result line out,
+// in submission order, with the stream's bounded in-flight window as
+// the flow-control point (see repro/streamclient for the wire structs
+// and the Go client). :batch decodes its array with a json.Decoder and
+// hands it to Cluster.ApplyBatch. The cluster assembles every result
+// the same way, and stream result lines, batch elements and the /events
+// body share one payload encoder; sentinel errors map onto HTTP status
+// codes (writeTransportError).
 //
 // NewHandlerOpts adds the resilience layer (v6): exactly-once resume
 // for streams that claim an X-Stream-Session identity (a WAL-backed
@@ -54,23 +55,6 @@ import (
 	"repro/streamclient"
 )
 
-// eventResponse is the /events success body, encoded by encoding/json.
-// It is not the shared payload encoder's output because the two order
-// the catalog object's members differently: here they follow
-// CatalogResult's field order, while stream lines and batch elements
-// put refs first, and each endpoint's bodies stay byte-stable. Error
-// is a batch element's per-event error member; /events answers a
-// failed event with its status code instead and never sets it.
-type eventResponse struct {
-	Type    string                   `json:"type"`
-	Offer   *videodist.OfferResult   `json:"offer,omitempty"`
-	Depart  *videodist.DepartResult  `json:"depart,omitempty"`
-	Churn   *videodist.ChurnResult   `json:"churn,omitempty"`
-	Resolve *videodist.ResolveResult `json:"resolve,omitempty"`
-	Catalog *videodist.CatalogResult `json:"catalog,omitempty"`
-	Error   string                   `json:"error,omitempty"`
-}
-
 // errorResponse is the wire form of a failure.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -83,10 +67,11 @@ func NewHandler(c *videodist.Cluster) http.Handler {
 	return NewHandlerOpts(c, Options{})
 }
 
-// handleEvent applies one event as a one-event stream: the body is one
+// handleEvent applies one event with Cluster.Apply: the body is one
 // stream line, parsed and refused by the stream's own parser
 // (streamclient.ParseEvent), the tenant rides in the URL, and a failed
-// event answers with its transport error's status. A body over the
+// event answers with its transport error's status. The success body is
+// a batch element (appendBatchResponse) and a newline. A body over the
 // protocol's line cap, streamclient.MaxLine, answers 413.
 func (s *server) handleEvent(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w) {
@@ -114,69 +99,15 @@ func (s *server) handleEvent(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Tenant = tenant
 	start := time.Now()
-	res, err := s.applyOne(r.Context(), streamEvent(req))
+	res, err := s.c.Apply(r.Context(), req.Routed())
 	if err != nil {
 		writeTransportError(w, err)
 		return
 	}
 	s.observe(start)
-	resp := eventResponse{Type: wireTypeName(res)}
-	switch {
-	case res.CatalogID != "":
-		resp.Catalog = &res.Catalog
-	case res.Type == videodist.ClusterStreamArrival:
-		resp.Offer = &res.Offer
-	case res.Type == videodist.ClusterStreamDeparture:
-		resp.Depart = &res.Depart
-	case res.Type == videodist.ClusterUserLeave, res.Type == videodist.ClusterUserJoin:
-		resp.Churn = &res.Churn
-	case res.Type == videodist.ClusterResolve:
-		resp.Resolve = &res.Resolve
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// applyOne submits ev on a stream of its own and returns its result,
-// with the event's own failure as the error.
-func (s *server) applyOne(ctx context.Context, ev videodist.ClusterEvent) (videodist.StreamResult, error) {
-	sc, err := s.c.OpenStream(videodist.StreamOptions{Window: 1})
-	if err != nil {
-		return videodist.StreamResult{}, err
-	}
-	defer sc.Close()
-	if err := sc.Submit(ctx, ev); err != nil {
-		return videodist.StreamResult{}, err
-	}
-	res, err := sc.Recv(ctx)
-	if err == nil {
-		err = res.Err
-	}
-	return res, err
-}
-
-// eventTypes maps the protocol's wire type names to routed event types;
-// the catalog names route as arrivals and departures that carry their
-// catalog_id.
-var eventTypes = map[string]videodist.ClusterEvent{
-	"offer":          {Type: videodist.ClusterStreamArrival},
-	"depart":         {Type: videodist.ClusterStreamDeparture},
-	"leave":          {Type: videodist.ClusterUserLeave},
-	"join":           {Type: videodist.ClusterUserJoin},
-	"resolve":        {Type: videodist.ClusterResolve},
-	"catalog-offer":  {Type: videodist.ClusterStreamArrival},
-	"catalog-depart": {Type: videodist.ClusterStreamDeparture},
-}
-
-// streamEvent maps a wire event that passed streamclient.CheckEvent
-// onto a routed cluster event. Catalog events carry their fleet
-// identity through, and the cluster runs the catalog protocol for them.
-func streamEvent(req streamclient.Event) videodist.ClusterEvent {
-	ev := eventTypes[req.Type]
-	if req.Type == "catalog-offer" || req.Type == "catalog-depart" {
-		ev.CatalogID = videodist.CatalogID(req.CatalogID)
-	}
-	ev.Tenant, ev.Stream, ev.User, ev.Install = req.Tenant, req.Stream, req.User, req.Install
-	return ev
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(appendBatchResponse(nil, res), '\n'))
 }
 
 // batchScratch is the per-request working set of the batch endpoint,
@@ -251,7 +182,7 @@ func decodeBatch(r io.Reader, dst []videodist.ClusterEvent) ([]videodist.Cluster
 		if err := streamclient.CheckEvent(req); err != nil {
 			return dst, fmt.Errorf("batch event %d: %w", i, err)
 		}
-		dst = append(dst, streamEvent(req))
+		dst = append(dst, req.Routed())
 	}
 	if _, err := dec.Token(); err != nil { // the closing ']'
 		return dst, fmt.Errorf("bad batch body: %w", err)
@@ -311,28 +242,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(bs.out)
 }
 
-// wireTypeName maps a routed type (plus the catalog mark) back onto
-// its wire name.
-func wireTypeName(res videodist.StreamResult) string {
-	switch {
-	case res.CatalogID != "" && res.Type == videodist.ClusterStreamArrival:
-		return "catalog-offer"
-	case res.CatalogID != "" && res.Type == videodist.ClusterStreamDeparture:
-		return "catalog-depart"
-	case res.Type == videodist.ClusterStreamArrival:
-		return "offer"
-	case res.Type == videodist.ClusterStreamDeparture:
-		return "depart"
-	case res.Type == videodist.ClusterUserLeave:
-		return "leave"
-	case res.Type == videodist.ClusterUserJoin:
-		return "join"
-	case res.Type == videodist.ClusterResolve:
-		return "resolve"
-	}
-	return ""
-}
-
 // appendResultLine appends one result's NDJSON wire line (trailing
 // newline included) to buf: the seq, the type, and either the error or
 // the payload. It is the hand-rolled twin of marshaling a
@@ -342,7 +251,7 @@ func wireTypeName(res videodist.StreamResult) string {
 func appendResultLine(buf []byte, res videodist.StreamResult) []byte {
 	buf = append(buf, `{"seq":`...)
 	buf = strconv.AppendInt(buf, int64(res.Seq), 10)
-	if typ := wireTypeName(res); typ != "" {
+	if typ := streamclient.TypeName(res.Type, res.CatalogID != ""); typ != "" {
 		// Wire type names are fixed ASCII tokens; no escaping needed.
 		buf = append(buf, `,"type":"`...)
 		buf = append(buf, typ...)
@@ -359,10 +268,11 @@ func appendResultLine(buf []byte, res videodist.StreamResult) []byte {
 
 // appendBatchResponse appends one batch response element: the type,
 // the payload, and then the per-event error, if any (a batch element
-// keeps its payload next to the error).
+// keeps its payload next to the error). It is also the /events body,
+// which has no error member: a failed event answers with its status.
 func appendBatchResponse(buf []byte, res videodist.EventResult) []byte {
 	buf = append(buf, `{"type":"`...)
-	buf = append(buf, wireTypeName(res)...)
+	buf = append(buf, streamclient.TypeName(res.Type, res.CatalogID != "")...)
 	buf = append(buf, '"')
 	buf = appendPayload(buf, res)
 	if res.Err != nil {
@@ -374,11 +284,11 @@ func appendBatchResponse(buf []byte, res videodist.EventResult) []byte {
 
 // appendPayload appends a result's typed payload member (,"offer":{…},
 // ,"catalog":{…} and so on) — the one payload encoder behind stream
-// lines and batch elements. Decoded values must stay identical to the
-// stdlib encoding of the same result (the codec tests pin this), so
-// slice fields follow stdlib semantics exactly: nil marshals as null on
-// always-emitted fields and empty slices are dropped on omitempty
-// fields.
+// lines, batch elements and the /events body. Decoded values must stay
+// identical to the stdlib encoding of the same result (the codec tests
+// pin this), so slice fields follow stdlib semantics exactly: nil
+// marshals as null on always-emitted fields and empty slices are
+// dropped on omitempty fields.
 func appendPayload(buf []byte, res videodist.StreamResult) []byte {
 	switch {
 	case res.CatalogID != "":
@@ -653,7 +563,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				protoErr = perr
 				break
 			}
-			ev, seq := streamEvent(req), req.Seq
+			ev, seq := req.Routed(), req.Seq
 			dup := false
 			if sess != nil {
 				if dup, perr = streamclient.CheckSessionSeq(seq, base, lastSeq); perr != nil {

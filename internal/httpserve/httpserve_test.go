@@ -111,7 +111,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got eventResponse
+		var got streamclient.Result
 		if code := postEvent(t, ts, 1, streamclient.Event{Type: "offer", Stream: s}, &got); code != http.StatusOK {
 			t.Fatalf("offer %d: status %d", s, code)
 		}
@@ -124,14 +124,14 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 
 	// Churn and resolve round-trip through the same codec.
-	var leave eventResponse
+	var leave streamclient.Result
 	if code := postEvent(t, ts, 1, streamclient.Event{Type: "leave", User: 0}, &leave); code != http.StatusOK {
 		t.Fatalf("leave: status %d", code)
 	}
 	if leave.Churn == nil || !leave.Churn.Changed {
 		t.Fatalf("leave = %+v", leave)
 	}
-	var res eventResponse
+	var res streamclient.Result
 	if code := postEvent(t, ts, 1, streamclient.Event{Type: "resolve", Install: true}, &res); code != http.StatusOK {
 		t.Fatalf("resolve: status %d", code)
 	}
@@ -315,9 +315,9 @@ func TestHTTPBatchParity(t *testing.T) {
 	)
 
 	// Reference: N single posts.
-	var want []eventResponse
+	var want []streamclient.Result
 	for _, ev := range events {
-		var resp eventResponse
+		var resp streamclient.Result
 		if code := postEvent(t, singleTS, 0, ev, &resp); code != http.StatusOK {
 			t.Fatalf("single %+v: status %d", ev, code)
 		}
@@ -338,7 +338,7 @@ func TestHTTPBatchParity(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d", resp.StatusCode)
 	}
-	var got []eventResponse
+	var got []streamclient.Result
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -507,14 +507,14 @@ func TestHTTPCatalog(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(c))
 	defer ts.Close()
 
-	var first eventResponse
+	var first streamclient.Result
 	if code := postEvent(t, ts, 0, streamclient.Event{Type: "catalog-offer", CatalogID: "ch-003"}, &first); code != http.StatusOK {
 		t.Fatalf("catalog-offer: status %d", code)
 	}
 	if first.Catalog == nil || !first.Catalog.Admitted || first.Catalog.CostScale != 1 {
 		t.Fatalf("first catalog offer = %+v", first)
 	}
-	var second eventResponse
+	var second streamclient.Result
 	if code := postEvent(t, ts, 1, streamclient.Event{Type: "catalog-offer", CatalogID: "ch-003"}, &second); code != http.StatusOK {
 		t.Fatalf("second catalog-offer: status %d", code)
 	}
@@ -539,7 +539,7 @@ func TestHTTPCatalog(t *testing.T) {
 		t.Fatalf("catalog snapshot = %+v", snap)
 	}
 
-	var dep eventResponse
+	var dep streamclient.Result
 	if code := postEvent(t, ts, 1, streamclient.Event{Type: "catalog-depart", CatalogID: "ch-003"}, &dep); code != http.StatusOK {
 		t.Fatalf("catalog-depart: status %d", code)
 	}
@@ -614,11 +614,11 @@ func TestHTTPStreamParity(t *testing.T) {
 	}
 
 	// Reference: single posts (events + catalog tail).
-	var want []eventResponse
+	var want []streamclient.Result
 	for _, ev := range append(append([]streamclient.Event{}, schedule...), catalogTail...) {
 		req := streamclient.Event{Type: ev.Type, Stream: ev.Stream, User: ev.User,
 			Install: ev.Install, CatalogID: ev.CatalogID}
-		var resp eventResponse
+		var resp streamclient.Result
 		if code := postEvent(t, singleTS, ev.Tenant, req, &resp); code != http.StatusOK {
 			t.Fatalf("single %+v: status %d", ev, code)
 		}

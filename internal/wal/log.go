@@ -130,12 +130,6 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.opts.Dir }
-
-// Sync returns the configured durability policy.
-func (l *Log) Sync() SyncPolicy { return l.opts.Sync }
-
 // Empty reports whether the directory holds no segments or manifests.
 func (l *Log) Empty() bool {
 	l.mu.Lock()

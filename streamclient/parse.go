@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 
+	videodist "repro"
 	"repro/internal/ndjson"
 )
 
@@ -59,15 +60,74 @@ func parseEvent(line []byte, ids *ndjson.Interner) (Event, error) {
 // catalog event without one would otherwise apply as a plain event of
 // local stream 0).
 func CheckEvent(ev Event) error {
-	switch wireToken(ev.Type) {
-	case "":
+	k, ok := kindOf(ev.Type)
+	switch {
+	case !ok:
 		return fmt.Errorf("unknown event type %q", ev.Type)
-	case "catalog-offer", "catalog-depart":
-		if ev.CatalogID == "" {
-			return fmt.Errorf("%s needs catalog_id", ev.Type)
-		}
+	case k.catalog && ev.CatalogID == "":
+		return fmt.Errorf("%s needs catalog_id", ev.Type)
 	}
 	return nil
+}
+
+// eventKind is one entry of the protocol's event vocabulary: a wire
+// type name and the routed event it applies as.
+type eventKind struct {
+	name string
+	typ  videodist.ClusterEventType
+	// catalog marks a name whose routed event carries its catalog_id.
+	catalog bool
+}
+
+// eventKinds is the event vocabulary, the one place the wire type names
+// are spelled: the parser interns them, CheckEvent refuses what is not
+// here, Event.Routed maps a name to its routed event and TypeName maps
+// a routed event back. The catalog names route as arrivals and
+// departures that carry their catalog_id.
+var eventKinds = [...]eventKind{
+	{"offer", videodist.ClusterStreamArrival, false},
+	{"depart", videodist.ClusterStreamDeparture, false},
+	{"leave", videodist.ClusterUserLeave, false},
+	{"join", videodist.ClusterUserJoin, false},
+	{"resolve", videodist.ClusterResolve, false},
+	{"catalog-offer", videodist.ClusterStreamArrival, true},
+	{"catalog-depart", videodist.ClusterStreamDeparture, true},
+}
+
+// kindOf returns the vocabulary entry of a wire type name. Its name is
+// a constant, so a parser that stores it keeps no new string.
+func kindOf(name string) (eventKind, bool) {
+	for i := range eventKinds {
+		if eventKinds[i].name == name {
+			return eventKinds[i], true
+		}
+	}
+	return eventKind{}, false
+}
+
+// Routed maps the event onto the cluster event it applies as: its
+// type's routed type, with the catalog_id carried through by the
+// catalog types only. A type outside the vocabulary routes as type 0,
+// which the cluster refuses (CheckEvent refuses it before that).
+func (ev Event) Routed() videodist.ClusterEvent {
+	k, _ := kindOf(ev.Type)
+	out := videodist.ClusterEvent{Tenant: ev.Tenant, Type: k.typ, Stream: ev.Stream, User: ev.User, Install: ev.Install}
+	if k.catalog {
+		out.CatalogID = videodist.CatalogID(ev.CatalogID)
+	}
+	return out
+}
+
+// TypeName maps a routed event type back onto its wire name: the
+// catalog name when catalog is set (the event or result carries a
+// CatalogID), "" for a type with no wire name.
+func TypeName(typ videodist.ClusterEventType, catalog bool) string {
+	for i := range eventKinds {
+		if eventKinds[i].typ == typ && eventKinds[i].catalog == catalog {
+			return eventKinds[i].name
+		}
+	}
+	return ""
 }
 
 // CheckSessionSeq is the protocol's rule for the seq of a line on a
@@ -125,9 +185,11 @@ func parseCanonical(line []byte, ids *ndjson.Interner) (ev Event, ok bool) {
 		case "tenant":
 			ev.Tenant = s.Int()
 		case "type":
-			if ev.Type = wireToken(string(s.Str())); ev.Type == "" {
+			k, ok := kindOf(string(s.Str()))
+			if !ok {
 				s.Fail() // unknown token: let the stdlib path shape the error
 			}
+			ev.Type = k.name
 		case "stream":
 			ev.Stream = s.Int()
 		case "user":
@@ -141,28 +203,6 @@ func parseCanonical(line []byte, ids *ndjson.Interner) (ev Event, ok bool) {
 		}
 	}
 	return ev, s.Done()
-}
-
-// wireToken interns a wire type token so the hot path stores no new
-// string; unknown tokens return "".
-func wireToken(t string) string {
-	switch t {
-	case "offer":
-		return "offer"
-	case "depart":
-		return "depart"
-	case "leave":
-		return "leave"
-	case "join":
-		return "join"
-	case "resolve":
-		return "resolve"
-	case "catalog-offer":
-		return "catalog-offer"
-	case "catalog-depart":
-		return "catalog-depart"
-	}
-	return ""
 }
 
 // resultHead reads the seq and dup mark of a result line in the shape

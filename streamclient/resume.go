@@ -15,14 +15,15 @@ import (
 // the replay buffer, so it cannot grow without bound.
 var ErrWindowFull = errors.New("streamclient: session window full")
 
+// sessionWindow caps the unacked events a Session holds for replay.
+const sessionWindow = 8192
+
 // SessionOptions configures a resumable Session.
 type SessionOptions struct {
 	// ID is the session identity, required and caller-chosen (unique
 	// per logical client — a UUID, a hostname+pid). The server keys
 	// its dedup watermark by it, including across server restarts.
 	ID string
-	// Window caps unacked events held for replay (default 8192).
-	Window int
 	// MaxAttempts bounds the redials per outage (default 8); the
 	// attempt counter resets after every successful reconnect.
 	MaxAttempts int
@@ -78,9 +79,6 @@ func NewSession(baseURL string, opts SessionOptions) (*Session, error) {
 	if opts.ID == "" {
 		return nil, fmt.Errorf("streamclient: session needs an ID")
 	}
-	if opts.Window <= 0 {
-		opts.Window = 8192
-	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 8
 	}
@@ -112,7 +110,7 @@ func (s *Session) Send(ev Event) error {
 	if s.sendClosed {
 		return fmt.Errorf("streamclient: send side closed")
 	}
-	if len(s.unacked) >= s.opts.Window {
+	if len(s.unacked) >= sessionWindow {
 		return ErrWindowFull
 	}
 	s.nextSeq++

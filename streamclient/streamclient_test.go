@@ -12,6 +12,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	videodist "repro"
 )
 
 // TestFastParseMatchesStdlib pins the hand-rolled line scanner against
@@ -123,6 +125,56 @@ var wireEvents = []Event{
 	{Tenant: 3, Type: "catalog-offer", CatalogID: "espn-hd"},
 	{Seq: 99, Tenant: 3, Type: "catalog-depart", CatalogID: `we"ird\id`},
 	{Tenant: 4, Type: "catalog-offer", CatalogID: "żółć"},
+}
+
+// TestEventVocabulary pins the protocol's event vocabulary: each of
+// the seven wire type names routes to its cluster event — the catalog
+// names as arrivals and departures that keep their catalog_id, the
+// others dropping it — and TypeName maps the routed type and catalog
+// mark back to the same name. An unknown name routes to no type, has
+// no name, and is refused.
+func TestEventVocabulary(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		typ     videodist.ClusterEventType
+		catalog bool
+	}{
+		{"offer", videodist.ClusterStreamArrival, false},
+		{"depart", videodist.ClusterStreamDeparture, false},
+		{"leave", videodist.ClusterUserLeave, false},
+		{"join", videodist.ClusterUserJoin, false},
+		{"resolve", videodist.ClusterResolve, false},
+		{"catalog-offer", videodist.ClusterStreamArrival, true},
+		{"catalog-depart", videodist.ClusterStreamDeparture, true},
+	} {
+		ev := Event{Seq: 4, Tenant: 3, Type: tc.name, Stream: 5, User: 2, Install: true, CatalogID: "ch-007"}
+		want := videodist.ClusterEvent{Tenant: 3, Type: tc.typ, Stream: 5, User: 2, Install: true}
+		if tc.catalog {
+			want.CatalogID = "ch-007"
+		}
+		if got := ev.Routed(); got != want {
+			t.Errorf("%s routes to %+v, want %+v", tc.name, got, want)
+		}
+		if got := TypeName(tc.typ, tc.catalog); got != tc.name {
+			t.Errorf("TypeName(%d, %v) = %q, want %q", tc.typ, tc.catalog, got, tc.name)
+		}
+		if err := CheckEvent(ev); err != nil {
+			t.Errorf("CheckEvent refuses %s: %v", tc.name, err)
+		}
+	}
+	unknown := Event{Tenant: 3, Type: "teleport", CatalogID: "ch-007"}
+	if got := unknown.Routed(); got.Type != 0 || got.CatalogID != "" {
+		t.Errorf("an unknown name routes to %+v", got)
+	}
+	if got := TypeName(0, false); got != "" {
+		t.Errorf("TypeName of no type = %q", got)
+	}
+	if got := TypeName(videodist.ClusterUserLeave, true); got != "" {
+		t.Errorf("TypeName of a catalog leave = %q; leave has no catalog name", got)
+	}
+	if err := CheckEvent(unknown); err == nil {
+		t.Error("CheckEvent accepts an unknown name")
+	}
 }
 
 // TestEventAppendJSONMatchesStdlib pins the client-side event encoder

@@ -35,12 +35,16 @@
 // sessions with sentinel errors (ErrUnknownTenant, ErrQueueFull,
 // ErrClosed, ErrCanceled) and configurable backpressure; Resolve can
 // install the offline Theorem 1.1 solution make-before-break
-// (cmd/mmdserve is the CLI and HTTP/JSON front end). With
-// CatalogOptions the fleet shares streams across tenants (serving API
-// v3): OfferCatalogStream/DepartCatalogStream admit by fleet-wide
-// CatalogID under cross-shard reference counting, and the
-// CatalogSharedOrigin cost model charges later tenants only the
-// multicast-replication fraction of an already-transcoded origin.
+// (cmd/mmdserve is the CLI and HTTP/JSON front end). Every session
+// method is a projection of Cluster.Apply, which applies one
+// ClusterEvent and returns its StreamResult — the call a front end
+// holding a routed event makes (repro/streamclient's Event.Routed maps
+// a wire event onto one). With CatalogOptions the fleet shares streams
+// across tenants (serving API v3): OfferCatalogStream/
+// DepartCatalogStream admit by fleet-wide CatalogID under cross-shard
+// reference counting, and the CatalogSharedOrigin cost model charges
+// later tenants only the multicast-replication fraction of an
+// already-transcoded origin.
 // ApplyBatch applies a single-tenant event sequence as one shard
 // message (the batched-ingestion path), and OpenStream (serving API v4)
 // opens a persistent pipelined session — Submit events without waiting,
@@ -173,6 +177,9 @@ type (
 	// ClusterEvent is one routed tenant event; the element type of
 	// Cluster.ApplyBatch's input and Cluster's streaming Submit.
 	ClusterEvent = cluster.Event
+	// ClusterEventType discriminates ClusterEvent (ClusterStreamArrival
+	// and its siblings).
+	ClusterEventType = cluster.EventType
 	// EventResult is one typed per-event outcome of Cluster.ApplyBatch:
 	// the StreamResult a single call would assemble, with Seq 0.
 	EventResult = cluster.EventResult
