@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -29,21 +28,21 @@ func main() {
 
 func run(only string) error {
 	start := time.Now()
-	tables, err := experiments.All()
+	var tables []*experiments.Table
+	var err error
+	if only == "" {
+		tables, err = experiments.All()
+	} else {
+		var t *experiments.Table
+		t, err = experiments.Run(only)
+		tables = []*experiments.Table{t}
+	}
 	if err != nil {
 		return err
 	}
-	printed := 0
 	for _, t := range tables {
-		if only != "" && !strings.EqualFold(t.ID, only) {
-			continue
-		}
 		fmt.Println(t.Markdown())
-		printed++
 	}
-	if only != "" && printed == 0 {
-		return fmt.Errorf("no experiment named %q", only)
-	}
-	fmt.Printf("---\n%d experiments in %v\n", printed, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("---\n%d experiments in %v\n", len(tables), time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -12,7 +12,7 @@
 //	         [-cost-model isolated|shared|off] [-share-fraction 0.25]
 //	         [-wal-dir dir] [-wal-sync none|interval|batch] [-checkpoint-every n]
 //	         [-shed-p99 dur] [-shed-retry-after dur] [-stream-write-timeout dur]
-//	         [-http addr [-role node|catalog|router] [-nodes urls] [-catalog-url url]
+//	         [-http addr [-role catalog | -role node -catalog-url url | -role router -nodes urls]
 //	          | -stream url [-via stream|batch|single]]
 //
 // Without -http or -stream the deterministic report (fleet summary,
@@ -60,15 +60,15 @@
 // cluster whose registry is a wire client against -catalog-url, and
 // "router" fans /v1/stream sessions out across -nodes (comma-separated
 // node URLs, routing tenant → shard → node), merging per-node
-// snapshots into one fleet view. No process of such a fleet writes a
-// log, so every -role refuses -wal-dir. All processes must share the
-// tenant flags; a 3-process quickstart:
+// snapshots into one fleet view. The router reads the catalog through
+// its nodes, so it refuses -catalog-url. No process of such a fleet
+// writes a log, so every -role refuses -wal-dir. All processes must
+// share the tenant flags; a 4-process quickstart:
 //
 //	mmdserve -http :9101 -role catalog
 //	mmdserve -http :9102 -role node -catalog-url http://127.0.0.1:9101
 //	mmdserve -http :9103 -role node -catalog-url http://127.0.0.1:9101
-//	mmdserve -http :9100 -role router -nodes http://127.0.0.1:9102,http://127.0.0.1:9103 \
-//	         -catalog-url http://127.0.0.1:9101
+//	mmdserve -http :9100 -role router -nodes http://127.0.0.1:9102,http://127.0.0.1:9103
 //	mmdserve -stream http://127.0.0.1:9100
 //
 // The driven fleet's per-tenant table is byte-identical to a
@@ -136,7 +136,7 @@ func main() {
 	flag.StringVar(&via, "via", "stream", "remote submission path for -stream: stream, batch, or single")
 	flag.StringVar(&role, "role", "", "fleet role for -http (serving API v7): node (cluster against a remote catalog service), catalog (the registry service), router (stream fan-out tier); empty serves the whole fleet in one process")
 	flag.StringVar(&nodesCSV, "nodes", "", "comma-separated node base URLs in node-index order (-role router)")
-	flag.StringVar(&catalogURL, "catalog-url", "", "catalog service base URL (-role node; optional for -role router's merged snapshot)")
+	flag.StringVar(&catalogURL, "catalog-url", "", "catalog service base URL (-role node)")
 	flag.Parse()
 	switch {
 	case httpAddr != "":
@@ -341,7 +341,8 @@ func serve(cfg config, addr string, log io.Writer) error {
 // serveHTTP serves the whole fleet, or with a role one process of a
 // multi-process fleet. No such process writes a log: a node's registry
 // is remote, and the WAL logs the registry's operations in process. So
-// every role refuses -wal-dir, before it listens.
+// every role refuses -wal-dir, before it listens. The router refuses
+// -catalog-url too: it reads the catalog through its nodes.
 func serveHTTP(cfg config, role, addr, nodesCSV, catalogURL string, log io.Writer) error {
 	if role != "" && cfg.walDir != "" {
 		return fmt.Errorf("-role %s cannot take -wal-dir: no process of a multi-process fleet writes a log", role)
@@ -354,7 +355,10 @@ func serveHTTP(cfg config, role, addr, nodesCSV, catalogURL string, log io.Write
 	case "catalog":
 		return serveCatalog(cfg, addr, log)
 	case "router":
-		return serveRouter(cfg, addr, nodesCSV, catalogURL, log)
+		if catalogURL != "" {
+			return fmt.Errorf("-role router cannot take -catalog-url: the router reads the catalog through its nodes")
+		}
+		return serveRouter(cfg, addr, nodesCSV, log)
 	}
 	return fmt.Errorf("unknown -role %q (want node, catalog, or router)", role)
 }
@@ -402,7 +406,7 @@ func serveCatalog(cfg config, addr string, log io.Writer) error {
 // plan's routing modulus (0 uses -tenants, one logical shard per
 // tenant); it is pinned for the router's lifetime and independent of
 // the nodes' internal shard counts.
-func serveRouter(cfg config, addr, nodesCSV, catalogURL string, log io.Writer) error {
+func serveRouter(cfg config, addr, nodesCSV string, log io.Writer) error {
 	if nodesCSV == "" {
 		return fmt.Errorf("-role router needs -nodes")
 	}
@@ -417,10 +421,9 @@ func serveRouter(cfg config, addr, nodesCSV, catalogURL string, log io.Writer) e
 		shards = cfg.tenants
 	}
 	rt, err := fleet.NewRouter(fleet.Options{
-		Plan:       fleet.Plan{Nodes: len(urls), Shards: shards},
-		Nodes:      urls,
-		CatalogURL: catalogURL,
-		ID:         fmt.Sprintf("router-%d-%d", os.Getpid(), time.Now().UnixNano()),
+		Plan:  fleet.Plan{Nodes: len(urls), Shards: shards},
+		Nodes: urls,
+		ID:    fmt.Sprintf("router-%d-%d", os.Getpid(), time.Now().UnixNano()),
 	})
 	if err != nil {
 		return err

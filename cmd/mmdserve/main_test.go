@@ -162,3 +162,19 @@ func TestRolesRefuseWALDir(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterRefusesCatalogURL pins that -role router refuses
+// -catalog-url before it listens, naming the flag: the router reads
+// the catalog through its nodes.
+func TestRouterRefusesCatalogURL(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	url := "http://" + ln.Addr().String()
+	err = serveHTTP(defaultTestConfig(), "router", ln.Addr().String(), url, url, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-catalog-url") {
+		t.Errorf("-role router -catalog-url: err %v, want a refusal naming -catalog-url", err)
+	}
+}

@@ -292,7 +292,7 @@ type ShardStats struct {
 // message is the shard channel payload: an event (with the caller's
 // in-flight entry, nil for fire-and-forget replay), a single-tenant
 // event batch when batch is non-nil, even empty (see ApplyBatch; acks[i]
-// is batch[i]'s entry), or a barrier request when snap is non-nil. An
+// is batch[i]'s entry), or a snapshot barrier when snap is non-nil. An
 // entry's completion channel always has room for the delivery (see
 // streamPending, StreamConn.acks and ApplyBatch), so the worker never
 // blocks delivering a result, even when the caller has abandoned the
@@ -302,13 +302,17 @@ type message struct {
 	ack   *streamPending
 	batch []Event
 	acks  []streamPending
-	snap  chan shardReport
+	snap  *barrier
 }
 
-type shardReport struct {
-	stats ShardStats
-	snaps map[int]headend.TenantSnapshot
-	err   error
+// barrier is one snapshot barrier in flight: the snapshot under
+// construction, into which each shard worker writes its own ShardStats
+// entry and its own tenants' rows, and the channel each worker then
+// replies on with its latched error (capacity len(shards), so no worker
+// blocks).
+type barrier struct {
+	fs   *FleetSnapshot
+	done chan error
 }
 
 type shard struct {
@@ -421,29 +425,26 @@ type Cluster struct {
 	// it, and only after draining it — a call abandoned on context
 	// cancellation never recycles (the worker may still deliver into
 	// it), it leaves it to the garbage collector instead. Snapshot's
-	// barrier buffers follow the same rule: the reply channel and the
-	// per-shard snapshot maps come from pools, and Snapshot returns them
-	// only after the barrier fully drained.
+	// barrier follows the same rule: it comes from a pool, and Snapshot
+	// returns it only after every shard replied.
 	callPool    sync.Pool // *streamPending with its own one-slot done channel
-	snapChPool  sync.Pool // chan shardReport, capacity len(shards)
-	snapMapPool sync.Pool // map[int]headend.TenantSnapshot
+	barrierPool sync.Pool // *barrier, done capacity len(shards)
 
 	mu     sync.RWMutex
 	closed bool
 
-	// Durability plane (wlog nil when Options.WAL is nil); see wal.go.
-	// walSeq is the global sequence counter every worker and the
-	// registry's logger stamp from; walCatApp is the catalog plane's
-	// active appender, loaded by the registry's logger and by every worker's
-	// commit hand-off, stored at rotation. walLive marks a cluster whose
-	// WAL is actively logging (false during recovery replay); it is
-	// written only while workers are quiesced. ckptKick/ckptQuit/ckptDone
-	// drive the automatic checkpoint goroutine; ckptEvery is
-	// Options.WAL.CheckpointEvery as the worker-side modulus.
+	// Durability plane; see wal.go. wlog is the live log: nil when
+	// Options.WAL is nil, and during recovery replay until the log goes
+	// live (see goLive). walSeq is the global sequence counter every
+	// worker and the registry's logger stamp from; walCatApp is the
+	// catalog plane's active appender, loaded by the registry's logger
+	// and by every worker's commit hand-off, stored at rotation.
+	// ckptKick/ckptQuit/ckptDone drive the automatic checkpoint
+	// goroutine; ckptEvery is Options.WAL.CheckpointEvery as the
+	// worker-side modulus.
 	wlog      *wal.Log
 	walSeq    atomic.Uint64
 	walCatApp atomic.Pointer[wal.Appender]
-	walLive   bool
 	ckptKick  chan struct{}
 	ckptQuit  chan struct{}
 	ckptDone  chan struct{}
@@ -623,7 +624,7 @@ func (c *Cluster) Reshard(newShards int) error {
 	if err != nil {
 		return err
 	}
-	if c.walLive {
+	if c.wlog != nil {
 		m := c.manifestFor(fs, "reshard")
 		m.Shards = newShards
 		if err := c.wlog.Rotate(&m, wal.ShardWriters(newShards, c.catalog != nil)); err != nil {
@@ -640,7 +641,7 @@ func (c *Cluster) Reshard(newShards int) error {
 		<-sh.done
 	}
 	c.startShards(newShards, false)
-	if c.walLive {
+	if c.wlog != nil {
 		return c.attachAppenders()
 	}
 	return nil
@@ -687,38 +688,31 @@ func (c *Cluster) Snapshot() (*FleetSnapshot, error) {
 // lock additionally guarantees no send is in flight and the queues
 // stay empty until release.
 func (c *Cluster) barrierSnapshot() (*FleetSnapshot, error) {
-	// The barrier reuses one pooled reply channel for all shards (its
-	// capacity is len(shards), so workers never block) and pooled
-	// per-shard snapshot maps; both go back to their pools only after
-	// the barrier fully drained, so a pooled buffer is never in flight.
+	// Every worker writes its rows straight into the snapshot and
+	// replies on the pooled barrier, which goes back to its pool only
+	// after every shard replied, so a pooled barrier is never in flight.
 	// The capacity re-check matters after a reshard grows the fleet.
-	replies, _ := c.snapChPool.Get().(chan shardReport)
-	if replies == nil || cap(replies) < len(c.shards) {
-		replies = make(chan shardReport, len(c.shards))
-	}
-	for _, sh := range c.shards {
-		sh.ch <- message{snap: replies}
+	b, _ := c.barrierPool.Get().(*barrier)
+	if b == nil || cap(b.done) < len(c.shards) {
+		b = &barrier{done: make(chan error, len(c.shards))}
 	}
 	fs := &FleetSnapshot{
-		Shards:      len(c.shards),
-		Tenants:     make([]headend.TenantSnapshot, len(c.tenants)),
-		ShardStats:  make([]ShardStats, len(c.shards)),
-		AllFeasible: true,
+		Shards:     len(c.shards),
+		Tenants:    make([]headend.TenantSnapshot, len(c.tenants)),
+		ShardStats: make([]ShardStats, len(c.shards)),
+	}
+	b.fs = fs
+	for _, sh := range c.shards {
+		sh.ch <- message{snap: b}
 	}
 	var firstErr error
 	for range c.shards {
-		rep := <-replies
-		fs.ShardStats[rep.stats.Shard] = rep.stats
-		for i, snap := range rep.snaps {
-			fs.Tenants[i] = snap
-		}
-		clear(rep.snaps)
-		c.snapMapPool.Put(rep.snaps)
-		if rep.err != nil && firstErr == nil {
-			firstErr = rep.err
+		if err := <-b.done; err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	c.snapChPool.Put(replies)
+	b.fs = nil
+	c.barrierPool.Put(b)
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -729,22 +723,7 @@ func (c *Cluster) barrierSnapshot() (*FleetSnapshot, error) {
 		// keeping the section deterministic.
 		fs.Catalog = c.catalog.Snapshot()
 	}
-	for i := range c.tenants {
-		snap := fs.Tenants[i]
-		fs.Utility += snap.Utility
-		fs.Offered += snap.StreamsOffered
-		fs.Admitted += snap.StreamsAdmitted
-		fs.Departed += snap.StreamsDeparted
-		fs.Leaves += snap.UserLeaves
-		fs.Joins += snap.UserJoins
-		fs.Resolves += snap.Resolves
-		fs.Installs += snap.Installs
-		fs.ActiveStreams += snap.ActiveStreams
-		fs.Pairs += snap.Pairs
-		if !snap.Feasible {
-			fs.AllFeasible = false
-		}
-	}
+	fs.SumTenants()
 	return fs, nil
 }
 
@@ -762,7 +741,7 @@ func (c *Cluster) Close() error {
 		return nil
 	}
 	var closeMan *wal.Manifest
-	if c.wlog != nil && c.walLive {
+	if c.wlog != nil {
 		if fs, err := c.barrierSnapshot(); err == nil {
 			m := c.manifestFor(fs, "close")
 			closeMan = &m
@@ -817,7 +796,11 @@ func (c *Cluster) worker(sh *shard) {
 			// acknowledged state.
 			sh.window = 0
 			c.drainCommits(sh)
-			msg.snap <- c.reportShard(sh)
+			msg.snap.fs.ShardStats[sh.id] = sh.stats
+			for _, i := range sh.tenants {
+				msg.snap.fs.Tenants[i] = c.tenants[i].Snapshot()
+			}
+			msg.snap.done <- sh.err
 		case msg.batch != nil:
 			// A batch (ApplyBatch) closes the open window, and each run of
 			// arrivals inside it is one window, however long.
@@ -1266,19 +1249,4 @@ func (c *Cluster) resolve(sh *shard, tenant int, install, background bool) (Reso
 		OnlineValue:  out.OnlineValue,
 		OfflineValue: out.OfflineValue,
 	}, nil
-}
-
-// reportShard snapshots the shard's stats and its tenants (called on
-// the worker goroutine only). The snapshot map comes from the barrier
-// pool; Snapshot drains, clears, and recycles it after the barrier.
-func (c *Cluster) reportShard(sh *shard) shardReport {
-	snaps, _ := c.snapMapPool.Get().(map[int]headend.TenantSnapshot)
-	if snaps == nil {
-		snaps = make(map[int]headend.TenantSnapshot, len(sh.tenants))
-	}
-	rep := shardReport{stats: sh.stats, snaps: snaps, err: sh.err}
-	for _, i := range sh.tenants {
-		rep.snaps[i] = c.tenants[i].Snapshot()
-	}
-	return rep
 }

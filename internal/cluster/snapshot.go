@@ -33,6 +33,29 @@ type FleetSnapshot struct {
 	Catalog *catalog.Snapshot
 }
 
+// SumTenants sets the fleet-wide sums and AllFeasible from Tenants,
+// walking them in tenant order — the one reduction behind a cluster's
+// barrier and a fleet router's merge.
+func (fs *FleetSnapshot) SumTenants() {
+	fs.Utility = 0
+	fs.Offered, fs.Admitted, fs.Departed, fs.Leaves, fs.Joins = 0, 0, 0, 0, 0
+	fs.Resolves, fs.Installs, fs.ActiveStreams, fs.Pairs = 0, 0, 0, 0
+	fs.AllFeasible = true
+	for _, ts := range fs.Tenants {
+		fs.Utility += ts.Utility
+		fs.Offered += ts.StreamsOffered
+		fs.Admitted += ts.StreamsAdmitted
+		fs.Departed += ts.StreamsDeparted
+		fs.Leaves += ts.UserLeaves
+		fs.Joins += ts.UserJoins
+		fs.Resolves += ts.Resolves
+		fs.Installs += ts.Installs
+		fs.ActiveStreams += ts.ActiveStreams
+		fs.Pairs += ts.Pairs
+		fs.AllFeasible = fs.AllFeasible && ts.Feasible
+	}
+}
+
 // Render returns the snapshot as deterministic text tables (fleet
 // summary, per-shard, per-tenant). Two runs with the same seed and
 // options produce byte-identical output.

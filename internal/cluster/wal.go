@@ -106,8 +106,8 @@ type RecoveryReport struct {
 	// CheckpointGen is the newest checkpoint generation whose manifest
 	// render the replayed state was verified against (0 when the log
 	// had no checkpoint); CheckpointVerified reports the byte-compare
-	// passed. Replay pauses at every fence in order and verifies each
-	// one — FencesVerified counts them.
+	// passed. The one-pass replay verifies every fence in order as it
+	// crosses it — FencesVerified counts them.
 	CheckpointGen      int  `json:"checkpoint_gen,omitempty"`
 	CheckpointVerified bool `json:"checkpoint_verified"`
 	FencesVerified     int  `json:"fences_verified,omitempty"`
@@ -133,7 +133,7 @@ type RecoveryReport struct {
 }
 
 // walStart opens a fresh durability log for a newly built cluster
-// (the New path; Recover has its own sequence).
+// (the New path; Recover replays an existing one first).
 func (c *Cluster) walStart() error {
 	l, err := wal.Open(c.walLogOptions())
 	if err != nil {
@@ -143,15 +143,9 @@ func (c *Cluster) walStart() error {
 		_ = l.Close(nil)
 		return fmt.Errorf("cluster: WAL directory %q already holds a log — use Recover", c.opts.WAL.Dir)
 	}
-	if err := l.Begin(wal.ShardWriters(len(c.shards), c.catalog != nil)); err != nil {
-		_ = l.Close(nil)
+	if err := c.goLive(l); err != nil {
 		return err
 	}
-	c.wlog = l
-	if err := c.attachAppenders(); err != nil {
-		return err
-	}
-	c.goLive()
 	c.startCheckpointLoop()
 	return nil
 }
@@ -179,13 +173,23 @@ func (c *Cluster) attachAppenders() error {
 	return nil
 }
 
-// goLive flips a replay-mode cluster into logging mode. Workers must
-// be idle (replay fed and barrier-drained, no external traffic yet).
-func (c *Cluster) goLive() {
+// goLive puts l live: it begins the log's next generation, attaches
+// the appenders and leaves replay mode. Workers must be idle (a fresh
+// cluster, or a replay fed and barrier-drained, no external traffic
+// yet). c.wlog is set only here, so a non-nil c.wlog is a live log.
+func (c *Cluster) goLive(l *wal.Log) error {
+	if err := l.Begin(wal.ShardWriters(len(c.shards), c.catalog != nil)); err != nil {
+		_ = l.Close(nil)
+		return err
+	}
+	c.wlog = l
+	if err := c.attachAppenders(); err != nil {
+		return err
+	}
 	for _, sh := range c.shards {
 		sh.replay = false
 	}
-	c.walLive = true
+	return nil
 }
 
 // logEvent appends one applied event to the shard's segment, stamping
@@ -195,7 +199,7 @@ func (c *Cluster) goLive() {
 func (c *Cluster) logEvent(sh *shard, ev *Event) {
 	rec := wal.Record{
 		Seq:     c.walSeq.Add(1),
-		Type:    eventTypeToken(ev.Type),
+		Type:    eventTokens[ev.Type],
 		Tenant:  ev.Tenant,
 		Stream:  ev.Stream,
 		User:    ev.User,
@@ -250,85 +254,35 @@ func (c *Cluster) startCheckpointLoop() {
 	}()
 }
 
-// eventTypeToken maps a cluster event type onto the shared codec
-// vocabulary (internal/wal).
-func eventTypeToken(t EventType) string {
-	switch t {
-	case EventStreamArrival:
-		return wal.TypeStreamArrival
-	case EventStreamDeparture:
-		return wal.TypeStreamDeparture
-	case EventUserLeave:
-		return wal.TypeUserLeave
-	case EventUserJoin:
-		return wal.TypeUserJoin
-	case EventResolve:
-		return wal.TypeResolve
+// eventTokens and settleTokens spell the log's vocabulary (internal/wal's
+// tokens), indexed by routed event type and by settlement op; replay
+// reads them backwards with fromToken. Index 0 is neither, and spells "".
+var (
+	eventTokens = [...]string{
+		EventStreamArrival:   wal.TypeStreamArrival,
+		EventStreamDeparture: wal.TypeStreamDeparture,
+		EventUserLeave:       wal.TypeUserLeave,
+		EventUserJoin:        wal.TypeUserJoin,
+		EventResolve:         wal.TypeResolve,
 	}
-	return ""
-}
+	settleTokens = [...]string{
+		catalog.SettleCommit:         wal.OpCommit,
+		catalog.SettleRecharge:       wal.OpRecharge,
+		catalog.SettleRelease:        wal.OpRelease,
+		catalog.SettleReleasePending: wal.OpReleasePending,
+		catalog.SettleAdopt:          wal.OpAdopt,
+	}
+)
 
-// eventFromRecord rebuilds the as-applied event from its log record.
-func eventFromRecord(r *wal.Record) (Event, error) {
-	var typ EventType
-	switch r.Type {
-	case wal.TypeStreamArrival:
-		typ = EventStreamArrival
-	case wal.TypeStreamDeparture:
-		typ = EventStreamDeparture
-	case wal.TypeUserLeave:
-		typ = EventUserLeave
-	case wal.TypeUserJoin:
-		typ = EventUserJoin
-	case wal.TypeResolve:
-		typ = EventResolve
-	default:
-		return Event{}, fmt.Errorf("cluster: replay: record seq %d: unexpected type %q", r.Seq, r.Type)
+// fromToken returns the index tokens spells tok at: 0 for a token it
+// does not know.
+func fromToken(tokens []string, tok string) int {
+	for i, t := range tokens {
+		if t == tok {
+			return i
+		}
 	}
-	return Event{
-		Tenant:      r.Tenant,
-		Type:        typ,
-		Stream:      r.Stream,
-		User:        r.User,
-		Install:     r.Install,
-		CostScale:   r.Scale,
-		CatalogID:   catalog.ID(r.Catalog),
-		originPayer: r.Origin,
-	}, nil
-}
-
-// settleOpToken / settleOpFromToken map registry settlement ops onto
-// the shared codec vocabulary.
-func settleOpToken(op catalog.SettleOp) string {
-	switch op {
-	case catalog.SettleCommit:
-		return wal.OpCommit
-	case catalog.SettleRecharge:
-		return wal.OpRecharge
-	case catalog.SettleRelease:
-		return wal.OpRelease
-	case catalog.SettleReleasePending:
-		return wal.OpReleasePending
-	case catalog.SettleAdopt:
-		return wal.OpAdopt
-	}
-	return ""
-}
-
-func settleOpFromToken(s string) (catalog.SettleOp, error) {
-	switch s {
-	case wal.OpCommit:
-		return catalog.SettleCommit, nil
-	case wal.OpRecharge:
-		return catalog.SettleRecharge, nil
-	case wal.OpRelease:
-		return catalog.SettleRelease, nil
-	case wal.OpReleasePending:
-		return catalog.SettleReleasePending, nil
-	case wal.OpAdopt:
-		return catalog.SettleAdopt, nil
-	}
-	return 0, fmt.Errorf("cluster: replay: unknown settle op %q", s)
+	return 0
 }
 
 // catalogWALLogger is the registry-plane appender: called under the
@@ -357,7 +311,7 @@ func (l *catalogWALLogger) LogSettle(s catalog.Settlement) {
 		Type:    wal.TypeCatalogSettle,
 		Tenant:  s.Tenant,
 		Catalog: string(s.ID),
-		Op:      settleOpToken(s.Op),
+		Op:      settleTokens[s.Op],
 		Full:    s.Full,
 		Charged: s.Charged,
 		Origin:  s.Origin,
@@ -394,7 +348,7 @@ func (c *Cluster) Checkpoint(reason string) (*wal.Manifest, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
-	if c.wlog == nil || !c.walLive {
+	if c.wlog == nil {
 		return nil, ErrNoWAL
 	}
 	fs, err := c.barrierSnapshot()
@@ -413,16 +367,16 @@ func (c *Cluster) Checkpoint(reason string) (*wal.Manifest, error) {
 
 // Recover rebuilds a fleet from a durability log directory: it loads
 // every segment (truncating torn final lines — the crash signature),
-// replays the event plane through the normal worker ingest path and
-// the registry plane into the registry, pauses at every checkpoint
-// fence to verify the rebuilt state against its manifest's renders
-// (so a divergence is caught at the first fence after it), repairs the torn
-// window between the two planes, and goes live on a fresh segment
-// generation opened by a "recovered" checkpoint. tenants must be the
-// same configs (same instances, same policy construction) the crashed
-// cluster was built with — replay determinism is the caller's contract
-// exactly as it is for shard-count invariance; opts.Shards may differ
-// freely.
+// replays the log in one pass in sequence order — the event plane
+// through the normal worker ingest path, the registry plane into the
+// registry — verifying each checkpoint fence against its manifest's
+// renders as the replay crosses it (so a divergence is caught at the
+// first fence after it), repairs the torn window between the two
+// planes, and goes live on a fresh segment generation opened by a
+// "recovered" checkpoint. tenants must be the same configs (same
+// instances, same policy construction) the crashed cluster was built
+// with — replay determinism is the caller's contract exactly as it is
+// for shard-count invariance; opts.Shards may differ freely.
 func Recover(tenants []TenantConfig, opts Options) (*Cluster, *RecoveryReport, error) {
 	if opts.WAL == nil || opts.WAL.Dir == "" {
 		return nil, nil, ErrNoWAL
@@ -431,76 +385,67 @@ func Recover(tenants []TenantConfig, opts Options) (*Cluster, *RecoveryReport, e
 	if err != nil {
 		return nil, nil, err
 	}
-	l, err := wal.Open(c.walLogOptions())
-	if err != nil {
+	fail := func(err error) (*Cluster, *RecoveryReport, error) {
 		c.Close()
 		return nil, nil, err
 	}
-	c.wlog = l
+	l, err := wal.Open(c.walLogOptions())
+	if err != nil {
+		return fail(err)
+	}
 	replay, err := l.ReadAll()
 	if err != nil {
-		c.Close()
-		return nil, nil, err
+		return fail(err)
 	}
 	rep := &RecoveryReport{MaxSeq: replay.MaxSeq}
 	for f := range replay.Truncated {
 		rep.TruncatedSegments = append(rep.TruncatedSegments, f)
 	}
 	sort.Strings(rep.TruncatedSegments)
-	for i := range replay.Records {
-		r := &replay.Records[i]
-		if r.Sess != "" && r.CSeq > 0 {
-			if rep.SessionWatermarks == nil {
-				rep.SessionWatermarks = make(map[string]uint64)
-			}
-			if r.CSeq > rep.SessionWatermarks[r.Sess] {
-				rep.SessionWatermarks[r.Sess] = r.CSeq
-			}
-		}
-	}
 
-	fail := func(err error) (*Cluster, *RecoveryReport, error) {
-		c.Close()
-		return nil, nil, err
-	}
-	// Replay from genesis, pausing at every checkpoint fence to
-	// byte-compare the rebuilt renders against its manifest — each
-	// fence is a verification waypoint, so corruption in any window is
-	// caught at the first fence after it, not only if it survives to
-	// the final render.
-	fence := uint64(0)
-	for i := range replay.Manifests {
-		m := &replay.Manifests[i]
+	// Each fence is a verification waypoint: the rebuilt renders are
+	// byte-compared against its manifest before the first record past
+	// it is fed, so corruption in any window is caught at the first
+	// fence after it, not only if it survives to the final render.
+	fences := replay.Manifests
+	verify := func(m *wal.Manifest) error {
 		if m.Seq > replay.MaxSeq {
-			return fail(fmt.Errorf("cluster: recover: log ends at seq %d, before checkpoint fence %d (segments missing)",
-				replay.MaxSeq, m.Seq))
-		}
-		ev, cat, err := c.feedReplay(replay.Records, fence, m.Seq)
-		rep.Events, rep.CatalogOps = rep.Events+ev, rep.CatalogOps+cat
-		if err != nil {
-			return fail(err)
+			return fmt.Errorf("cluster: recover: log ends at seq %d, before checkpoint fence %d (segments missing)",
+				replay.MaxSeq, m.Seq)
 		}
 		if err := c.verifyManifest(m); err != nil {
-			return fail(err)
+			return err
 		}
 		rep.CheckpointGen, rep.CheckpointVerified = m.Gen, true
 		rep.FencesVerified++
-		fence = m.Seq
+		return nil
 	}
-	ev, cat, err := c.feedReplay(replay.Records, fence, ^uint64(0))
-	rep.Events, rep.CatalogOps = rep.Events+ev, rep.CatalogOps+cat
-	if err != nil {
+	for i := range replay.Records {
+		r := &replay.Records[i]
+		for ; len(fences) > 0 && fences[0].Seq < r.Seq; fences = fences[1:] {
+			if err := verify(&fences[0]); err != nil {
+				return fail(err)
+			}
+		}
+		if err := c.feedReplay(r, rep); err != nil {
+			return fail(err)
+		}
+	}
+	for ; len(fences) > 0; fences = fences[1:] {
+		if err := verify(&fences[0]); err != nil {
+			return fail(err)
+		}
+	}
+	// The last barrier: every replayed event has applied, and the
+	// workers are idle for go-live.
+	if _, err := c.Snapshot(); err != nil {
 		return fail(err)
 	}
 
 	c.walSeq.Store(replay.MaxSeq)
-	if err := l.Begin(wal.ShardWriters(len(c.shards), c.catalog != nil)); err != nil {
+	if err := c.goLive(l); err != nil {
 		return fail(err)
 	}
-	if err := c.attachAppenders(); err != nil {
-		return fail(err)
-	}
-	c.goLive()
 	if c.registry != nil {
 		// Drain the acquisitions the crash left in flight — through the
 		// normal, logged settlement path, so the log itself records the
@@ -558,58 +503,48 @@ func (c *Cluster) verifyManifest(m *wal.Manifest) error {
 	return nil
 }
 
-// feedReplay drives log records with from < Seq <= to into the
-// cluster: event-plane records go through the shard channels
-// (fire-and-forget, exactly the normal ingest path), registry-plane
-// records replay synchronously into the registry. The final barrier
-// (Snapshot) is the caller's job.
-func (c *Cluster) feedReplay(recs []wal.Record, from, to uint64) (events, catOps int, err error) {
-	for i := range recs {
-		r := &recs[i]
-		if r.Seq <= from || r.Seq > to {
-			continue
+// feedReplay is one step of the replay: a registry-plane record
+// replays synchronously into the registry, an event goes to its
+// tenant's shard (fire-and-forget, exactly the normal ingest path). It
+// counts the record into rep and raises its session's watermark there.
+func (c *Cluster) feedReplay(r *wal.Record, rep *RecoveryReport) error {
+	if r.Sess != "" && r.CSeq > rep.SessionWatermarks[r.Sess] {
+		if rep.SessionWatermarks == nil {
+			rep.SessionWatermarks = make(map[string]uint64)
 		}
-		switch r.Type {
-		case wal.TypeCatalogAcquire:
-			if c.registry == nil {
-				return events, catOps, fmt.Errorf("cluster: replay: catalog record seq %d without a catalog", r.Seq)
-			}
-			if err := c.registry.ReplayAcquire(catalog.ID(r.Catalog), r.Tenant, r.Scale, r.Origin); err != nil {
-				return events, catOps, err
-			}
-			catOps++
-		case wal.TypeCatalogSettle:
-			if c.registry == nil {
-				return events, catOps, fmt.Errorf("cluster: replay: catalog record seq %d without a catalog", r.Seq)
-			}
-			op, err := settleOpFromToken(r.Op)
-			if err != nil {
-				return events, catOps, err
-			}
-			if err := c.registry.ReplaySettle(catalog.Settlement{
-				Op: op, ID: catalog.ID(r.Catalog), Tenant: r.Tenant,
-				Full: r.Full, Charged: r.Charged, Origin: r.Origin,
-			}); err != nil {
-				return events, catOps, err
-			}
-			catOps++
-		default:
-			ev, err := eventFromRecord(r)
-			if err != nil {
-				return events, catOps, err
-			}
-			if ev.Tenant < 0 || ev.Tenant >= len(c.tenants) {
-				return events, catOps, fmt.Errorf("cluster: replay: record seq %d: tenant %d out of range [0,%d)",
-					r.Seq, ev.Tenant, len(c.tenants))
-			}
-			c.shards[c.shardOf[ev.Tenant]].ch <- message{ev: ev}
-			events++
+		rep.SessionWatermarks[r.Sess] = r.CSeq
+	}
+	if r.Type == wal.TypeCatalogAcquire || r.Type == wal.TypeCatalogSettle {
+		if c.registry == nil {
+			return fmt.Errorf("cluster: replay: catalog record seq %d without a catalog", r.Seq)
 		}
+		rep.CatalogOps++
+		if r.Type == wal.TypeCatalogAcquire {
+			return c.registry.ReplayAcquire(catalog.ID(r.Catalog), r.Tenant, r.Scale, r.Origin)
+		}
+		op := catalog.SettleOp(fromToken(settleTokens[:], r.Op))
+		if op == 0 {
+			return fmt.Errorf("cluster: replay: unknown settle op %q", r.Op)
+		}
+		return c.registry.ReplaySettle(catalog.Settlement{
+			Op: op, ID: catalog.ID(r.Catalog), Tenant: r.Tenant,
+			Full: r.Full, Charged: r.Charged, Origin: r.Origin,
+		})
 	}
-	if _, err := c.Snapshot(); err != nil {
-		return events, catOps, err
+	typ := EventType(fromToken(eventTokens[:], r.Type))
+	if typ == 0 {
+		return fmt.Errorf("cluster: replay: record seq %d: unexpected type %q", r.Seq, r.Type)
 	}
-	return events, catOps, nil
+	if r.Tenant < 0 || r.Tenant >= len(c.tenants) {
+		return fmt.Errorf("cluster: replay: record seq %d: tenant %d out of range [0,%d)",
+			r.Seq, r.Tenant, len(c.tenants))
+	}
+	c.shards[c.shardOf[r.Tenant]].ch <- message{ev: Event{
+		Tenant: r.Tenant, Type: typ, Stream: r.Stream, User: r.User, Install: r.Install,
+		CostScale: r.Scale, CatalogID: catalog.ID(r.Catalog), originPayer: r.Origin,
+	}}
+	rep.Events++
+	return nil
 }
 
 // reconcileCatalog repairs the torn window between the two log planes

@@ -663,11 +663,10 @@ func e15MultiNode(cfg E15Config, nodes, shards, mi int) ([]string, bool, error) 
 		return chaos.ConnScript{}
 	}, nil)
 	rt, err := fleet.NewRouter(fleet.Options{
-		Plan:       fleet.Plan{Nodes: nodes, Shards: shards},
-		Nodes:      urls,
-		CatalogURL: catURL,
-		ID:         fmt.Sprintf("e15-mn-%d-%s", shards, m.name),
-		Dial:       dial,
+		Plan:  fleet.Plan{Nodes: nodes, Shards: shards},
+		Nodes: urls,
+		ID:    fmt.Sprintf("e15-mn-%d-%s", shards, m.name),
+		Dial:  dial,
 	})
 	if err != nil {
 		return nil, false, err

@@ -92,41 +92,59 @@ func verdict(ok bool) string {
 	return "VIOLATED"
 }
 
+// index lists every experiment with its default parameters, in index
+// order.
+var index = []struct {
+	id  string
+	run func() (*Table, error)
+}{
+	{"E1", func() (*Table, error) { return E1GreedyRatio(DefaultE1()) }},
+	{"E2", func() (*Table, error) { return E2ReducedBudget(DefaultE2()) }},
+	{"E3", func() (*Table, error) { return E3SkewSweep(DefaultE3()) }},
+	{"E4", func() (*Table, error) { return E4PipelineRatio(DefaultE4()) }},
+	{"E5", func() (*Table, error) { return E5Tightness(DefaultE5()) }},
+	{"E6", func() (*Table, error) { return E6OnlineRatio(DefaultE6()) }},
+	{"E7", func() (*Table, error) { return E7GreedyScaling(DefaultE7()) }},
+	{"E8", func() (*Table, error) { return E8PartialEnum(DefaultE8()) }},
+	{"E9", func() (*Table, error) { return E9VsThreshold(DefaultE9()) }},
+	{"E10", func() (*Table, error) { return E10EndToEnd(DefaultE10()) }},
+	{"E11", func() (*Table, error) { return E11Churn(DefaultE11()) }},
+	{"E12", func() (*Table, error) { return E12Cluster(DefaultE12()) }},
+	{"E13", func() (*Table, error) { return E13SharedCatalog(DefaultE13()) }},
+	{"E14", func() (*Table, error) { return E14CrashRecovery(DefaultE14()) }},
+	{"E15", func() (*Table, error) { return E15ChaosDrills(DefaultE15()) }},
+	{"E16", func() (*Table, error) { return E16FlashCrowd(DefaultE16()) }},
+	{"E17", func() (*Table, error) { return E17CompetitiveStress(DefaultE17()) }},
+	{"A1", func() (*Table, error) { return A1LiftAblation(DefaultA1()) }},
+	{"A2", func() (*Table, error) { return A2BlockingFamily(DefaultA2()) }},
+	{"A3", func() (*Table, error) { return A3MuSensitivity(DefaultA3()) }},
+}
+
 // All runs every experiment with default parameters and returns the
 // tables in index order. Failures abort with the experiment's error.
 func All() ([]*Table, error) {
-	runs := []struct {
-		name string
-		fn   func() (*Table, error)
-	}{
-		{"E1", func() (*Table, error) { return E1GreedyRatio(DefaultE1()) }},
-		{"E2", func() (*Table, error) { return E2ReducedBudget(DefaultE2()) }},
-		{"E3", func() (*Table, error) { return E3SkewSweep(DefaultE3()) }},
-		{"E4", func() (*Table, error) { return E4PipelineRatio(DefaultE4()) }},
-		{"E5", func() (*Table, error) { return E5Tightness(DefaultE5()) }},
-		{"E6", func() (*Table, error) { return E6OnlineRatio(DefaultE6()) }},
-		{"E7", func() (*Table, error) { return E7GreedyScaling(DefaultE7()) }},
-		{"E8", func() (*Table, error) { return E8PartialEnum(DefaultE8()) }},
-		{"E9", func() (*Table, error) { return E9VsThreshold(DefaultE9()) }},
-		{"E10", func() (*Table, error) { return E10EndToEnd(DefaultE10()) }},
-		{"E11", func() (*Table, error) { return E11Churn(DefaultE11()) }},
-		{"E12", func() (*Table, error) { return E12Cluster(DefaultE12()) }},
-		{"E13", func() (*Table, error) { return E13SharedCatalog(DefaultE13()) }},
-		{"E14", func() (*Table, error) { return E14CrashRecovery(DefaultE14()) }},
-		{"E15", func() (*Table, error) { return E15ChaosDrills(DefaultE15()) }},
-		{"E16", func() (*Table, error) { return E16FlashCrowd(DefaultE16()) }},
-		{"E17", func() (*Table, error) { return E17CompetitiveStress(DefaultE17()) }},
-		{"A1", func() (*Table, error) { return A1LiftAblation(DefaultA1()) }},
-		{"A2", func() (*Table, error) { return A2BlockingFamily(DefaultA2()) }},
-		{"A3", func() (*Table, error) { return A3MuSensitivity(DefaultA3()) }},
-	}
-	out := make([]*Table, 0, len(runs))
-	for _, r := range runs {
-		t, err := r.fn()
+	out := make([]*Table, 0, len(index))
+	for _, e := range index {
+		t, err := Run(e.id)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.name, err)
+			return nil, err
 		}
 		out = append(out, t)
 	}
 	return out, nil
+}
+
+// Run runs the one experiment named id (E1..E17, A1..A3, in any case)
+// with default parameters.
+func Run(id string) (*Table, error) {
+	for _, e := range index {
+		if strings.EqualFold(e.id, id) {
+			t, err := e.run()
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", e.id, err)
+			}
+			return t, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: no experiment named %q", id)
 }

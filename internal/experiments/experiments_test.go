@@ -320,3 +320,23 @@ func TestE7Scaling(t *testing.T) {
 		t.Fatal("E7 rows missing")
 	}
 }
+
+// TestRunOneExperiment pins the index's lookup by ID: one ID, in any
+// case, runs exactly that experiment with its default parameters, and
+// an unknown ID errors naming it.
+func TestRunOneExperiment(t *testing.T) {
+	got, err := Run("a2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := A2BlockingFamily(DefaultA2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != "A2" || got.Markdown() != want.Markdown() {
+		t.Fatalf("Run(%q) returned %s:\n%s\nwant:\n%s", "a2", got.ID, got.Markdown(), want.Markdown())
+	}
+	if _, err := Run("E99"); err == nil || !strings.Contains(err.Error(), `"E99"`) {
+		t.Fatalf("Run(%q): err %v, want an error naming it", "E99", err)
+	}
+}

@@ -99,11 +99,10 @@ func buildFleetDial(t *testing.T, nodes, shards int, model catalog.CostModel, di
 		urls[k] = srv.URL
 	}
 	rt, err := NewRouter(Options{
-		Plan:       Plan{Nodes: nodes, Shards: shards},
-		Nodes:      urls,
-		CatalogURL: catSrv.URL,
-		ID:         fmt.Sprintf("test-n%d-s%d-%s", nodes, shards, model.Name()),
-		Dial:       dial,
+		Plan:  Plan{Nodes: nodes, Shards: shards},
+		Nodes: urls,
+		ID:    fmt.Sprintf("test-n%d-s%d-%s", nodes, shards, model.Name()),
+		Dial:  dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -867,5 +866,37 @@ func TestRouterCatalogRelayAllocations(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(400, event); avg != 0 {
 		t.Fatalf("one relayed catalog event allocates %.2f times, want 0", avg)
+	}
+}
+
+// TestRouterCatalogIsTheService pins the router's one catalog source:
+// after traffic through the router, its GET /v1/catalog (proxied from
+// node 0, which reads the registry through its wire client) returns
+// the same bytes as the catalog service's own GET /v1/catalog.
+func TestRouterCatalogIsTheService(t *testing.T) {
+	rig := buildFleetDial(t, 2, 4, catalog.SharedOrigin{ReplicationFraction: 0.25}, nil)
+	driveConn(t, rig.routerURL, fleetSchedule(120, 31))
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
+		}
+		return body
+	}
+	got, want := get(rig.routerURL+"/v1/catalog"), get(rig.catURL+"/v1/catalog")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("router /v1/catalog differs from the catalog service's:\n--- router\n%s\n--- service\n%s", got, want)
+	}
+	if !bytes.Contains(want, []byte(`"refs"`)) {
+		t.Fatalf("catalog service reports no entries after traffic: %s", want)
 	}
 }

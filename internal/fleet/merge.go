@@ -10,12 +10,13 @@ import (
 // MergeSnapshots folds per-node snapshots into one fleet view. Every
 // node runs a full cluster, so each snapshot has a row for every
 // tenant; the merge takes each tenant's row from its owning node
-// (the only node that received its events), recomputes the fleet-wide
-// sums from the merged rows exactly as the cluster's barrier does, and
-// concatenates the nodes' shard tables with globally renumbered shard
-// indexes. cat, when non-nil, is the fleet catalog state read from the
-// catalog service (the nodes' own snapshots carry no registry — it
-// lives in its own process).
+// (the only node that received its events), sets the fleet-wide sums
+// from the merged rows with the cluster barrier's own reduction
+// (FleetSnapshot.SumTenants), and concatenates the nodes' shard tables
+// with globally renumbered shard indexes. cat is the merged snapshot's
+// catalog section: the router passes the first node snapshot's, since
+// every node reports the one registry (through its wire client when the
+// registry lives in the catalog service).
 //
 // The merged per-tenant section is the node-count-invariance artifact:
 // for a deterministic submission sequence it is bit-identical to the
@@ -39,28 +40,13 @@ func MergeSnapshots(plan Plan, snaps []*cluster.FleetSnapshot, cat *catalog.Snap
 		}
 	}
 	fs := &cluster.FleetSnapshot{
-		Tenants:     make([]cluster.TenantSnapshot, tenants),
-		AllFeasible: true,
-		Catalog:     cat,
+		Tenants: make([]cluster.TenantSnapshot, tenants),
+		Catalog: cat,
 	}
 	for t := 0; t < tenants; t++ {
 		fs.Tenants[t] = snaps[plan.NodeOfTenant(t)].Tenants[t]
 	}
-	for _, snap := range fs.Tenants {
-		fs.Utility += snap.Utility
-		fs.Offered += snap.StreamsOffered
-		fs.Admitted += snap.StreamsAdmitted
-		fs.Departed += snap.StreamsDeparted
-		fs.Leaves += snap.UserLeaves
-		fs.Joins += snap.UserJoins
-		fs.Resolves += snap.Resolves
-		fs.Installs += snap.Installs
-		fs.ActiveStreams += snap.ActiveStreams
-		fs.Pairs += snap.Pairs
-		if !snap.Feasible {
-			fs.AllFeasible = false
-		}
-	}
+	fs.SumTenants()
 	for _, s := range snaps {
 		offset := fs.Shards
 		for _, st := range s.ShardStats {

@@ -24,13 +24,10 @@ import (
 type Options struct {
 	// Plan maps tenants to nodes; Plan.Nodes must equal len(Nodes).
 	Plan Plan
-	// Nodes are the node base URLs in node-index order.
+	// Nodes are the node base URLs in node-index order. Every node
+	// reports the fleet's one registry, so the merged snapshot's catalog
+	// section and the /v1/catalog proxy read it through them.
 	Nodes []string
-	// CatalogURL is the catalog service base URL, used for the merged
-	// snapshot's registry section and the /v1/catalog proxy. Empty
-	// falls back to the registry section the nodes themselves report
-	// (each node's snapshot reads it through its remote client).
-	CatalogURL string
 	// ID prefixes the router's upstream session IDs. Distinct routers
 	// sharing nodes must use distinct IDs; a restarted router reusing
 	// its ID resumes its upstream watermarks. Default "router".
@@ -351,9 +348,11 @@ func relayLine(out, line []byte, seq int) []byte {
 }
 
 // handleSnapshot merges the nodes' barrier snapshots into the fleet
-// view (see MergeSnapshots).
+// view (see MergeSnapshots), taking its catalog section from the first
+// node snapshot that has one.
 func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	snaps := make([]*cluster.FleetSnapshot, len(rt.opts.Nodes))
+	var cat *catalog.Snapshot
 	for n, base := range rt.opts.Nodes {
 		var fs cluster.FleetSnapshot
 		if err := rt.getJSON(base+"/v1/fleet/snapshot", &fs); err != nil {
@@ -361,20 +360,8 @@ func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		snaps[n] = &fs
-	}
-	var cat *catalog.Snapshot
-	if rt.opts.CatalogURL != "" {
-		cat = new(catalog.Snapshot)
-		if err := rt.getJSON(rt.opts.CatalogURL+"/v1/catalog", cat); err != nil {
-			writeRouterError(w, http.StatusBadGateway, fmt.Errorf("catalog service: %w", err))
-			return
-		}
-	} else {
-		for _, s := range snaps {
-			if s.Catalog != nil {
-				cat = s.Catalog
-				break
-			}
+		if cat == nil {
+			cat = fs.Catalog
 		}
 	}
 	merged, err := MergeSnapshots(rt.opts.Plan, snaps, cat)
@@ -386,14 +373,10 @@ func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(merged)
 }
 
-// handleCatalog proxies the registry snapshot from the catalog service
-// (or node 0 when the fleet runs an in-process catalog).
+// handleCatalog proxies the registry snapshot from node 0, which
+// reports the fleet's one registry.
 func (rt *Router) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	base := rt.opts.CatalogURL
-	if base == "" {
-		base = rt.opts.Nodes[0]
-	}
-	resp, err := rt.httpc.Get(base + "/v1/catalog")
+	resp, err := rt.httpc.Get(rt.opts.Nodes[0] + "/v1/catalog")
 	if err != nil {
 		writeRouterError(w, http.StatusBadGateway, err)
 		return
