@@ -48,11 +48,11 @@
 //
 // Serving is resilient by default (see internal/httpserve): /v1/stream
 // connections may claim a resumable session (X-Stream-Session) whose
-// seq watermark — recovered from the WAL across restarts — keeps
-// client replays exactly-once; -stream-write-timeout disconnects
-// consumers that stop reading instead of pinning handler goroutines;
-// and -shed-p99 turns saturation into fast 503 + Retry-After responses
-// instead of unbounded queueing.
+// applied set — owned by the cluster, and rebuilt from the WAL by the
+// recovery itself — keeps client replays exactly-once;
+// -stream-write-timeout disconnects consumers that stop reading instead
+// of pinning handler goroutines; and -shed-p99 turns saturation into
+// fast 503 + Retry-After responses instead of unbounded queueing.
 //
 // With -role the same binary becomes one process of a distributed
 // fleet (serving API v7, see internal/fleet): "catalog" serves the
@@ -327,11 +327,6 @@ func serve(cfg config, addr string, log io.Writer) error {
 		ShedP99:            cfg.shedP99,
 		RetryAfter:         cfg.shedRetryAfter,
 		StreamWriteTimeout: cfg.streamWriteTimeout,
-	}
-	if rep != nil {
-		// Recovered fleets carry their resume watermarks forward, so a
-		// client replaying into the restarted server stays exactly-once.
-		opts.Sessions = rep.SessionWatermarks
 	}
 	fmt.Fprintf(log, "mmdserve: %d tenants on %d shards, policy=%s, listening on %s\n",
 		c.NumTenants(), c.NumShards(), cfg.policy, addr)

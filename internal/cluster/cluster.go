@@ -165,15 +165,12 @@ type Event struct {
 	// settlement that balances it must say so. Set only by the acquire
 	// paths inside this package (never caller-visible).
 	originPayer bool
-	// Session and SessionSeq tie the event to a resumable ingestion
-	// session: the client-chosen session id and the client-assigned
-	// per-session sequence number (1-based; 0 = not session-tracked).
-	// They never affect how the event applies — they are stamped into
-	// the WAL record so recovery can rebuild each session's dedup
-	// watermark (RecoveryReport.SessionWatermarks) and a resuming
-	// client's replayed events are applied at most once. Set by the
-	// serving layer's stream handler.
-	Session    string
+	// session and SessionSeq tie the event to a resumable session: its
+	// ID, stamped only by a session stream, and the client-assigned seq
+	// (1-based), cleared on every other event. They never affect how
+	// the event applies; the WAL logs them so that Recover can rebuild
+	// each session's applied set (see resume.go).
+	session    string
 	SessionSeq uint64
 }
 
@@ -449,6 +446,8 @@ type Cluster struct {
 	ckptQuit  chan struct{}
 	ckptDone  chan struct{}
 	ckptEvery uint64
+	sessMu    sync.Mutex
+	sessions  map[string]*session // resumable sessions by ID (resume.go)
 }
 
 // New builds the cluster and starts one worker per shard. Tenant i is
@@ -480,10 +479,11 @@ func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, er
 	}
 	opts = opts.withDefaults(len(tenants))
 	c := &Cluster{
-		opts:    opts,
-		tenants: make([]*headend.Tenant, len(tenants)),
-		shardOf: make([]int, len(tenants)),
-		churn:   make([]int, len(tenants)),
+		opts:     opts,
+		tenants:  make([]*headend.Tenant, len(tenants)),
+		shardOf:  make([]int, len(tenants)),
+		churn:    make([]int, len(tenants)),
+		sessions: make(map[string]*session),
 	}
 	if opts.WAL != nil {
 		c.ckptEvery = uint64(max(opts.WAL.CheckpointEvery, 0))

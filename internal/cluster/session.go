@@ -219,7 +219,8 @@ func (c *Cluster) Apply(ctx context.Context, ev Event) (StreamResult, error) {
 // event: its type must be a serving event type, and what a caller may
 // not supply is cleared — the pricing (discounts and fleet references
 // are granted only by the catalog's own acquire protocol, never by a
-// caller-supplied event) and a CatalogID on a type with no catalog form.
+// caller-supplied event), a CatalogID on a type with no catalog form,
+// and a session seq outside a session stream.
 func normalize(ev *Event) error {
 	switch ev.Type {
 	case EventStreamArrival, EventStreamDeparture:
@@ -229,6 +230,9 @@ func normalize(ev *Event) error {
 		return fmt.Errorf("cluster: unknown event type %d", ev.Type)
 	}
 	ev.CostScale, ev.originPayer = 0, false
+	if ev.session == "" {
+		ev.SessionSeq = 0
+	}
 	return nil
 }
 

@@ -49,6 +49,9 @@ type StreamOptions struct {
 	// until the receiver drains a result or its ctx is done, whatever
 	// the cluster's own shard-queue mode.
 	Window int
+	// Session names the stream's resumable session: each event's client
+	// seq is its SessionSeq, and an applied one is answered as a dup.
+	Session string
 }
 
 // StreamResult is one event's typed outcome, delivered in submission
@@ -62,7 +65,7 @@ type StreamOptions struct {
 // failure before the shard queue leaves the payload zero.
 type StreamResult struct {
 	// Seq is the event's submission index on this stream (0-based; 0 in
-	// a batch).
+	// a batch), or its client seq on a session stream.
 	Seq int
 	// Type echoes the event's type.
 	Type EventType
@@ -80,6 +83,8 @@ type StreamResult struct {
 	Catalog CatalogResult
 	// Err is the per-event error; the stream itself stays usable.
 	Err error
+	// Dup marks a session stream's answer to an already applied seq.
+	Dup bool
 }
 
 // streamPending is one single event's caller-side context and its
@@ -102,10 +107,11 @@ type streamPending struct {
 	fullCost float64
 	res      result
 	done     chan *streamPending
-	// ready marks a stream entry whose completion Recv has consumed;
-	// next links the connection's free list.
-	ready bool
-	next  *streamPending
+	// ready marks a stream entry whose completion Recv has consumed,
+	// and dup an already applied session seq; next links the
+	// connection's free list.
+	ready, dup bool
+	next       *streamPending
 }
 
 // StreamConn is a persistent, pipelined ingestion session (serving API
@@ -120,6 +126,11 @@ type StreamConn struct {
 	sendClosed bool
 	seq        int
 	pending    chan *streamPending
+	// A session stream's session, its applied set at open, last seq.
+	sess    *session
+	applied appliedSet
+	last    uint64
+	release sync.Once // lets the session go, at Close
 	// chunk is the uncarved rest of the newest entry chunk and carved
 	// counts the entries carved so far. Each chunk is as large as all
 	// before it, up to 1,024 entries (about 280 KiB) and to the most a
@@ -151,20 +162,31 @@ type StreamConn struct {
 // OpenStream opens a streaming ingestion session over the cluster. The
 // connection stays valid until CloseSend (graceful: Recv drains the
 // remaining results, then reports io.EOF) or until the cluster closes.
+// A session stream waits while another stream holds its session.
 func (c *Cluster) OpenStream(opts StreamOptions) (*StreamConn, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
 	if opts.Window <= 0 {
 		opts.Window = 64
 	}
-	return &StreamConn{
+	sc := &StreamConn{
 		c:       c,
 		pending: make(chan *streamPending, opts.Window),
 		acks:    make(chan *streamPending, opts.Window+1),
-	}, nil
+	}
+	if opts.Session != "" {
+		// Claimed before c.mu, never under it: the holder may be parked
+		// on c.mu in route behind a queued Reshard or Close, and must
+		// reach its Close to let go.
+		sc.sess = c.session(opts.Session)
+		sc.sess.claim.Lock()
+		sc.applied = sc.sess.applied
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.closed {
+		sc.Close()
+		return nil, ErrClosed
+	}
+	return sc, nil
 }
 
 // Submit pipelines one event onto the stream: it reserves the next
@@ -178,10 +200,12 @@ func (c *Cluster) OpenStream(opts StreamOptions) (*StreamConn, error) {
 // settling the fleet reference in FIFO order.
 //
 // Submit fails only when no window slot could be reserved (ErrClosed
-// after CloseSend, ErrCanceled);
-// every other failure — unknown tenant or catalog stream, a full shard
-// queue, a closed cluster — is delivered in-band as the event's
-// StreamResult.Err, keeping the one-result-per-event contract.
+// after CloseSend, ErrCanceled) or a session seq is refused
+// (ErrSessionSeq, see CheckSessionSeq); every other failure — unknown
+// tenant or catalog stream, a full shard queue, a closed cluster — is
+// delivered in-band as the event's StreamResult.Err, keeping the
+// one-result-per-event contract. An already applied session seq takes
+// its window slot but crosses no shard.
 func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -198,8 +222,16 @@ func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
+	seq, dup := sc.seq, false
+	if sc.sess != nil {
+		below, err := CheckSessionSeq(ev.SessionSeq, sc.applied.high+1, sc.last)
+		if err != nil {
+			return err
+		}
+		seq, dup, ev.session = int(ev.SessionSeq), below && sc.applied.has(ev.SessionSeq), sc.sess.id
+	}
 	p := sc.take()
-	*p = streamPending{seq: sc.seq, typ: ev.Type, id: ev.CatalogID, done: sc.acks}
+	*p = streamPending{seq: seq, typ: ev.Type, id: ev.CatalogID, dup: dup, done: sc.acks}
 	if done := ctx.Done(); done == nil {
 		sc.pending <- p
 	} else {
@@ -210,8 +242,10 @@ func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 			return fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
 		}
 	}
-	sc.seq++
-	if err := sc.c.route(ctx, ev, p); err != nil {
+	sc.seq, sc.last = sc.seq+1, ev.SessionSeq
+	if dup {
+		p.done <- p
+	} else if err := sc.c.route(ctx, ev, p); err != nil {
 		p.res = result{err: err}
 		p.done <- p
 	}
@@ -377,6 +411,9 @@ func (sc *StreamConn) settleHead() StreamResult {
 	p := sc.head
 	sc.head = nil
 	out := assembleResult(p)
+	if sc.sess != nil && !p.dup {
+		sc.sess.applied.advance(uint64(p.seq))
+	}
 	if poisonRecycled != nil {
 		poisonRecycled(p)
 	}
@@ -424,6 +461,8 @@ func assembleResult(p *streamPending) StreamResult {
 	res := &p.res
 	out := StreamResult{Seq: p.seq, Type: p.typ, CatalogID: p.id, Err: res.err}
 	switch {
+	case p.dup:
+		out.Dup = true
 	case p.id != "" && p.typ == EventStreamArrival:
 		out.Catalog = CatalogResult{
 			Admitted:    res.offer.Accepted,
@@ -472,9 +511,19 @@ func (sc *StreamConn) CloseSend() {
 // Close abandons the stream: the submit side is closed and any unread
 // results are discarded. Every in-flight event still applies and
 // settles on its shard worker (catalog references included), so closing
-// mid-stream leaks nothing. Safe to call at any time, from any
-// goroutine, including after CloseSend.
+// mid-stream leaks nothing. A session stream must be closed: Close
+// receives its in-flight results before the next stream may claim the
+// session. Safe to call at any time, from any goroutine, including
+// after CloseSend.
 func (sc *StreamConn) Close() error {
 	sc.CloseSend()
+	if sc.sess != nil {
+		for {
+			if _, err := sc.Recv(context.Background()); err != nil {
+				break // io.EOF: every result is recorded
+			}
+		}
+		sc.release.Do(sc.sess.claim.Unlock)
+	}
 	return nil
 }

@@ -123,13 +123,6 @@ type RecoveryReport struct {
 	// Gen is the active segment generation after recovery (the
 	// "recovered" checkpoint opens it).
 	Gen int `json:"gen"`
-	// SessionWatermarks maps each resumable ingestion session id found
-	// in the log to its highest replayed client sequence number (see
-	// Event.Session). The serving layer seeds its dedup table from
-	// this map, so a client resuming across a server crash replays its
-	// unacked events and every one the log already holds is applied at
-	// most once.
-	SessionWatermarks map[string]uint64 `json:"session_watermarks,omitempty"`
 }
 
 // walStart opens a fresh durability log for a newly built cluster
@@ -207,7 +200,7 @@ func (c *Cluster) logEvent(sh *shard, ev *Event) {
 		Catalog: string(ev.CatalogID),
 		Scale:   ev.CostScale,
 		Origin:  ev.originPayer,
-		Sess:    ev.Session,
+		Sess:    ev.session,
 		CSeq:    ev.SessionSeq,
 	}
 	if err := sh.wal.Append(&rec); err != nil && sh.err == nil {
@@ -373,10 +366,11 @@ func (c *Cluster) Checkpoint(reason string) (*wal.Manifest, error) {
 // renders as the replay crosses it (so a divergence is caught at the
 // first fence after it), repairs the torn window between the two
 // planes, and goes live on a fresh segment generation opened by a
-// "recovered" checkpoint. tenants must be the same configs (same
-// instances, same policy construction) the crashed cluster was built
-// with — replay determinism is the caller's contract exactly as it is
-// for shard-count invariance; opts.Shards may differ freely.
+// "recovered" checkpoint, every session's applied set rebuilt (see
+// resume.go). tenants must be the same configs (same instances, same
+// policy construction) the crashed cluster was built with — replay
+// determinism is the caller's contract exactly as it is for
+// shard-count invariance; opts.Shards may differ freely.
 func Recover(tenants []TenantConfig, opts Options) (*Cluster, *RecoveryReport, error) {
 	if opts.WAL == nil || opts.WAL.Dir == "" {
 		return nil, nil, ErrNoWAL
@@ -506,13 +500,10 @@ func (c *Cluster) verifyManifest(m *wal.Manifest) error {
 // feedReplay is one step of the replay: a registry-plane record
 // replays synchronously into the registry, an event goes to its
 // tenant's shard (fire-and-forget, exactly the normal ingest path). It
-// counts the record into rep and raises its session's watermark there.
+// counts the record into rep and adds it to its session's applied set.
 func (c *Cluster) feedReplay(r *wal.Record, rep *RecoveryReport) error {
-	if r.Sess != "" && r.CSeq > rep.SessionWatermarks[r.Sess] {
-		if rep.SessionWatermarks == nil {
-			rep.SessionWatermarks = make(map[string]uint64)
-		}
-		rep.SessionWatermarks[r.Sess] = r.CSeq
+	if r.Sess != "" {
+		c.session(r.Sess).applied.add(r.CSeq)
 	}
 	if r.Type == wal.TypeCatalogAcquire || r.Type == wal.TypeCatalogSettle {
 		if c.registry == nil {

@@ -132,6 +132,29 @@ func e15DrainRefs(c *cluster.Cluster) (bool, error) {
 	return true, nil
 }
 
+// e15AllApplied replays the whole schedule on session sid of a
+// recovered fleet and reports whether every event comes back a dup: the
+// applied set the recovery rebuilt holds each seq. Dups cross no shard.
+func e15AllApplied(c *cluster.Cluster, sid string, schedule []streamclient.Event) (bool, error) {
+	sc, err := c.OpenStream(cluster.StreamOptions{Session: sid})
+	if err != nil {
+		return false, err
+	}
+	defer sc.Close()
+	ctx := context.Background()
+	for i, ev := range schedule {
+		rev := ev.Routed()
+		rev.SessionSeq = uint64(i + 1)
+		if err := sc.Submit(ctx, rev); err != nil {
+			return false, err
+		}
+		if res, err := sc.Recv(ctx); err != nil || !res.Dup || res.Seq != i+1 {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 // e15Control builds a fault-free fleet, applies the first n schedule
 // events, and returns its renders.
 func e15Control(cfg E15Config, shards int, model catalog.CostModel, schedule []streamclient.Event) (*cluster.Cluster, error) {
@@ -166,11 +189,11 @@ func e15Tenants(cfg E15Config) ([]cluster.TenantConfig, error) {
 // through the real HTTP front end by a resumable streamclient.Session
 // while a seeded chaos listener cuts, stalls, and partial-writes the
 // connections under it. The client reconnects with backoff and replays
-// its unacked window; the server's session watermark turns replays of
+// its unacked window; the session's applied set turns replays of
 // already-applied events into dup acknowledgements. The fleet is then
 // abandoned (crash) and recovered into a different shard count; its
 // renders must match a control fleet that applied the same schedule
-// over a connection that never failed.
+// over a connection that never failed, and a replay must be all dups.
 func e15Disconnect(cfg E15Config, shards, recoverShards int, mi int) ([]string, bool, error) {
 	m := e15Models[mi]
 	schedule := e15Schedule(cfg)
@@ -270,7 +293,7 @@ func e15Disconnect(cfg E15Config, shards, recoverShards int, mi int) ([]string, 
 	}
 	recOpts := opts
 	recOpts.Shards = recoverShards
-	recovered, rep, err := cluster.Recover(tenants, recOpts)
+	recovered, _, err := cluster.Recover(tenants, recOpts)
 	if err != nil {
 		return nil, false, fmt.Errorf("storm recover %d->%d (%s): %w", shards, recoverShards, m.name, err)
 	}
@@ -279,7 +302,10 @@ func e15Disconnect(cfg E15Config, shards, recoverShards int, mi int) ([]string, 
 		return nil, false, err
 	}
 	identical := gotTables == wantTables && gotCat == wantCat
-	watermarkOK := rep.SessionWatermarks[sid] == uint64(len(schedule))
+	appliedOK, err := e15AllApplied(recovered, sid, schedule)
+	if err != nil {
+		return nil, false, err
+	}
 	refsZero, err := e15DrainRefs(recovered)
 	if err != nil {
 		return nil, false, err
@@ -288,10 +314,10 @@ func e15Disconnect(cfg E15Config, shards, recoverShards int, mi int) ([]string, 
 		return nil, false, err
 	}
 
-	ok := identical && watermarkOK && refsZero && redials >= 2
+	ok := identical && appliedOK && refsZero && redials >= 2
 	row := []string{
 		"disconnect", d(shards), d(recoverShards), m.name, d(len(schedule)),
-		fmt.Sprintf("redials=%d dups=%d watermark=%v", redials, dups, watermarkOK),
+		fmt.Sprintf("redials=%d dups=%d applied=%v", redials, dups, appliedOK),
 		fmt.Sprintf("%v", identical),
 		fmt.Sprintf("%v", refsZero),
 	}
@@ -586,7 +612,7 @@ func e15FlashCrowd(cfg E15Config, shards, recoverShards int, mi int) ([]string, 
 // processes, and a router (serving API v7) serve the schedule while a
 // chaos dialer cuts the router's first node connections mid-stream.
 // The router's upstream sessions redial and replay their unacked
-// window; the nodes' watermarks turn replays into dup acknowledgements,
+// window; the nodes' applied sets turn replays into dup acknowledgements,
 // so no event is double-applied even though the fault hits after a node
 // may have applied the in-flight event. The merged fleet snapshot must
 // render bit-identical to a 1-process control, and the registry must
@@ -793,7 +819,7 @@ func e15MultiNode(cfg E15Config, nodes, shards, mi int) ([]string, bool, error) 
 // fleet cell that cuts the router→node hop instead of the client hop.
 // The claim holds when every recovery (and the merged fleet) renders
 // bit-identical to its control, no event is ever double-applied
-// (watermark dedup + reference audit), and post-fault submissions fail
+// (applied-set dedup + reference audit), and post-fault submissions fail
 // fast instead of acking non-durable state.
 func E15ChaosDrills(cfg E15Config) (*Table, error) {
 	t := &Table{

@@ -343,6 +343,87 @@ func TestRouterSessionResume(t *testing.T) {
 	_ = sess2.Close()
 }
 
+// TestRouterRestartRefusesMidSessionResume pins what a replacement
+// router with the same Options can resume. Its client table lives only
+// in memory, so a client resuming at seq 4 after seqs 1–3 went through
+// the first router is refused: trusting it would renumber its events
+// upstream from 1, and the node would answer dups for events it never
+// saw. A replay from seq 1 reaches the same node sessions, whose
+// applied sets answer every applied event with a dup, and applies the
+// rest.
+func TestRouterRestartRefusesMidSessionResume(t *testing.T) {
+	model := catalog.Isolated{}
+	evs := fleetSchedule(6, 53)
+	ref := buildCluster(t, 2, model, nil)
+	refSrv := httptest.NewServer(httpserve.NewHandler(ref))
+	driveConn(t, refSrv.URL, evs)
+	refFS := fetchSnapshot(t, refSrv.URL)
+	refSrv.Close()
+
+	rig := buildFleetDial(t, 2, 2, model, nil)
+	first, err := streamclient.NewSession(rig.routerURL, streamclient.SessionOptions{ID: "restart-client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range evs[:3] {
+		if err := first.Send(ev); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := first.Recv(); err != nil || res.Seq != i+1 || res.Dup || res.Error != "" {
+			t.Fatalf("first router, seq %d: %+v, %v", i+1, res, err)
+		}
+	}
+	_ = first.Close()
+	rig.router.Close() // the first router dies, and its upstream sessions with it
+
+	rt, err := NewRouter(rig.router.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := httptest.NewServer(rt.Handler())
+	defer srv.Close()
+
+	conn, err := streamclient.DialWith(srv.URL, streamclient.DialOptions{
+		Header: map[string]string{"X-Stream-Session": "restart-client"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := evs[3]
+	mid.Seq = 4
+	if err := conn.Send(mid); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := conn.Recv()
+	if err != nil || res.Seq != -1 || res.Error != "session stream: seq 4 skips past watermark 0" {
+		t.Fatalf("mid-session resume through the replacement router = %+v, %v; want the seq -1 refusal", res, err)
+	}
+	conn.Close()
+
+	replay, err := streamclient.NewSession(srv.URL, streamclient.SessionOptions{ID: "restart-client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replay.Close()
+	for i, ev := range evs {
+		if err := replay.Send(ev); err != nil {
+			t.Fatal(err)
+		}
+		res, err := replay.Recv()
+		if wantDup := i < 3; err != nil || res.Seq != i+1 || res.Dup != wantDup || res.Error != "" {
+			t.Fatalf("replay seq %d = %+v, %v; want dup %v", i+1, res, err, wantDup)
+		}
+	}
+	if got := fetchSnapshot(t, srv.URL).RenderTenants(); got != refFS.RenderTenants() {
+		t.Fatalf("replayed fleet diverges from the uninterrupted reference:\n--- fleet\n%s\n--- reference\n%s",
+			got, refFS.RenderTenants())
+	}
+}
+
 // TestRouterReshard reshards a 2-node fleet through the router
 // mid-schedule: every node hands its tenants to new shard workers, the
 // router reports the summed shard count, and the fleet keeps landing

@@ -30,7 +30,8 @@ type Options struct {
 	Nodes []string
 	// ID prefixes the router's upstream session IDs. Distinct routers
 	// sharing nodes must use distinct IDs; a restarted router reusing
-	// its ID resumes its upstream watermarks. Default "router".
+	// its ID takes back client sessions replayed from seq 1, but not
+	// mid-session (client watermarks live in memory). Default "router".
 	ID string
 	// Dial replaces net.Dial for router→node stream connections (the
 	// chaos seam, see internal/chaos.Dialer).
@@ -40,7 +41,7 @@ type Options struct {
 // Router fans streaming ingestion out across the fleet's nodes. It
 // holds transport state only — client watermarks and upstream
 // sessions — never assignment state; killing a router loses no fleet
-// state (clients resume through any router with the same upstream ID).
+// state (see Options.ID for what a replacement resumes).
 //
 // Forwarding is serial per client connection: one event in flight at a
 // time, its result written back before the next line is read. That
@@ -162,9 +163,9 @@ func (rt *Router) node(rs *routerSession, n int) (*streamclient.Session, error) 
 
 // drop abandons node n's upstream session after the node ended it with
 // a protocol error. Its replay window holds the refused event, which
-// must never be resent, and the node's watermark for its ID no longer
-// matches a fresh numbering, so the next event to the node opens a new
-// upstream session under a new ID.
+// must never be resent, and the node's applied set for its ID no
+// longer matches a fresh numbering, so the next event to the node
+// opens a new upstream session under a new ID.
 func (rs *routerSession) drop(n int) {
 	_ = rs.nodes[n].Close()
 	rs.nodes[n] = nil
@@ -270,7 +271,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 			ev, perr := parser.Parse(line)
 			dup := false
 			if perr == nil && !ephemeral {
-				dup, perr = streamclient.CheckSessionSeq(ev.Seq, base, lastSeq)
+				dup, perr = cluster.CheckSessionSeq(ev.Seq, base, lastSeq)
 				lastSeq = ev.Seq
 			}
 			if perr == nil && !dup {
@@ -320,7 +321,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	if ephemeral {
 		// Nothing is in flight (serial), so the upstream sessions can
-		// close immediately; their node-side watermarks are garbage
+		// close immediately; their node-side sessions are garbage
 		// after this (the conn ID is never reused).
 		for _, s := range rs.nodes {
 			if s != nil {

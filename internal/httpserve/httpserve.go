@@ -26,12 +26,13 @@
 // body share one payload encoder; sentinel errors map onto HTTP status
 // codes (writeTransportError).
 //
-// NewHandlerOpts adds the resilience layer (v6): exactly-once resume
-// for streams that claim an X-Stream-Session identity (a WAL-backed
-// seq watermark dedups replays after reconnects and crashes), a write
-// deadline that sheds stalled stream consumers, and an overload
-// governor that converts block-backpressure into fast 503 +
-// Retry-After when the rolling ack p99 crosses a threshold.
+// NewHandlerOpts adds the resilience layer (v6): a write deadline that
+// sheds stalled stream consumers, and an overload governor that
+// converts block-backpressure into fast 503 + Retry-After when the
+// rolling ack p99 crosses a threshold. Exactly-once resume needs no
+// option: a stream that claims an X-Stream-Session identity is opened
+// as the cluster's session stream, and the cluster dedups its replays
+// after reconnects and crashes.
 //
 // It lives in internal/ so cmd/mmdserve, the root package's ingestion
 // benchmarks, and the tests share one handler; cmd/mmdserve is the
@@ -62,7 +63,7 @@ type errorResponse struct {
 
 // NewHandler returns the HTTP/JSON ingestion front end over a cluster
 // with default resilience options (no shedding, no stream write
-// deadline, no recovered session watermarks); see NewHandlerOpts.
+// deadline); see NewHandlerOpts.
 func NewHandler(c *videodist.Cluster) http.Handler {
 	return NewHandlerOpts(c, Options{})
 }
@@ -244,11 +245,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // appendResultLine appends one result's NDJSON wire line (trailing
 // newline included) to buf: the seq, the type, and either the error or
-// the payload. It is the hand-rolled twin of marshaling a
-// streamclient.Result — the stream hot path writes tens of thousands
-// of these per second, and reflection-based encoding was a top-three
-// cost in the ingestion profile.
+// the payload — or, for a session stream's dup, the dup mark alone. It
+// is the hand-rolled twin of marshaling a streamclient.Result — the
+// stream hot path writes tens of thousands of these per second, and
+// reflection-based encoding was a top-three cost in the ingestion
+// profile.
 func appendResultLine(buf []byte, res videodist.StreamResult) []byte {
+	if res.Dup {
+		return streamclient.AppendDupAck(buf, uint64(res.Seq))
+	}
 	buf = append(buf, `{"seq":`...)
 	buf = strconv.AppendInt(buf, int64(res.Seq), 10)
 	if typ := streamclient.TypeName(res.Type, res.CatalogID != ""); typ != "" {
@@ -404,20 +409,12 @@ const streamWriteMax = 64 << 10
 // applies and settles on its shard worker (catalog references
 // included), so disconnects leak nothing.
 //
-// With an X-Stream-Session header the connection claims a resumable
-// identity (exactly-once resume): every line must then carry a
-// client-assigned contiguous 1-based seq, result seqs come back in the
-// client's numbering, and the session's watermark — the highest seq
-// applied — dedups replays after a reconnect. A replayed line at or
-// below the watermark is acknowledged with a {"seq":N,"dup":true}
-// line instead of being re-applied; a gap past watermark+1 is a
-// protocol error (the client lost events it never sent). Connections
-// claiming the same session serialize: a resume waits until the
-// previous handler has drained every settled result, because the drain
-// is what completes the watermark. For the same reason the
-// session-mode writer keeps draining (writes disabled) after the
-// client dies — an applied event must advance the watermark before the
-// next resume reads it, or the replay would double-apply.
+// With an X-Stream-Session header the stream is that session's
+// (StreamOptions.Session) and each line's seq its event's SessionSeq:
+// the cluster refuses a seq out of order (the seq -1 line), answers a
+// replay of an applied event with a dup, {"seq":N,"dup":true}, in order
+// with the other results, and holds the session until the handler
+// ends.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if s.gov != nil && s.gov.shedding() {
 		// A shed stream refuses the connection outright. Connection:
@@ -434,16 +431,10 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	sid := r.Header.Get("X-Stream-Session")
-	var sess *session
-	var base uint64 // client seq of the first event this conn may submit
-	if sid != "" {
-		sess = s.sessions.get(sid)
-		sess.connMu.Lock()
-		defer sess.connMu.Unlock()
-		base = sess.watermark.Load() + 1
-	}
-	sc, err := s.c.OpenStream(videodist.StreamOptions{Window: streamWindow})
+	sc, err := s.c.OpenStream(videodist.StreamOptions{
+		Window:  streamWindow,
+		Session: r.Header.Get("X-Stream-Session"),
+	})
 	if err != nil {
 		writeTransportError(w, err)
 		return
@@ -460,15 +451,6 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	// Session mode drains to completion regardless of the client: the
-	// watermark must cover every applied event before the handler exits
-	// (and the next resume's dedup reads it). The drain is bounded — the
-	// reader stops submitting once ctx dies, so at most the in-flight
-	// window settles.
-	recvCtx := ctx
-	if sess != nil {
-		recvCtx = context.Background()
-	}
 	// stopReader unblocks a reader parked in ReadLine or Submit so the
 	// handler can finish — unless the reader is already done. Once the
 	// body hit EOF, net/http reads the connection in the background; a
@@ -491,25 +473,15 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// Writing is over: clean EOF, dead client, or write timeout.
 		defer stopReader()
 		var buf []byte
-		writeOK := true
 		// send writes buf out, flushing it if asked, empties it, and
-		// reports whether the writer goes on. After a failed write a
-		// session keeps draining with writes disabled — every settled
-		// result still advances the watermark — but stops the reader
-		// now: no new events ride a dead response.
+		// reports whether the writer goes on.
 		send := func(flush bool) bool {
-			if writeOK && !s.writeStream(w, rc, buf, flush) {
-				if sess == nil {
-					return false
-				}
-				writeOK = false
-				stopReader()
-			}
+			ok := s.writeStream(w, rc, buf, flush)
 			buf = buf[:0]
-			return true
+			return ok
 		}
 		for {
-			res, err := sc.Recv(recvCtx)
+			res, err := sc.Recv(ctx)
 			if err != nil {
 				// io.EOF after CloseSend, or the client went away.
 				return
@@ -520,10 +492,6 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// ready, because then a client may be blocked on the lines
 			// written so far. A burst past streamWriteMax is written out
 			// unflushed as it grows.
-			if sess != nil {
-				res.Seq = int(base + uint64(res.Seq))
-				sess.watermark.Store(uint64(res.Seq))
-			}
 			buf = appendResultLine(buf, res)
 			for {
 				if len(buf) > streamWriteMax && !send(false) {
@@ -532,10 +500,6 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				res, ok := sc.TryRecv()
 				if !ok {
 					break
-				}
-				if sess != nil {
-					res.Seq = int(base + uint64(res.Seq))
-					sess.watermark.Store(uint64(res.Seq))
 				}
 				buf = appendResultLine(buf, res)
 			}
@@ -549,8 +513,6 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	body := bufio.NewReaderSize(r.Body, 32<<10)
 	var parser streamclient.Parser
 	var scratch []byte
-	var dupBuf []byte
-	lastSeq := uint64(0) // last wire seq read on this conn (session mode)
 	for {
 		line, err := ndjson.ReadLine(body, &scratch, streamclient.MaxLine)
 		if errors.Is(err, ndjson.ErrLineTooLong) {
@@ -563,28 +525,16 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				protoErr = perr
 				break
 			}
-			ev, seq := req.Routed(), req.Seq
-			dup := false
-			if sess != nil {
-				if dup, perr = streamclient.CheckSessionSeq(seq, base, lastSeq); perr != nil {
-					protoErr = perr
-					break
+			ev := req.Routed()
+			ev.SessionSeq = req.Seq
+			if serr := sc.Submit(ctx, ev); serr != nil {
+				// A session seq out of order ends the stream as a
+				// protocol error; otherwise the window reservation failed
+				// (client gone or cluster closed). Either way the
+				// in-flight results still drain below.
+				if errors.Is(serr, videodist.ErrSessionSeq) {
+					protoErr = serr
 				}
-				lastSeq = seq
-				ev.Session, ev.SessionSeq = sid, seq
-			}
-			if dup {
-				// Replay of an already-applied event: acknowledge without
-				// re-applying. Dups are a contiguous preamble (contiguity
-				// forces them before the first submit), so the writer
-				// goroutine has nothing in flight yet and the response is
-				// ours to write. A failed write means the client is dying;
-				// the body read below will notice.
-				dupBuf = streamclient.AppendDupAck(dupBuf[:0], seq)
-				_ = s.writeStream(w, rc, dupBuf, true)
-			} else if serr := sc.Submit(ctx, ev); serr != nil {
-				// Window reservation failed (client gone or cluster
-				// closed); the in-flight results still drain below.
 				break
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	videodist "repro"
@@ -15,7 +14,8 @@ import (
 
 // Options configures the resilience behaviors of the handler. The zero
 // value is the pre-chaos handler: no shedding, no stream write
-// deadline, no recovered session watermarks.
+// deadline. Exactly-once resume takes no option: the cluster owns every
+// session, recovered ones included.
 type Options struct {
 	// ShedP99 is the overload threshold: when the rolling p99 of ack
 	// latency on the event and batch endpoints crosses it, the server
@@ -34,21 +34,16 @@ type Options struct {
 	// submitted event still settles through the worker-FIFO path
 	// (references included). 0 disables.
 	StreamWriteTimeout time.Duration
-	// Sessions seeds the exactly-once resume watermarks from a
-	// RecoveryReport.SessionWatermarks, so a client replaying into a
-	// recovered server still cannot double-apply an event.
-	Sessions map[string]uint64
 }
 
-// server is the handler state behind NewHandlerOpts: the cluster, the
-// overload governor, and the resume-session table. The data plane
-// still lives in the cluster session — this state is only about the
-// transport (who may reconnect as whom, and when to say "not now").
+// server is the handler state behind NewHandlerOpts: the cluster and
+// the overload governor. The data plane lives in the cluster, resumable
+// sessions included — this state is only about the transport (when to
+// say "not now").
 type server struct {
-	c        *videodist.Cluster
-	opts     Options
-	gov      *governor // nil when shedding is disabled
-	sessions sessionTable
+	c    *videodist.Cluster
+	opts Options
+	gov  *governor // nil when shedding is disabled
 }
 
 // NewHandlerOpts returns the ingestion front end with resilience
@@ -58,7 +53,6 @@ func NewHandlerOpts(c *videodist.Cluster, opts Options) http.Handler {
 		opts.RetryAfter = time.Second
 	}
 	s := &server{c: c, opts: opts}
-	s.sessions.seed = opts.Sessions
 	if opts.ShedP99 > 0 {
 		s.gov = newGovernor(opts.ShedP99, opts.RetryAfter)
 	}
@@ -168,41 +162,4 @@ func (g *governor) shedding() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.now().Before(g.shedUntil)
-}
-
-// session is one resumable stream identity. connMu serializes the
-// connections claiming the identity: a resumed connection cannot
-// proceed until the previous handler has fully drained its results,
-// which is exactly the point where the watermark covers every applied
-// event — the lock is the happens-before edge that makes the
-// ack-time watermark safe to read.
-type session struct {
-	connMu    sync.Mutex
-	watermark atomic.Uint64 // highest client seq applied (and acked or drained)
-}
-
-// sessionTable lazily materializes sessions by ID, seeding watermarks
-// from recovery. Entries are never evicted: a watermark is the proof an
-// event was applied, and forgetting it would re-admit a replay. The
-// cost is one uint64 + mutex per session identity ever seen, which is
-// fine for fleets of long-lived ingest clients (the intended shape).
-type sessionTable struct {
-	mu   sync.Mutex
-	m    map[string]*session
-	seed map[string]uint64
-}
-
-func (t *sessionTable) get(id string) *session {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sess, ok := t.m[id]
-	if !ok {
-		if t.m == nil {
-			t.m = make(map[string]*session)
-		}
-		sess = &session{}
-		sess.watermark.Store(t.seed[id])
-		t.m[id] = sess
-	}
-	return sess
 }

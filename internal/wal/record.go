@@ -86,8 +86,8 @@ type Record struct {
 	// Sess and CSeq tie a routed event to a resumable ingestion
 	// session: the client-chosen session id and the client-assigned
 	// per-session sequence number (exactly-once resume — recovery
-	// rebuilds each session's dedup watermark as max CSeq per Sess).
-	// They never affect how the event applies.
+	// rebuilds each session's applied set from the CSeqs logged under
+	// its Sess). They never affect how the event applies.
 	Sess    string  `json:"sess,omitempty"`
 	CSeq    uint64  `json:"cseq,omitempty"`
 	Op      string  `json:"op,omitempty"`

@@ -130,26 +130,6 @@ func TypeName(typ videodist.ClusterEventType, catalog bool) string {
 	return ""
 }
 
-// CheckSessionSeq is the protocol's rule for the seq of a line on a
-// resumable session, shared by every server of the protocol. base is
-// the first seq the session has not applied (its watermark plus one),
-// and last the seq of the connection's previous line, 0 before the
-// first. The first line may replay seqs below base but not skip past
-// it, and each later line must follow the one before. dup reports a
-// replay of an applied event: the server acknowledges it with
-// AppendDupAck instead of applying it again.
-func CheckSessionSeq(seq, base, last uint64) (dup bool, err error) {
-	switch {
-	case seq == 0:
-		return false, fmt.Errorf("session stream: line missing seq")
-	case last == 0 && seq > base:
-		return false, fmt.Errorf("session stream: seq %d skips past watermark %d", seq, base-1)
-	case last != 0 && seq != last+1:
-		return false, fmt.Errorf("session stream: seq %d after %d breaks contiguity", seq, last)
-	}
-	return seq < base, nil
-}
-
 // AppendDupAck appends the result line, newline included, that
 // acknowledges a replayed line of seq without applying it.
 func AppendDupAck(b []byte, seq uint64) []byte {

@@ -22,7 +22,7 @@ const sessionWindow = 8192
 type SessionOptions struct {
 	// ID is the session identity, required and caller-chosen (unique
 	// per logical client — a UUID, a hostname+pid). The server keys
-	// its dedup watermark by it, including across server restarts.
+	// the session's applied set by it, including across restarts.
 	ID string
 	// MaxAttempts bounds the redials per outage (default 8); the
 	// attempt counter resets after every successful reconnect.
@@ -43,10 +43,10 @@ type SessionOptions struct {
 // assigns every event a per-session sequence number, keeps unacked
 // events in a replay window, and on any transport failure redials with
 // exponential backoff + jitter and replays the window. The server
-// dedups replayed seqs against its WAL-backed watermark, so each event
-// is applied at most once no matter how many times the connection (or
-// the server) dies mid-flight; already-applied replays come back as
-// Dup-marked results.
+// dedups replayed seqs against the session's applied set, rebuilt from
+// its WAL after a crash, so each event is applied at most once no
+// matter how many times the connection (or the server) dies
+// mid-flight; already-applied replays come back as Dup-marked results.
 //
 // Concurrency matches Conn: one sender goroutine (Send, CloseSend) and
 // one receiver goroutine (Recv) at a time. Reconnection is driven from
@@ -340,7 +340,7 @@ func (s *Session) CloseSend() error {
 
 // Close tears the session down. Unacked events are abandoned
 // client-side (the server applies whatever it read — reconnect later
-// with the same ID and the watermark still dedups).
+// with the same ID and its applied set still dedups).
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

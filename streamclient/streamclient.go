@@ -90,8 +90,8 @@ func (e *StatusError) Retryable() bool {
 type Event struct {
 	// Seq is the client-assigned per-session sequence number (1-based),
 	// set only on resumable sessions (see Session): the server dedups
-	// replayed seqs against its watermark so a retried event is applied
-	// at most once. 0 (omitted) on plain connections.
+	// replayed seqs against the session's applied set so a retried event
+	// is applied at most once. 0 (omitted) on plain connections.
 	Seq uint64 `json:"seq,omitempty"`
 	// Tenant is the target tenant index.
 	Tenant int `json:"tenant"`
@@ -116,7 +116,8 @@ type Event struct {
 // (a malformed line, or an event CheckEvent refuses) that terminated
 // the stream server-side.
 type Result struct {
-	// Seq is the event's submission index on this stream (0-based).
+	// Seq is the event's submission index on this stream (0-based; the
+	// request line's seq on a session stream).
 	Seq int `json:"seq"`
 	// Type echoes the request line's type.
 	Type string `json:"type,omitempty"`

@@ -333,6 +333,8 @@ var (
 	// instead. Treat it like a crash — recover, then re-submit and let
 	// seq-level dedup keep the replay exactly-once.
 	ErrNotDurable = cluster.ErrNotDurable
+	// ErrSessionSeq reports a session stream event numbered out of order.
+	ErrSessionSeq = cluster.ErrSessionSeq
 )
 
 // IdentityCatalogBindings builds the fully overlapping catalog shape
